@@ -13,10 +13,9 @@ from .bisim import Lts, are_equal, bisimilar, build_lts, refine
 from .commform import CommReport, cc_equal, check_comm, find_mirror, formats_spec
 from .errors import SosError
 from .parser import parse_label, parse_spec, parse_term
-from .simulator import Step, solve_rule, step, unfold
+from .simulator import Step, solve_rule, step
 from .terms import (
     canon_label,
-    canon_process,
     canon_term,
     match,
     render_label,
@@ -34,8 +33,8 @@ __all__ = [
     "CommReport", "cc_equal", "check_comm", "find_mirror", "formats_spec",
     "SosError",
     "parse_label", "parse_spec", "parse_term",
-    "Step", "solve_rule", "step", "unfold",
-    "canon_label", "canon_process", "canon_term", "match",
+    "Step", "solve_rule", "step",
+    "canon_label", "canon_term", "match",
     "render_label", "render_term", "substitute_label", "substitute_term",
     "summands",
     "Rule", "Spec", "render_spec",

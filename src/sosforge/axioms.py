@@ -68,9 +68,6 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     """Rewrite a closed, definition-free term to its canonical normal form."""
     th = spec.theory
     budget = budget or DEFAULT_BUDGET
-    rules_by_op: dict[str, list[Rule]] = {
-        name: [r for _, r in spec.rules_for(name)] for name in spec.proc_ops
-    }
     memo: dict[str, Term] = {}
     spent = 0
 
@@ -108,7 +105,7 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
                 "term not semantically well-founded within budget"
             )
         parts = []
-        for rule in rules_by_op.get(t.op, []):
+        for _, rule in spec.rules_for(t.op):
             for s in satisfies(spec, normed_args, rule):
                 lbl = canon_label(substitute_label(rule.conclusion.label, s), th)
                 cont = norm(substitute_term(rule.conclusion.target, s), depth + 1)

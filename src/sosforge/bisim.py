@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .errors import DefOutsideBccsp, StateCapExceeded, UnguardedDef
+from .errors import DefOutsideBccsp, SosError, StateCapExceeded, UnguardedDef
 from .simulator import step
 from .terms import DefConst, Term, canon_term, render_label, render_term
 from .tss import Spec
@@ -27,9 +27,12 @@ def default_state_cap() -> int:
     if raw is None:
         return DEFAULT_STATE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return DEFAULT_STATE_CAP
+        cap = 0
+    if cap < 1:
+        raise SosError(f"{STATE_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass

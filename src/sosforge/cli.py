@@ -23,6 +23,16 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _load_spec(path: str):
     text = Path(path).read_text(encoding="utf-8")
     return parse_spec(text)
@@ -91,7 +101,7 @@ def cmd_eq(args) -> int:
 def cmd_normalize(args) -> int:
     spec = _load_spec(args.spec)
     term = parse_term(args.term, spec)
-    budget = NormalizeBudget(max_rewrites=args.budget) if args.budget else None
+    budget = NormalizeBudget(max_rewrites=args.budget) if args.budget is not None else None
     result = normalize(spec, term, budget)
     if args.json:
         _emit({"term": render_term(result)})
@@ -144,16 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bisim", cmd_bisim, "decide strong bisimilarity of two terms")
     p.add_argument("term1")
     p.add_argument("term2")
-    p.add_argument("--state-cap", type=int, default=None, metavar="N")
+    p.add_argument("--state-cap", type=_positive_int, default=None, metavar="N")
 
     p = add("eq", cmd_eq, "decide bisimilarity of two defined constants")
     p.add_argument("const1")
     p.add_argument("const2")
-    p.add_argument("--state-cap", type=int, default=None, metavar="N")
+    p.add_argument("--state-cap", type=_positive_int, default=None, metavar="N")
 
     p = add("normalize", cmd_normalize, "rewrite a term to its normal form")
     p.add_argument("term")
-    p.add_argument("--budget", type=int, default=None, metavar="N",
+    p.add_argument("--budget", type=_positive_int, default=None, metavar="N",
                    help="rewrite budget (default 10000)")
 
     add("axioms", cmd_axioms, "print the equation schema instance")
@@ -175,6 +185,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (StateCapExceeded, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return EXIT_BUDGET
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

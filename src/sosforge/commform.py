@@ -15,21 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .terms import (
+    SORT_PROC,
     App,
     Choice,
-    DataConst,
     EquationalTheory,
     LabelTerm,
-    LApp,
     LVar,
-    MSet,
     Prefix,
-    PredConst,
-    ActConst,
     Substitution,
     Term,
-    Triple,
     Var,
+    _match_label,
     canon_label,
     free_vars,
     render_label,
@@ -76,66 +72,26 @@ def cc_equal(
 # mirror search
 
 
-def _var_pairs_label(pat: LabelTerm, subj: LabelTerm, hmap, used, th):
-    """Extend a variable-to-variable mapping so pat maps onto subj."""
-    pat = canon_label(pat, th)
-    subj = canon_label(subj, th)
+def _var_sort(v: Var | LVar) -> str:
+    return v.sort if isinstance(v, LVar) else SORT_PROC
 
-    def walk(p, s, hm, us):
-        if isinstance(p, LVar):
-            if not (isinstance(s, LVar) and s.sort == p.sort):
-                return
-            old = hm.get(p.name)
-            if old is not None:
-                if old == s.name:
-                    yield hm, us
-                return
-            if s.name in us:
-                return
-            h2 = dict(hm)
-            h2[p.name] = s.name
-            yield h2, us | {s.name}
-            return
-        if isinstance(p, (ActConst, PredConst, DataConst)):
-            if render_label(p) == render_label(s):
-                yield hm, us
-            return
-        if isinstance(p, LApp):
-            if not (isinstance(s, LApp) and s.op == p.op and len(s.args) == len(p.args)):
-                return
-            if th.op_attrs(p.op).comm:
-                yield from assign(list(p.args), list(s.args), hm, us)
-            else:
-                yield from seq(list(p.args), list(s.args), hm, us)
-            return
-        if isinstance(p, MSet):
-            if isinstance(s, MSet) and s.sort == p.sort:
-                yield from assign(list(p.elements), list(s.elements), hm, us)
-            return
-        if isinstance(p, Triple):
-            if isinstance(s, Triple):
-                for hm2, us2 in walk(p.pre, s.pre, hm, us):
-                    yield from walk(p.post, s.post, hm2, us2)
-            return
 
-    def seq(ps, ss, hm, us):
-        if not ps:
-            yield hm, us
-            return
-        for hm2, us2 in walk(ps[0], ss[0], hm, us):
-            yield from seq(ps[1:], ss[1:], hm2, us2)
+def _bind_renaming(state, var: Var | LVar, value):
+    """Binder for variable renamings; the state is (mapping, used names).
 
-    def assign(ps, ss, hm, us):
-        if len(ps) != len(ss):
-            return
-        if not ps:
-            yield hm, us
-            return
-        for i, cand in enumerate(ss):
-            for hm2, us2 in walk(ps[0], cand, hm, us):
-                yield from assign(ps[1:], ss[:i] + ss[i + 1:], hm2, us2)
-
-    yield from walk(pat, subj, hmap, used)
+    A variable may only map to a variable of the same sort, consistently, and
+    no two variables to the same one.
+    """
+    hmap, used = state
+    if not (isinstance(value, (Var, LVar)) and _var_sort(value) == _var_sort(var)):
+        return
+    old = hmap.get(var.name)
+    if old is not None:
+        if old == value.name:
+            yield state
+        return
+    if value.name not in used:
+        yield {**hmap, var.name: value.name}, used | {value.name}
 
 
 def _mapping_substitution(spec: Spec, hmap: dict[str, str]) -> Substitution:
@@ -245,24 +201,16 @@ def find_mirror(
         if not isinstance(p.source, Var) or not isinstance(p.target, Var):
             return
         want_src = hm.get(p.source.name)
+        pat = canon_label(p.label, th)
         for q in rule_a.positives:
             if not isinstance(q.source, Var) or not isinstance(q.target, Var):
                 continue
             if q.source.name != want_src:
                 continue
-            for hm2, us2 in _var_pairs_label(p.label, q.label, hm, us, th):
-                tname = p.target.name
-                old = hm2.get(tname)
-                if old is not None:
-                    if old == q.target.name:
-                        assign_positives(i + 1, hm2, us2)
-                    continue
-                if q.target.name in us2:
-                    continue
-                hm3 = dict(hm2)
-                hm3[tname] = q.target.name
-                assign_positives(i + 1, hm3, us2 | {q.target.name})
-        return
+            subj = canon_label(q.label, th)
+            for state in _match_label(pat, subj, (hm, us), th, _bind_renaming):
+                for hm2, us2 in _bind_renaming(state, p.target, q.target):
+                    assign_positives(i + 1, hm2, us2)
 
     assign_positives(0, hmap, used)
     return found
@@ -299,10 +247,9 @@ def check_comm(spec: Spec) -> CommReport:
     binaries = [op for op in spec.proc_ops.values() if op.arity == 2]
     declared = {op.name for op in binaries if op.comm}
     comm_set = {CHOICE_OP} | {op.name for op in binaries}
-    rules_of = {op.name: spec.rules_for(op.name) for op in binaries}
 
     def rule_has_mirror(name: str, rule: Rule) -> bool:
-        return any(find_mirror(spec, rule, rb, comm_set) for _, rb in rules_of[name])
+        return any(find_mirror(spec, rule, rb, comm_set) for _, rb in spec.rules_for(name))
 
     changed = True
     while changed:
@@ -311,7 +258,7 @@ def check_comm(spec: Spec) -> CommReport:
             name = op.name
             if name not in comm_set or name in declared:
                 continue
-            if any(not rule_has_mirror(name, r) for _, r in rules_of[name]):
+            if any(not rule_has_mirror(name, r) for _, r in spec.rules_for(name)):
                 comm_set.discard(name)
                 changed = True
 
@@ -324,8 +271,8 @@ def check_comm(spec: Spec) -> CommReport:
         if name in comm_set:
             witnesses = []
             covered: set[tuple[int, int]] = set()
-            for ia, ra in rules_of[name]:
-                for ib, rb in rules_of[name]:
+            for ia, ra in spec.rules_for(name):
+                for ib, rb in spec.rules_for(name):
                     mirrors = find_mirror(spec, ra, rb, comm_set)
                     if not mirrors:
                         continue
@@ -339,7 +286,7 @@ def check_comm(spec: Spec) -> CommReport:
             proven[name] = witnesses
         else:
             failed[name] = [
-                ia for ia, ra in rules_of[name] if not rule_has_mirror(name, ra)
+                ia for ia, ra in spec.rules_for(name) if not rule_has_mirror(name, ra)
             ]
     return CommReport(proven, sorted(declared), failed)
 
@@ -350,19 +297,7 @@ def formats_spec(spec: Spec, report: CommReport) -> Spec:
         name: (replace(op, comm=True) if name in report.proven else op)
         for name, op in spec.proc_ops.items()
     }
-    out = Spec(
-        name=spec.name,
-        actions=spec.actions,
-        predicates=spec.predicates,
-        data_sorts=dict(spec.data_sorts),
-        data_consts=dict(spec.data_consts),
-        label_ops=dict(spec.label_ops),
-        proc_ops=new_ops,
-        variables=dict(spec.variables),
-        rules=spec.rules,
-        defs=dict(spec.defs),
-    )
-    return out
+    return replace(spec, proc_ops=new_ops)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +322,7 @@ def comm_report_text(spec: Spec, report: CommReport) -> str:
     for name, witnesses in report.proven.items():
         lines.append(f"{name} is commutative")
         for w in witnesses:
-            ra = next(r for i, r in spec.rules_for(name) if i == w.rule_a)
-            rb = next(r for i, r in spec.rules_for(name) if i == w.rule_b)
+            ra, rb = spec.rules[w.rule_a - 1], spec.rules[w.rule_b - 1]
             lines.append(f"  rule {w.rule_a} mirrors rule {w.rule_b}:")
             for row in _side_by_side(_rule_lines(ra), _rule_lines(rb)):
                 lines.append(f"    {row}")
@@ -397,7 +331,7 @@ def comm_report_text(spec: Spec, report: CommReport) -> str:
     for name, unmatched in report.failed.items():
         lines.append(f"Could not prove commutativity for: {name}")
         for idx in unmatched:
-            rule = next(r for i, r in spec.rules_for(name) if i == idx)
+            rule = spec.rules[idx - 1]
             lines.append(f"  rule {idx} has no mirror:")
             for row in _rule_lines(rule):
                 lines.append(f"    {row}")

@@ -24,6 +24,7 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    bind_term,
     canon_label,
     canon_term,
     free_vars,
@@ -87,6 +88,8 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
         if not (isinstance(prem.source, Var) and prem.source.name in pos_of):
             return []
         offered = moves(pos_of[prem.source.name])
+        if not isinstance(prem.target, Var):
+            return []
         nxt: list[Substitution] = []
         for s in subs:
             pat = substitute_label(prem.label, s)
@@ -94,15 +97,7 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
                 for m in match(pat, lbl, th):
                     merged = s.copy()
                     merged.labels.update(m.labels)
-                    tname = prem.target.name if isinstance(prem.target, Var) else None
-                    if tname is None:
-                        continue
-                    if tname in merged.terms:
-                        if render_term(merged.terms[tname]) != render_term(cont):
-                            continue
-                    else:
-                        merged.terms[tname] = cont
-                    nxt.append(merged)
+                    nxt.extend(bind_term(merged, prem.target.name, cont))
         subs = nxt
         if not subs:
             return []
@@ -134,9 +129,6 @@ def step(
 ) -> list[Step]:
     """All one-step transitions of a closed term, sorted and deduplicated."""
     th = spec.theory
-    rules_by_op: dict[str, list[Rule]] = {}
-    for name in spec.proc_ops:
-        rules_by_op[name] = [r for _, r in spec.rules_for(name)]
     cache: dict[str, list[Step]] = {}
 
     def go(t: Term, depth: int) -> list[Step]:
@@ -166,7 +158,7 @@ def step(
                 return [(s.label, s.target) for s in go(args[k], depth + 1)]
 
             steps = []
-            for rule in rules_by_op.get(t.op, []):
+            for _, rule in spec.rules_for(t.op):
                 for s in solve_rule(spec, rule, args, moves):
                     lbl = canon_label(substitute_label(rule.conclusion.label, s), th)
                     tgt = substitute_term(rule.conclusion.target, s)
@@ -185,20 +177,6 @@ def step(
         return out
 
     return go(term, 0)
-
-
-def unfold(spec: Spec, term: Term) -> Term:
-    """Replace recursion constants not under a prefix by their bodies, once."""
-    if isinstance(term, DefConst):
-        return spec.definition(term.name)
-    if isinstance(term, Choice):
-        return Choice(unfold(spec, term.left), unfold(spec, term.right))
-    if isinstance(term, App):
-        return App(
-            term.op,
-            tuple(a if isinstance(a, LabelTerm) else unfold(spec, a) for a in term.args),
-        )
-    return term
 
 
 def steps_to_json(steps: list[Step]) -> list[dict]:

@@ -10,7 +10,6 @@ the package (state sets, memo tables, dedup).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import NonBccspTerm, OpenTerm, SortError
@@ -359,11 +358,6 @@ def free_vars(t: Term | LabelTerm) -> tuple[set[str], set[str]]:
     return procs, labels
 
 
-def is_closed(t: Term | LabelTerm) -> bool:
-    procs, labels = free_vars(t)
-    return not procs and not labels
-
-
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -479,17 +473,11 @@ def _require_bccsp(t: Term) -> None:
         _require_bccsp(t.right)
 
 
-def canon_process(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
-    """Canonical form of a closed term of the deadlock/prefix/choice fragment."""
-    _require_bccsp(t)
-    return canon_term(t, th)
-
-
 def summands(t: Term, th: EquationalTheory = EMPTY_THEORY) -> list[tuple[LabelTerm, Term]]:
     """Decompose a head normal form into its (label, continuation) summands."""
-    c = canon_process(t, th)
+    _require_bccsp(t)
     out = []
-    for atom in choice_atoms(c):
+    for atom in choice_atoms(canon_term(t, th)):
         if isinstance(atom, Nil):
             continue
         if isinstance(atom, DefConst):
@@ -519,7 +507,7 @@ def match(pattern: Term | LabelTerm, subject: Term | LabelTerm,
         subj = canon_term(subject, th)  # type: ignore[arg-type]
     results: list[Substitution] = []
     seen = set()
-    for sub in _match_any(pat, subj, Substitution(), th):
+    for sub in _match_any(pat, subj, Substitution(), th, _bind_label):
         k = sub.key()
         if k not in seen:
             seen.add(k)
@@ -527,16 +515,17 @@ def match(pattern: Term | LabelTerm, subject: Term | LabelTerm,
     return results
 
 
-def _match_any(pat, subj, sub, th):
+def _match_any(pat, subj, sub, th, bind):
     if isinstance(pat, LabelTerm):
         if isinstance(subj, LabelTerm):
-            yield from _match_label(pat, subj, sub, th)
+            yield from _match_label(pat, subj, sub, th, bind)
         return
     if isinstance(subj, Term):
-        yield from _match_term(pat, subj, sub, th)
+        yield from _match_term(pat, subj, sub, th, bind)
 
 
-def _bind_term(sub: Substitution, name: str, value: Term):
+def bind_term(sub: Substitution, name: str, value: Term):
+    """Yield sub extended by name <- value, unless name is bound to another term."""
     old = sub.terms.get(name)
     if old is not None:
         if render_term(old) == render_term(value):
@@ -560,9 +549,9 @@ def _bind_label(sub: Substitution, var: LVar, value: LabelTerm):
     yield nxt
 
 
-def _match_term(pat: Term, subj: Term, sub: Substitution, th):
+def _match_term(pat: Term, subj: Term, sub: Substitution, th, bind):
     if isinstance(pat, Var):
-        yield from _bind_term(sub, pat.name, subj)
+        yield from bind_term(sub, pat.name, subj)
         return
     if isinstance(pat, Nil):
         if isinstance(subj, Nil):
@@ -574,68 +563,75 @@ def _match_term(pat: Term, subj: Term, sub: Substitution, th):
         return
     if isinstance(pat, Prefix):
         if isinstance(subj, Prefix):
-            for s1 in _match_label(pat.label, subj.label, sub, th):
-                yield from _match_term(pat.body, subj.body, s1, th)
+            for s1 in _match_label(pat.label, subj.label, sub, th, bind):
+                yield from _match_term(pat.body, subj.body, s1, th, bind)
         return
     if isinstance(pat, Choice):
         pat_atoms = choice_atoms(pat)
         subj_atoms = [a for a in choice_atoms(subj) if not isinstance(a, Nil)]
-        yield from _match_assignment(pat_atoms, subj_atoms, sub, th, _match_any)
+        yield from _match_assignment(pat_atoms, subj_atoms, sub, th, _match_any, bind)
         return
     if isinstance(pat, App):
         if isinstance(subj, App) and subj.op == pat.op and len(subj.args) == len(pat.args):
-            yield from _match_seq(list(pat.args), list(subj.args), sub, th, _match_any)
+            yield from _match_seq(list(pat.args), list(subj.args), sub, th, _match_any, bind)
         return
     raise TypeError(f"not a pattern: {pat!r}")
 
 
-def _match_label(pat: LabelTerm, subj: LabelTerm, sub: Substitution, th):
+def _match_label(pat: LabelTerm, subj: LabelTerm, state, th, bind):
+    """Match canonical labels; bind(state, var, value) yields the extended states.
+
+    `match` binds into a Substitution with `_bind_label`; the mirror search
+    passes a binder whose state is a variable renaming.
+    """
     if isinstance(pat, LVar):
-        yield from _bind_label(sub, pat, subj)
+        yield from bind(state, pat, subj)
         return
     if isinstance(pat, (ActConst, PredConst, DataConst)):
         if render_label(pat) == render_label(subj):
-            yield sub
+            yield state
         return
     if isinstance(pat, LApp):
         if not (isinstance(subj, LApp) and subj.op == pat.op and len(subj.args) == len(pat.args)):
             return
         if th.op_attrs(pat.op).comm:
             # commutative arguments pair up in any order
-            yield from _match_assignment(list(pat.args), list(subj.args), sub, th, _match_label)
+            yield from _match_assignment(
+                list(pat.args), list(subj.args), state, th, _match_label, bind
+            )
         else:
-            yield from _match_seq(list(pat.args), list(subj.args), sub, th, _match_label)
+            yield from _match_seq(list(pat.args), list(subj.args), state, th, _match_label, bind)
         return
     if isinstance(pat, MSet):
         if isinstance(subj, MSet) and subj.sort == pat.sort:
             yield from _match_assignment(
-                list(pat.elements), list(subj.elements), sub, th, _match_label
+                list(pat.elements), list(subj.elements), state, th, _match_label, bind
             )
         return
     if isinstance(pat, Triple):
         if isinstance(subj, Triple):
-            for s1 in _match_label(pat.pre, subj.pre, sub, th):
-                yield from _match_label(pat.post, subj.post, s1, th)
+            for s1 in _match_label(pat.pre, subj.pre, state, th, bind):
+                yield from _match_label(pat.post, subj.post, s1, th, bind)
         return
     raise TypeError(f"not a label pattern: {pat!r}")
 
 
-def _match_seq(pats, subjs, sub, th, matcher):
+def _match_seq(pats, subjs, state, th, matcher, bind):
     if not pats:
-        yield sub
+        yield state
         return
-    for s1 in matcher(pats[0], subjs[0], sub, th):
-        yield from _match_seq(pats[1:], subjs[1:], s1, th, matcher)
+    for s1 in matcher(pats[0], subjs[0], state, th, bind):
+        yield from _match_seq(pats[1:], subjs[1:], s1, th, matcher, bind)
 
 
-def _match_assignment(pats, subjs, sub, th, matcher):
+def _match_assignment(pats, subjs, state, th, matcher, bind):
     """Bijective element assignment between two multisets of parts."""
     if len(pats) != len(subjs):
         return
     if not pats:
-        yield sub
+        yield state
         return
     pat, rest = pats[0], pats[1:]
     for i, cand in enumerate(subjs):
-        for s1 in matcher(pat, cand, sub, th):
-            yield from _match_assignment(rest, subjs[:i] + subjs[i + 1:], s1, th, matcher)
+        for s1 in matcher(pat, cand, state, th, bind):
+            yield from _match_assignment(rest, subjs[:i] + subjs[i + 1:], s1, th, matcher, bind)

@@ -9,9 +9,11 @@ choice are built into the engine and never appear as declared operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import UnknownDefConst
 from .terms import (
+    App,
     EquationalTheory,
     LabelTerm,
     OpAttrs,
@@ -97,7 +99,11 @@ class DataSortDecl:
 
 @dataclass
 class Spec:
-    """A parsed language specification."""
+    """A parsed language specification.
+
+    A Spec is not mutated after `parse_spec` returns it: its equational
+    theory and its rule index are computed once, on first use.
+    """
 
     name: str
     actions: tuple[str, ...] = ()
@@ -110,23 +116,25 @@ class Spec:
     rules: tuple[Rule, ...] = ()
     defs: dict[str, Term] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def theory(self) -> EquationalTheory:
         return EquationalTheory(
             label_ops={name: op.attrs for name, op in self.label_ops.items()},
             data_identity={name: d.identity for name, d in self.data_sorts.items()},
         )
 
-    def rules_for(self, op: str) -> list[tuple[int, Rule]]:
-        """The rules defining an operator, with their 1-based indices."""
-        from .terms import App
-
-        out = []
+    @cached_property
+    def _rule_index(self) -> dict[str, list[tuple[int, Rule]]]:
+        index: dict[str, list[tuple[int, Rule]]] = {}
         for i, r in enumerate(self.rules, start=1):
             src = r.conclusion.source
-            if isinstance(src, App) and src.op == op:
-                out.append((i, r))
-        return out
+            if isinstance(src, App):
+                index.setdefault(src.op, []).append((i, r))
+        return index
+
+    def rules_for(self, op: str) -> list[tuple[int, Rule]]:
+        """The rules defining an operator, with their 1-based indices (a shared list)."""
+        return self._rule_index.get(op, [])
 
     def definition(self, name: str) -> Term:
         try:

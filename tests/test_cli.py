@@ -172,6 +172,45 @@ def test_missing_subcommand_usage(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("normalize", PAR, "--budget", "0", "a . 0"), "'0'"),
+    (("normalize", PAR, "--budget", "-3", "a . 0"), "'-3'"),
+    (("bisim", PAR, "--state-cap", "0", "a . 0", "a . 0"), "'0'"),
+])
+def test_non_positive_caps_are_usage_errors(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert any("error:" in line and value in line for line in err.splitlines())
+
+
+@pytest.mark.parametrize("raw", ["-5", "abc"])
+def test_bad_state_cap_env_is_usage_error(monkeypatch, capsys, raw):
+    monkeypatch.setenv("SOSFORGE_STATE_CAP", raw)
+    code, out, err = run(capsys, "bisim", PAR, "a . 0", "a . 0")
+    assert code == 2 and out == ""
+    assert err == f"error: SOSFORGE_STATE_CAP must be a positive integer, got '{raw}'\n"
+
+
+def test_smallest_budget_and_cap_are_honoured(monkeypatch, capsys):
+    assert run(capsys, "normalize", PAR, "--budget", "1", "a . 0")[0] == 0
+    assert run(capsys, "bisim", PAR, "--state-cap", "1", "0", "0")[0] == 0
+    monkeypatch.setenv("SOSFORGE_STATE_CAP", "1")
+    code, _, err = run(capsys, "bisim", PAR, "a . 0", "a . 0")
+    assert code == 3 and "state cap exceeded (1 states)" in err
+
+
+DEEP = " . ".join(["a"] * 3000) + " . 0"
+WIDE = " || ".join(["a . 0"] * 1200)
+
+
+@pytest.mark.parametrize("command", ["simulate", "normalize"])
+@pytest.mark.parametrize("term", [DEEP, WIDE], ids=["deep", "wide"])
+def test_too_deep_term_is_budget_error(capsys, command, term):
+    code, out, err = run(capsys, command, PAR, term)
+    assert code == 3 and out == ""
+    assert err == "error: input nested too deeply for the recursion limit\n"
+
+
 # -- machine-readable mode -------------------------------------------------------------
 
 
@@ -237,6 +276,16 @@ def test_emit_formats(tmp_path, capsys):
     assert "[comm]" in text
     derived = parse_spec(text)
     assert derived.proc_ops["_||_"].comm
+
+
+# -- package surface ---------------------------------------------------------------------
+
+
+def test_all_exports_resolve():
+    import sosforge
+
+    for name in sosforge.__all__:
+        assert hasattr(sosforge, name), name
 
 
 # -- installed entry point ----------------------------------------------------------------

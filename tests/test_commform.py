@@ -81,6 +81,17 @@ def test_mixer_mirror_swaps_labels(gspec):
     ]
 
 
+def test_mirror_mapping_is_injective():
+    # mirroring rule 2 onto rule 1 would need both alpha and beta to map to alpha
+    spec = parse_spec(
+        "spec INJ\nactions a ;\nop f : 2 ;\nvar x y x' y' : Proc ;\n"
+        "var alpha beta : Action ;\n"
+        "rule x -(alpha)-> x' , y -(alpha)-> y' ==> f(x,y) -(alpha)-> f(x',y') ;\n"
+        "rule x -(alpha)-> x' , y -(beta)-> y' ==> f(x,y) -(alpha)-> f(x',y') ;\n"
+    )
+    assert find_mirror(spec, spec.rules[0], spec.rules[1], {"f", "+"}) == []
+
+
 def test_sequencing_has_no_mirror(linda):
     comm = {"_||_", "_;_", "+"}
     seq_rules = [r for i, r in linda.rules_for("_;_")]

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sosforge import corpus_text, parse_label, parse_spec, parse_term
 from sosforge.errors import (
@@ -14,6 +16,7 @@ from sosforge.errors import (
 )
 from sosforge.tss import render_spec
 from sosforge.terms import render_label, render_term
+from termgen import random_bccsp_term, random_full_term
 
 CORPUS = ("bccsp", "bccsp_par", "g", "linda", "recursion", "full")
 
@@ -25,8 +28,23 @@ CORPUS = ("bccsp", "bccsp_par", "g", "linda", "recursion", "full")
 def test_corpus_render_fixpoint(name):
     spec = parse_spec(corpus_text(name))
     text = render_spec(spec)
+    assert parse_spec(text) == spec
     again = render_spec(parse_spec(text))
     assert again == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 4))
+def test_full_term_render_parse_roundtrip(full, seed, depth):
+    t = random_full_term(random.Random(seed), depth)
+    assert parse_term(render_term(t), full) == t
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 5), rich=st.booleans())
+def test_bccsp_term_render_parse_roundtrip(full, seed, depth, rich):
+    t = random_bccsp_term(random.Random(seed), depth, rich)
+    assert parse_term(render_term(t), full) == t
 
 
 def test_explicit_base_rules_parse():

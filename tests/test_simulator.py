@@ -6,8 +6,8 @@ import pytest
 
 from sosforge import parse_spec, parse_term
 from sosforge.errors import BudgetExceeded
-from sosforge.simulator import step, unfold
-from sosforge.terms import NIL, App, Choice, DefConst, Prefix, render_term
+from sosforge.simulator import step
+from sosforge.terms import NIL, App, Choice, DefConst, render_term
 from termgen import random_bccsp_term
 
 # -- transcript pins -----------------------------------------------------------
@@ -63,20 +63,6 @@ def test_mixer_mixed_choice(gspec):
         "< b # 0 >",
         "< mix(a,c) # 0 + 0 >",
     ]
-
-
-# -- unfolding -----------------------------------------------------------------
-
-
-def test_unfold_definition(rec):
-    assert render_term(unfold(rec, DefConst("p1"))) == "i . p2"
-    assert render_term(unfold(rec, DefConst("p2"))) == "i . p3 + o . p1"
-
-
-def test_unfold_recurses_through_operators(par, rec):
-    t = Choice(DefConst("p1"), DefConst("p3"))
-    assert render_term(unfold(rec, t)) == "i . p2 + o . p2"
-    assert render_term(unfold(rec, Prefix(parse_term("i . 0", rec).label, DefConst("p1")))) == "i . p1"
 
 
 def test_step_through_definitions(rec):
