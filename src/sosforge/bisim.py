@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import DefOutsideBccsp, SosError, StateCapExceeded, UnguardedDef
-from .simulator import step
+from .simulator import Step, step
 from .terms import DefConst, Term, canon_term, render_label, render_term
 from .tss import Spec
 from .validator import UNGUARDED_DEF, check_guarded_defs
@@ -48,11 +48,16 @@ class Lts:
 
 
 def build_lts(spec: Spec, roots: list[Term], state_cap: int | None = None) -> Lts:
-    """Explore everything reachable from the roots, up to the state cap."""
+    """Explore everything reachable from the roots, up to the state cap.
+
+    One step cache serves the whole exploration, so each canonical subterm
+    of the reachable states is stepped once.
+    """
     cap = default_state_cap() if state_cap is None else state_cap
     th = spec.theory
     lts = Lts()
     index: dict[str, int] = {}
+    step_cache: dict[str, list[Step]] = {}
 
     def intern(t: Term) -> int:
         c = canon_term(t, th)
@@ -73,7 +78,7 @@ def build_lts(spec: Spec, roots: list[Term], state_cap: int | None = None) -> Lt
         i = done
         done += 1
         out = []
-        for s in step(spec, lts.states[i]):
+        for s in step(spec, lts.states[i], cache=step_cache):
             out.append((render_label(s.label), intern(s.target)))
         lts.transitions[i] = out
     return lts

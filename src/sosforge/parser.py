@@ -377,15 +377,19 @@ def _finalize_signature(d: _Decls) -> Spec:
 # term pass
 
 
+def _infix_ops(spec: Spec) -> dict[str, str]:
+    """Infix symbol -> `_sym_` operator name, built once per parse call."""
+    return {op.symbol: op.name for op in spec.proc_ops.values() if op.symbol is not None}
+
+
 class _TermParser:
-    def __init__(self, toks: list[Token], spec: Spec, def_names: set[str]):
+    def __init__(self, toks: list[Token], spec: Spec, def_names: set[str],
+                 infix: dict[str, str]):
         self.toks = toks
         self.i = 0
         self.spec = spec
         self.def_names = def_names
-        self.infix = {
-            op.symbol: op.name for op in spec.proc_ops.values() if op.symbol is not None
-        }
+        self.infix = infix
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.i + k, len(self.toks) - 1)]
@@ -681,9 +685,9 @@ class _TermParser:
 # entry points
 
 
-def _span_parser(toks, start, end, spec, def_names) -> _TermParser:
+def _span_parser(toks, start, end, spec, def_names, infix) -> _TermParser:
     eof = Token("EOF", "", toks[end].line, toks[end].col)
-    return _TermParser(toks[start:end] + [eof], spec, def_names)
+    return _TermParser(toks[start:end] + [eof], spec, def_names, infix)
 
 
 def parse_spec(text: str) -> Spec:
@@ -691,13 +695,14 @@ def parse_spec(text: str) -> Spec:
     toks = tokenize(text)
     d = _pass_one(toks)
     spec = _finalize_signature(d)
+    infix = _infix_ops(spec)
     rules = []
     for start, end in d.rule_spans:
-        rules.append(_span_parser(toks, start, end, spec, d.def_names).parse_rule())
+        rules.append(_span_parser(toks, start, end, spec, d.def_names, infix).parse_rule())
     spec.rules = tuple(rules)
     defs: dict[str, Term] = {}
     for name, start, end in d.def_spans:
-        p = _span_parser(toks, start, end, spec, d.def_names)
+        p = _span_parser(toks, start, end, spec, d.def_names, infix)
         if not (p.peek().kind == "PUNCT" and p.peek().text == "="):
             p.err("expected = after definition name")
         p.take()
@@ -717,7 +722,7 @@ def parse_spec(text: str) -> Spec:
 def parse_term(text: str, spec: Spec, closed: bool = True) -> Term:
     """Parse a process term in the scope of a specification."""
     toks = tokenize(text)
-    p = _TermParser(toks, spec, set(spec.defs))
+    p = _TermParser(toks, spec, set(spec.defs), _infix_ops(spec))
     t = p.parse_term(False)
     p.expect_eof()
     if isinstance(t, LabelTerm):
@@ -733,7 +738,7 @@ def parse_term(text: str, spec: Spec, closed: bool = True) -> Term:
 def parse_label(text: str, spec: Spec) -> LabelTerm:
     """Parse a label term in the scope of a specification."""
     toks = tokenize(text)
-    p = _TermParser(toks, spec, set(spec.defs))
+    p = _TermParser(toks, spec, set(spec.defs), _infix_ops(spec))
     l = p.parse_label()
     p.expect_eof()
     return l

@@ -68,18 +68,25 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
     base = Substitution()
     pos_of: dict[str, int] = {}
     for k, (slot, actual) in enumerate(zip(src.args, args)):
+        # a variable repeated in the source binds only equal canonical arguments
         if isinstance(slot, Var):
             if not isinstance(actual, Term):
                 return []
-            base.terms[slot.name] = actual
-            pos_of[slot.name] = k
+            old = base.terms.get(slot.name)
+            if old is None:
+                base.terms[slot.name] = actual
+                pos_of[slot.name] = k
+            elif render_term(canon_term(old, th)) != render_term(canon_term(actual, th)):
+                return []
         elif isinstance(slot, LVar):
             if not isinstance(actual, LabelTerm):
                 return []
             value = canon_label(actual, th)
             if not sort_accepts(slot.sort, label_sort(value)):
                 return []
-            base.labels[slot.name] = value
+            old_label = base.labels.setdefault(slot.name, value)
+            if render_label(old_label) != render_label(value):
+                return []
         else:
             return []
 
@@ -126,10 +133,21 @@ def step(
     term: Term,
     depth_cap: int = DEFAULT_DEPTH_CAP,
     set_cap: int = DEFAULT_SET_CAP,
+    *,
+    cache: dict[str, list[Step]] | None = None,
 ) -> list[Step]:
-    """All one-step transitions of a closed term, sorted and deduplicated."""
+    """All one-step transitions of a closed term, sorted and deduplicated.
+
+    Every subterm is stepped once per cache, keyed by its canonical string,
+    and a hit returns the steps of the first subterm stepped under that key,
+    with targets in that subterm's shape.  A call makes its own cache;
+    `build_lts`, whose states are canonical and whose targets it
+    canonicalizes, passes one cache to every call of its exploration.  A hit
+    skips the caps: they held when the entry was made.
+    """
     th = spec.theory
-    cache: dict[str, list[Step]] = {}
+    if cache is None:
+        cache = {}
 
     def go(t: Term, depth: int) -> list[Step]:
         if depth > depth_cap:

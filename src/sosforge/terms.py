@@ -6,6 +6,13 @@ and predicate constants, data constants, variables, label-operator
 applications, data multisets, and store-transition triples.  The rendered
 string of a canonical form doubles as the identity key everywhere else in
 the package (state sets, memo tables, dedup).
+
+Nodes are immutable, so a compound node computes its rendered string once
+and caches it on itself, and caches its canonical form together with the
+theory it was computed under (one node, such as a rule pattern, can be
+canonicalized under several theories; the last one is kept).  A key then
+costs O(1) after its first use.  The caches live in the instance dict of
+the frozen dataclasses and take no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -24,8 +31,20 @@ SORT_LABEL = "Label"
 # nodes
 
 
+# Writes a node cache past the frozen dataclass's __setattr__.  Unlike
+# `node.__dict__[...] = ...` it keeps the attribute values inline, without
+# materializing a dict per node.
+_cache_on = object.__setattr__
+
+
 class LabelTerm:
     """Base class for everything that can sit in a label position."""
+
+    # node caches: rendered string, theory of the cached canonical form, and
+    # that form (None when the node is canonical itself under that theory)
+    _s = None
+    _cth = None
+    _c = None
 
     def __str__(self) -> str:
         return render_label(self)
@@ -88,6 +107,11 @@ class Triple(LabelTerm):
 
 class Term:
     """Base class for process terms."""
+
+    # node caches, as on LabelTerm
+    _s = None
+    _cth = None
+    _c = None
 
     def __str__(self) -> str:
         return render_term(self)
@@ -179,20 +203,25 @@ EMPTY_THEORY = EquationalTheory()
 _LVL_INFIX = 0
 _LVL_CHOICE = 1
 _LVL_PREFIX = 2
-_LVL_ATOM = 3
 
 
 def render_label(l: LabelTerm) -> str:
     """Serialize a label term; canonical inputs give the canonical string."""
+    s = l._s
+    if s is not None:
+        return s
     if isinstance(l, (ActConst, PredConst, DataConst, LVar)):
         return l.name
     if isinstance(l, LApp):
-        return f"{l.op}({','.join(render_label(a) for a in l.args)})"
-    if isinstance(l, MSet):
-        return "{" + ", ".join(render_label(e) for e in l.elements) + "}"
-    if isinstance(l, Triple):
-        return f"< {render_label(l.pre)},-,{render_label(l.post)} >"
-    raise TypeError(f"not a label term: {l!r}")
+        s = f"{l.op}({','.join(render_label(a) for a in l.args)})"
+    elif isinstance(l, MSet):
+        s = "{" + ", ".join(render_label(e) for e in l.elements) + "}"
+    elif isinstance(l, Triple):
+        s = f"< {render_label(l.pre)},-,{render_label(l.post)} >"
+    else:
+        raise TypeError(f"not a label term: {l!r}")
+    _cache_on(l, "_s", s)
+    return s
 
 
 def _render_any(t: Term | LabelTerm, min_level: int) -> str:
@@ -202,27 +231,36 @@ def _render_any(t: Term | LabelTerm, min_level: int) -> str:
 
 
 def _render(t: Term, min_level: int) -> str:
-    if isinstance(t, Nil):
-        s, lvl = "0", _LVL_ATOM
-    elif isinstance(t, (Var, DefConst)):
-        s, lvl = t.name, _LVL_ATOM
-    elif isinstance(t, Prefix):
-        s = f"{render_label(t.label)} . {_render(t.body, _LVL_PREFIX)}"
-        lvl = _LVL_PREFIX
-    elif isinstance(t, Choice):
-        s = f"{_render(t.left, _LVL_PREFIX)} + {_render(t.right, _LVL_CHOICE)}"
-        lvl = _LVL_CHOICE
-    elif isinstance(t, App):
-        sym = infix_symbol(t.op)
-        if sym is not None and len(t.args) == 2:
-            s = f"{_render_any(t.args[0], _LVL_INFIX)} {sym} {_render_any(t.args[1], _LVL_CHOICE)}"
-            lvl = _LVL_INFIX
+    """The string of t, parenthesized when its level is below min_level.
+
+    Only the bare string is cached; the level follows from the node's class.
+    """
+    s = t._s
+    if s is None:
+        if isinstance(t, Nil):
+            return "0"
+        if isinstance(t, (Var, DefConst)):
+            return t.name
+        if isinstance(t, Prefix):
+            s = f"{render_label(t.label)} . {_render(t.body, _LVL_PREFIX)}"
+        elif isinstance(t, Choice):
+            s = f"{_render(t.left, _LVL_PREFIX)} + {_render(t.right, _LVL_CHOICE)}"
+        elif isinstance(t, App):
+            sym = infix_symbol(t.op)
+            if sym is not None and len(t.args) == 2:
+                s = f"{_render_any(t.args[0], _LVL_INFIX)} {sym} {_render_any(t.args[1], _LVL_CHOICE)}"
+            else:
+                s = f"{t.op}({','.join(_render_any(a, _LVL_INFIX) for a in t.args)})"
         else:
-            s = f"{t.op}({','.join(_render_any(a, _LVL_INFIX) for a in t.args)})"
-            lvl = _LVL_ATOM
-    else:
-        raise TypeError(f"not a process term: {t!r}")
-    return f"({s})" if lvl < min_level else s
+            raise TypeError(f"not a process term: {t!r}")
+        _cache_on(t, "_s", s)
+    # only choice and infix nodes sit below a level a caller asks for
+    if isinstance(t, Choice):
+        return f"({s})" if min_level > _LVL_CHOICE else s
+    if min_level > _LVL_INFIX and isinstance(t, App) and len(t.args) == 2 \
+            and infix_symbol(t.op) is not None:
+        return f"({s})"
+    return s
 
 
 def render_term(t: Term) -> str:
@@ -364,6 +402,9 @@ def free_vars(t: Term | LabelTerm) -> tuple[set[str], set[str]]:
 
 def canon_label(l: LabelTerm, th: EquationalTheory = EMPTY_THEORY) -> LabelTerm:
     """Canonical form of a label modulo the declared attribute equations."""
+    if l._cth is th:
+        c = l._c
+        return l if c is None else c
     if isinstance(l, DataConst):
         if th.data_identity.get(l.sort) == l.name:
             return MSet((), l.sort)
@@ -381,17 +422,20 @@ def canon_label(l: LabelTerm, th: EquationalTheory = EMPTY_THEORY) -> LabelTerm:
                 else:
                     flat.append(a)
             args = flat
+        out: LabelTerm | None = None
         if attrs.identity is not None:
             ident = render_label(canon_label(attrs.identity, th))
             args = [a for a in args if render_label(a) != ident]
             if not args:
-                return canon_label(attrs.identity, th)
-            if len(args) == 1:
-                return args[0]
-        if attrs.comm:
-            args.sort(key=render_label)
-        return LApp(l.op, tuple(args), l.sort)
-    if isinstance(l, MSet):
+                out = canon_label(attrs.identity, th)
+            elif len(args) == 1:
+                out = args[0]
+        if out is None:
+            if attrs.comm:
+                args.sort(key=render_label)
+            out = LApp(l.op, tuple(args), l.sort)
+            _cache_on(out, "_cth", th)
+    elif isinstance(l, MSet):
         flat = []
         for e in l.elements:
             ce = canon_label(e, th)
@@ -400,10 +444,16 @@ def canon_label(l: LabelTerm, th: EquationalTheory = EMPTY_THEORY) -> LabelTerm:
             else:
                 flat.append(ce)
         flat.sort(key=render_label)
-        return MSet(tuple(flat), l.sort)
-    if isinstance(l, Triple):
-        return Triple(_canon_slot(l.pre, th), _canon_slot(l.post, th))
-    raise TypeError(f"not a label term: {l!r}")
+        out = MSet(tuple(flat), l.sort)
+        _cache_on(out, "_cth", th)
+    elif isinstance(l, Triple):
+        out = Triple(_canon_slot(l.pre, th), _canon_slot(l.post, th))
+        _cache_on(out, "_cth", th)
+    else:
+        raise TypeError(f"not a label term: {l!r}")
+    _cache_on(l, "_cth", th)
+    _cache_on(l, "_c", out)
+    return out
 
 
 def _canon_slot(slot: LabelTerm, th: EquationalTheory) -> LabelTerm:
@@ -437,19 +487,24 @@ def canon_term(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
     Works on arbitrary terms, open or closed; user operators are kept in
     place with their arguments canonicalized.
     """
+    if t._cth is th:
+        c = t._c
+        return t if c is None else c
     if isinstance(t, (Nil, Var, DefConst)):
         return t
     if isinstance(t, Prefix):
-        return Prefix(canon_label(t.label, th), canon_term(t.body, th))
-    if isinstance(t, App):
-        return App(
+        out: Term = Prefix(canon_label(t.label, th), canon_term(t.body, th))
+        _cache_on(out, "_cth", th)
+    elif isinstance(t, App):
+        out = App(
             t.op,
             tuple(
                 canon_label(a, th) if isinstance(a, LabelTerm) else canon_term(a, th)
                 for a in t.args
             ),
         )
-    if isinstance(t, Choice):
+        _cache_on(out, "_cth", th)
+    elif isinstance(t, Choice):
         atoms = [canon_term(a, th) for a in choice_atoms(t)]
         atoms = [a for a in atoms if not isinstance(a, Nil)]
         atoms.sort(key=render_term)
@@ -457,8 +512,16 @@ def canon_term(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
         for a in atoms:
             if not deduped or render_term(deduped[-1]) != render_term(a):
                 deduped.append(a)
-        return fold_choice(deduped)
-    raise TypeError(f"not a process term: {t!r}")
+        # as fold_choice, marking each new link canonical
+        out = deduped.pop() if deduped else NIL
+        for a in reversed(deduped):
+            out = Choice(a, out)
+            _cache_on(out, "_cth", th)
+    else:
+        raise TypeError(f"not a process term: {t!r}")
+    _cache_on(t, "_cth", th)
+    _cache_on(t, "_c", out)
+    return out
 
 
 def _require_bccsp(t: Term) -> None:

@@ -23,7 +23,7 @@ from sosforge.terms import (
     render_label,
     render_term,
 )
-from termgen import equivalent_variant, random_bccsp_term, random_lts
+from termgen import equivalent_variant, random_bccsp_term, random_full_term, random_lts
 
 # -- an independent stepper for the parallel fragment ---------------------------
 
@@ -102,6 +102,55 @@ def test_build_lts_state_sets(par):
 def test_build_lts_interns_by_canonical_form(par):
     lts = build_lts(par, [parse_term("a . 0 + a . 0", par), parse_term("a . 0", par)])
     assert lts.roots[0] == lts.roots[1]
+
+
+# -- the exploration-wide step cache ------------------------------------------------
+
+
+def _explore_fresh(spec, roots):
+    """build_lts's exploration, stepping each state with a fresh cache: the reference."""
+    th = spec.theory
+    states, index = [], {}
+
+    def intern(t):
+        c = canon_term(t, th)
+        key = render_term(c)
+        if key not in index:
+            index[key] = len(states)
+            states.append(c)
+        return index[key]
+
+    root_ids = [intern(r) for r in roots]
+    transitions = []
+    while len(transitions) < len(states):
+        here = states[len(transitions)]
+        transitions.append([(render_label(s.label), intern(s.target)) for s in step(spec, here)])
+    return [render_term(c) for c in states], transitions, root_ids
+
+
+def _shared_vs_fresh(spec, make_roots):
+    lts = build_lts(spec, make_roots())
+    keys = [lts.state_key(i) for i in range(len(lts.states))]
+    assert (keys, lts.transitions, lts.roots) == _explore_fresh(spec, make_roots())
+
+
+def test_build_lts_shared_cache_matches_fresh_steps_random(full):
+    for seed in range(40):
+
+        def roots():
+            rng = random.Random(seed)
+            t = random_full_term(rng, 4)
+            return [t, equivalent_variant(rng, t), random_full_term(rng, 4)]
+
+        _shared_vs_fresh(full, roots)
+
+
+def test_build_lts_shared_cache_matches_fresh_steps_parallel(par):
+    comp = "a . b . | . 0"
+    flat = " || ".join([comp] * 4)
+    split = f"({comp} || {comp}) || ({comp} || {comp})"
+    swapped = f"b . a . | . 0 || {comp} || ({comp} || {comp})"
+    _shared_vs_fresh(par, lambda: [parse_term(t, par) for t in (flat, split, swapped)])
 
 
 def test_state_cap(par):

@@ -211,6 +211,24 @@ def test_too_deep_term_is_budget_error(capsys, command, term):
     assert err == "error: input nested too deeply for the recursion limit\n"
 
 
+# The longest prefix chain simulate handled here at the default recursion limit
+# was 949 (one frame per level); normalize stops at its max_depth of 500.  A
+# second frame per level would halve both.
+NEAR_LIMIT = {"simulate": 940, "normalize": 500}
+
+
+@pytest.mark.parametrize("command", ["simulate", "normalize"])
+def test_long_prefix_chain_within_recursion_limit(capsys, command):
+    n = NEAR_LIMIT[command]
+    term = " . ".join(["a"] * n) + " . 0"
+    code, out, err = run(capsys, command, PAR, term)
+    assert code == 0 and err == ""
+    if command == "simulate":
+        assert out == f"Possible steps:\n < a # {term[4:]} >\n"
+    else:
+        assert out == term + "\n"
+
+
 # -- machine-readable mode -------------------------------------------------------------
 
 

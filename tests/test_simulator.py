@@ -145,3 +145,44 @@ def test_step_set_cap(par):
     with pytest.raises(BudgetExceeded):
         step(par, t, set_cap=2)
     assert len(step(par, t, set_cap=3)) == 3
+
+
+def test_step_keeps_target_shape_across_calls(par):
+    """A call steps with its own cache: a permuted term stepped earlier lends no shape."""
+    term = "b . 0 + | . 0 || c . 0"
+    want = ["< b # 0 || c . 0 >", "< c # b . 0 + | . 0 || 0 >"]
+    assert [str(s) for s in step(par, parse_term(term, par))] == want
+    step(par, parse_term("| . 0 + b . 0 || c . 0", par))
+    assert [str(s) for s in step(par, parse_term(term, par))] == want
+
+
+# -- repeated source variables ---------------------------------------------------------
+
+REPEATED_SOURCE = """spec REP
+actions a ;
+datasort Data ;
+dataconst d u : Data ;
+op f : 2 ;
+op h : 2 ;
+var x x' : Proc ;
+var k : Data ;
+rule x -(a)-> x' ==> f(x, x) -(a)-> x' ;
+rule ==> h(k, k) -(a)-> 0 ;
+"""
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("f(a . 0, a . 0)", ["< a # 0 >"]),
+        ("f(a . 0 + a . 0, a . 0)", ["< a # 0 >"]),
+        ("f(0, a . 0)", []),
+        ("f(a . 0, 0)", []),
+        ("h(u, u)", ["< a # 0 >"]),
+        ("h(d, u)", []),
+        ("h(u, d)", []),
+    ],
+)
+def test_repeated_source_variable_needs_equal_arguments(text, want):
+    spec = parse_spec(REPEATED_SOURCE)
+    assert [str(s) for s in step(spec, parse_term(text, spec))] == want

@@ -1,5 +1,6 @@
 """Term and label algebra: rendering, canonical forms, matching."""
 
+import dataclasses
 import itertools
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from sosforge import parse_label, parse_term
 from sosforge.errors import NonBccspTerm, OpenTerm, SortError
 from sosforge.terms import (
+    EMPTY_THEORY,
     NIL,
     ActConst,
     App,
@@ -87,13 +89,35 @@ def test_canon_label_mix_commutes(full):
     assert render_label(ab) == render_label(ba)
 
 
+def uncached(x):
+    """A structurally equal copy of a node with no cached render or canonical form."""
+    if dataclasses.is_dataclass(x):
+        return type(x)(**{f.name: uncached(getattr(x, f.name)) for f in dataclasses.fields(x)})
+    if isinstance(x, tuple):
+        return tuple(uncached(e) for e in x)
+    return x
+
+
 def test_canon_label_idempotent_random(full):
     rng = random.Random(12)
     th = full.theory
     for _ in range(500):
         l = random_label(rng)
         once = canon_label(l, th)
-        assert render_label(canon_label(once, th)) == render_label(once)
+        assert canon_label(uncached(once), th) == once
+        assert canon_label(once, th) is once
+
+
+def test_canon_cache_is_per_theory(linda):
+    """One node canonicalized under two theories, in either order, gets each theory's form."""
+    plain = (EMPTY_THEORY, "< {d, empty, u},-,{d} >")
+    store = (linda.theory, "< {d, u},-,{d} >")
+    for order in ([plain, store], [store, plain]):
+        label = parse_label("< {u, empty, d}, -, d >", linda)
+        term = Prefix(label, NIL)
+        for th, want in order + order:
+            assert render_label(canon_label(label, th)) == want
+            assert render_term(canon_term(term, th)) == want + " . 0"
 
 
 # -- canonical terms ----------------------------------------------------------
@@ -118,7 +142,8 @@ def test_canon_idempotent_random(full):
     for _ in range(1000):
         t = random_full_term(rng, 6)
         once = canon_term(t, th)
-        assert render_term(canon_term(once, th)) == render_term(once)
+        assert canon_term(uncached(once), th) == once
+        assert canon_term(once, th) is once
 
 
 def test_canon_invariant_under_choice_shuffle(full):
