@@ -4,11 +4,26 @@ Input is UTF-8 text with `#` line comments, whitespace-insensitive.  A
 specification is a sequence of keyword-led declarations; rules and
 definitions are parsed in a second pass once the full signature is known,
 so declaration order never matters for name resolution.
+
+Tokens are plain strings, cut from the text by one regular expression in a
+single pass.  A token's kind follows from its first character: a letter
+starts an identifier, a digit a natural number, `_` an operator name such
+as `_||_`, one of `|!?~^&*%@/` a symbol, one of `(){}[]<>,;:=.+-` a
+punctuation mark (always a single character), and the empty string is the
+end of input.  Tokens carry no positions: when a ParseError is raised, the
+text is scanned again up to the offending token, and its line and column
+are computed from that token's offset.
+
+The term parser decides from the current token whether a label can start
+there, so valid input is parsed without backtracking on exceptions.  The
+name tables it reads are built once per Spec (`Spec.parse_context`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from functools import lru_cache
+from itertools import islice
 
 from .errors import (
     ArityMismatch,
@@ -55,79 +70,79 @@ RESERVED_SORTS = {SORT_PROC, SORT_ACTION, SORT_PREDICATE, SORT_LABEL}
 
 _SYM_CHARS = set("|!?~^&*%@/")
 _PUNCT_CHARS = set("(){}[]<>,;:=.+-")
-_OPNAME_INNER = _SYM_CHARS | {";", "+", "."}
+_OPNAME = re.compile(r"_[|!?~^&*%@/;+.]+_")
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT NAT OPNAME SYM PUNCT EOF
-    text: str
-    line: int
-    col: int
+@lru_cache(maxsize=16)
+def _token_pattern(digits: str, numerals: str) -> re.Pattern[str]:
+    """Blanks and comments, then one token (group 1).
+
+    The language's letters and digits are those of `str.isalpha` and
+    `str.isdigit`.  The regular expression's `\\w` also takes other
+    numerals and its `\\d` leaves out digits that are not decimal, so the
+    text's characters of either kind are passed in: `digits` such as `²`
+    continue a number, `numerals` such as `½` start no token.  At an
+    unexpected character the last alternative takes the rest of the text,
+    so it becomes the last token before the end of input.
+    """
+    odd = re.escape(digits + numerals)
+    return re.compile(
+        r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+        r"([(){}\[\]<>,;:=.+\-]"
+        rf"|[^\W\d_{odd}][\w']*"
+        rf"|[\d{re.escape(digits)}]+"
+        r"|_[|!?~^&*%@/;+.]+_"
+        r"|[|!?~^&*%@/]+"
+        r"|\Z"
+        r"|[\s\S]+)"
+    )
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("NAT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "_":
-            j = i + 1
-            while j < n and text[j] in _OPNAME_INNER:
-                j += 1
-            if j == i + 1 or j >= n or text[j] != "_":
-                raise ParseError("malformed operator name", line, start_col)
-            toks.append(Token("OPNAME", text[i:j + 1], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c in _SYM_CHARS:
-            j = i
-            while j < n and text[j] in _SYM_CHARS:
-                j += 1
-            toks.append(Token("SYM", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT_CHARS:
-            toks.append(Token("PUNCT", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    toks.append(Token("EOF", "", line, col))
-    return toks
+# Compiled on import, where it lives with the module's other long-lived
+# objects, not in the middle of the first command's heap.
+_token_pattern("", "")
+
+
+def _is_name(t: str) -> bool:
+    """An identifier or a symbol."""
+    c = t[:1]
+    return c.isalpha() or c in _SYM_CHARS
+
+
+class Tokens:
+    """The tokens of one text, ending in one or two end-of-input tokens ``""``."""
+
+    def __init__(self, text: str):
+        odd = {c for c in set(_NON_ASCII.findall(text))
+               if c.isalnum() and not c.isalpha() and not c.isdecimal()}
+        self.text = text
+        self.pattern = _token_pattern("".join(sorted(c for c in odd if c.isdigit())),
+                                      "".join(sorted(c for c in odd if not c.isdigit())))
+        self.toks = toks = self.pattern.findall(text)
+        if len(toks) > 1:
+            last = toks[-2]
+            c = last[:1]
+            if c == "_" and not _OPNAME.fullmatch(last):
+                raise self.error("malformed operator name", len(toks) - 2)
+            if c and not (c in _PUNCT_CHARS or c in _SYM_CHARS or c == "_"
+                          or c.isalpha() or c.isdigit()):
+                raise self.error(f"unexpected character {c!r}", len(toks) - 2)
+
+    def position(self, i: int) -> tuple[int, int]:
+        """Line and column of token i."""
+        text = self.text
+        m = next(islice(self.pattern.finditer(text), i, None))
+        at = m.start(1)
+        if not m.group(1):
+            # the column does not advance over a comment that ends the text
+            comment = text.find("#", text.rfind("\n") + 1)
+            if comment >= 0:
+                at = comment
+        return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+    def error(self, message: str, i: int, kind: type[ParseError] = ParseError) -> ParseError:
+        return kind(message, *self.position(i))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +152,8 @@ def tokenize(text: str) -> list[Token]:
 class _Decls:
     """Mutable declaration state built during the first pass."""
 
-    def __init__(self):
+    def __init__(self, src: Tokens):
+        self.src = src
         self.spec_name = ""
         self.actions: list[str] = []
         self.predicates: list[str] = []
@@ -149,187 +165,177 @@ class _Decls:
         self.registry: dict[str, str] = {}
         self.rule_spans: list[tuple[int, int]] = []
         self.def_spans: list[tuple[str, int, int]] = []
-        self.def_names: set[str] = set()
 
-    def declare(self, name: str, kind: str, tok: Token) -> None:
+    def declare(self, name: str, kind: str, i: int) -> None:
         if name in RESERVED_NAMES:
-            raise DuplicateDeclaration(f"{name} is built in", tok.line, tok.col)
+            raise self.src.error(f"{name} is built in", i, DuplicateDeclaration)
         if name in self.registry:
-            raise DuplicateDeclaration(
-                f"{name} already declared as {self.registry[name]}", tok.line, tok.col
+            raise self.src.error(
+                f"{name} already declared as {self.registry[name]}", i, DuplicateDeclaration
             )
         self.registry[name] = kind
 
 
-def _scan_to_decl_end(toks: list[Token], i: int) -> int:
+def _scan_to_decl_end(src: Tokens, i: int) -> int:
     """Index of the `;` closing the rule or def starting at i.
 
     An infix `;` is always followed by a token that can start a term; the
     closing one is followed by a keyword or the end of input.
     """
-    while i < len(toks):
-        t = toks[i]
-        if t.kind == "EOF":
-            raise ParseError("missing ; at end of declaration", t.line, t.col)
-        if t.kind == "PUNCT" and t.text == ";":
-            nxt = toks[i + 1]
-            if nxt.kind == "EOF" or (nxt.kind == "IDENT" and nxt.text in KEYWORDS):
-                return i
+    toks = src.toks
+    while True:
+        try:
+            i = toks.index(";", i)
+        except ValueError:
+            raise src.error("missing ; at end of declaration", toks.index("", i)) from None
+        nxt = toks[i + 1]
+        if not nxt or nxt in KEYWORDS:
+            return i
         i += 1
-    raise ParseError("missing ; at end of declaration", toks[-1].line, toks[-1].col)
 
 
-def _names_until(toks, i, what):
-    """Collect IDENT/SYM name tokens up to a ; or : boundary."""
-    names = []
-    while toks[i].kind in ("IDENT", "SYM") and not (
-        toks[i].kind == "IDENT" and toks[i].text in KEYWORDS
-    ):
-        names.append(toks[i])
+def _names_until(src: Tokens, i: int, what: str) -> int:
+    """Index past the identifier and symbol name tokens starting at i."""
+    toks = src.toks
+    start = i
+    while _is_name(toks[i]) and toks[i] not in KEYWORDS:
         i += 1
-    if not names:
-        raise ParseError(f"expected at least one {what}", toks[i].line, toks[i].col)
-    return names, i
+    if i == start:
+        raise src.error(f"expected at least one {what}", i)
+    return i
 
 
-def _expect_punct(toks, i, ch):
-    t = toks[i]
-    if t.kind != "PUNCT" or t.text != ch:
-        raise ParseError(f"expected {ch!r}", t.line, t.col)
+def _expect_punct(src: Tokens, i: int, ch: str) -> int:
+    if src.toks[i] != ch:
+        raise src.error(f"expected {ch!r}", i)
     return i + 1
 
 
-def _parse_attrs(toks, i):
+def _parse_attrs(src: Tokens, i: int):
     """Parse an optional [comm assoc id: name] attribute block."""
+    toks = src.toks
     comm = assoc = False
     identity: str | None = None
-    if not (toks[i].kind == "PUNCT" and toks[i].text == "["):
+    if toks[i] != "[":
         return comm, assoc, identity, i
     i += 1
-    while not (toks[i].kind == "PUNCT" and toks[i].text == "]"):
+    while toks[i] != "]":
         t = toks[i]
-        if t.kind == "IDENT" and t.text == "comm":
+        if t == "comm":
             comm = True
             i += 1
-        elif t.kind == "IDENT" and t.text == "assoc":
+        elif t == "assoc":
             assoc = True
             i += 1
-        elif t.kind == "IDENT" and t.text == "id":
-            i = _expect_punct(toks, i + 1, ":")
-            name_tok = toks[i]
-            if name_tok.kind not in ("IDENT", "SYM"):
-                raise ParseError("expected identity constant", name_tok.line, name_tok.col)
-            identity = name_tok.text
+        elif t == "id":
+            i = _expect_punct(src, i + 1, ":")
+            if not _is_name(toks[i]):
+                raise src.error("expected identity constant", i)
+            identity = toks[i]
             i += 1
         else:
-            raise ParseError(f"unknown attribute {t.text!r}", t.line, t.col)
+            raise src.error(f"unknown attribute {t!r}", i)
     return comm, assoc, identity, i + 1
 
 
-def _pass_one(toks: list[Token]) -> _Decls:
-    d = _Decls()
-    i = 0
-    t = toks[i]
-    if not (t.kind == "IDENT" and t.text == "spec"):
-        raise ParseError("specification must start with 'spec'", t.line, t.col)
-    name_tok = toks[i + 1]
-    if name_tok.kind != "IDENT":
-        raise ParseError("expected specification name", name_tok.line, name_tok.col)
-    d.spec_name = name_tok.text
-    i += 2
-    while toks[i].kind != "EOF":
-        t = toks[i]
-        if t.kind != "IDENT" or t.text not in KEYWORDS:
-            raise ParseError(f"expected a declaration keyword, got {t.text!r}", t.line, t.col)
-        kw = t.text
+def _pass_one(src: Tokens) -> _Decls:
+    toks = src.toks
+    d = _Decls(src)
+    if toks[0] != "spec":
+        raise src.error("specification must start with 'spec'", 0)
+    if not toks[1][:1].isalpha():
+        raise src.error("expected specification name", 1)
+    d.spec_name = toks[1]
+    i = 2
+    while toks[i]:
+        kw = toks[i]
+        if kw not in KEYWORDS:
+            raise src.error(f"expected a declaration keyword, got {kw!r}", i)
         i += 1
         if kw in ("actions", "predicates"):
-            names, i = _names_until(toks, i, kw[:-1])
-            i = _expect_punct(toks, i, ";")
-            for nt in names:
-                d.declare(nt.text, "an action" if kw == "actions" else "a predicate", nt)
-                (d.actions if kw == "actions" else d.predicates).append(nt.text)
+            start, end = i, _names_until(src, i, kw[:-1])
+            i = _expect_punct(src, end, ";")
+            for n in range(start, end):
+                d.declare(toks[n], "an action" if kw == "actions" else "a predicate", n)
+                (d.actions if kw == "actions" else d.predicates).append(toks[n])
         elif kw == "datasort":
-            nt = toks[i]
-            if nt.kind != "IDENT":
-                raise ParseError("expected sort name", nt.line, nt.col)
-            if nt.text in RESERVED_SORTS or nt.text in d.data_sorts:
-                raise DuplicateDeclaration(f"sort {nt.text} already exists", nt.line, nt.col)
-            _, _, identity, i = _parse_attrs(toks, i + 1)
-            i = _expect_punct(toks, i, ";")
-            d.data_sorts[nt.text] = identity
-        elif kw == "dataconst":
-            names, i = _names_until(toks, i, "data constant")
-            i = _expect_punct(toks, i, ":")
-            st = toks[i]
-            if st.kind != "IDENT":
-                raise ParseError("expected sort name", st.line, st.col)
-            i = _expect_punct(toks, i + 1, ";")
-            for nt in names:
-                d.declare(nt.text, "a data constant", nt)
-                d.data_consts[nt.text] = st.text
+            name = toks[i]
+            if not name[:1].isalpha():
+                raise src.error("expected sort name", i)
+            if name in RESERVED_SORTS or name in d.data_sorts:
+                raise src.error(f"sort {name} already exists", i, DuplicateDeclaration)
+            _, _, identity, i = _parse_attrs(src, i + 1)
+            i = _expect_punct(src, i, ";")
+            d.data_sorts[name] = identity
+        elif kw in ("dataconst", "var"):
+            start, end = i, _names_until(src, i, "data constant" if kw == "dataconst" else "variable")
+            i = _expect_punct(src, end, ":")
+            sort = toks[i]
+            if not sort[:1].isalpha():
+                raise src.error("expected sort name", i)
+            i = _expect_punct(src, i + 1, ";")
+            for n in range(start, end):
+                if kw == "dataconst":
+                    d.declare(toks[n], "a data constant", n)
+                    d.data_consts[toks[n]] = sort
+                else:
+                    d.declare(toks[n], "a variable", n)
+                    d.variables[toks[n]] = sort
         elif kw == "labelop":
-            nt = toks[i]
-            if nt.kind not in ("IDENT", "SYM"):
-                raise ParseError("expected operator name", nt.line, nt.col)
-            d.declare(nt.text, "a label operator", nt)
-            i = _expect_punct(toks, i + 1, ":")
-            arg_sorts = []
-            while toks[i].kind == "IDENT":
-                arg_sorts.append(toks[i].text)
+            name = toks[i]
+            if not _is_name(name):
+                raise src.error("expected operator name", i)
+            d.declare(name, "a label operator", i)
+            i = _expect_punct(src, i + 1, ":")
+            start = i
+            while toks[i][:1].isalpha():
                 i += 1
-            i = _expect_punct(toks, i, "-")
-            i = _expect_punct(toks, i, ">")
-            rt = toks[i]
-            if rt.kind != "IDENT":
-                raise ParseError("expected result sort", rt.line, rt.col)
-            comm, assoc, identity, i = _parse_attrs(toks, i + 1)
-            i = _expect_punct(toks, i, ";")
-            d.label_ops[nt.text] = (tuple(arg_sorts), rt.text, comm, assoc, identity)
+            arg_sorts = tuple(toks[start:i])
+            i = _expect_punct(src, i, "-")
+            i = _expect_punct(src, i, ">")
+            result = toks[i]
+            if not result[:1].isalpha():
+                raise src.error("expected result sort", i)
+            comm, assoc, identity, i = _parse_attrs(src, i + 1)
+            i = _expect_punct(src, i, ";")
+            d.label_ops[name] = (arg_sorts, result, comm, assoc, identity)
         elif kw == "op":
-            nt = toks[i]
-            if nt.kind not in ("IDENT", "OPNAME"):
-                raise ParseError("expected operator name", nt.line, nt.col)
-            d.declare(nt.text, "a process operator", nt)
-            if nt.kind == "OPNAME":
-                d.declare(nt.text[1:-1], f"the symbol of {nt.text}", nt)
-            i = _expect_punct(toks, i + 1, ":")
-            at = toks[i]
-            if at.kind != "NAT":
-                raise ParseError("expected arity", at.line, at.col)
-            comm, _, _, i = _parse_attrs(toks, i + 1)
-            i = _expect_punct(toks, i, ";")
-            d.proc_ops[nt.text] = (int(at.text), comm)
-        elif kw == "var":
-            names, i = _names_until(toks, i, "variable")
-            i = _expect_punct(toks, i, ":")
-            st = toks[i]
-            if st.kind != "IDENT":
-                raise ParseError("expected sort name", st.line, st.col)
-            i = _expect_punct(toks, i + 1, ";")
-            for nt in names:
-                d.declare(nt.text, "a variable", nt)
-                d.variables[nt.text] = st.text
+            name = toks[i]
+            if not (name[:1].isalpha() or name[:1] == "_"):
+                raise src.error("expected operator name", i)
+            d.declare(name, "a process operator", i)
+            if name[0] == "_":
+                d.declare(name[1:-1], f"the symbol of {name}", i)
+            i = _expect_punct(src, i + 1, ":")
+            arity = toks[i]
+            if not arity[:1].isdigit():
+                raise src.error("expected arity", i)
+            comm, _, _, i = _parse_attrs(src, i + 1)
+            i = _expect_punct(src, i, ";")
+            d.proc_ops[name] = (int(arity), comm)
         elif kw == "rule":
-            end = _scan_to_decl_end(toks, i)
+            end = _scan_to_decl_end(src, i)
             d.rule_spans.append((i, end))
             i = end + 1
         elif kw == "def":
-            nt = toks[i]
-            if nt.kind != "IDENT":
-                raise ParseError("expected definition name", nt.line, nt.col)
-            d.declare(nt.text, "a recursion constant", nt)
-            d.def_names.add(nt.text)
-            end = _scan_to_decl_end(toks, i)
-            d.def_spans.append((nt.text, i + 1, end))
+            name = toks[i]
+            if not name[:1].isalpha():
+                raise src.error("expected definition name", i)
+            d.declare(name, "a recursion constant", i)
+            end = _scan_to_decl_end(src, i)
+            d.def_spans.append((name, i + 1, end))
             i = end + 1
         else:  # "spec" again
-            raise ParseError("only one spec header is allowed", t.line, t.col)
+            raise src.error("only one spec header is allowed", i - 1)
     return d
 
 
 def _finalize_signature(d: _Decls) -> Spec:
-    """Check sorts, resolve identity constants, and build the Spec skeleton."""
+    """Check sorts, resolve identity constants, and build the Spec skeleton.
+
+    Its `defs` already holds every definition name, bound to None until the
+    bodies are parsed.
+    """
     valid_sorts = RESERVED_SORTS | set(d.data_sorts)
     for sort, identity in d.data_sorts.items():
         if identity is not None and identity not in d.data_consts:
@@ -370,6 +376,7 @@ def _finalize_signature(d: _Decls) -> Spec:
         label_ops=label_ops,
         proc_ops={n: ProcOp(n, ar, comm) for n, (ar, comm) in d.proc_ops.items()},
         variables=dict(d.variables),
+        defs=dict.fromkeys(name for name, _, _ in d.def_spans),
     )
 
 
@@ -377,283 +384,269 @@ def _finalize_signature(d: _Decls) -> Spec:
 # term pass
 
 
-def _infix_ops(spec: Spec) -> dict[str, str]:
-    """Infix symbol -> `_sym_` operator name, built once per parse call."""
-    return {op.symbol: op.name for op in spec.proc_ops.values() if op.symbol is not None}
+class ParseContext:
+    """The name tables of a Spec that the term parser reads."""
+
+    def __init__(self, spec: Spec):
+        # name -> the label it stands for: a shared leaf node, or the
+        # LabelOp to apply; the first of actions, predicates, data
+        # constants, variables and label operators wins
+        labels: dict[str, LabelTerm | LabelOp] = dict(spec.label_ops)
+        for name, sort in spec.variables.items():
+            if sort == SORT_PROC:
+                labels.pop(name, None)
+            else:
+                labels[name] = LVar(name, sort)
+        for name, sort in spec.data_consts.items():
+            labels[name] = DataConst(name, sort)
+        for name in spec.predicates:
+            labels[name] = PredConst(name)
+        for name in spec.actions:
+            labels[name] = ActConst(name)
+        self.labels = {name: v for name, v in labels.items() if _is_name(name)}
+        # tokens at which a label, and so a prefix, can start ("(" aside)
+        self.label_starts = frozenset(self.labels) | {"{", "<"}
+        # infix token -> `_sym_` operator name
+        self.infix = {
+            op.symbol: op.name for op in spec.proc_ops.values()
+            if op.symbol is not None and (op.symbol == ";" or set(op.symbol) <= _SYM_CHARS)
+        }
+
+
+def _can_start_term(t: str) -> bool:
+    c = t[:1]
+    if c.isalpha():
+        return t not in KEYWORDS
+    return c.isdigit() or c in _SYM_CHARS or t in ("(", "{", "<")
 
 
 class _TermParser:
-    def __init__(self, toks: list[Token], spec: Spec, def_names: set[str],
-                 infix: dict[str, str]):
-        self.toks = toks
+    def __init__(self, src: Tokens, spec: Spec):
+        self.src = src
+        self.toks = src.toks
         self.i = 0
         self.spec = spec
-        self.def_names = def_names
-        self.infix = infix
+        ctx = spec.parse_context
+        self.labels = ctx.labels
+        self.label_starts = ctx.label_starts
+        self.infix = ctx.infix
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+    def err(self, msg: str, i: int | None = None, kind: type[ParseError] = ParseError):
+        raise self.src.error(msg, self.i if i is None else i, kind)
 
-    def take(self) -> Token:
-        t = self.peek()
-        if t.kind != "EOF":
-            self.i += 1
-        return t
-
-    def err(self, msg: str, tok: Token | None = None):
-        t = tok or self.peek()
-        raise ParseError(msg, t.line, t.col)
-
-    def at_punct(self, ch: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t.kind == "PUNCT" and t.text == ch
-
-    def expect_punct(self, ch: str) -> None:
-        if not self.at_punct(ch):
+    def expect(self, ch: str) -> None:
+        if self.toks[self.i] != ch:
             self.err(f"expected {ch!r}")
-        self.take()
+        self.i += 1
 
     def expect_eof(self) -> None:
-        if self.peek().kind != "EOF":
-            self.err(f"unexpected {self.peek().text!r} after term")
+        t = self.toks[self.i]
+        if t:
+            self.err(f"unexpected {t!r} after term")
 
-    def can_start_term(self, tok: Token) -> bool:
-        if tok.kind == "IDENT":
-            return tok.text not in KEYWORDS
-        if tok.kind == "NAT" or tok.kind == "SYM":
-            return True
-        return tok.kind == "PUNCT" and tok.text in "({<"
+    def parse_list(self, item, close: str) -> list:
+        """Comma-separated items up to the closing token."""
+        items = []
+        if self.toks[self.i] != close:
+            items.append(item())
+            while self.toks[self.i] == ",":
+                self.i += 1
+                items.append(item())
+        self.expect(close)
+        return items
 
     # -- terms ------------------------------------------------------------
 
     def parse_term(self, allow_data: bool = False) -> Term | LabelTerm:
         t = self.parse_choice(allow_data)
+        toks = self.toks
         while True:
-            nxt = self.peek()
-            is_sym = nxt.kind == "SYM" or (nxt.kind == "PUNCT" and nxt.text == ";")
-            if not (is_sym and nxt.text in self.infix and self.can_start_term(self.peek(1))):
-                break
-            self.take()
-            rhs = self.parse_choice(allow_data)
-            t = App(self.infix[nxt.text], (t, rhs))  # type: ignore[arg-type]
-        return t
+            op = self.infix.get(toks[self.i])
+            if op is None or not _can_start_term(toks[self.i + 1]):
+                return t
+            self.i += 1
+            t = App(op, (t, self.parse_choice(allow_data)))  # type: ignore[arg-type]
 
     def parse_choice(self, allow_data: bool) -> Term | LabelTerm:
         t = self.parse_prefix(allow_data)
-        if self.at_punct("+"):
-            self.take()
-            rhs = self.parse_choice(allow_data)
-            if isinstance(t, LabelTerm) or isinstance(rhs, LabelTerm):
-                self.err("choice combines process terms")
-            return Choice(t, rhs)
-        return t
+        if self.toks[self.i] != "+":
+            return t
+        self.i += 1
+        rhs = self.parse_choice(allow_data)
+        if isinstance(t, LabelTerm) or isinstance(rhs, LabelTerm):
+            self.err("choice combines process terms")
+        return Choice(t, rhs)  # type: ignore[arg-type]
 
     def parse_prefix(self, allow_data: bool) -> Term | LabelTerm:
-        save = self.i
-        label: LabelTerm | None = None
-        try:
-            label = self.parse_label()
-        except ParseError:
-            self.i = save
-        if label is not None:
-            if self.at_punct(".") and not is_data_sort(label_sort(label)):
-                self.take()
-                body = self.parse_prefix(False)
-                if isinstance(body, LabelTerm):
-                    self.err("prefix body must be a process term")
-                return Prefix(label, body)
-            self.i = save
+        # `label . body`, where the label may sit in parentheses
+        toks = self.toks
+        start = self.i
+        depth = 0
+        while toks[start + depth] == "(":
+            depth += 1
+        if toks[start + depth] in self.label_starts:
+            self.i = start + depth
+            try:
+                label: LabelTerm | None = self.parse_label()
+            except ParseError:
+                # only malformed input gets here; the atom parse below
+                # raises the error such input has always raised
+                label = None
+            end = self.i + depth
+            if (label is not None and toks[self.i:end] == [")"] * depth and toks[end] == "."
+                    and not is_data_sort(label_sort(label))):
+                self.i = end + 1
+                return Prefix(label, self.parse_prefix(False))  # type: ignore[arg-type]
+            self.i = start
         return self.parse_atom(allow_data)
 
     def parse_atom(self, allow_data: bool) -> Term | LabelTerm:
-        t = self.peek()
-        if t.kind == "NAT":
-            if t.text != "0":
-                self.err("the only numeric process is 0", t)
-            self.take()
+        i = self.i
+        t = self.toks[i]
+        c = t[:1]
+        if c.isdigit():
+            if t != "0":
+                self.err("the only numeric process is 0", i)
+            self.i = i + 1
             return NIL
-        if t.kind == "PUNCT" and t.text == "(":
-            self.take()
+        if t == "(":
+            self.i = i + 1
             inner = self.parse_term(allow_data)
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        if t.kind == "PUNCT" and t.text in "{<":
+        if t == "{" or t == "<":
             if not allow_data:
-                self.err("data term in process position", t)
+                self.err("data term in process position", i)
             return self.parse_label()
-        if t.kind == "SYM":
-            self.err(f"label constant {t.text} cannot stand alone as a process", t)
-        if t.kind != "IDENT" or t.text in KEYWORDS:
-            self.err("expected a term", t)
-        name = t.text
+        if c in _SYM_CHARS:
+            self.err(f"label constant {t} cannot stand alone as a process", i)
+        if not c.isalpha() or t in KEYWORDS:
+            self.err("expected a term", i)
         spec = self.spec
-        if name in spec.variables:
-            self.take()
-            sort = spec.variables[name]
+        sort = spec.variables.get(t)
+        if sort is not None:
+            self.i = i + 1
             if sort == SORT_PROC:
-                return Var(name)
+                return Var(t)
             if is_data_sort(sort) and allow_data:
-                return LVar(name, sort)
-            self.err(f"variable {name} : {sort} cannot appear here", t)
-        if name in spec.data_consts:
-            self.take()
+                return LVar(t, sort)
+            self.err(f"variable {t} : {sort} cannot appear here", i)
+        if t in spec.data_consts:
+            self.i = i + 1
             if allow_data:
-                return DataConst(name, spec.data_consts[name])
-            self.err("data term in process position", t)
-        if name in self.def_names:
-            self.take()
-            return DefConst(name)
-        if name in spec.proc_ops:
-            self.take()
-            op = spec.proc_ops[name]
-            if not self.at_punct("("):
-                self.err(f"{name} expects {op.arity} arguments", t)
-            self.take()
-            args: list[Term | LabelTerm] = []
-            if not self.at_punct(")"):
-                args.append(self.parse_term(allow_data=True))
-                while self.at_punct(","):
-                    self.take()
-                    args.append(self.parse_term(allow_data=True))
-            self.expect_punct(")")
+                return DataConst(t, spec.data_consts[t])
+            self.err("data term in process position", i)
+        if t in spec.defs:
+            self.i = i + 1
+            return DefConst(t)
+        op = spec.proc_ops.get(t)
+        if op is not None:
+            self.i = i + 1
+            if self.toks[self.i] != "(":
+                self.err(f"{t} expects {op.arity} arguments", i)
+            self.i += 1
+            args = self.parse_list(lambda: self.parse_term(allow_data=True), ")")
             if len(args) != op.arity:
-                raise ArityMismatch(
-                    f"{name} expects {op.arity} arguments, got {len(args)}", t.line, t.col
-                )
-            return App(name, tuple(args))
-        if name in spec.actions or name in spec.predicates:
-            self.err(f"label constant {name} cannot stand alone as a process", t)
-        raise UnknownSymbol(f"undeclared identifier {name}", t.line, t.col)
+                self.err(f"{t} expects {op.arity} arguments, got {len(args)}", i, ArityMismatch)
+            return App(t, tuple(args))
+        if t in spec.actions or t in spec.predicates:
+            self.err(f"label constant {t} cannot stand alone as a process", i)
+        self.err(f"undeclared identifier {t}", i, UnknownSymbol)
+        raise AssertionError  # unreachable
 
     # -- labels -----------------------------------------------------------
 
     def parse_label(self) -> LabelTerm:
-        t = self.peek()
-        if t.kind == "PUNCT" and t.text == "(":
-            self.take()
+        i = self.i
+        t = self.toks[i]
+        entry = self.labels.get(t)
+        if entry is not None:
+            self.i = i + 1
+            if isinstance(entry, LabelOp):
+                return self.parse_lapp(entry, i)
+            return entry
+        if t == "(":
+            self.i = i + 1
             inner = self.parse_label()
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        if t.kind == "PUNCT" and t.text == "{":
+        if t == "{":
             return self.parse_mset()
-        if t.kind == "PUNCT" and t.text == "<":
+        if t == "<":
             return self.parse_triple()
-        if t.kind in ("IDENT", "SYM"):
-            name = t.text
-            spec = self.spec
-            if name in spec.actions:
-                self.take()
-                return ActConst(name)
-            if name in spec.predicates:
-                self.take()
-                return PredConst(name)
-            if name in spec.data_consts:
-                self.take()
-                return DataConst(name, spec.data_consts[name])
-            if name in spec.variables:
-                sort = spec.variables[name]
-                if sort == SORT_PROC:
-                    self.err(f"process variable {name} in label position", t)
-                self.take()
-                return LVar(name, sort)
-            if name in spec.label_ops:
-                self.take()
-                return self.parse_lapp(spec.label_ops[name], t)
-            raise UnknownSymbol(f"undeclared label {name}", t.line, t.col)
-        self.err("expected a label", t)
+        if _is_name(t):
+            if t in self.spec.variables:
+                self.err(f"process variable {t} in label position", i)
+            self.err(f"undeclared label {t}", i, UnknownSymbol)
+        self.err("expected a label", i)
         raise AssertionError  # unreachable
 
-    def parse_lapp(self, op: LabelOp, tok: Token) -> LabelTerm:
-        self.expect_punct("(")
-        args = []
-        if not self.at_punct(")"):
-            args.append(self.parse_label())
-            while self.at_punct(","):
-                self.take()
-                args.append(self.parse_label())
-        self.expect_punct(")")
+    def parse_lapp(self, op: LabelOp, at: int) -> LabelTerm:
+        self.expect("(")
+        args = self.parse_list(self.parse_label, ")")
         if len(args) != len(op.arg_sorts):
-            raise ArityMismatch(
-                f"{op.name} expects {len(op.arg_sorts)} arguments, got {len(args)}",
-                tok.line, tok.col,
-            )
+            self.err(f"{op.name} expects {len(op.arg_sorts)} arguments, got {len(args)}",
+                     at, ArityMismatch)
         for a, want in zip(args, op.arg_sorts):
             if not sort_accepts(want, label_sort(a)):
-                self.err(f"{op.name} argument {render_label(a)} is not of sort {want}", tok)
+                self.err(f"{op.name} argument {render_label(a)} is not of sort {want}", at)
         return LApp(op.name, tuple(args), op.result_sort)
 
     def parse_mset(self) -> MSet:
-        open_tok = self.peek()
-        self.expect_punct("{")
-        elems: list[LabelTerm] = []
-        if not self.at_punct("}"):
-            elems.append(self.parse_label())
-            while self.at_punct(","):
-                self.take()
-                elems.append(self.parse_label())
-        self.expect_punct("}")
+        at = self.i
+        self.i += 1
+        elems = self.parse_list(self.parse_label, "}")
         sorts = {label_sort(e) for e in elems}
         for s in sorts:
             if not is_data_sort(s):
-                self.err("multiset elements must be data terms", open_tok)
+                self.err("multiset elements must be data terms", at)
         if len(sorts) > 1:
-            self.err("multiset elements must share one sort", open_tok)
+            self.err("multiset elements must share one sort", at)
         if sorts:
             sort = sorts.pop()
         elif len(self.spec.data_sorts) == 1:
             sort = next(iter(self.spec.data_sorts))
         else:
-            self.err("cannot infer the sort of an empty multiset", open_tok)
+            self.err("cannot infer the sort of an empty multiset", at)
         return MSet(tuple(elems), sort)
 
     def parse_triple(self) -> Triple:
-        self.expect_punct("<")
-        pre = self.parse_data_slot()
-        self.expect_punct(",")
-        self.expect_punct("-")
-        self.expect_punct(",")
-        post = self.parse_data_slot()
-        self.expect_punct(">")
+        self.i += 1
+        pre = self.parse_sorted_label(True, "store slots hold data terms")
+        self.expect(",")
+        self.expect("-")
+        self.expect(",")
+        post = self.parse_sorted_label(True, "store slots hold data terms")
+        self.expect(">")
         return Triple(pre, post)
 
-    def parse_data_slot(self) -> LabelTerm:
-        tok = self.peek()
-        slot = self.parse_label()
-        if not is_data_sort(label_sort(slot)):
-            self.err("store slots hold data terms", tok)
-        return slot
-
-    def parse_transition_label(self) -> LabelTerm:
-        tok = self.peek()
+    def parse_sorted_label(self, data: bool, complaint: str) -> LabelTerm:
+        """A label of a data sort, or of any other sort."""
+        at = self.i
         l = self.parse_label()
-        if is_data_sort(label_sort(l)):
-            self.err("data term cannot be a transition label", tok)
+        if is_data_sort(label_sort(l)) != data:
+            self.err(complaint, at)
         return l
 
     # -- rules ------------------------------------------------------------
 
     def at_rule_arrow(self) -> bool:
-        return self.at_punct("=") and self.at_punct("=", 1) and self.at_punct(">", 2)
+        toks, i = self.toks, self.i
+        return toks[i] == "=" and toks[i + 1] == "=" and toks[i + 2] == ">"
 
     def parse_premise(self) -> Transition | NegPremise:
         src = self.parse_term(False)
-        if isinstance(src, LabelTerm):
-            self.err("premise source must be a process term")
-        self.expect_punct("-")
-        self.expect_punct("(")
-        lbl = self.parse_transition_label()
-        self.expect_punct(")")
-        refusal = self.peek()
-        if refusal.kind == "SYM" and refusal.text == "/":
-            self.take()
-            self.expect_punct(">")
-            return NegPremise(src, lbl)
-        self.expect_punct("-")
-        self.expect_punct(">")
-        tgt = self.parse_term(False)
-        if isinstance(tgt, LabelTerm):
-            self.err("transition target must be a process term")
-        return Transition(src, lbl, tgt)
+        self.expect("-")
+        self.expect("(")
+        lbl = self.parse_sorted_label(False, "data term cannot be a transition label")
+        self.expect(")")
+        if self.toks[self.i] == "/":
+            self.i += 1
+            self.expect(">")
+            return NegPremise(src, lbl)  # type: ignore[arg-type]
+        self.expect("-")
+        self.expect(">")
+        return Transition(src, lbl, self.parse_term(False))  # type: ignore[arg-type]
 
     def parse_rule(self) -> Rule:
         positives: list[Transition] = []
@@ -665,80 +658,68 @@ class _TermParser:
                     positives.append(prem)
                 else:
                     negatives.append(prem)
-                if self.at_punct(","):
-                    self.take()
-                    continue
-                break
+                if self.toks[self.i] != ",":
+                    break
+                self.i += 1
         if not self.at_rule_arrow():
             self.err("expected ==>")
-        self.take()
-        self.take()
-        self.take()
+        self.i += 3
         concl = self.parse_premise()
         if isinstance(concl, NegPremise):
             self.err("a conclusion cannot be negative")
         self.expect_eof()
-        return Rule(tuple(positives), tuple(negatives), concl)
+        return Rule(tuple(positives), tuple(negatives), concl)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
 
-def _span_parser(toks, start, end, spec, def_names, infix) -> _TermParser:
-    eof = Token("EOF", "", toks[end].line, toks[end].col)
-    return _TermParser(toks[start:end] + [eof], spec, def_names, infix)
+def _check_closed(t: Term, what: str) -> None:
+    procs, labels = free_vars(t)
+    if procs or labels:
+        raise UnboundVariable(f"{what} is not closed: {', '.join(sorted(procs | labels))}")
 
 
 def parse_spec(text: str) -> Spec:
     """Parse a full specification."""
-    toks = tokenize(text)
-    d = _pass_one(toks)
+    src = Tokens(text)
+    d = _pass_one(src)
     spec = _finalize_signature(d)
-    infix = _infix_ops(spec)
+    p = _TermParser(src, spec)
+    toks = src.toks
     rules = []
     for start, end in d.rule_spans:
-        rules.append(_span_parser(toks, start, end, spec, d.def_names, infix).parse_rule())
+        toks[end] = ""  # the span's closing `;` becomes its end of input
+        p.i = start
+        rules.append(p.parse_rule())
     spec.rules = tuple(rules)
-    defs: dict[str, Term] = {}
     for name, start, end in d.def_spans:
-        p = _span_parser(toks, start, end, spec, d.def_names, infix)
-        if not (p.peek().kind == "PUNCT" and p.peek().text == "="):
+        toks[end] = ""
+        p.i = start
+        if toks[start] != "=":
             p.err("expected = after definition name")
-        p.take()
+        p.i += 1
         body = p.parse_term(False)
-        if isinstance(body, LabelTerm):
-            p.err("definition body must be a process term")
         p.expect_eof()
-        procs, labels = free_vars(body)
-        if procs or labels:
-            loose = ", ".join(sorted(procs | labels))
-            raise UnboundVariable(f"definition {name} is not closed: {loose}")
-        defs[name] = body
-    spec.defs = defs
+        _check_closed(body, f"definition {name}")  # type: ignore[arg-type]
+        spec.defs[name] = body  # type: ignore[assignment]
     return spec
 
 
 def parse_term(text: str, spec: Spec, closed: bool = True) -> Term:
     """Parse a process term in the scope of a specification."""
-    toks = tokenize(text)
-    p = _TermParser(toks, spec, set(spec.defs), _infix_ops(spec))
+    p = _TermParser(Tokens(text), spec)
     t = p.parse_term(False)
     p.expect_eof()
-    if isinstance(t, LabelTerm):
-        raise ParseError("expected a process term", toks[0].line, toks[0].col)
     if closed:
-        procs, labels = free_vars(t)
-        if procs or labels:
-            loose = ", ".join(sorted(procs | labels))
-            raise UnboundVariable(f"term is not closed: {loose}")
-    return t
+        _check_closed(t, "term")  # type: ignore[arg-type]
+    return t  # type: ignore[return-value]
 
 
 def parse_label(text: str, spec: Spec) -> LabelTerm:
     """Parse a label term in the scope of a specification."""
-    toks = tokenize(text)
-    p = _TermParser(toks, spec, set(spec.defs), _infix_ops(spec))
+    p = _TermParser(Tokens(text), spec)
     l = p.parse_label()
     p.expect_eof()
     return l

@@ -569,12 +569,16 @@ def match(pattern: Term | LabelTerm, subject: Term | LabelTerm,
         pat = canon_term(pattern, th)
         subj = canon_term(subject, th)  # type: ignore[arg-type]
     results: list[Substitution] = []
-    seen = set()
+    seen: set | None = None  # keys of the results, built once a second one arrives
     for sub in _match_any(pat, subj, Substitution(), th, _bind_label):
-        k = sub.key()
-        if k not in seen:
+        if results:
+            if seen is None:
+                seen = {results[0].key()}
+            k = sub.key()
+            if k in seen:
+                continue
             seen.add(k)
-            results.append(sub)
+        results.append(sub)
     return results
 
 

@@ -102,7 +102,8 @@ class Spec:
     """A parsed language specification.
 
     A Spec is not mutated after `parse_spec` returns it: its equational
-    theory and its rule index are computed once, on first use.
+    theory, its rule index and its parse context are computed once, on
+    first use.
     """
 
     name: str
@@ -131,6 +132,13 @@ class Spec:
             if isinstance(src, App):
                 index.setdefault(src.op, []).append((i, r))
         return index
+
+    @cached_property
+    def parse_context(self):
+        """The name tables `parse_term` and `parse_label` read for this spec."""
+        from .parser import ParseContext  # the parser builds Specs, so it imports this module
+
+        return ParseContext(self)
 
     def rules_for(self, op: str) -> list[tuple[int, Rule]]:
         """The rules defining an operator, with their 1-based indices (a shared list)."""

@@ -1,12 +1,13 @@
 """Specification language: tokenizing, declarations, rules, error reporting."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosforge import corpus_text, parse_label, parse_spec, parse_term
+from sosforge import corpus_text, load_corpus, parse_label, parse_spec, parse_term
 from sosforge.errors import (
     ArityMismatch,
     DuplicateDeclaration,
@@ -14,6 +15,7 @@ from sosforge.errors import (
     UnboundVariable,
     UnknownSymbol,
 )
+from sosforge.parser import Tokens
 from sosforge.tss import render_spec
 from sosforge.terms import render_label, render_term
 from termgen import random_bccsp_term, random_full_term
@@ -215,3 +217,277 @@ def test_generated_specs_roundtrip():
         spec = parse_spec(text)
         rendered = render_spec(spec)
         assert render_spec(parse_spec(rendered)) == rendered, text
+
+
+# -- tokenizer against the character-by-character reference --------------------
+
+
+@dataclass(frozen=True)
+class OracleToken:
+    kind: str  # IDENT NAT OPNAME SYM PUNCT EOF
+    text: str
+    line: int
+    col: int
+
+
+_ORACLE_SYM = set("|!?~^&*%@/")
+_ORACLE_PUNCT = set("(){}[]<>,;:=.+-")
+_ORACLE_OPNAME_INNER = _ORACLE_SYM | {";", "+", "."}
+
+
+def oracle_tokenize(text: str) -> list[OracleToken]:
+    """The tokenizer the regular expression replaced, one character at a time."""
+    toks: list[OracleToken] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if c.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            toks.append(OracleToken("IDENT", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(OracleToken("NAT", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c == "_":
+            j = i + 1
+            while j < n and text[j] in _ORACLE_OPNAME_INNER:
+                j += 1
+            if j == i + 1 or j >= n or text[j] != "_":
+                raise ParseError("malformed operator name", line, start_col)
+            toks.append(OracleToken("OPNAME", text[i:j + 1], line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c in _ORACLE_SYM:
+            j = i
+            while j < n and text[j] in _ORACLE_SYM:
+                j += 1
+            toks.append(OracleToken("SYM", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c in _ORACLE_PUNCT:
+            toks.append(OracleToken("PUNCT", c, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, start_col)
+    toks.append(OracleToken("EOF", "", line, col))
+    return toks
+
+
+def token_kind(t: str) -> str:
+    """A token's kind, read off its first character."""
+    c = t[:1]
+    if not c:
+        return "EOF"
+    if c in _ORACLE_PUNCT:
+        return "PUNCT"
+    if c in _ORACLE_SYM:
+        return "SYM"
+    if c == "_":
+        return "OPNAME"
+    return "IDENT" if c.isalpha() else "NAT"
+
+
+def regex_tokenize(text: str) -> list[OracleToken]:
+    src = Tokens(text)
+    out = []
+    for i, t in enumerate(src.toks):
+        out.append(OracleToken(token_kind(t), t, *src.position(i)))
+        if not t:
+            return out
+    raise AssertionError("no end-of-input token")
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return ("error", str(e))
+
+
+# The spec alphabet, blanks and comments, and letters and digits beyond ASCII:
+# `é` is a letter, `١` a decimal digit, `²` a digit that is not decimal, `½`
+# a numeral that is neither.
+TOKEN_CHARS = list("abxyz0179_'|!?~^&*%@/(){}[]<>,;:=.+-#$ \t\r\n") + ["é", "²", "١", "½", " "]
+TOKEN_CHUNKS = [
+    "spec", "rule", "x'", "_||_", "_;_", "_+._", "# note\n", "#", "\r\n", "\t", "  ",
+    "é", "x²", "1²", "²a", "١٢", "a١", "½", "a½", "ab_c", "->", "==>", "-(", ")/>",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(TOKEN_CHARS), st.sampled_from(TOKEN_CHUNKS)), max_size=40))
+def test_tokenizer_matches_reference(parts):
+    text = "".join(parts)
+    assert _outcome(regex_tokenize, text) == _outcome(oracle_tokenize, text)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_tokenizer_matches_reference_on_corpus(name):
+    text = corpus_text(name)
+    assert regex_tokenize(text) == oracle_tokenize(text)
+
+
+# -- exact error messages ------------------------------------------------------------
+
+ERR_HEAD = "spec E\nactions a b ;\nop f : 1 ;\nvar x x' : Proc ;\n"
+
+# (what is parsed, input, exception type, str(exception)); recorded from the
+# character-by-character tokenizer and the backtracking term parser
+ERROR_TABLE = [
+    # tokenizer
+    ("spec", "spec X\nactions a $ ;\n", "ParseError", "2:11: unexpected character '$'"),
+    ("spec", "spec X\nop _ : 2 ;\n", "ParseError", "2:4: malformed operator name"),
+    ("spec", "spec X\nop _||x_ : 2 ;\n", "ParseError", "2:4: malformed operator name"),
+    ("spec", "spec X\nop _||", "ParseError", "2:4: malformed operator name"),
+    # end of input, with and without a trailing newline or comment
+    ("spec", ERR_HEAD + "rule x -(a)-> x' ==> f(x) -(a)-> x'",
+     "ParseError", "5:36: missing ; at end of declaration"),
+    ("spec", ERR_HEAD + "rule x -(a)-> x' ==> f(x) -(a)-> x'\n",
+     "ParseError", "6:1: missing ; at end of declaration"),
+    ("spec", ERR_HEAD + "rule x -(a)-> x' ==> f(x) -(a)-> x' # no terminator",
+     "ParseError", "5:37: missing ; at end of declaration"),
+    ("spec", "spec X\nactions a b\n", "ParseError", "3:1: expected ';'"),
+    ("spec", "spec X\nactions a b", "ParseError", "2:12: expected ';'"),
+    ("spec", "spec X\nactions a b # comment", "ParseError", "2:13: expected ';'"),
+    ("spec", "spec X\r\nactions a b\r\n", "ParseError", "3:1: expected ';'"),
+    # right after a comment
+    ("spec", "spec X\nactions a ; # note\n  zap ;\n",
+     "ParseError", "3:3: expected a declaration keyword, got 'zap'"),
+    ("spec", "# lead\n\tspec X # c\n# only a comment\n\t actions a ; op ;\n",
+     "ParseError", "4:18: expected operator name"),
+    # declarations
+    ("spec", "actions a ;\n", "ParseError", "1:1: specification must start with 'spec'"),
+    ("spec", "spec X\nactions a ;\nactions a ;\n",
+     "DuplicateDeclaration", "3:9: a already declared as an action"),
+    ("spec", "spec X\nop f : ١ ;\nop g : x ;\n", "ParseError", "3:8: expected arity"),
+    # rules and definitions
+    ("spec", ERR_HEAD + "rule x -(a)-> z ==> f(x) -(a)-> z ;\n",
+     "UnknownSymbol", "5:15: undeclared identifier z"),
+    ("spec", ERR_HEAD + "rule x -(c)-> x' ==> f(x) -(a)-> x' ;\n",
+     "UnknownSymbol", "5:10: undeclared label c"),
+    ("spec", ERR_HEAD + "rule x -(a)-> x' ==> f(x, x) -(a)-> x' ;\n",
+     "ArityMismatch", "5:22: f expects 1 arguments, got 2"),
+    ("spec", ERR_HEAD + "def p = a . b ;\n",
+     "ParseError", "5:13: label constant b cannot stand alone as a process"),
+    ("spec", ERR_HEAD + "def p = a . x ;\n", "UnboundVariable", "definition p is not closed: x"),
+    ("spec", ERR_HEAD + "def p a . 0 ;\n", "ParseError", "5:7: expected = after definition name"),
+    ("spec", ERR_HEAD + "rule ==> f(x) -(a)/> ;\n",
+     "ParseError", "5:22: a conclusion cannot be negative"),
+    ("spec", ERR_HEAD + "rule x -(a)-> x' f(x) -(a)-> x' ;\n", "ParseError", "5:18: expected ==>"),
+    # terms
+    ("term", "zap . 0", "UnknownSymbol", "1:1: undeclared identifier zap"),
+    ("term", "zap(0)", "UnknownSymbol", "1:1: undeclared identifier zap"),
+    ("term", "g(0)", "ArityMismatch", "1:1: g expects 2 arguments, got 1"),
+    ("term", "g(0, 0, 0)", "ArityMismatch", "1:1: g expects 2 arguments, got 3"),
+    ("term", "a . 0\n  + é . 0", "UnknownSymbol", "2:5: undeclared identifier é"),
+    # a prefix body that is a label
+    ("term", "a . b", "ParseError", "1:5: label constant b cannot stand alone as a process"),
+    ("term", "a . {d}", "ParseError", "1:5: data term in process position"),
+    ("term", "a . mu", "ParseError", "1:5: variable mu : Data cannot appear here"),
+    ("term", "a . mix(a, b)", "UnknownSymbol", "1:5: undeclared identifier mix"),
+    ("term", "a . (b)", "ParseError", "1:6: label constant b cannot stand alone as a process"),
+    # labels that fail where a prefix could start
+    ("term", "mix(a) . 0", "UnknownSymbol", "1:1: undeclared identifier mix"),
+    ("term", "mix(a, b) + 0", "UnknownSymbol", "1:1: undeclared identifier mix"),
+    ("term", "(mix(a, b, c)) . 0", "UnknownSymbol", "1:2: undeclared identifier mix"),
+    ("term", "< {x}, -, {d} > . 0", "ParseError", "1:1: data term in process position"),
+    ("term", "< {d}, -, {d} > + 0", "ParseError", "1:1: data term in process position"),
+    ("term", "{d} . 0", "ParseError", "1:1: data term in process position"),
+    ("term", "(a) + 0", "ParseError", "1:2: label constant a cannot stand alone as a process"),
+    ("term", "((a . 0)", "ParseError", "1:9: expected ')'"),
+    ("term", "((a# c)) . (b . 0)",
+     "ParseError", "1:3: label constant a cannot stand alone as a process"),
+    ("term", "a . 0 +", "ParseError", "1:8: expected a term"),
+    ("term", "a . 0 ||", "ParseError", "1:7: unexpected '||' after term"),
+    ("term", "1 . 0", "ParseError", "1:1: the only numeric process is 0"),
+    ("term", "| . 0 )", "ParseError", "1:7: unexpected ')' after term"),
+    ("term", "|", "ParseError", "1:1: label constant | cannot stand alone as a process"),
+    ("term", "x . 0", "ParseError", "1:3: unexpected '.' after term"),
+    ("term", "g(x, 0)", "UnboundVariable", "term is not closed: x"),
+    ("term", "ask(a)", "ParseError", "1:5: label constant a cannot stand alone as a process"),
+    ("term", "w1 . 0", "ParseError", "1:4: unexpected '.' after term"),
+    # labels
+    ("label", "mix(a)", "ArityMismatch", "1:1: mix expects 2 arguments, got 1"),
+    ("label", "mix(a, d)", "ParseError", "1:1: mix argument d is not of sort Label"),
+    ("label", "x", "ParseError", "1:1: process variable x in label position"),
+    ("label", "{a}", "ParseError", "1:1: multiset elements must be data terms"),
+    ("label", "{d, mix(a, b)}", "ParseError", "1:1: multiset elements must be data terms"),
+    ("label", "< d, +, d >", "ParseError", "1:6: expected '-'"),
+    ("label", "a b", "ParseError", "1:3: unexpected 'b' after term"),
+    ("label", "0", "ParseError", "1:1: expected a label"),
+    ("label", "(a", "ParseError", "1:3: expected ')'"),
+]
+
+
+@pytest.mark.parametrize("what, text, kind, message", ERROR_TABLE)
+def test_error_messages_exact(full, what, text, kind, message):
+    with pytest.raises(ParseError) as e:
+        if what == "spec":
+            parse_spec(text)
+        elif what == "term":
+            parse_term(text, full)
+        else:
+            parse_label(text, full)
+    assert (type(e.value).__name__, str(e.value)) == (kind, message)
+
+
+def test_prefix_labels_in_parentheses(full):
+    """A parenthesized label still prefixes; a parenthesized process groups."""
+    assert parse_term("(a) . 0", full) == parse_term("a . 0", full)
+    assert parse_term("((mix(a, b))) . 0", full) == parse_term("mix(a, b) . 0", full)
+    t = parse_term("(< {d}, -, {d} > . 0 + a . 0) || (b . 0)", full)
+    assert t.op == "_||_" and render_term(t.args[0]) == "< {d},-,{d} > . 0 + a . 0"
+    assert parse_term("ask(< {d}, -, {d} >)", full) == parse_term("ask(< {d},-,{d} >)", full)
+
+
+def test_parse_context_built_once_per_spec():
+    spec = parse_spec(corpus_text("full"))
+    ctx = vars(spec).get("parse_context")
+    assert ctx is not None  # parse_spec built it for the rules and kept it
+    parse_term("a . 0 || g(b . 0, 0)", spec)
+    parse_label("mix(a, b)", spec)
+    assert spec.parse_context is ctx
+
+
+# -- layout does not matter --------------------------------------------------------
+
+SEPARATORS = [" ", "  ", "\n", "\t", "\r\n", " # a comment\n", "\n# ( ; _ $ é\n\n", " \t\r\n "]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", CORPUS)
+def test_relaid_corpus_parses_equal(name, data):
+    toks = Tokens(corpus_text(name)).toks
+    toks = toks[:toks.index("")]
+    seps = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(toks) + 1,
+                              max_size=len(toks) + 1))
+    text = "".join(sep + tok for sep, tok in zip(seps, toks)) + seps[-1]
+    assert parse_spec(text) == load_corpus(name)

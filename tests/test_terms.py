@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from sosforge import parse_label, parse_term
+from sosforge import parse_label, parse_term, terms
 from sosforge.errors import NonBccspTerm, OpenTerm, SortError
 from sosforge.terms import (
     EMPTY_THEORY,
@@ -15,6 +15,7 @@ from sosforge.terms import (
     App,
     Choice,
     DataConst,
+    LabelTerm,
     LVar,
     MSet,
     Prefix,
@@ -31,7 +32,7 @@ from sosforge.terms import (
     substitute_term,
     summands,
 )
-from termgen import mset, random_bccsp_term, random_full_term, random_label
+from termgen import mset, random_bccsp_term, random_full_term, random_label, random_mset
 
 # -- rendering ---------------------------------------------------------------
 
@@ -331,3 +332,75 @@ def test_match_is_sound_generic(full):
         for s in match(pat, subj, th):
             image = substitute_term(pat, s)
             assert render_term(canon_term(image, th)) == render_term(canon_term(subj, th))
+
+
+def _match_keying_every_result(pattern, subject, th):
+    """`match` as it deduplicated before: a key built for every result."""
+    if isinstance(pattern, LabelTerm):
+        pat, subj = canon_label(pattern, th), canon_label(subject, th)
+    else:
+        pat, subj = canon_term(pattern, th), canon_term(subject, th)
+    results, seen = [], set()
+    for sub in terms._match_any(pat, subj, Substitution(), th, terms._bind_label):
+        k = sub.key()
+        if k not in seen:
+            seen.add(k)
+            results.append(sub)
+    return results
+
+
+def _check_same_matches(pattern, subject, th) -> int:
+    got = match(pattern, subject, th)
+    want = _match_keying_every_result(pattern, subject, th)
+    assert [s.key() for s in got] == [s.key() for s in want], (pattern, subject)
+    return len(got)
+
+
+def _random_instance(rng, pattern, spec):
+    sub = Substitution()
+    procs, labels = free_vars(pattern)
+    for name in sorted(procs):
+        sub.terms[name] = random_full_term(rng, 2)
+    for name in sorted(labels):
+        sort = spec.variables[name]
+        if sort == "Data":
+            sub.labels[name] = random_mset(rng)
+        elif sort == "Action":
+            sub.labels[name] = ActConst(rng.choice("abc"))
+        else:
+            sub.labels[name] = random_label(rng)
+    if isinstance(pattern, LabelTerm):
+        return substitute_label(pattern, sub)
+    return substitute_term(pattern, sub)
+
+
+def test_match_dedup_same_results_linda_labels(linda):
+    """Results and their order do not depend on when keys are built."""
+    rng = random.Random(19)
+    th = linda.theory
+    patterns = [p.label for r in linda.rules for p in r.positives + r.negatives + (r.conclusion,)]
+    patterns += [parse_label(text, linda) for text in ("{d, xD}", "{xD, xD'}", "{d, xD, xD}")]
+    counts = []
+    for pat in patterns:
+        for _ in range(30):
+            counts.append(_check_same_matches(pat, _random_instance(rng, pat, linda), th))
+            subj = MSet(random_mset(rng, 4).elements, "Data") if isinstance(pat, MSet) else None
+            if subj is not None:
+                counts.append(_check_same_matches(pat, subj, th))
+    assert max(counts) >= 2 and min(counts) == 0
+
+
+def test_match_dedup_same_results_random_full_terms(full):
+    rng = random.Random(20)
+    th = full.theory
+    patterns = [r.conclusion.source for r in full.rules]
+    patterns += [r.conclusion.target for r in full.rules]
+    patterns += [r.conclusion.label for r in full.rules]  # mix(k, l) pairs up in both orders
+    patterns += [Choice(Var("x"), Var("y")), Choice(Var("x"), Choice(Var("y"), Var("x'")))]
+    counts = []
+    for pat in patterns:
+        for _ in range(25):
+            counts.append(_check_same_matches(pat, _random_instance(rng, pat, full), th))
+            other = random_label(rng) if isinstance(pat, LabelTerm) else random_full_term(rng, 3)
+            counts.append(_check_same_matches(pat, other, th))
+    assert max(counts) >= 2 and min(counts) == 0
