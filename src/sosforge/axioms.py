@@ -41,9 +41,9 @@ class NormalizeBudget:
     """Work limits for normalization of ill-founded inputs."""
 
     max_rewrites: int = 10000
-    max_depth: int = 500
 
 
+MAX_DEPTH = 500  # nesting depth at which normalization gives up
 DEFAULT_BUDGET = NormalizeBudget()
 
 
@@ -73,9 +73,9 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
 
     def norm(t: Term, depth: int) -> Term:
         nonlocal spent
-        if depth > budget.max_depth:
+        if depth > MAX_DEPTH:
             raise BudgetExceeded(
-                f"normalization depth exceeded {budget.max_depth}; "
+                f"normalization depth exceeded {MAX_DEPTH}; "
                 "term not semantically well-founded within budget"
             )
         if isinstance(t, Var):

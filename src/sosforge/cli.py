@@ -13,7 +13,7 @@ from .commform import check_comm, comm_report_json, comm_report_text, formats_sp
 from .errors import BudgetExceeded, ParseError, SosError, StateCapExceeded
 from .parser import parse_spec, parse_term
 from .simulator import step, steps_to_json
-from .terms import render_label, render_term
+from .terms import render_term
 from .tss import render_spec
 from .validator import check_all, violations_to_json
 
@@ -64,7 +64,7 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
     print("Possible steps:")
     for s in steps:
-        print(f" < {render_label(s.label)} # {render_term(s.target)} >")
+        print(f" {s}")
     return EXIT_OK
 
 

@@ -7,7 +7,9 @@ of the candidate, may swap the two sides of commutative label operators,
 and reproduces the conclusion label up to the label equations and the
 conclusion target up to swapping arguments of operators already known
 commutative.  The known set starts with choice plus every binary
-operator and shrinks to a greatest fixed point.
+operator and shrinks to a greatest fixed point in rounds: each finds the
+first mirror of every rule under the current set and drops all operators
+with an unmirrored rule.  The report is the last round, which drops none.
 """
 
 from __future__ import annotations
@@ -245,50 +247,45 @@ class CommReport:
 def check_comm(spec: Spec) -> CommReport:
     """Greatest fixed point of mutual mirroring over the binary operators."""
     binaries = [op for op in spec.proc_ops.values() if op.arity == 2]
-    declared = {op.name for op in binaries if op.comm}
+    checked = [op.name for op in binaries if not op.comm]
     comm_set = {CHOICE_OP} | {op.name for op in binaries}
 
-    def rule_has_mirror(name: str, rule: Rule) -> bool:
-        return any(find_mirror(spec, rule, rb, comm_set) for _, rb in spec.rules_for(name))
+    def first_mirror(name: str, rule: Rule) -> tuple[int, dict[str, str]] | None:
+        found = ((ib, find_mirror(spec, rule, rb, comm_set)) for ib, rb in spec.rules_for(name))
+        return next(((ib, mirrors[0]) for ib, mirrors in found if mirrors), None)
 
-    changed = True
-    while changed:
-        changed = False
-        for op in binaries:
-            name = op.name
-            if name not in comm_set or name in declared:
-                continue
-            if any(not rule_has_mirror(name, r) for _, r in spec.rules_for(name)):
-                comm_set.discard(name)
-                changed = True
+    # Dropped operators keep their rows, so that the last round lists their
+    # unmirrored rules under the final set.
+    while True:
+        table = {
+            name: [(ia, first_mirror(name, ra)) for ia, ra in spec.rules_for(name)]
+            for name in checked
+        }
+        failing = {
+            name
+            for name in checked
+            if name in comm_set and any(m is None for _, m in table[name])
+        }
+        if not failing:
+            break
+        comm_set -= failing
 
     proven: dict[str, list[MirrorWitness]] = {}
     failed: dict[str, list[int]] = {}
-    for op in binaries:
-        name = op.name
-        if name in declared:
+    for name in checked:
+        row = table[name]
+        if name not in comm_set:
+            failed[name] = [ia for ia, m in row if m is None]
             continue
-        if name in comm_set:
-            witnesses = []
-            covered: set[tuple[int, int]] = set()
-            for ia, ra in spec.rules_for(name):
-                for ib, rb in spec.rules_for(name):
-                    mirrors = find_mirror(spec, ra, rb, comm_set)
-                    if not mirrors:
-                        continue
-                    pair = (min(ia, ib), max(ia, ib))
-                    if pair not in covered:
-                        covered.add(pair)
-                        witnesses.append(
-                            MirrorWitness(name, ia, ib, tuple(sorted(mirrors[0].items())))
-                        )
-                    break
-            proven[name] = witnesses
-        else:
-            failed[name] = [
-                ia for ia, ra in spec.rules_for(name) if not rule_has_mirror(name, ra)
-            ]
-    return CommReport(proven, sorted(declared), failed)
+        witnesses = []
+        covered: set[tuple[int, int]] = set()
+        for ia, (ib, mapping) in row:  # type: ignore[misc]
+            pair = (min(ia, ib), max(ia, ib))
+            if pair not in covered:
+                covered.add(pair)
+                witnesses.append(MirrorWitness(name, ia, ib, tuple(sorted(mapping.items()))))
+        proven[name] = witnesses
+    return CommReport(proven, sorted(op.name for op in binaries if op.comm), failed)
 
 
 def formats_spec(spec: Spec, report: CommReport) -> Spec:

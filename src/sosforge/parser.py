@@ -308,7 +308,7 @@ def _pass_one(src: Tokens) -> _Decls:
                 d.declare(name[1:-1], f"the symbol of {name}", i)
             i = _expect_punct(src, i + 1, ":")
             arity = toks[i]
-            if not arity[:1].isdigit():
+            if not arity.isdecimal():
                 raise src.error("expected arity", i)
             comm, _, _, i = _parse_attrs(src, i + 1)
             i = _expect_punct(src, i, ";")

@@ -131,7 +131,6 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
 def step(
     spec: Spec,
     term: Term,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
     set_cap: int = DEFAULT_SET_CAP,
     *,
     cache: dict[str, list[Step]] | None = None,
@@ -150,9 +149,9 @@ def step(
         cache = {}
 
     def go(t: Term, depth: int) -> list[Step]:
-        if depth > depth_cap:
+        if depth > DEFAULT_DEPTH_CAP:
             raise BudgetExceeded(
-                f"step recursion exceeded {depth_cap} levels; is a definition unguarded?"
+                f"step recursion exceeded {DEFAULT_DEPTH_CAP} levels; is a definition unguarded?"
             )
         if isinstance(t, Var):
             raise OpenTerm(f"cannot step open term with variable {t.name}")

@@ -212,7 +212,7 @@ def test_too_deep_term_is_budget_error(capsys, command, term):
 
 
 # The longest prefix chain simulate handled here at the default recursion limit
-# was 949 (one frame per level); normalize stops at its max_depth of 500.  A
+# was 949 (one frame per level); normalize stops at its depth limit of 500.  A
 # second frame per level would halve both.
 NEAR_LIMIT = {"simulate": 940, "normalize": 500}
 

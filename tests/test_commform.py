@@ -1,12 +1,18 @@
 """Commutativity checking: mirror search, the fixed point, reports."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
-from sosforge import parse_spec, parse_term
+from sosforge import load_corpus, parse_spec, parse_term
 from sosforge.bisim import bisimilar
 from sosforge.commform import (
+    CHOICE_OP,
+    CommReport,
+    MirrorWitness,
     cc_equal,
     check_comm,
     comm_report_json,
@@ -26,7 +32,7 @@ from sosforge.terms import (
     substitute_label,
     substitute_term,
 )
-from sosforge.tss import render_spec
+from sosforge.tss import ProcOp, render_spec
 from termgen import random_bccsp_term
 
 # -- equality up to commutative swaps ------------------------------------------
@@ -141,24 +147,41 @@ def test_declared_comm_is_assumed():
     assert "f" not in rep.proven and "f" not in rep.failed
 
 
+# f's targets lean on h: with h symmetric both are proved, with h lopsided
+# h fails in the first round and f in the second.  In "mutual" h leans back
+# on f, which an unmirrored third rule sinks in the first round.
+CASCADE_BASE = (
+    "spec CASC\nactions a ;\nop f : 2 ;\nop h : 2 ;\n"
+    "var x y x' y' : Proc ;\nvar alpha : Action ;\n"
+    "rule x -(alpha)-> x' ==> f(x, y) -(alpha)-> h(x', y) ;\n"
+    "rule y -(alpha)-> y' ==> f(x, y) -(alpha)-> h(x, y') ;\n"
+)
+CASCADE_SPECS = {
+    "sym_h": CASCADE_BASE
+    + "rule x -(alpha)-> x' ==> h(x, y) -(alpha)-> h(x', y) ;\n"
+    + "rule y -(alpha)-> y' ==> h(x, y) -(alpha)-> h(x, y') ;\n",
+    "lop_h": CASCADE_BASE + "rule x -(alpha)-> x' ==> h(x, y) -(alpha)-> h(x', y) ;\n",
+    "mutual": CASCADE_BASE
+    + "rule x -(a)-> x' ==> f(x, y) -(a)-> 0 ;\n"
+    + "rule x -(alpha)-> x' ==> h(x, y) -(alpha)-> f(x', y) ;\n"
+    + "rule y -(alpha)-> y' ==> h(x, y) -(alpha)-> f(x, y') ;\n",
+}
+
+
 def test_fixpoint_cascade():
     """An operator loses its claim when the op its targets lean on fails."""
-    base = (
-        "spec CASC\nactions a ;\nop f : 2 ;\nop h : 2 ;\n"
-        "var x y x' y' : Proc ;\nvar alpha : Action ;\n"
-        "rule x -(alpha)-> x' ==> f(x, y) -(alpha)-> h(x', y) ;\n"
-        "rule y -(alpha)-> y' ==> f(x, y) -(alpha)-> h(x, y') ;\n"
-    )
-    sym_h = (
-        "rule x -(alpha)-> x' ==> h(x, y) -(alpha)-> h(x', y) ;\n"
-        "rule y -(alpha)-> y' ==> h(x, y) -(alpha)-> h(x, y') ;\n"
-    )
-    lop_h = "rule x -(alpha)-> x' ==> h(x, y) -(alpha)-> h(x', y) ;\n"
-    both = check_comm(parse_spec(base + sym_h))
+    both = check_comm(parse_spec(CASCADE_SPECS["sym_h"]))
     assert sorted(both.proven) == ["f", "h"]
-    broken = check_comm(parse_spec(base + lop_h))
+    broken = check_comm(parse_spec(CASCADE_SPECS["lop_h"]))
     assert sorted(broken.failed) == ["f", "h"]
     assert broken.proven == {}
+
+
+def test_failed_rules_are_listed_under_the_final_set():
+    # f's rules 1 and 2 mirror each other while h is known commutative; h
+    # falls only after f, and then they no longer do.
+    rep = check_comm(parse_spec(CASCADE_SPECS["mutual"]))
+    assert rep.failed == {"f": [1, 2, 3], "h": [4, 5]}
 
 
 def test_witness_mappings_are_independently_valid(full):
@@ -279,3 +302,156 @@ def test_formats_spec_adds_declared_attribute(par):
     assert "[comm]" in text
     again = check_comm(parse_spec(text))
     assert "_||_" in again.assumed
+
+
+# -- differential check against the one-at-a-time fixed point -------------------------
+
+CORPUS = ("bccsp", "bccsp_par", "g", "linda", "recursion", "full")
+
+
+def reference_check_comm(spec):
+    """The fixed point as first written: one operator discarded at a time, and
+    a report that searches for every mirror again under the final set."""
+    binaries = [op for op in spec.proc_ops.values() if op.arity == 2]
+    declared = {op.name for op in binaries if op.comm}
+    comm_set = {CHOICE_OP} | {op.name for op in binaries}
+
+    def rule_has_mirror(name, rule):
+        return any(find_mirror(spec, rule, rb, comm_set) for _, rb in spec.rules_for(name))
+
+    changed = True
+    while changed:
+        changed = False
+        for op in binaries:
+            name = op.name
+            if name not in comm_set or name in declared:
+                continue
+            if any(not rule_has_mirror(name, r) for _, r in spec.rules_for(name)):
+                comm_set.discard(name)
+                changed = True
+
+    proven, failed = {}, {}
+    for op in binaries:
+        name = op.name
+        if name in declared:
+            continue
+        if name in comm_set:
+            witnesses = []
+            covered = set()
+            for ia, ra in spec.rules_for(name):
+                for ib, rb in spec.rules_for(name):
+                    mirrors = find_mirror(spec, ra, rb, comm_set)
+                    if not mirrors:
+                        continue
+                    pair = (min(ia, ib), max(ia, ib))
+                    if pair not in covered:
+                        covered.add(pair)
+                        witnesses.append(
+                            MirrorWitness(name, ia, ib, tuple(sorted(mirrors[0].items())))
+                        )
+                    break
+            proven[name] = witnesses
+        else:
+            failed[name] = [
+                ia for ia, ra in spec.rules_for(name) if not rule_has_mirror(name, ra)
+            ]
+    return CommReport(proven, sorted(declared), failed)
+
+
+def removal_rounds(spec):
+    """How many rounds drop an operator before the known set is stable."""
+    binaries = [op for op in spec.proc_ops.values() if op.arity == 2]
+    comm_set = {CHOICE_OP} | {op.name for op in binaries}
+    rounds = 0
+    while True:
+        failing = {
+            op.name for op in binaries
+            if op.name in comm_set and not op.comm and not all(
+                any(find_mirror(spec, ra, rb, comm_set) for _, rb in spec.rules_for(op.name))
+                for _, ra in spec.rules_for(op.name)
+            )
+        }
+        if not failing:
+            return rounds
+        comm_set -= failing
+        rounds += 1
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_check_comm_matches_reference_on_corpus(name):
+    spec = load_corpus(name)
+    assert check_comm(spec) == reference_check_comm(spec)
+
+
+@pytest.mark.parametrize("key", sorted(CASCADE_SPECS))
+def test_check_comm_matches_reference_on_cascade(key):
+    spec = parse_spec(CASCADE_SPECS[key])
+    assert check_comm(spec) == reference_check_comm(spec)
+    assert removal_rounds(spec) == {"sym_h": 0, "lop_h": 2, "mutual": 2}[key]
+
+
+def _mirror_units(spec):
+    """Each binary operator's rules, in the mirror pairs and unmirrored single
+    rules that the spec's own report finds."""
+    rep = reference_check_comm(spec)
+    groups = [[(w.rule_a, w.rule_b) for w in ws] for ws in rep.proven.values()]
+    groups += [[(i,) for i in idxs] for idxs in rep.failed.values()]
+    return [[tuple(spec.rules[i - 1] for i in dict.fromkeys(u)) for u in g] for g in groups]
+
+
+# The binary-operator rules of three bundled specs; full.sos declares every
+# symbol and variable they use.
+FULL_SPEC = load_corpus("full")
+UNIT_GROUPS = [g for name in ("full", "g", "bccsp_par") for g in _mirror_units(load_corpus(name))]
+POOL_OPS = sorted({g[0][0].conclusion.source.op for g in UNIT_GROUPS})
+
+
+def _rename_ops(t, rename):
+    if isinstance(t, App):
+        return App(rename.get(t.op, t.op), tuple(_rename_ops(a, rename) for a in t.args))
+    if isinstance(t, Choice):
+        return Choice(_rename_ops(t.left, rename), _rename_ops(t.right, rename))
+    return t
+
+
+@st.composite
+def mixed_specs(draw):
+    """A spec over ops f0, f1, ..., each defined by some mirror units of one
+    operator, less at most one rule.  A drawn map per op renames the operators
+    in its conclusion targets to other ops, so an op's proof can lean on
+    another's and removals cascade."""
+    ops = [f"f{i}" for i in range(draw(st.integers(2, 5)))]
+    rules = []
+    for new in ops:
+        group = draw(st.sampled_from(UNIT_GROUPS))
+        picked = draw(st.sets(st.integers(0, len(group) - 1), min_size=1))
+        own = [r for i in sorted(picked) for r in group[i]]
+        dropped = draw(st.sets(st.integers(0, len(own) - 1), max_size=1))
+        others = st.sampled_from([op for op in ops if op != new])
+        rename = {op: draw(others) for op in POOL_OPS}
+        for rule in (r for i, r in enumerate(own) if i not in dropped):
+            c = rule.conclusion
+            source = App(new, c.source.args)
+            target = _rename_ops(c.target, rename)
+            rules.append(replace(rule, conclusion=replace(c, source=source, target=target)))
+    declared = draw(st.sets(st.sampled_from(ops), max_size=1))
+    return replace(
+        FULL_SPEC,
+        proc_ops={op: ProcOp(op, 2, op in declared) for op in ops},
+        rules=tuple(draw(st.permutations(rules))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_specs())
+def test_check_comm_matches_reference_on_drawn_specs(spec):
+    assert check_comm(spec) == reference_check_comm(spec)
+
+
+def test_drawn_specs_reach_cascades():
+    found = find(
+        mixed_specs(),
+        lambda spec: removal_rounds(spec) >= 2,
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+    assert removal_rounds(found) >= 2

@@ -387,6 +387,7 @@ ERROR_TABLE = [
     ("spec", "spec X\nactions a ;\nactions a ;\n",
      "DuplicateDeclaration", "3:9: a already declared as an action"),
     ("spec", "spec X\nop f : ١ ;\nop g : x ;\n", "ParseError", "3:8: expected arity"),
+    ("spec", "spec X\nop f : ١ ;\nop g : ² ;\n", "ParseError", "3:8: expected arity"),
     # rules and definitions
     ("spec", ERR_HEAD + "rule x -(a)-> z ==> f(x) -(a)-> z ;\n",
      "UnknownSymbol", "5:15: undeclared identifier z"),
