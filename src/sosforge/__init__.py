@@ -11,7 +11,7 @@ from importlib import resources
 from .axioms import NormalizeBudget, axiom_report, normalize, satisfies
 from .bisim import Lts, are_equal, bisimilar, build_lts, refine
 from .commform import CommReport, cc_equal, check_comm, find_mirror, formats_spec
-from .errors import SosError
+from .errors import InvalidSpec, SosError
 from .parser import parse_label, parse_spec, parse_term
 from .simulator import Step, solve_rule, step
 from .terms import (
@@ -31,7 +31,7 @@ __all__ = [
     "NormalizeBudget", "axiom_report", "normalize", "satisfies",
     "Lts", "are_equal", "bisimilar", "build_lts", "refine",
     "CommReport", "cc_equal", "check_comm", "find_mirror", "formats_spec",
-    "SosError",
+    "InvalidSpec", "SosError",
     "parse_label", "parse_spec", "parse_term",
     "Step", "solve_rule", "step",
     "canon_label", "canon_term", "match",

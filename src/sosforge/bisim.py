@@ -12,11 +12,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .errors import DefOutsideBccsp, SosError, StateCapExceeded, UnguardedDef
+from .errors import SosError, StateCapExceeded
 from .simulator import Step, step
 from .terms import DefConst, Term, canon_term, render_label, render_term
 from .tss import Spec
-from .validator import UNGUARDED_DEF, check_guarded_defs
 
 DEFAULT_STATE_CAP = 100000
 STATE_CAP_ENV = "SOSFORGE_STATE_CAP"
@@ -146,10 +145,6 @@ def are_equal(
     spec: Spec, name1: str, name2: str, state_cap: int | None = None
 ) -> tuple[bool, BisimWitness | None]:
     """Decide bisimilarity of two defined constants under guarded recursion."""
-    for v in check_guarded_defs(spec):
-        if v.kind == UNGUARDED_DEF:
-            raise UnguardedDef(str(v))
-        raise DefOutsideBccsp(str(v))
     spec.definition(name1)
     spec.definition(name2)
     return bisimilar(spec, DefConst(name1), DefConst(name2), state_cap)

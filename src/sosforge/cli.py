@@ -33,9 +33,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _read_spec(path: str):
+    return parse_spec(Path(path).read_text(encoding="utf-8"))
+
+
 def _load_spec(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_spec(text)
+    """Parse a spec file and refuse it unless it meets the rule format."""
+    spec = _read_spec(path)
+    spec.check()
+    return spec
 
 
 def _emit(data) -> None:
@@ -43,7 +49,7 @@ def _emit(data) -> None:
 
 
 def cmd_validate(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _read_spec(args.spec)
     violations = check_all(spec)
     if args.json:
         _emit(violations_to_json(violations))

@@ -99,25 +99,12 @@ def _bind_renaming(state, var: Var | LVar, value):
 def _mapping_substitution(spec: Spec, hmap: dict[str, str]) -> Substitution:
     sub = Substitution()
     for src, dst in hmap.items():
-        sort = spec.variables.get(src, "Proc")
-        if sort == "Proc":
+        sort = spec.variables.get(src, SORT_PROC)
+        if sort == SORT_PROC:
             sub.terms[src] = Var(dst)
         else:
             sub.labels[src] = LVar(dst, spec.variables.get(dst, sort))
     return sub
-
-
-def _binary_var_source(rule: Rule):
-    src = rule.conclusion.source
-    if not (isinstance(src, App) and len(src.args) == 2):
-        return None
-    names = []
-    for slot in src.args:
-        if isinstance(slot, (Var, LVar)):
-            names.append(slot.name)
-        else:
-            return None
-    return names
 
 
 def _complete_mapping(rule_a: Rule, rule_b: Rule, hmap: dict[str, str]) -> dict[str, str]:
@@ -147,22 +134,23 @@ def _complete_mapping(rule_a: Rule, rule_b: Rule, hmap: dict[str, str]) -> dict[
 def find_mirror(
     spec: Spec, rule_a: Rule, rule_b: Rule, comm_set: set[str]
 ) -> list[dict[str, str]]:
-    """All mirror mappings sending rule_b onto rule_a with arguments swapped."""
+    """All mirror mappings sending rule_b onto rule_a with arguments swapped.
+
+    Both rules are rules of the spec for one binary operator, so their
+    sources are that operator over two distinct variables.
+    """
+    spec.check()
     th = spec.theory
-    src_a = _binary_var_source(rule_a)
-    src_b = _binary_var_source(rule_b)
-    if src_a is None or src_b is None:
-        return []
+    a0, a1 = (slot.name for slot in rule_a.conclusion.source.args)
+    b0, b1 = (slot.name for slot in rule_b.conclusion.source.args)
 
     def sort_of(name: str) -> str:
-        return spec.variables.get(name, "Proc")
+        return spec.variables.get(name, SORT_PROC)
 
-    if sort_of(src_b[0]) != sort_of(src_a[1]) or sort_of(src_b[1]) != sort_of(src_a[0]):
+    if sort_of(b0) != sort_of(a1) or sort_of(b1) != sort_of(a0):
         return []
-    hmap = {src_b[0]: src_a[1], src_b[1]: src_a[0]}
-    if len(set(hmap.values())) != len(hmap):
-        return []
-    used = set(hmap.values())
+    hmap = {b0: a1, b1: a0}
+    used = {a0, a1}
 
     found: list[dict[str, str]] = []
     seen_keys: set[tuple] = set()
@@ -200,13 +188,9 @@ def find_mirror(
             check_negatives_and_conclusion(hm)
             return
         p = rule_b.positives[i]
-        if not isinstance(p.source, Var) or not isinstance(p.target, Var):
-            return
         want_src = hm.get(p.source.name)
         pat = canon_label(p.label, th)
         for q in rule_a.positives:
-            if not isinstance(q.source, Var) or not isinstance(q.target, Var):
-                continue
             if q.source.name != want_src:
                 continue
             subj = canon_label(q.label, th)

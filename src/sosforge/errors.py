@@ -48,12 +48,12 @@ class UnknownDefConst(SosError):
     """A recursion constant has no defining equation."""
 
 
-class UnguardedDef(SosError):
-    """A recursive definition uses a constant outside the scope of a prefix."""
+class InvalidSpec(SosError):
+    """A specification fails the rule format; carries the violations `validate` reports."""
 
-
-class DefOutsideBccsp(SosError):
-    """A recursive definition body uses an operator outside the base fragment."""
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("\n".join(["invalid specification", *map(str, self.violations)]))
 
 
 class NonHnfArgument(SosError):

@@ -18,16 +18,13 @@ from .terms import (
     Choice,
     DefConst,
     LabelTerm,
-    LVar,
     Nil,
     Prefix,
     Substitution,
     Term,
     Var,
-    bind_term,
     canon_label,
     canon_term,
-    free_vars,
     label_sort,
     match,
     render_label,
@@ -56,47 +53,35 @@ class Step:
 
 
 def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substitution]:
-    """All substitutions under which a rule fires on the given arguments.
+    """All substitutions under which a rule of the spec fires on the given arguments.
 
     `moves(k)` supplies the (label, continuation) pairs the k-th argument
-    offers; labels are expected in canonical form.
+    offers; labels are expected in canonical form.  The spec must meet the
+    rule format, so source slots are distinct variables, premises test them
+    and premise targets are fresh.
     """
+    spec.check()
     th = spec.theory
-    src = rule.conclusion.source
-    if not isinstance(src, App) or len(src.args) != len(args):
-        return []
     base = Substitution()
     pos_of: dict[str, int] = {}
-    for k, (slot, actual) in enumerate(zip(src.args, args)):
-        # a variable repeated in the source binds only equal canonical arguments
+    for k, (slot, actual) in enumerate(zip(rule.conclusion.source.args, args)):
         if isinstance(slot, Var):
             if not isinstance(actual, Term):
                 return []
-            old = base.terms.get(slot.name)
-            if old is None:
-                base.terms[slot.name] = actual
-                pos_of[slot.name] = k
-            elif render_term(canon_term(old, th)) != render_term(canon_term(actual, th)):
-                return []
-        elif isinstance(slot, LVar):
+            base.terms[slot.name] = actual
+            pos_of[slot.name] = k
+        else:
             if not isinstance(actual, LabelTerm):
                 return []
             value = canon_label(actual, th)
             if not sort_accepts(slot.sort, label_sort(value)):
                 return []
-            old_label = base.labels.setdefault(slot.name, value)
-            if render_label(old_label) != render_label(value):
-                return []
-        else:
-            return []
+            base.labels[slot.name] = value
 
     subs = [base]
     for prem in rule.positives:
-        if not (isinstance(prem.source, Var) and prem.source.name in pos_of):
-            return []
         offered = moves(pos_of[prem.source.name])
-        if not isinstance(prem.target, Var):
-            return []
+        target = prem.target.name
         nxt: list[Substitution] = []
         for s in subs:
             pat = substitute_label(prem.label, s)
@@ -104,25 +89,21 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
                 for m in match(pat, lbl, th):
                     merged = s.copy()
                     merged.labels.update(m.labels)
-                    nxt.extend(bind_term(merged, prem.target.name, cont))
+                    merged.terms[target] = cont
+                    nxt.append(merged)
         subs = nxt
         if not subs:
             return []
 
     for neg in rule.negatives:
-        if not (isinstance(neg.source, Var) and neg.source.name in pos_of):
-            return []
         offered_labels = {
             render_label(canon_label(l, th)) for l, _ in moves(pos_of[neg.source.name])
         }
-        kept = []
-        for s in subs:
-            lbl = substitute_label(neg.label, s)
-            if free_vars(lbl)[1]:
-                continue  # an unbound negative label can never be refuted
-            if render_label(canon_label(lbl, th)) not in offered_labels:
-                kept.append(s)
-        subs = kept
+        subs = [
+            s
+            for s in subs
+            if render_label(canon_label(substitute_label(neg.label, s), th)) not in offered_labels
+        ]
         if not subs:
             return []
     return subs
@@ -151,7 +132,7 @@ def step(
     def go(t: Term, depth: int) -> list[Step]:
         if depth > DEFAULT_DEPTH_CAP:
             raise BudgetExceeded(
-                f"step recursion exceeded {DEFAULT_DEPTH_CAP} levels; is a definition unguarded?"
+                f"step recursion exceeded {DEFAULT_DEPTH_CAP} levels"
             )
         if isinstance(t, Var):
             raise OpenTerm(f"cannot step open term with variable {t.name}")

@@ -591,7 +591,7 @@ def _match_any(pat, subj, sub, th, bind):
         yield from _match_term(pat, subj, sub, th, bind)
 
 
-def bind_term(sub: Substitution, name: str, value: Term):
+def _bind_term(sub: Substitution, name: str, value: Term):
     """Yield sub extended by name <- value, unless name is bound to another term."""
     old = sub.terms.get(name)
     if old is not None:
@@ -618,7 +618,7 @@ def _bind_label(sub: Substitution, var: LVar, value: LabelTerm):
 
 def _match_term(pat: Term, subj: Term, sub: Substitution, th, bind):
     if isinstance(pat, Var):
-        yield from bind_term(sub, pat.name, subj)
+        yield from _bind_term(sub, pat.name, subj)
         return
     if isinstance(pat, Nil):
         if isinstance(subj, Nil):

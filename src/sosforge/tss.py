@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import UnknownDefConst
+from .errors import InvalidSpec, UnknownDefConst
 from .terms import (
-    App,
     EquationalTheory,
     LabelTerm,
     OpAttrs,
@@ -103,7 +102,10 @@ class Spec:
 
     A Spec is not mutated after `parse_spec` returns it: its equational
     theory, its rule index and its parse context are computed once, on
-    first use.
+    first use.  `parse_spec` checks syntax only; the rule index checks the
+    rule format (`validator.check_all`) and raises `InvalidSpec` on a
+    violation, so every rule and definition the engine reads comes from a
+    spec that passed.
     """
 
     name: str
@@ -126,11 +128,14 @@ class Spec:
 
     @cached_property
     def _rule_index(self) -> dict[str, list[tuple[int, Rule]]]:
+        from .validator import check_all  # the validator reads Specs, so it imports this module
+
+        violations = check_all(self)
+        if violations:
+            raise InvalidSpec(violations)
         index: dict[str, list[tuple[int, Rule]]] = {}
         for i, r in enumerate(self.rules, start=1):
-            src = r.conclusion.source
-            if isinstance(src, App):
-                index.setdefault(src.op, []).append((i, r))
+            index.setdefault(r.conclusion.source.op, []).append((i, r))
         return index
 
     @cached_property
@@ -140,11 +145,16 @@ class Spec:
 
         return ParseContext(self)
 
+    def check(self) -> None:
+        """Raise InvalidSpec unless the spec meets the rule format."""
+        self._rule_index
+
     def rules_for(self, op: str) -> list[tuple[int, Rule]]:
         """The rules defining an operator, with their 1-based indices (a shared list)."""
         return self._rule_index.get(op, [])
 
     def definition(self, name: str) -> Term:
+        self.check()
         try:
             return self.defs[name]
         except KeyError:

@@ -78,10 +78,9 @@ def check_gsos(spec: Spec) -> list[Violation]:
     """Check every rule against the structural rule-format conditions."""
     out: list[Violation] = []
     for idx, rule in enumerate(spec.rules, start=1):
-        span = str(rule)
 
         def bad(kind: str, message: str) -> None:
-            out.append(Violation(kind, idx, message, span))
+            out.append(Violation(kind, idx, message, str(rule)))
 
         slots = _source_slots(rule)
         if slots is None:
@@ -190,33 +189,21 @@ def check_guarded_defs(spec: Spec) -> list[Violation]:
     """Definition bodies stay in the base fragment with guarded recursion."""
     out: list[Violation] = []
     for name, body in spec.defs.items():
-        span = f"def {name} = {render_term(body)}"
+
+        def bad(kind: str, message: str) -> None:
+            out.append(Violation(kind, name, message, f"def {name} = {render_term(body)}"))
 
         def walk(t: Term, guarded: bool) -> None:
             if isinstance(t, DefConst):
                 if not guarded:
-                    out.append(
-                        Violation(
-                            UNGUARDED_DEF,
-                            name,
-                            f"{t.name} occurs outside the scope of a prefix",
-                            span,
-                        )
-                    )
+                    bad(UNGUARDED_DEF, f"{t.name} occurs outside the scope of a prefix")
             elif isinstance(t, Prefix):
                 walk(t.body, True)
             elif isinstance(t, Choice):
                 walk(t.left, guarded)
                 walk(t.right, guarded)
             elif isinstance(t, App):
-                out.append(
-                    Violation(
-                        DEF_OUTSIDE_BCCSP,
-                        name,
-                        f"operator {t.op} is not allowed in a definition body",
-                        span,
-                    )
-                )
+                bad(DEF_OUTSIDE_BCCSP, f"operator {t.op} is not allowed in a definition body")
 
         walk(body, False)
     return out

@@ -12,7 +12,7 @@ from sosforge.bisim import (
     default_state_cap,
     refine,
 )
-from sosforge.errors import DefOutsideBccsp, StateCapExceeded, UnguardedDef
+from sosforge.errors import InvalidSpec, StateCapExceeded
 from sosforge.simulator import step
 from sosforge.terms import (
     App,
@@ -292,8 +292,9 @@ def test_are_equal_one_step_unfolding():
 
 def test_are_equal_rejects_unguarded():
     spec = parse_spec("spec BAD\nactions a ;\ndef p = p + a . 0 ;\ndef q = a . 0 ;\n")
-    with pytest.raises(UnguardedDef):
+    with pytest.raises(InvalidSpec) as e:
         are_equal(spec, "p", "q")
+    assert [(v.kind, v.rule) for v in e.value.violations] == [("UnguardedDef", "p")]
 
 
 def test_are_equal_rejects_operators_in_defs():
@@ -301,5 +302,6 @@ def test_are_equal_rejects_operators_in_defs():
         "spec BAD2\nactions a ;\nop f : 1 ;\nvar x x' : Proc ;\n"
         "rule x -(a)-> x' ==> f(x) -(a)-> x' ;\ndef p = a . f(0) ;\ndef q = a . 0 ;\n"
     )
-    with pytest.raises(DefOutsideBccsp):
+    with pytest.raises(InvalidSpec) as e:
         are_equal(spec, "p", "q")
+    assert [(v.kind, v.rule) for v in e.value.violations] == [("DefOutsideBccsp", "p")]

@@ -158,8 +158,12 @@ def test_budget_exit(capsys):
 def test_unguarded_definition_exit(tmp_path, capsys):
     bad = tmp_path / "ug.sos"
     bad.write_text("spec U\nactions a ;\ndef p = p + a . 0 ;\n", encoding="utf-8")
-    code, _, err = run(capsys, "simulate", str(bad), "p")
-    assert code == 3 and "unguarded" in err
+    code, out, err = run(capsys, "simulate", str(bad), "p")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: invalid specification\n"
+        "def p: UnguardedDef: p occurs outside the scope of a prefix\n"
+    )
 
 
 def test_state_cap_env(monkeypatch, capsys):

@@ -4,11 +4,33 @@ import random
 
 import pytest
 
-from sosforge import parse_spec, parse_term
-from sosforge.errors import BudgetExceeded
-from sosforge.simulator import step
-from sosforge.terms import NIL, App, Choice, DefConst, render_term
-from termgen import random_bccsp_term
+from sosforge import axioms, load_corpus, parse_spec, parse_term, simulator
+from sosforge.axioms import normalize
+from sosforge.errors import BudgetExceeded, InvalidSpec
+from sosforge.simulator import solve_rule, step
+from sosforge.terms import (
+    NIL,
+    ActConst,
+    App,
+    Choice,
+    DefConst,
+    LabelTerm,
+    LVar,
+    Prefix,
+    Substitution,
+    Term,
+    Var,
+    canon_label,
+    canon_term,
+    free_vars,
+    label_sort,
+    match,
+    render_label,
+    render_term,
+    sort_accepts,
+    substitute_label,
+)
+from termgen import random_bccsp_term, random_full_term
 
 # -- transcript pins -----------------------------------------------------------
 
@@ -131,13 +153,13 @@ def test_choice_of_same_term_dedups(par):
 # -- caps ------------------------------------------------------------------------
 
 
-def test_unguarded_definition_hits_depth_cap():
+def test_unguarded_definition_is_refused():
     spec = parse_spec(
         "spec U\nactions a ;\ndef p = p + a . 0 ;\n"
     )
-    with pytest.raises(BudgetExceeded) as e:
+    with pytest.raises(InvalidSpec) as e:
         step(spec, DefConst("p"))
-    assert "unguarded" in str(e.value)
+    assert [(v.kind, v.rule) for v in e.value.violations] == [("UnguardedDef", "p")]
 
 
 def test_step_set_cap(par):
@@ -172,17 +194,190 @@ rule ==> h(k, k) -(a)-> 0 ;
 
 
 @pytest.mark.parametrize(
-    "text, want",
+    "text",
     [
-        ("f(a . 0, a . 0)", ["< a # 0 >"]),
-        ("f(a . 0 + a . 0, a . 0)", ["< a # 0 >"]),
-        ("f(0, a . 0)", []),
-        ("f(a . 0, 0)", []),
-        ("h(u, u)", ["< a # 0 >"]),
-        ("h(d, u)", []),
-        ("h(u, d)", []),
+        "f(a . 0, a . 0)",
+        "f(a . 0 + a . 0, a . 0)",
+        "f(0, a . 0)",
+        "f(a . 0, 0)",
+        "h(u, u)",
+        "h(d, u)",
+        "h(u, d)",
     ],
 )
-def test_repeated_source_variable_needs_equal_arguments(text, want):
+def test_repeated_source_variable_is_refused(text):
     spec = parse_spec(REPEATED_SOURCE)
-    assert [str(s) for s in step(spec, parse_term(text, spec))] == want
+    with pytest.raises(InvalidSpec) as e:
+        step(spec, parse_term(text, spec))
+    assert [(v.kind, v.rule) for v in e.value.violations] == [
+        ("RepeatedVariable", 1),
+        ("RepeatedVariable", 2),
+    ]
+
+
+# -- differential: solve_rule against the solver that checked the rule format itself --
+
+
+def _reference_bind_term(sub, name, value):
+    old = sub.terms.get(name)
+    if old is not None:
+        if render_term(old) == render_term(value):
+            yield sub
+        return
+    nxt = sub.copy()
+    nxt.terms[name] = value
+    yield nxt
+
+
+def reference_solve_rule(spec, rule, args, moves):
+    """`solve_rule` as it was before specs were checked at load: it guarded
+    every rule shape itself and matched repeated source variables."""
+    th = spec.theory
+    src = rule.conclusion.source
+    if not isinstance(src, App) or len(src.args) != len(args):
+        return []
+    base = Substitution()
+    pos_of = {}
+    for k, (slot, actual) in enumerate(zip(src.args, args)):
+        if isinstance(slot, Var):
+            if not isinstance(actual, Term):
+                return []
+            old = base.terms.get(slot.name)
+            if old is None:
+                base.terms[slot.name] = actual
+                pos_of[slot.name] = k
+            elif render_term(canon_term(old, th)) != render_term(canon_term(actual, th)):
+                return []
+        elif isinstance(slot, LVar):
+            if not isinstance(actual, LabelTerm):
+                return []
+            value = canon_label(actual, th)
+            if not sort_accepts(slot.sort, label_sort(value)):
+                return []
+            old_label = base.labels.setdefault(slot.name, value)
+            if render_label(old_label) != render_label(value):
+                return []
+        else:
+            return []
+
+    subs = [base]
+    for prem in rule.positives:
+        if not (isinstance(prem.source, Var) and prem.source.name in pos_of):
+            return []
+        offered = moves(pos_of[prem.source.name])
+        if not isinstance(prem.target, Var):
+            return []
+        nxt = []
+        for s in subs:
+            pat = substitute_label(prem.label, s)
+            for lbl, cont in offered:
+                for m in match(pat, lbl, th):
+                    merged = s.copy()
+                    merged.labels.update(m.labels)
+                    nxt.extend(_reference_bind_term(merged, prem.target.name, cont))
+        subs = nxt
+        if not subs:
+            return []
+
+    for neg in rule.negatives:
+        if not (isinstance(neg.source, Var) and neg.source.name in pos_of):
+            return []
+        offered_labels = {
+            render_label(canon_label(l, th)) for l, _ in moves(pos_of[neg.source.name])
+        }
+        kept = []
+        for s in subs:
+            lbl = substitute_label(neg.label, s)
+            if free_vars(lbl)[1]:
+                continue
+            if render_label(canon_label(lbl, th)) not in offered_labels:
+                kept.append(s)
+        subs = kept
+        if not subs:
+            return []
+    return subs
+
+
+@pytest.fixture
+def against_reference(monkeypatch):
+    """Route every solve_rule call of step and satisfies through a check
+    that the reference returns the same substitutions in the same order.
+    Yields the list of result counts, one per call."""
+    counts = []
+
+    def checked(spec, rule, args, moves):
+        got = solve_rule(spec, rule, args, moves)
+        want = reference_solve_rule(spec, rule, args, moves)
+        assert [str(s) for s in got] == [str(s) for s in want], str(rule)
+        counts.append(len(got))
+        return got
+
+    monkeypatch.setattr(simulator, "solve_rule", checked)
+    monkeypatch.setattr(axioms, "solve_rule", checked)
+    return counts
+
+
+def _random_op_term(rng, ops, depth):
+    """A closed term over deadlock, prefixing, choice and the given binary operators."""
+    if depth <= 0 or rng.random() < 0.15:
+        return NIL
+    roll = rng.random()
+    if roll < 0.35:
+        return Prefix(ActConst(rng.choice("abc")), _random_op_term(rng, ops, depth - 1))
+    if roll < 0.6:
+        return Choice(_random_op_term(rng, ops, depth - 1), _random_op_term(rng, ops, depth - 1))
+    op = rng.choice(ops)
+    return App(op, (_random_op_term(rng, ops, depth - 1), _random_op_term(rng, ops, depth - 1)))
+
+
+def _linda_chain(rng, n):
+    return " ; ".join(f"{rng.choice(('ask', 'tell', 'get'))}({rng.choice('duv')})" for _ in range(n))
+
+
+def _bundled_terms(name, spec, rng):
+    if name == "recursion":
+        return [DefConst(c) for c in spec.defs]
+    if name == "linda":
+        texts = [_linda_chain(rng, rng.randint(1, 5)) for _ in range(20)]
+        texts += [f"({_linda_chain(rng, 2)}) || ({_linda_chain(rng, 2)})" for _ in range(10)]
+        return [parse_term(t, spec) for t in texts]
+    if name == "full":
+        return [random_full_term(rng, 3) for _ in range(40)]
+    ops = [op for op, decl in spec.proc_ops.items() if decl.arity == 2] or ["+"]
+    if ops == ["+"]:
+        return [random_bccsp_term(rng, 4) for _ in range(20)]
+    return [_random_op_term(rng, ops, 4) for _ in range(40)]
+
+
+@pytest.mark.parametrize("name", ["bccsp", "bccsp_par", "g", "linda", "recursion", "full"])
+def test_solve_rule_matches_reference_on_bundled_specs(name, against_reference):
+    spec = load_corpus(name)
+    rng = random.Random(f"solve_rule:{name}")
+    for t in _bundled_terms(name, spec, rng):
+        step(spec, t)
+        if not isinstance(t, DefConst):
+            normalize(spec, t)
+    if spec.rules:
+        assert any(against_reference), "no rule fired"
+
+
+def test_solve_rule_matches_reference_on_random_full_terms(full, against_reference):
+    rng = random.Random(31)
+    for _ in range(150):
+        step(full, random_full_term(rng, 4))
+    for _ in range(60):
+        normalize(full, random_full_term(rng, 3))
+    fired = sum(1 for n in against_reference if n)
+    assert fired > 100 and len(against_reference) > 2 * fired
+
+
+def test_solve_rule_matches_reference_on_linda_chains(linda, against_reference):
+    rng = random.Random(32)
+    for n in (8, 16, 24):
+        t = parse_term(_linda_chain(rng, n), linda)
+        normalize(linda, t)
+        for _ in range(n):  # walk the chain to its end, one step at a time
+            steps = step(linda, t)
+            assert steps
+            t = steps[0].target
+    assert any(against_reference)
