@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -138,7 +139,9 @@ def cmd_comm(args) -> int:
     return EXIT_OK if not report.failed else EXIT_FALSE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls of `main`."""
     ap = argparse.ArgumentParser(
         prog="sosforge",
         description="Workbench for rule-based language specifications",
