@@ -56,9 +56,10 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
     """All substitutions under which a rule of the spec fires on the given arguments.
 
     `moves(k)` supplies the (label, continuation) pairs the k-th argument
-    offers; labels are expected in canonical form.  The spec must meet the
-    rule format, so source slots are distinct variables, premises test them
-    and premise targets are fresh.
+    offers; labels are expected in canonical form.  Raises InvalidSpec
+    unless the spec meets the rule format, which guarantees that source
+    slots are distinct variables, premises test them and premise targets
+    are fresh.
     """
     spec.check()
     th = spec.theory
@@ -131,9 +132,7 @@ def step(
 
     def go(t: Term, depth: int) -> list[Step]:
         if depth > DEFAULT_DEPTH_CAP:
-            raise BudgetExceeded(
-                f"step recursion exceeded {DEFAULT_DEPTH_CAP} levels"
-            )
+            raise BudgetExceeded(f"step recursion exceeded {DEFAULT_DEPTH_CAP} levels")
         if isinstance(t, Var):
             raise OpenTerm(f"cannot step open term with variable {t.name}")
         key = render_term(canon_term(t, th))

@@ -64,7 +64,6 @@ def test_simulate_refuses_the_roadmap_example(bad_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("simulate", "f(a . 0)"),
         ("simulate", "a . 0", "--json"),
         ("bisim", "f(a . 0)", "a . 0"),
         ("bisim", "a . 0", "a . 0", "--json"),

@@ -343,8 +343,8 @@ def _bundled_terms(name, spec, rng):
         return [parse_term(t, spec) for t in texts]
     if name == "full":
         return [random_full_term(rng, 3) for _ in range(40)]
-    ops = [op for op, decl in spec.proc_ops.items() if decl.arity == 2] or ["+"]
-    if ops == ["+"]:
+    ops = [op for op, decl in spec.proc_ops.items() if decl.arity == 2]
+    if not ops:
         return [random_bccsp_term(rng, 4) for _ in range(20)]
     return [_random_op_term(rng, ops, 4) for _ in range(40)]
 
