@@ -35,7 +35,11 @@ def _positive_int(text: str) -> int:
 
 
 def _read_spec(path: str):
-    return parse_spec(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise OSError(f"cannot decode {path!r} as UTF-8: {e.reason} at byte {e.start}") from None
+    return parse_spec(text)
 
 
 def _load_spec(path: str):
@@ -204,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     except SosError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -63,6 +63,15 @@ def _cc_canon(t: Term, comm_set: set[str], th: EquationalTheory) -> Term:
     return t
 
 
+def _applied_ops(t: Term) -> set[str]:
+    """The user operators a process term applies."""
+    if isinstance(t, App):
+        return {t.op}.union(*(_applied_ops(a) for a in t.args if isinstance(a, Term)))
+    if isinstance(t, Prefix):
+        return _applied_ops(t.body)
+    return _applied_ops(t.left) | _applied_ops(t.right) if isinstance(t, Choice) else set()
+
+
 def cc_equal(
     t1: Term, t2: Term, comm_set: set[str], th: EquationalTheory = EquationalTheory()
 ) -> bool:
@@ -238,13 +247,17 @@ def check_comm(spec: Spec) -> CommReport:
         found = ((ib, find_mirror(spec, rule, rb, comm_set)) for ib, rb in spec.rules_for(name))
         return next(((ib, mirrors[0]) for ib, mirrors in found if mirrors), None)
 
-    # Dropped operators keep their rows, so that the last round lists their
-    # unmirrored rules under the final set.
+    def row(name: str) -> list[tuple[int, tuple[int, dict[str, str]] | None]]:
+        return [(ia, first_mirror(name, ra)) for ia, ra in spec.rules_for(name)]
+
+    # A row reads the known set only through cc_equal on its rules' conclusion
+    # targets, so a round recomputes the rows whose targets apply an operator
+    # the round before dropped.  Dropped operators keep their rows, so that
+    # the last round lists their unmirrored rules under the final set.
+    reads = {name: set().union(*(_applied_ops(r.conclusion.target) for _, r in spec.rules_for(name)))
+             for name in checked}
+    table = {name: row(name) for name in checked}
     while True:
-        table = {
-            name: [(ia, first_mirror(name, ra)) for ia, ra in spec.rules_for(name)]
-            for name in checked
-        }
         failing = {
             name
             for name in checked
@@ -253,6 +266,9 @@ def check_comm(spec: Spec) -> CommReport:
         if not failing:
             break
         comm_set -= failing
+        for name in checked:
+            if reads[name] & failing:
+                table[name] = row(name)
 
     proven: dict[str, list[MirrorWitness]] = {}
     failed: dict[str, list[int]] = {}

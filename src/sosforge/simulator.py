@@ -110,13 +110,7 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
     return subs
 
 
-def step(
-    spec: Spec,
-    term: Term,
-    set_cap: int = DEFAULT_SET_CAP,
-    *,
-    cache: dict[str, list[Step]] | None = None,
-) -> list[Step]:
+def step(spec: Spec, term: Term, *, cache: dict[str, list[Step]] | None = None) -> list[Step]:
     """All one-step transitions of a closed term, sorted and deduplicated.
 
     Every subterm is stepped once per cache, keyed by its canonical string,
@@ -167,8 +161,8 @@ def step(
             uniq.setdefault(
                 (render_label(s.label), render_term(canon_term(s.target, th))), s
             )
-        if len(uniq) > set_cap:
-            raise BudgetExceeded(f"step set exceeded {set_cap} transitions")
+        if len(uniq) > DEFAULT_SET_CAP:
+            raise BudgetExceeded(f"step set exceeded {DEFAULT_SET_CAP} transitions")
         out = [uniq[k] for k in sorted(uniq)]
         cache[key] = out
         return out

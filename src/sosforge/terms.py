@@ -1,9 +1,11 @@
-"""Process and label terms: construction, rendering, canonical forms, matching.
+"""Process and label terms: construction, rendering, canonical forms, label matching.
 
 Process terms live over deadlock `0`, prefixing `l . t`, binary choice
 `t + t`, recursion constants, and user operators.  Label terms cover action
 and predicate constants, data constants, variables, label-operator
-applications, data multisets, and store-transition triples.  The rendered
+applications, data multisets, and store-transition triples.  Only labels
+are matched: a rule's premise labels against the labels a term offers, and
+one rule's labels against another's in the mirror search.  The rendered
 string of a canonical form doubles as the identity key everywhere else in
 the package (state sets, memo tables, dedup).
 
@@ -554,23 +556,20 @@ def summands(t: Term, th: EquationalTheory = EMPTY_THEORY) -> list[tuple[LabelTe
 # matching
 
 
-def match(pattern: Term | LabelTerm, subject: Term | LabelTerm,
+def match(pattern: LabelTerm, subject: LabelTerm,
           th: EquationalTheory = EMPTY_THEORY) -> list[Substitution]:
     """All substitutions s with canon(substitute(pattern, s)) == canon(subject).
 
-    Matching is modulo the choice and label equations, with multiset-style
-    positions (choice summands, data multisets) matched by element-wise
-    assignment: each pattern element claims exactly one subject element.
+    Labels match modulo the label equations; a commutative operator's
+    arguments pair up in any order.  Data multisets match modulo ACU, in
+    time exponential in the pattern's variables, as AC matching is.  Operators
+    declared `assoc` do not: a pattern argument claims one subject argument.
     """
-    if isinstance(pattern, LabelTerm):
-        pat: Term | LabelTerm = canon_label(pattern, th)
-        subj: Term | LabelTerm = canon_label(subject, th)  # type: ignore[arg-type]
-    else:
-        pat = canon_term(pattern, th)
-        subj = canon_term(subject, th)  # type: ignore[arg-type]
+    pat = canon_label(pattern, th)
+    subj = canon_label(subject, th)
     results: list[Substitution] = []
     seen: set | None = None  # keys of the results, built once a second one arrives
-    for sub in _match_any(pat, subj, Substitution(), th, _bind_label):
+    for sub in _match_label(pat, subj, Substitution(), th, _bind_label):
         if results:
             if seen is None:
                 seen = {results[0].key()}
@@ -580,27 +579,6 @@ def match(pattern: Term | LabelTerm, subject: Term | LabelTerm,
             seen.add(k)
         results.append(sub)
     return results
-
-
-def _match_any(pat, subj, sub, th, bind):
-    if isinstance(pat, LabelTerm):
-        if isinstance(subj, LabelTerm):
-            yield from _match_label(pat, subj, sub, th, bind)
-        return
-    if isinstance(subj, Term):
-        yield from _match_term(pat, subj, sub, th, bind)
-
-
-def _bind_term(sub: Substitution, name: str, value: Term):
-    """Yield sub extended by name <- value, unless name is bound to another term."""
-    old = sub.terms.get(name)
-    if old is not None:
-        if render_term(old) == render_term(value):
-            yield sub
-        return
-    nxt = sub.copy()
-    nxt.terms[name] = value
-    yield nxt
 
 
 def _bind_label(sub: Substitution, var: LVar, value: LabelTerm):
@@ -614,35 +592,6 @@ def _bind_label(sub: Substitution, var: LVar, value: LabelTerm):
     nxt = sub.copy()
     nxt.labels[var.name] = value
     yield nxt
-
-
-def _match_term(pat: Term, subj: Term, sub: Substitution, th, bind):
-    if isinstance(pat, Var):
-        yield from _bind_term(sub, pat.name, subj)
-        return
-    if isinstance(pat, Nil):
-        if isinstance(subj, Nil):
-            yield sub
-        return
-    if isinstance(pat, DefConst):
-        if isinstance(subj, DefConst) and subj.name == pat.name:
-            yield sub
-        return
-    if isinstance(pat, Prefix):
-        if isinstance(subj, Prefix):
-            for s1 in _match_label(pat.label, subj.label, sub, th, bind):
-                yield from _match_term(pat.body, subj.body, s1, th, bind)
-        return
-    if isinstance(pat, Choice):
-        pat_atoms = choice_atoms(pat)
-        subj_atoms = [a for a in choice_atoms(subj) if not isinstance(a, Nil)]
-        yield from _match_assignment(pat_atoms, subj_atoms, sub, th, _match_any, bind)
-        return
-    if isinstance(pat, App):
-        if isinstance(subj, App) and subj.op == pat.op and len(subj.args) == len(pat.args):
-            yield from _match_seq(list(pat.args), list(subj.args), sub, th, _match_any, bind)
-        return
-    raise TypeError(f"not a pattern: {pat!r}")
 
 
 def _match_label(pat: LabelTerm, subj: LabelTerm, state, th, bind):
@@ -663,17 +612,14 @@ def _match_label(pat: LabelTerm, subj: LabelTerm, state, th, bind):
             return
         if th.op_attrs(pat.op).comm:
             # commutative arguments pair up in any order
-            yield from _match_assignment(
-                list(pat.args), list(subj.args), state, th, _match_label, bind
-            )
+            yield from _match_assignment(list(pat.args), list(subj.args), state, th, bind)
         else:
-            yield from _match_seq(list(pat.args), list(subj.args), state, th, _match_label, bind)
+            yield from _match_seq(list(pat.args), list(subj.args), state, th, bind)
         return
     if isinstance(pat, MSet):
         if isinstance(subj, MSet) and subj.sort == pat.sort:
-            yield from _match_assignment(
-                list(pat.elements), list(subj.elements), state, th, _match_label, bind
-            )
+            parts = sorted(pat.elements, key=lambda e: isinstance(e, LVar))  # variables last
+            yield from _match_mset(parts, subj.elements, state, th, bind, pat.sort)
         return
     if isinstance(pat, Triple):
         if isinstance(subj, Triple):
@@ -683,15 +629,15 @@ def _match_label(pat: LabelTerm, subj: LabelTerm, state, th, bind):
     raise TypeError(f"not a label pattern: {pat!r}")
 
 
-def _match_seq(pats, subjs, state, th, matcher, bind):
+def _match_seq(pats, subjs, state, th, bind):
     if not pats:
         yield state
         return
-    for s1 in matcher(pats[0], subjs[0], state, th, bind):
-        yield from _match_seq(pats[1:], subjs[1:], s1, th, matcher, bind)
+    for s1 in _match_label(pats[0], subjs[0], state, th, bind):
+        yield from _match_seq(pats[1:], subjs[1:], s1, th, bind)
 
 
-def _match_assignment(pats, subjs, state, th, matcher, bind):
+def _match_assignment(pats, subjs, state, th, bind):
     """Bijective element assignment between two multisets of parts."""
     if len(pats) != len(subjs):
         return
@@ -700,5 +646,39 @@ def _match_assignment(pats, subjs, state, th, matcher, bind):
         return
     pat, rest = pats[0], pats[1:]
     for i, cand in enumerate(subjs):
-        for s1 in matcher(pat, cand, state, th, bind):
-            yield from _match_assignment(rest, subjs[:i] + subjs[i + 1:], s1, th, matcher, bind)
+        for s1 in _match_label(pat, cand, state, th, bind):
+            yield from _match_assignment(rest, subjs[:i] + subjs[i + 1:], s1, th, bind)
+
+
+def _match_mset(pats, subjs, state, th, bind, sort):
+    """ACU matching: each non-variable part claims one subject element, then
+    the variables (last in pats) share the rest, each taking any sub-multiset.
+
+    A share of one element binds that element, an empty share `{}` and a
+    larger one the multiset of its elements, in canonical order.
+    """
+    if not pats:
+        if not subjs:
+            yield state
+        return
+    pat, rest = pats[0], pats[1:]
+    if not isinstance(pat, LVar):
+        for i, cand in enumerate(subjs):
+            for s1 in _match_label(pat, cand, state, th, bind):
+                yield from _match_mset(rest, subjs[:i] + subjs[i + 1:], s1, th, bind, sort)
+        return
+    for share, left in _splits(subjs) if rest else [(subjs, ())]:
+        value = share[0] if len(share) == 1 else MSet(share, sort)
+        for s1 in bind(state, pat, value):
+            yield from _match_mset(rest, left, s1, th, bind, sort)
+
+
+def _splits(elems: tuple):
+    """Every (share, rest) split of canonically ordered elements, each share once."""
+    if not elems:
+        yield (), ()
+        return
+    run = next((i for i, e in enumerate(elems) if e != elems[0]), len(elems))
+    for share, left in _splits(elems[run:]):
+        for k in range(run + 1):
+            yield elems[:k] + share, elems[k:run] + left

@@ -22,8 +22,6 @@ from .terms import (
     render_term,
 )
 
-BUILTIN_OPS = ("0", ".", "+")
-
 
 @dataclass(frozen=True)
 class Transition:

@@ -136,6 +136,29 @@ def test_missing_file(capsys):
     assert code == 2 and "error:" in err
 
 
+def _assert_clean_refusal(code, out, err, path):
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_validate_directory(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    _assert_clean_refusal(code, out, err, tmp_path)
+
+
+def test_spec_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.sos"
+    bad.write_bytes("spec L\nactions \xe9 ;\n".encode("latin-1"))
+    code, out, err = run(capsys, "validate", str(bad))
+    _assert_clean_refusal(code, out, err, bad)
+
+
+def test_emit_formats_into_directory(tmp_path, capsys):
+    code, out, err = run(capsys, "comm", G, "--emit-formats", str(tmp_path))
+    _assert_clean_refusal(code, out, err, tmp_path)
+
+
 def test_parse_error_in_spec(tmp_path, capsys):
     bad = tmp_path / "syntax.sos"
     bad.write_text("spec X\nactions ;\n", encoding="utf-8")
@@ -321,3 +344,38 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == "Possible steps:\n < a # | . 0 || 0 >\n"
+
+
+# -- multisets in premise labels -------------------------------------------------
+
+ACU_SPEC = """spec ACU
+predicates | ;
+datasort Data [assoc comm id: empty] ;
+dataconst d u v : Data ;
+op ask : 1 ;  op f : 1 ;  op h : 1 ;
+var x x' : Proc ;  var mu xD xD' : Data ;
+rule ==> ask(mu) -( < {d, mu}, -, {d, mu} > )-> | . 0 ;
+rule x -(< {d, xD}, -, xD' >)-> x' ==> f(x) -(< xD, -, xD' >)-> x' ;
+rule x -(< {xD}, -, xD' >)-> x' ==> h(x) -(< xD, -, xD' >)-> x' ;
+"""
+
+
+@pytest.mark.parametrize("term, label", [
+    ("f(ask(empty))", "< {},-,{d} >"),
+    ("f(ask(u))", "< {u},-,{d, u} >"),
+    ("f(ask({u, v}))", "< {u, v},-,{d, u, v} >"),
+    ("h(ask(u))", "< {d, u},-,{d, u} >"),
+])
+def test_premise_multiset_variable_takes_any_share(tmp_path, capsys, term, label):
+    spec = tmp_path / "acu.sos"
+    spec.write_text(ACU_SPEC, encoding="utf-8")
+    code, out, err = run(capsys, "simulate", str(spec), term)
+    assert (code, err) == (0, "")
+    assert out == f"Possible steps:\n < {label} # | . 0 >\n"
+
+
+def test_bisim_sees_empty_share(tmp_path, capsys):
+    spec = tmp_path / "acu.sos"
+    spec.write_text(ACU_SPEC, encoding="utf-8")
+    code, out, _ = run(capsys, "bisim", str(spec), "f(ask(empty))", "0")
+    assert (code, out) == (1, "false\n")

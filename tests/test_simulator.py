@@ -162,11 +162,13 @@ def test_unguarded_definition_is_refused():
     assert [(v.kind, v.rule) for v in e.value.violations] == [("UnguardedDef", "p")]
 
 
-def test_step_set_cap(par):
+def test_step_set_cap(par, monkeypatch):
     t = parse_term("a . 0 + b . 0 + c . 0", par)
+    monkeypatch.setattr(simulator, "DEFAULT_SET_CAP", 2)
     with pytest.raises(BudgetExceeded):
-        step(par, t, set_cap=2)
-    assert len(step(par, t, set_cap=3)) == 3
+        step(par, t)
+    monkeypatch.setattr(simulator, "DEFAULT_SET_CAP", 3)
+    assert len(step(par, t)) == 3
 
 
 def test_step_keeps_target_shape_across_calls(par):

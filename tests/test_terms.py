@@ -15,7 +15,6 @@ from sosforge.terms import (
     App,
     Choice,
     DataConst,
-    LabelTerm,
     LVar,
     MSet,
     Prefix,
@@ -32,7 +31,7 @@ from sosforge.terms import (
     substitute_term,
     summands,
 )
-from termgen import mset, random_bccsp_term, random_full_term, random_label, random_mset
+from termgen import mset, random_full_term, random_label, random_mset
 
 # -- rendering ---------------------------------------------------------------
 
@@ -231,85 +230,82 @@ def test_sort_accepts():
 # -- matching -----------------------------------------------------------------
 
 
-def test_match_choice_pattern_covers_whole_subject(par):
-    th = par.theory
-    # two summand variables cannot split a single summand
-    assert match(Choice(Var("x"), Var("y")), parse_term("a . 0", par), th) == []
-    got = match(Choice(Var("x"), Var("y")), parse_term("a . 0 + b . 0", par), th)
-    keys = {s.key() for s in got}
-    assert len(keys) == 2  # both orders of claiming the summands
+def _rule_labels(spec):
+    """Every premise and conclusion label of the spec's rules."""
+    return [p.label for r in spec.rules for p in r.positives + r.negatives + (r.conclusion,)]
 
 
-def test_match_repeated_var_collapses_by_idempotence(par):
-    th = par.theory
-    # x + x and a.0 + a.0 both canonicalize away the duplicate
-    got = match(Choice(Var("x"), Var("x")), parse_term("a . 0 + a . 0", par), th)
-    assert [str(s) for s in got] == ["x := a . 0"] or len(got) == 1
-    assert render_term(got[0].terms["x"]) == "a . 0"
-    # the collapsed pattern is a bare variable, so it claims whole subjects
-    two = match(Choice(Var("x"), Var("x")), parse_term("a . 0 + b . 0", par), th)
-    assert [render_term(s.terms["x"]) for s in two] == ["a . 0 + b . 0"]
+def _acu_key(sub, spec, th):
+    """A substitution's key modulo ACU: a data value `d` and `{d}` are one multiset."""
+    out = []
+    for name, value in sorted(sub.labels.items()):
+        if spec.variables[name] == "Data":
+            value = MSet((value,), "Data")
+        out.append((name, render_label(canon_label(value, th))))
+    return tuple(out)
 
 
-def test_match_soundness_on_rule_sources(full):
-    """Every rule source matches a random closed instance of itself."""
+def test_match_soundness_on_rule_labels(full):
+    """Every rule label matches a random closed instance of itself."""
     rng = random.Random(15)
     th = full.theory
-    for _, rule in [(i, r) for op in full.proc_ops for i, r in full.rules_for(op)]:
-        src = rule.conclusion.source
+    for label in _rule_labels(full):
         for _ in range(20):
             sub = Substitution()
-            procs, labels = free_vars(src)
-            for name in sorted(procs):
-                sub.terms[name] = random_full_term(rng, 3)
-            for name in sorted(labels):
+            for name in sorted(free_vars(label)[1]):
                 sort = full.variables[name]
                 if sort == "Data":
                     sub.labels[name] = mset(["d", "u"][: rng.randint(0, 2)])
+                elif sort == "Action":
+                    sub.labels[name] = ActConst(rng.choice("abc"))
                 else:
                     sub.labels[name] = random_label(rng)
-            instance = substitute_term(src, sub)
-            expect = Substitution()
-            for name, v in sub.terms.items():
-                expect.terms[name] = canon_term(v, th)
-            for name, v in sub.labels.items():
-                expect.labels[name] = canon_label(v, th)
-            keys = {s.key() for s in match(src, instance, th)}
-            assert expect.key() in keys, render_term(instance)
+            instance = substitute_label(label, sub)
+            got = match(label, instance, th)
+            for s in got:
+                image = canon_label(substitute_label(label, s), th)
+                assert render_label(image) == render_label(canon_label(instance, th))
+            keys = {_acu_key(s, full, th) for s in got}
+            assert _acu_key(sub, full, th) in keys, render_label(instance)
+
+
+def _share_value(names):
+    if len(names) == 1:
+        return names[0]
+    return "{" + ", ".join(sorted(names)) + "}"
+
+
+def _brute_shares(pat_elems, subj_elems):
+    """Every binding that gives each constant one equal element and each variable a share."""
+    found = set()
+    for owner in itertools.product(range(len(pat_elems)), repeat=len(subj_elems)):
+        parts = [[s.name for s, o in zip(subj_elems, owner) if o == i]
+                 for i in range(len(pat_elems))]
+        bind: dict[str, str] = {}
+        ok = True
+        for p, part in zip(pat_elems, parts):
+            if isinstance(p, LVar):
+                value = _share_value(part)
+                ok = bind.setdefault(p.name, value) == value
+            else:
+                ok = part == [p.name]
+            if not ok:
+                break
+        if ok:
+            found.add(frozenset(bind.items()))
+    return found
 
 
 def test_match_mset_completeness_bruteforce(linda):
-    """Multiset matching agrees with brute force over element assignments."""
+    """Multiset matching is sound and agrees with brute force over every share."""
     rng = random.Random(16)
     th = linda.theory
-
-    def brute(pat_elems, subj_elems):
-        if len(pat_elems) != len(subj_elems):
-            return set()
-        found = set()
-        for perm in itertools.permutations(range(len(subj_elems))):
-            bind = {}
-            ok = True
-            for p, j in zip(pat_elems, perm):
-                s = subj_elems[j]
-                if isinstance(p, LVar):
-                    if bind.get(p.name, s.name) != s.name:
-                        ok = False
-                        break
-                    bind[p.name] = s.name
-                elif p.name != s.name:
-                    ok = False
-                    break
-            if ok:
-                found.add(frozenset(bind.items()))
-        return found
-
     names = ("d", "u", "v")
-    for _ in range(200):
-        n = rng.randint(0, 4)
-        subj_elems = [DataConst(rng.choice(names), "Data") for _ in range(n)]
+    sizes = set()
+    for _ in range(300):
+        subj_elems = [DataConst(rng.choice(names), "Data") for _ in range(rng.randint(0, 4))]
         pat_elems = []
-        for k in range(n):
+        for _ in range(rng.randint(0, 4)):
             if rng.random() < 0.5:
                 pat_elems.append(LVar(rng.choice(("xD", "xD'", "yD")), "Data"))
             else:
@@ -318,30 +314,46 @@ def test_match_mset_completeness_bruteforce(linda):
         subj = MSet(tuple(subj_elems), "Data")
         got = set()
         for s in match(pat, subj, th):
+            image = canon_label(substitute_label(pat, s), th)
+            assert render_label(image) == render_label(canon_label(subj, th))
             got.add(frozenset((k, render_label(v)) for k, v in s.labels.items()))
-        assert got == brute(pat_elems, subj_elems), (render_label(pat), render_label(subj))
+            sizes.update(len(v.elements) if isinstance(v, MSet) else 1
+                         for v in s.labels.values())
+        assert got == _brute_shares(pat_elems, subj_elems), (
+            render_label(pat), render_label(subj))
+    assert {0, 1, 2, 3} <= sizes  # empty, single and larger shares all occur
 
 
-def test_match_is_sound_generic(full):
-    """Whatever match returns really maps the pattern onto the subject."""
-    rng = random.Random(17)
-    th = full.theory
-    pat = App("_||_", (Var("x"), Var("y")))
-    for _ in range(100):
-        subj = App("_||_", (random_bccsp_term(rng, 3), random_bccsp_term(rng, 3)))
-        for s in match(pat, subj, th):
-            image = substitute_term(pat, s)
-            assert render_term(canon_term(image, th)) == render_term(canon_term(subj, th))
+def test_match_mset_shares(linda):
+    th = linda.theory
+
+    def shares(pat, subj):
+        return [str(s) for s in match(parse_label(pat, linda), parse_label(subj, linda), th)]
+
+    assert shares("{d, xD}", "{d}") == ["{xD <- {}}"]
+    assert shares("{d, xD}", "{d, u}") == ["{xD <- u}"]
+    assert shares("{d, xD}", "{d, u, v}") == ["{xD <- {u, v}}"]
+    assert shares("{xD}", "{}") == ["{xD <- {}}"]
+    assert shares("{xD, xD}", "{u, u, v, v}") == ["{xD <- {u, v}}"]
+    assert shares("{xD, xD}", "{u, v}") == []
+    assert shares("{xD, xD'}", "{u, v}") == [
+        "{xD <- {}, xD' <- {u, v}}",
+        "{xD <- u, xD' <- v}",
+        "{xD <- v, xD' <- u}",
+        "{xD <- {u, v}, xD' <- {}}",
+    ]
+    assert shares("< {xD}, -, {d, xD} >", "< {u, v},-,{d, u, v} >") == ["{xD <- {u, v}}"]
+    assert shares("{d, d, xD}", "{d, u}") == []
+    # each share is tried once, though u occurs twice: {}, u and {u, u}
+    pat, subj = (canon_label(parse_label(t, linda), th) for t in ("{xD, xD'}", "{u, u}"))
+    assert len(list(terms._match_label(pat, subj, Substitution(), th, terms._bind_label))) == 3
 
 
 def _match_keying_every_result(pattern, subject, th):
     """`match` as it deduplicated before: a key built for every result."""
-    if isinstance(pattern, LabelTerm):
-        pat, subj = canon_label(pattern, th), canon_label(subject, th)
-    else:
-        pat, subj = canon_term(pattern, th), canon_term(subject, th)
+    pat, subj = canon_label(pattern, th), canon_label(subject, th)
     results, seen = [], set()
-    for sub in terms._match_any(pat, subj, Substitution(), th, terms._bind_label):
+    for sub in terms._match_label(pat, subj, Substitution(), th, terms._bind_label):
         k = sub.key()
         if k not in seen:
             seen.add(k)
@@ -358,10 +370,7 @@ def _check_same_matches(pattern, subject, th) -> int:
 
 def _random_instance(rng, pattern, spec):
     sub = Substitution()
-    procs, labels = free_vars(pattern)
-    for name in sorted(procs):
-        sub.terms[name] = random_full_term(rng, 2)
-    for name in sorted(labels):
+    for name in sorted(free_vars(pattern)[1]):
         sort = spec.variables[name]
         if sort == "Data":
             sub.labels[name] = random_mset(rng)
@@ -369,16 +378,14 @@ def _random_instance(rng, pattern, spec):
             sub.labels[name] = ActConst(rng.choice("abc"))
         else:
             sub.labels[name] = random_label(rng)
-    if isinstance(pattern, LabelTerm):
-        return substitute_label(pattern, sub)
-    return substitute_term(pattern, sub)
+    return substitute_label(pattern, sub)
 
 
 def test_match_dedup_same_results_linda_labels(linda):
     """Results and their order do not depend on when keys are built."""
     rng = random.Random(19)
     th = linda.theory
-    patterns = [p.label for r in linda.rules for p in r.positives + r.negatives + (r.conclusion,)]
+    patterns = _rule_labels(linda)
     patterns += [parse_label(text, linda) for text in ("{d, xD}", "{xD, xD'}", "{d, xD, xD}")]
     counts = []
     for pat in patterns:
@@ -390,17 +397,13 @@ def test_match_dedup_same_results_linda_labels(linda):
     assert max(counts) >= 2 and min(counts) == 0
 
 
-def test_match_dedup_same_results_random_full_terms(full):
+def test_match_dedup_same_results_random_full_labels(full):
     rng = random.Random(20)
     th = full.theory
-    patterns = [r.conclusion.source for r in full.rules]
-    patterns += [r.conclusion.target for r in full.rules]
-    patterns += [r.conclusion.label for r in full.rules]  # mix(k, l) pairs up in both orders
-    patterns += [Choice(Var("x"), Var("y")), Choice(Var("x"), Choice(Var("y"), Var("x'")))]
+    patterns = _rule_labels(full)  # mix(k, l) pairs up in both orders
     counts = []
     for pat in patterns:
         for _ in range(25):
             counts.append(_check_same_matches(pat, _random_instance(rng, pat, full), th))
-            other = random_label(rng) if isinstance(pat, LabelTerm) else random_full_term(rng, 3)
-            counts.append(_check_same_matches(pat, other, th))
+            counts.append(_check_same_matches(pat, random_label(rng), th))
     assert max(counts) >= 2 and min(counts) == 0
