@@ -30,7 +30,6 @@ from .terms import (
     render_label,
     render_term,
     substitute_label,
-    substitute_term,
     summands,
 )
 from .tss import Rule, Spec
@@ -44,6 +43,7 @@ class NormalizeBudget:
 
 
 MAX_DEPTH = 500  # nesting depth at which normalization gives up
+MAX_NF_CHARS = 10_000_000  # longest rewritten term, normal-form arguments rendered
 DEFAULT_BUDGET = NormalizeBudget()
 
 
@@ -71,7 +71,8 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     memo: dict[str, Term] = {}
     spent = 0
 
-    def norm(t: Term, depth: int) -> Term:
+    def norm(t: Term, sub: Substitution, depth: int) -> Term:
+        # sub binds a rule's process variables to normal forms: they are not walked again
         nonlocal spent
         if depth > MAX_DEPTH:
             raise BudgetExceeded(
@@ -79,22 +80,28 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
                 "term not semantically well-founded within budget"
             )
         if isinstance(t, Var):
-            raise OpenTerm(f"cannot normalize open term with variable {t.name}")
+            bound = sub.terms.get(t.name)
+            if bound is None:
+                raise OpenTerm(f"cannot normalize open term with variable {t.name}")
+            return bound
         if isinstance(t, DefConst):
             raise NonBccspTerm(f"recursion constant {t.name} cannot be normalized")
         if isinstance(t, Nil):
             return t
         if isinstance(t, Prefix):
-            return Prefix(canon_label(t.label, th), norm(t.body, depth + 1))
+            return Prefix(canon_label(substitute_label(t.label, sub), th), norm(t.body, sub, depth + 1))
         if isinstance(t, Choice):
-            parts = [norm(a, depth + 1) for a in (t.left, t.right)]
+            parts = [norm(a, sub, depth + 1) for a in (t.left, t.right)]
             return canon_term(Choice(parts[0], parts[1]), th)
         assert isinstance(t, App)
         normed_args = tuple(
-            canon_label(a, th) if isinstance(a, LabelTerm) else norm(a, depth + 1)
+            canon_label(substitute_label(a, sub), th) if isinstance(a, LabelTerm)
+            else norm(a, sub, depth + 1)
             for a in t.args
         )
         key = render_term(App(t.op, normed_args))
+        if len(key) > MAX_NF_CHARS:
+            raise BudgetExceeded(f"normalization met a term of more than {MAX_NF_CHARS} characters")
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -108,13 +115,12 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
         for _, rule in spec.rules_for(t.op):
             for s in satisfies(spec, normed_args, rule):
                 lbl = canon_label(substitute_label(rule.conclusion.label, s), th)
-                cont = norm(substitute_term(rule.conclusion.target, s), depth + 1)
-                parts.append(Prefix(lbl, cont))
+                parts.append(Prefix(lbl, norm(rule.conclusion.target, s, depth + 1)))
         result = canon_term(fold_choice(parts), th)
         memo[key] = result
         return result
 
-    return norm(term, 0)
+    return norm(term, Substitution(), 0)
 
 
 # ---------------------------------------------------------------------------

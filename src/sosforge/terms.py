@@ -526,21 +526,13 @@ def canon_term(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
     return out
 
 
-def _require_bccsp(t: Term) -> None:
-    if isinstance(t, Var):
-        raise OpenTerm(f"free variable {t.name}")
-    if isinstance(t, App):
-        raise NonBccspTerm(f"operator {t.op} outside the base fragment")
-    if isinstance(t, Prefix):
-        _require_bccsp(t.body)
-    elif isinstance(t, Choice):
-        _require_bccsp(t.left)
-        _require_bccsp(t.right)
-
-
 def summands(t: Term, th: EquationalTheory = EMPTY_THEORY) -> list[tuple[LabelTerm, Term]]:
-    """Decompose a head normal form into its (label, continuation) summands."""
-    _require_bccsp(t)
+    """The (label, continuation) summands of a head normal form: prefixes under choice."""
+    for atom in choice_atoms(t):
+        if isinstance(atom, Var):
+            raise OpenTerm(f"free variable {atom.name}")
+        if isinstance(atom, App):
+            raise NonBccspTerm(f"operator {atom.op} outside the base fragment")
     out = []
     for atom in choice_atoms(canon_term(t, th)):
         if isinstance(atom, Nil):

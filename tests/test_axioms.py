@@ -1,11 +1,14 @@
 """Head-normalization through rules and the derived equation report."""
 
+import collections
 import random
 
 import pytest
 
-from sosforge import parse_spec, parse_term
+from sosforge import axioms, parse_spec, parse_term, terms
 from sosforge.axioms import (
+    DEFAULT_BUDGET,
+    MAX_DEPTH,
     NormalizeBudget,
     axiom_report,
     axiom_report_json,
@@ -14,8 +17,34 @@ from sosforge.axioms import (
     satisfies,
 )
 from sosforge.bisim import bisimilar
-from sosforge.errors import BudgetExceeded, NonBccspTerm, NonHnfArgument, OpenTerm
-from sosforge.terms import DefConst, Var, render_label, render_term
+from sosforge.errors import (
+    BudgetExceeded,
+    NonBccspTerm,
+    NonHnfArgument,
+    OpenTerm,
+    SosError,
+)
+from sosforge.simulator import solve_rule
+from sosforge.terms import (
+    NIL,
+    ActConst,
+    App,
+    Choice,
+    DefConst,
+    LabelTerm,
+    Nil,
+    Prefix,
+    Term,
+    Var,
+    canon_label,
+    canon_term,
+    choice_atoms,
+    fold_choice,
+    render_label,
+    render_term,
+    substitute_label,
+    substitute_term,
+)
 from termgen import random_full_term
 
 # -- premise satisfaction ---------------------------------------------------------
@@ -45,6 +74,14 @@ def test_satisfies_needs_head_normal_arguments(par):
     args = (parse_term("a . 0 || 0", par), parse_term("0", par))
     with pytest.raises(NonHnfArgument):
         satisfies(par, args, rule)
+
+
+def test_satisfies_takes_any_continuation(par):
+    """Head normal arguments are checked on their choice spine only."""
+    args = (parse_term("a . (b . 0 || c . 0)", par), parse_term("0", par))
+    got = satisfies(par, args, par.rules[0])
+    assert [str(s) for s in got] == ["{x <- a . (b . 0 || c . 0), x' <- b . 0 || c . 0, "
+                                     "y <- 0, alpha <- a}"]
 
 
 # -- normalization ----------------------------------------------------------------
@@ -116,6 +153,56 @@ def test_normalize_budget_rewrites(par):
         normalize(par, parse_term("a . 0 || b . 0", par), tight)
 
 
+def _wide(spec, width):
+    return parse_term(" || ".join(["a . b . 0"] * width), spec)
+
+
+def test_normalize_size_budget(par, monkeypatch):
+    # the 5-wide normal form has 1027 characters, and the 6-wide one's last
+    # rewrite renders it with an operand
+    monkeypatch.setattr(axioms, "MAX_NF_CHARS", 1000)
+    assert len(render_term(normalize(par, _wide(par, 5)))) == 1027
+    with pytest.raises(BudgetExceeded, match="more than 1000 characters"):
+        normalize(par, _wide(par, 6))
+
+
+# -- linear work on chains --------------------------------------------------------
+
+# `a ; b ; c` nests to the left, so appending an operation rewrites the chain's
+# suffixes until one is memoized. Under a fixed cycle that takes one period;
+# with random contents the number of rewrites itself grows with the square.
+LINDA_CYCLE = [f"{op}({mu})" for op in ("ask", "tell", "get") for mu in ("d", "u", "v")]
+
+
+def _linda_cycle_chain(n):
+    return " ; ".join(LINDA_CYCLE[i % len(LINDA_CYCLE)] for i in range(n))
+
+
+def test_normalize_calls_grow_linearly_on_linda_chains(linda, monkeypatch):
+    """Bound variables are not walked again, so canonicalizing and rendering
+    grow with the chain, not with its square."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    canon = counted("canon_term", terms.canon_term)
+    monkeypatch.setattr(terms, "canon_term", canon)
+    monkeypatch.setattr(axioms, "canon_term", canon)
+    monkeypatch.setattr(terms, "_render", counted("_render", terms._render))
+    per_length = {}
+    for n in (64, 128):
+        t = parse_term(_linda_cycle_chain(n), linda)
+        calls.clear()
+        assert render_term(normalize(linda, t)).endswith("| . 0")
+        per_length[n] = dict(calls)
+    for name in ("canon_term", "_render"):
+        assert per_length[128][name] <= 2.5 * per_length[64][name], per_length
+
+
 # -- the equation report -------------------------------------------------------------
 
 
@@ -148,3 +235,158 @@ def test_axiom_report_json(par):
         "x has summand | . x'",
         "y has summand | . y'",
     )
+
+
+# -- differential: normalize against the walk that substituted and re-normalized --
+
+
+def _reference_require_bccsp(t):
+    if isinstance(t, Var):
+        raise OpenTerm(f"free variable {t.name}")
+    if isinstance(t, App):
+        raise NonBccspTerm(f"operator {t.op} outside the base fragment")
+    if isinstance(t, Prefix):
+        _reference_require_bccsp(t.body)
+    elif isinstance(t, Choice):
+        _reference_require_bccsp(t.left)
+        _reference_require_bccsp(t.right)
+
+
+def _reference_summands(t, th):
+    _reference_require_bccsp(t)
+    out = []
+    for atom in choice_atoms(canon_term(t, th)):
+        if isinstance(atom, Nil):
+            continue
+        if isinstance(atom, DefConst):
+            raise NonBccspTerm(f"recursion constant {atom.name} is not a head normal form")
+        out.append((atom.label, atom.body))
+    return out
+
+
+def _reference_satisfies(spec, args, rule):
+    th = spec.theory
+    offers = {}
+    for k, a in enumerate(args):
+        if isinstance(a, Term):
+            try:
+                offers[k] = _reference_summands(a, th)
+            except NonBccspTerm as e:
+                raise NonHnfArgument(f"argument {render_term(a)}: {e}") from None
+    return solve_rule(spec, rule, tuple(args), lambda k: offers[k])
+
+
+def reference_normalize(spec, term, budget=None):
+    """`normalize` as it was before rule variables were bound: it substituted
+    normal forms into each rule target and normalized the result again."""
+    th = spec.theory
+    budget = budget or DEFAULT_BUDGET
+    memo = {}
+    spent = 0
+
+    def norm(t, depth):
+        nonlocal spent
+        if depth > MAX_DEPTH:
+            raise BudgetExceeded(
+                f"normalization depth exceeded {MAX_DEPTH}; "
+                "term not semantically well-founded within budget"
+            )
+        if isinstance(t, Var):
+            raise OpenTerm(f"cannot normalize open term with variable {t.name}")
+        if isinstance(t, DefConst):
+            raise NonBccspTerm(f"recursion constant {t.name} cannot be normalized")
+        if isinstance(t, Nil):
+            return t
+        if isinstance(t, Prefix):
+            return Prefix(canon_label(t.label, th), norm(t.body, depth + 1))
+        if isinstance(t, Choice):
+            parts = [norm(a, depth + 1) for a in (t.left, t.right)]
+            return canon_term(Choice(parts[0], parts[1]), th)
+        normed_args = tuple(
+            canon_label(a, th) if isinstance(a, LabelTerm) else norm(a, depth + 1)
+            for a in t.args
+        )
+        key = render_term(App(t.op, normed_args))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        spent += 1
+        if spent > budget.max_rewrites:
+            raise BudgetExceeded(
+                f"normalization exceeded {budget.max_rewrites} rewrites; "
+                "term not semantically well-founded within budget"
+            )
+        parts = []
+        for _, rule in spec.rules_for(t.op):
+            for s in _reference_satisfies(spec, normed_args, rule):
+                lbl = canon_label(substitute_label(rule.conclusion.label, s), th)
+                cont = norm(substitute_term(rule.conclusion.target, s), depth + 1)
+                parts.append(Prefix(lbl, cont))
+        result = canon_term(fold_choice(parts), th)
+        memo[key] = result
+        return result
+
+    return norm(term, 0)
+
+
+def _outcome(fn, spec, t, budget=None):
+    """The rendered normal form, or the class and message of the error."""
+    try:
+        return render_term(fn(spec, t, budget))
+    except SosError as e:
+        return type(e).__name__, str(e)
+
+
+def _least_budget(spec, t):
+    """The least rewrite budget under which the term normalizes, by galloping."""
+    lo, hi = 0, 1
+    while not isinstance(_outcome(normalize, spec, t, NormalizeBudget(hi)), str):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if isinstance(_outcome(normalize, spec, t, NormalizeBudget(mid)), str):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _assert_as_reference(spec, t):
+    got = _outcome(normalize, spec, t)
+    assert got == _outcome(reference_normalize, spec, t), render_term(t)
+    if isinstance(got, str):
+        least = _least_budget(spec, t)
+        assert _outcome(reference_normalize, spec, t, NormalizeBudget(least)) == got
+        if least:
+            short = _outcome(reference_normalize, spec, t, NormalizeBudget(least - 1))
+            assert not isinstance(short, str) and short[0] == "BudgetExceeded", render_term(t)
+
+
+def _random_linda_chain(rng, n):
+    return " ; ".join(f"{rng.choice(('ask', 'tell', 'get'))}({rng.choice('duv')})"
+                      for _ in range(n))
+
+
+def test_normalize_matches_reference_on_random_full_terms(full):
+    rng = random.Random(43)
+    for depth in (1, 2, 3, 4):
+        for _ in range(25):
+            _assert_as_reference(full, random_full_term(rng, depth))
+
+
+def test_normalize_matches_reference_on_linda_chains(linda):
+    rng = random.Random(44)
+    for n in range(1, 25):
+        _assert_as_reference(linda, parse_term(_random_linda_chain(rng, n), linda))
+    for _ in range(12):
+        x, y = (_random_linda_chain(rng, rng.randint(1, 3)) for _ in range(2))
+        _assert_as_reference(linda, parse_term(f"({x}) || ({y})", linda))
+
+
+def test_normalize_matches_reference_on_errors(par, rec):
+    open_par = App("_||_", (Var("y"), NIL))
+    for t in (Var("x"), Choice(Var("x"), open_par), Prefix(ActConst("a"), open_par)):
+        _assert_as_reference(par, t)
+    _assert_as_reference(rec, DefConst("p1"))
+    loopy = parse_spec(ILL_FOUNDED)
+    _assert_as_reference(loopy, parse_term("f(0, 0)", loopy))

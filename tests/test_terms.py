@@ -15,6 +15,7 @@ from sosforge.terms import (
     App,
     Choice,
     DataConst,
+    DefConst,
     LVar,
     MSet,
     Prefix,
@@ -191,6 +192,23 @@ def test_summands_rejects_non_fragment(par):
         summands(Var("x"), par.theory)
     with pytest.raises(NonBccspTerm):
         summands(parse_term("a . 0 || 0", par), par.theory)
+
+
+def test_summands_takes_any_continuation(par):
+    """A head normal form is a choice of prefixes; only that spine is checked."""
+    got = summands(parse_term("a . (b . 0 || c . 0)", par), par.theory)
+    assert [(render_label(l), render_term(t)) for l, t in got] == [("a", "b . 0 || c . 0")]
+
+
+def test_summands_reports_spine_atoms_in_order(par):
+    par_app = parse_term("a . 0 || 0", par)
+    with pytest.raises(OpenTerm, match="^free variable x$"):
+        summands(Choice(Var("x"), par_app), par.theory)
+    # an operator is reported before a recursion constant, wherever each stands
+    with pytest.raises(NonBccspTerm, match="^operator _\\|\\|_ outside the base fragment$"):
+        summands(Choice(DefConst("X"), par_app), par.theory)
+    with pytest.raises(NonBccspTerm, match="^recursion constant X is not a head normal form$"):
+        summands(Choice(DefConst("X"), parse_term("a . (a . 0 || 0)", par)), par.theory)
 
 
 # -- substitution -------------------------------------------------------------
