@@ -18,6 +18,7 @@ from .terms import (
     App,
     Choice,
     DefConst,
+    EquationalTheory,
     LabelTerm,
     Nil,
     Prefix,
@@ -47,25 +48,33 @@ MAX_NF_CHARS = 10_000_000  # longest rewritten term, normal-form arguments rende
 DEFAULT_BUDGET = NormalizeBudget()
 
 
-def satisfies(spec: Spec, args: tuple, rule: Rule) -> list[Substitution]:
-    """Substitutions under which a rule's premises hold of head-normal arguments.
-
-    Positive premises are witnessed by summands of the tested argument;
-    negative premises demand the absence of any summand with that label.
-    """
-    th = spec.theory
-    offers: dict[int, list[tuple[LabelTerm, Term]]] = {}
+def _offers(args: tuple, th: EquationalTheory) -> dict[int, list[tuple[LabelTerm, Term]]]:
+    """The summands of each process argument, by position."""
+    offers = {}
     for k, a in enumerate(args):
         if isinstance(a, Term):
             try:
                 offers[k] = summands(a, th)
             except NonBccspTerm as e:
                 raise NonHnfArgument(f"argument {render_term(a)}: {e}") from None
-    return solve_rule(spec, rule, tuple(args), lambda k: offers[k])
+    return offers
+
+
+def satisfies(spec: Spec, args: tuple, rule: Rule) -> list[Substitution]:
+    """Substitutions under which a rule's premises hold of head-normal arguments.
+
+    Positive premises are witnessed by summands of the tested argument;
+    negative premises demand the absence of any summand with that label.
+    """
+    return solve_rule(spec, rule, tuple(args), _offers(args, spec.theory).__getitem__)
 
 
 def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> Term:
-    """Rewrite a closed, definition-free term to its canonical normal form."""
+    """Rewrite a closed, definition-free term to its canonical normal form.
+
+    A rewrite reads each process argument's summands once and fires the
+    operator's rules on them through their plans (`Spec.plan`).
+    """
     th = spec.theory
     budget = budget or DEFAULT_BUDGET
     memo: dict[str, Term] = {}
@@ -112,10 +121,16 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
                 "term not semantically well-founded within budget"
             )
         parts = []
-        for _, rule in spec.rules_for(t.op):
-            for s in satisfies(spec, normed_args, rule):
-                lbl = canon_label(substitute_label(rule.conclusion.label, s), th)
-                parts.append(Prefix(lbl, norm(rule.conclusion.target, s, depth + 1)))
+        rules = spec.rules_for(t.op)
+        if rules:
+            moves = _offers(normed_args, th).__getitem__  # summands once per rewrite
+            for _, rule in rules:
+                subs = solve_rule(spec, rule, normed_args, moves)
+                if subs:
+                    concl = spec.plan(rule).conclusion
+                    for s in subs:
+                        parts.append(Prefix(concl.under(s, th),
+                                            norm(rule.conclusion.target, s, depth + 1)))
         result = canon_term(fold_choice(parts), th)
         memo[key] = result
         return result

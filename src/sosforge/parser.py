@@ -489,8 +489,11 @@ class _TermParser:
             try:
                 label: LabelTerm | None = self.parse_label()
             except ParseError:
-                # only malformed input gets here; the atom parse below
-                # raises the error such input has always raised
+                # only malformed input gets here; a label operator is no
+                # atom, so its own error stands, and the atom parse below
+                # raises the error other input has always raised
+                if isinstance(self.labels.get(toks[start + depth]), LabelOp):
+                    raise
                 label = None
             end = self.i + depth
             if (label is not None and toks[self.i:end] == [")"] * depth and toks[end] == "."

@@ -33,7 +33,7 @@ from .terms import (
     substitute_label,
     substitute_term,
 )
-from .tss import Rule, Spec
+from .tss import FRESH, GENERAL, GROUND, Rule, Spec
 
 DEFAULT_DEPTH_CAP = 500
 DEFAULT_SET_CAP = 10000
@@ -56,55 +56,72 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
     """All substitutions under which a rule of the spec fires on the given arguments.
 
     `moves(k)` supplies the (label, continuation) pairs the k-th argument
-    offers; labels are expected in canonical form.  Raises InvalidSpec
-    unless the spec meets the rule format, which guarantees that source
-    slots are distinct variables, premises test them and premise targets
-    are fresh.
+    offers, labels in canonical form; callers build each list once and
+    serve it to every rule (`step` once per node, `normalize` once per
+    rewrite).  The rule is read through its plan, compiled once per Spec
+    on the rule's first call (`Spec.plan`), which raises InvalidSpec unless
+    the spec meets the rule format: source slots are distinct variables,
+    premises test them and premise targets are fresh.  A premise label
+    that is a bare variable or ground is checked by a sort check or by
+    comparing canonical strings; only the others go through `match`.
     """
-    spec.check()
+    plan = spec.plan(rule)
     th = spec.theory
     base = Substitution()
-    pos_of: dict[str, int] = {}
-    for k, (slot, actual) in enumerate(zip(rule.conclusion.source.args, args)):
-        if isinstance(slot, Var):
+    for (name, sort), actual in zip(plan.slots, args):
+        if sort is None:
             if not isinstance(actual, Term):
                 return []
-            base.terms[slot.name] = actual
-            pos_of[slot.name] = k
+            base.terms[name] = actual
         else:
             if not isinstance(actual, LabelTerm):
                 return []
             value = canon_label(actual, th)
-            if not sort_accepts(slot.sort, label_sort(value)):
+            if not sort_accepts(sort, label_sort(value)):
                 return []
-            base.labels[slot.name] = value
+            base.labels[name] = value
 
     subs = [base]
-    for prem in rule.positives:
-        offered = moves(pos_of[prem.source.name])
-        target = prem.target.name
+    for k, target, lp in plan.positives:
+        offered = moves(k)
+        kind = lp.kind
         nxt: list[Substitution] = []
-        for s in subs:
-            pat = substitute_label(prem.label, s)
-            for lbl, cont in offered:
-                for m in match(pat, lbl, th):
+        if kind == FRESH:
+            fits = [(lbl, cont) for lbl, cont in offered if sort_accepts(lp.sort, label_sort(lbl))]
+            for s in subs:
+                for lbl, cont in fits:
                     merged = s.copy()
-                    merged.labels.update(m.labels)
+                    merged.labels[lp.key] = lbl
                     merged.terms[target] = cont
                     nxt.append(merged)
+        elif kind == GENERAL:
+            for s in subs:
+                pat = substitute_label(lp.label, s) if lp.substitute else lp.label
+                for lbl, cont in offered:
+                    for m in match(pat, lbl, th):
+                        merged = s.copy()
+                        merged.labels.update(m.labels)
+                        merged.terms[target] = cont
+                        nxt.append(merged)
+        else:
+            for s in subs:
+                key = lp.key if kind == GROUND else render_label(s.labels[lp.key])
+                for lbl, cont in offered:
+                    if render_label(lbl) == key:
+                        merged = s.copy()
+                        merged.terms[target] = cont
+                        nxt.append(merged)
         subs = nxt
         if not subs:
             return []
 
-    for neg in rule.negatives:
-        offered_labels = {
-            render_label(canon_label(l, th)) for l, _ in moves(pos_of[neg.source.name])
-        }
-        subs = [
-            s
-            for s in subs
-            if render_label(canon_label(substitute_label(neg.label, s), th)) not in offered_labels
-        ]
+    for k, lp in plan.negatives:
+        offered_labels = {render_label(l) for l, _ in moves(k)}
+        if lp.kind == GROUND:
+            if lp.key in offered_labels:
+                return []
+            continue
+        subs = [s for s in subs if render_label(lp.under(s, th)) not in offered_labels]
         if not subs:
             return []
     return subs
@@ -112,6 +129,10 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
 
 def step(spec: Spec, term: Term, *, cache: dict[str, list[Step]] | None = None) -> list[Step]:
     """All one-step transitions of a closed term, sorted and deduplicated.
+
+    An operator's rules fire through their plans, compiled once per Spec
+    (`Spec.plan`), and read each argument's moves from one list per node,
+    made when the first rule tests that argument.
 
     Every subterm is stepped once per cache, keyed by its canonical string,
     and a hit returns the steps of the first subterm stepped under that key,
@@ -145,15 +166,22 @@ def step(spec: Spec, term: Term, *, cache: dict[str, list[Step]] | None = None) 
             assert isinstance(t, App)
             args = t.args
 
+            offers: dict[int, list[tuple[LabelTerm, Term]]] = {}
+
             def moves(k: int) -> list[tuple[LabelTerm, Term]]:
-                return [(s.label, s.target) for s in go(args[k], depth + 1)]
+                offered = offers.get(k)
+                if offered is None:
+                    offered = offers[k] = [(s.label, s.target) for s in go(args[k], depth + 1)]
+                return offered
 
             steps = []
             for _, rule in spec.rules_for(t.op):
-                for s in solve_rule(spec, rule, args, moves):
-                    lbl = canon_label(substitute_label(rule.conclusion.label, s), th)
-                    tgt = substitute_term(rule.conclusion.target, s)
-                    steps.append(Step(lbl, tgt))
+                subs = solve_rule(spec, rule, args, moves)
+                if subs:
+                    concl = spec.plan(rule).conclusion
+                    for s in subs:
+                        tgt = substitute_term(rule.conclusion.target, s)
+                        steps.append(Step(concl.under(s, th), tgt))
 
         # dedup and order by canonical serialization; targets keep their shape
         uniq: dict[tuple[str, str], Step] = {}

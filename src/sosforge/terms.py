@@ -369,32 +369,26 @@ def free_vars(t: Term | LabelTerm) -> tuple[set[str], set[str]]:
     """Free process-variable and label-variable names of a term."""
     procs: set[str] = set()
     labels: set[str] = set()
-
-    def walk(x: Term | LabelTerm) -> None:
+    todo = [t]
+    while todo:
+        x = todo.pop()
         if isinstance(x, Var):
             procs.add(x.name)
         elif isinstance(x, LVar):
             labels.add(x.name)
         elif isinstance(x, Prefix):
-            walk(x.label)
-            walk(x.body)
+            todo.append(x.label)
+            todo.append(x.body)
         elif isinstance(x, Choice):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, App):
-            for a in x.args:
-                walk(a)
-        elif isinstance(x, LApp):
-            for a in x.args:
-                walk(a)
+            todo.append(x.left)
+            todo.append(x.right)
+        elif isinstance(x, (App, LApp)):
+            todo.extend(x.args)
         elif isinstance(x, MSet):
-            for e in x.elements:
-                walk(e)
+            todo.extend(x.elements)
         elif isinstance(x, Triple):
-            walk(x.pre)
-            walk(x.post)
-
-    walk(t)
+            todo.append(x.pre)
+            todo.append(x.post)
     return procs, labels
 
 

@@ -10,16 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvalidSpec, UnknownDefConst
 from .terms import (
     EquationalTheory,
     LabelTerm,
+    LVar,
     OpAttrs,
+    Substitution,
     Term,
+    canon_label,
+    free_vars,
     infix_symbol,
     render_label,
     render_term,
+    substitute_label,
 )
 
 
@@ -63,6 +69,91 @@ class Rule:
         return f"{prem} ==> {self.conclusion}" if prem else f"==> {self.conclusion}"
 
 
+# How a rule plan reads a label, given the variables bound before it.
+FRESH = "fresh"      # a bare variable not bound yet: bind it after a sort check
+BOUND = "bound"      # a bare bound variable: compare canonical strings
+GROUND = "ground"    # no variables: compare with its canonical string
+GENERAL = "general"  # anything else: the matcher
+
+
+class LabelPlan(NamedTuple):
+    """One label of a rule, classified once.
+
+    `label` is the canonical form of a GROUND label and the label as
+    written otherwise; `key` is the canonical string of a GROUND label and
+    the variable's name for FRESH and BOUND; `sort` is a FRESH variable's
+    sort; `substitute` tells whether a GENERAL label names a bound variable.
+    """
+
+    kind: str
+    label: LabelTerm
+    key: str = ""
+    sort: str = ""
+    substitute: bool = False
+
+    def under(self, sub: Substitution, th: EquationalTheory) -> LabelTerm:
+        """The label's canonical form under a substitution that binds its variables."""
+        if self.kind == GROUND:
+            return self.label
+        if self.kind == BOUND:
+            return sub.labels[self.key]
+        return canon_label(substitute_label(self.label, sub), th)
+
+
+class RulePlan(NamedTuple):
+    """A rule compiled for firing.
+
+    `slots` holds, per conclusion source argument, the variable's name and
+    its sort (None for a process variable). `positives` holds, per positive
+    premise in order, the tested argument's position, the target variable
+    and the label's plan; `negatives` the tested position and the label's
+    plan.
+    """
+
+    slots: tuple[tuple[str, str | None], ...]
+    positives: tuple[tuple[int, str, LabelPlan], ...]
+    negatives: tuple[tuple[int, LabelPlan], ...]
+    conclusion: LabelPlan
+
+
+def _label_plan(label: LabelTerm, bound: set[str], th: EquationalTheory) -> LabelPlan:
+    """Classify a label whose variables are bound in `bound` or fresh; add the fresh ones."""
+    if isinstance(label, LVar):
+        kind = BOUND if label.name in bound else FRESH
+        bound.add(label.name)
+        return LabelPlan(kind, label, label.name, label.sort)
+    names = free_vars(label)[1]
+    if not names:
+        canon = canon_label(label, th)
+        return LabelPlan(GROUND, canon, render_label(canon))
+    substitute = not names.isdisjoint(bound)
+    bound |= names
+    return LabelPlan(GENERAL, label, substitute=substitute)
+
+
+def plan_rule(rule: Rule, th: EquationalTheory) -> RulePlan:
+    """Compile a rule that meets the rule format: its source arguments are
+    distinct variables, its premises test them and its premise targets are
+    fresh variables."""
+    slots = []
+    pos_of: dict[str, int] = {}
+    bound: set[str] = set()
+    for k, slot in enumerate(rule.conclusion.source.args):
+        if isinstance(slot, LVar):
+            slots.append((slot.name, slot.sort))
+            bound.add(slot.name)
+        else:
+            slots.append((slot.name, None))
+            pos_of[slot.name] = k
+    positives = tuple((pos_of[p.source.name], p.target.name, _label_plan(p.label, bound, th))
+                      for p in rule.positives)
+    # negative and conclusion labels bind nothing: every variable is bound by now
+    negatives = tuple((pos_of[n.source.name], _label_plan(n.label, bound, th))
+                      for n in rule.negatives)
+    return RulePlan(tuple(slots), positives, negatives,
+                    _label_plan(rule.conclusion.label, bound, th))
+
+
 @dataclass(frozen=True)
 class ProcOp:
     """A declared process operator; `_sym_` names render as infix."""
@@ -99,11 +190,12 @@ class Spec:
     """A parsed language specification.
 
     A Spec is not mutated after `parse_spec` returns it: its equational
-    theory, its rule index and its parse context are computed once, on
-    first use.  `parse_spec` checks syntax only; the rule index checks the
-    rule format (`validator.check_all`) and raises `InvalidSpec` on a
-    violation, so every rule and definition the engine reads comes from a
-    spec that passed.
+    theory, its rule index, its parse context and the plan of each rule
+    the engine fires are computed once, on first use.  `parse_spec` checks
+    syntax only; the rule index checks the rule format
+    (`validator.check_all`) and raises `InvalidSpec` on a violation, so
+    every rule and definition the engine reads comes from a spec that
+    passed.
     """
 
     name: str
@@ -137,6 +229,12 @@ class Spec:
         return index
 
     @cached_property
+    def _plans(self) -> dict[int, tuple[Rule, RulePlan]]:
+        # by id(rule); each entry keeps its rule alive, so no id is reused
+        self.check()  # plans assume the rule format
+        return {}
+
+    @cached_property
     def parse_context(self):
         """The name tables `parse_term` and `parse_label` read for this spec."""
         from .parser import ParseContext  # the parser builds Specs, so it imports this module
@@ -150,6 +248,19 @@ class Spec:
     def rules_for(self, op: str) -> list[tuple[int, Rule]]:
         """The rules defining an operator, with their 1-based indices (a shared list)."""
         return self._rule_index.get(op, [])
+
+    def plan(self, rule: Rule) -> RulePlan:
+        """The firing plan of a rule of this spec, compiled when first asked for.
+
+        Raises InvalidSpec unless the spec meets the rule format.
+        """
+        plans = self._plans
+        hit = plans.get(id(rule))
+        if hit is not None:
+            return hit[1]
+        compiled = plan_rule(rule, self.theory)
+        plans[id(rule)] = (rule, compiled)
+        return compiled
 
     def definition(self, name: str) -> Term:
         self.check()

@@ -203,6 +203,29 @@ def test_normalize_calls_grow_linearly_on_linda_chains(linda, monkeypatch):
         assert per_length[128][name] <= 2.5 * per_length[64][name], per_length
 
 
+def test_normalize_reads_summands_once_per_argument_and_rewrite(linda, monkeypatch):
+    """A rewrite takes each process argument's summands once, for all the
+    operator's rules together."""
+    summands_calls = 0
+    rewrites = {}  # id -> the argument tuple of each rewrite, kept alive
+
+    def counted_summands(*args):
+        nonlocal summands_calls
+        summands_calls += 1
+        return terms.summands(*args)
+
+    def recorded_solve_rule(spec, rule, args, moves):
+        rewrites[id(args)] = args
+        return solve_rule(spec, rule, args, moves)
+
+    monkeypatch.setattr(axioms, "summands", counted_summands)
+    monkeypatch.setattr(axioms, "solve_rule", recorded_solve_rule)
+    t = parse_term(_linda_cycle_chain(64) + " || " + _linda_cycle_chain(9), linda)
+    assert render_term(normalize(linda, t)).endswith("| . 0")
+    process_args = sum(isinstance(a, Term) for args in rewrites.values() for a in args)
+    assert process_args > 64 and summands_calls <= process_args
+
+
 # -- the equation report -------------------------------------------------------------
 
 

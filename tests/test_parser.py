@@ -415,9 +415,9 @@ ERROR_TABLE = [
     ("term", "a . mix(a, b)", "UnknownSymbol", "1:5: undeclared identifier mix"),
     ("term", "a . (b)", "ParseError", "1:6: label constant b cannot stand alone as a process"),
     # labels that fail where a prefix could start
-    ("term", "mix(a) . 0", "UnknownSymbol", "1:1: undeclared identifier mix"),
+    ("term", "mix(a) . 0", "ArityMismatch", "1:1: mix expects 2 arguments, got 1"),
     ("term", "mix(a, b) + 0", "UnknownSymbol", "1:1: undeclared identifier mix"),
-    ("term", "(mix(a, b, c)) . 0", "UnknownSymbol", "1:2: undeclared identifier mix"),
+    ("term", "(mix(a, b, c)) . 0", "ArityMismatch", "1:2: mix expects 2 arguments, got 3"),
     ("term", "< {x}, -, {d} > . 0", "ParseError", "1:1: data term in process position"),
     ("term", "< {d}, -, {d} > + 0", "ParseError", "1:1: data term in process position"),
     ("term", "{d} . 0", "ParseError", "1:1: data term in process position"),

@@ -6,8 +6,10 @@ import pytest
 
 from sosforge import axioms, load_corpus, parse_spec, parse_term, simulator
 from sosforge.axioms import normalize
+from sosforge.bisim import build_lts
 from sosforge.errors import BudgetExceeded, InvalidSpec
 from sosforge.simulator import solve_rule, step
+from sosforge.tss import BOUND, FRESH, GENERAL, GROUND
 from sosforge.terms import (
     NIL,
     ActConst,
@@ -383,3 +385,97 @@ def test_solve_rule_matches_reference_on_linda_chains(linda, against_reference):
             assert steps
             t = steps[0].target
     assert any(against_reference)
+
+
+# Every kind of label a rule plan reads, in a spec written for it: a fresh
+# `alpha : Action` offered `|` (rule 1), a ground negative (1), a ground
+# premise and conclusion (2), a label source slot reused in a premise (3),
+# a general triple pattern (4), a bound variable in a second premise with a
+# general negative (5), and a general pattern over a bound and a fresh
+# variable with a bound negative (6).
+KINDS = """spec KINDS
+actions a b ;
+predicates | ;
+datasort Data [assoc comm id: empty] ;
+dataconst d u : Data ;
+labelop mix : Label Label -> Label [comm] ;
+op n : 1 ;  op h : 2 ;  op r : 1 ;  op q : 2 ;
+var x y x' y' : Proc ;
+var alpha : Action ;
+var k l : Label ;
+var mu xD xD' : Data ;
+rule x -(alpha)-> x' , x -(a)/> ==> n(x) -(alpha)-> x' ;
+rule x -(|)-> x' ==> n(x) -(|)-> 0 ;
+rule x -(< {d, mu}, -, {d, mu} >)-> x' ==> h(mu, x) -(< {d, mu}, -, {d, mu} >)-> h(mu, x') ;
+rule x -(< xD, -, xD' >)-> x' ==> r(x) -(< xD', -, xD >)-> r(x') ;
+rule x -(k)-> x' , y -(k)-> y' , y -(mix(k, k))/> ==> q(x, y) -(k)-> q(x', y') ;
+rule x -(k)-> x' , y -(mix(k, l))-> y' , x -(l)/> ==> q(x, y) -(mix(l, k))-> x' ;
+"""
+KINDS_LABELS = ("a", "b", "|", "mix(a, b)", "mix(a, a)", "mix(b, |)",
+                "< {d, u}, -, {d, u} >", "< {d}, -, {d} >", "< {d, d}, -, {d, d} >",
+                "< {}, -, {u} >")
+KINDS_DATA = ("d", "u", "{}", "{d, u}")
+
+
+def _kinds_text(rng, depth):
+    """A closed KINDS term: a sum of one to three prefixes, or an operator."""
+    if depth <= 0:
+        return "0"
+    if rng.random() < 0.5:
+        return " + ".join(f"{rng.choice(KINDS_LABELS)} . {_kinds_text(rng, depth - 1)}"
+                          for _ in range(rng.randint(1, 3)))
+    op = rng.choice("nhrq")
+    if op == "h":
+        return f"h({rng.choice(KINDS_DATA)}, {_kinds_text(rng, depth - 1)})"
+    if op == "q":
+        return f"q({_kinds_text(rng, depth - 1)}, {_kinds_text(rng, depth - 1)})"
+    return f"{op}({_kinds_text(rng, depth - 1)})"
+
+
+def test_solve_rule_matches_reference_on_every_plan_kind(against_reference):
+    spec = parse_spec(KINDS)
+    plans = [spec.plan(r) for r in spec.rules]
+    assert [[lp.kind for _, _, lp in p.positives] for p in plans] == [
+        [FRESH], [GROUND], [GENERAL], [GENERAL], [FRESH, BOUND], [FRESH, GENERAL]]
+    assert [[lp.kind for _, lp in p.negatives] for p in plans] == [
+        [GROUND], [], [], [], [GENERAL], [BOUND]]
+    assert [p.conclusion.kind for p in plans] == [
+        BOUND, GROUND, GENERAL, GENERAL, BOUND, GENERAL]
+    assert plans[2].positives[0][2].substitute and plans[5].positives[1][2].substitute
+    assert not plans[3].positives[0][2].substitute
+
+    assert [str(s) for s in step(spec, parse_term("n(| . 0 + b . 0)", spec))] == [
+        "< b # 0 >", "< | # 0 >"]
+    assert step(spec, parse_term("n(a . 0 + b . 0)", spec)) == []
+    assert [str(s) for s in step(spec, parse_term("h(u, < {u, d}, -, {d, u} > . 0)", spec))] == [
+        "< < {d, u},-,{d, u} > # h(u,0) >"]
+    assert step(spec, parse_term("h(d, < {u, d}, -, {d, u} > . 0)", spec)) == []
+    assert [str(s) for s in step(spec, parse_term("q(a . 0 + b . 0, a . 0)", spec))] == [
+        "< a # q(0,0) >"]
+    assert [str(s) for s in step(spec, parse_term("q(a . 0, mix(a, b) . 0)", spec))] == [
+        "< mix(a,b) # 0 >"]
+    assert step(spec, parse_term("q(a . 0 + b . 0, mix(a, b) . 0)", spec)) == []
+    rng = random.Random(33)
+    for _ in range(300):
+        t = parse_term(_kinds_text(rng, 4), spec)
+        step(spec, t)
+        normalize(spec, t)
+    fired = sum(1 for c in against_reference if c)
+    assert fired > 200 and len(against_reference) > 2 * fired
+
+
+# -- work counts --------------------------------------------------------------
+
+
+def test_bccsp_par_exploration_makes_no_match_call(par, monkeypatch):
+    """`bccsp_par.sos`'s premise labels are a bare `alpha` or the ground `|`,
+    so its rule plans never call the matcher."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return match(*args)
+
+    monkeypatch.setattr(simulator, "match", counted)
+    lts = build_lts(par, [parse_term(" || ".join(["a . b . | . 0"] * 6), par)])
+    assert len(lts.states) == 3 ** 6 + 1 and calls == []
