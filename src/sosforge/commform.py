@@ -29,7 +29,6 @@ from .terms import (
     Var,
     _match_label,
     canon_label,
-    free_vars,
     render_label,
     render_term,
     substitute_label,
@@ -72,19 +71,20 @@ def _applied_ops(t: Term) -> set[str]:
     return _applied_ops(t.left) | _applied_ops(t.right) if isinstance(t, Choice) else set()
 
 
+def _cc_key(t: Term, comm_set: set[str], th: EquationalTheory) -> str:
+    """The string two terms share when they are equal up to commutative swaps."""
+    return render_term(_cc_canon(t, comm_set, th))
+
+
 def cc_equal(
     t1: Term, t2: Term, comm_set: set[str], th: EquationalTheory = EquationalTheory()
 ) -> bool:
     """Equality up to swapping arguments of known-commutative operators."""
-    return render_term(_cc_canon(t1, comm_set, th)) == render_term(_cc_canon(t2, comm_set, th))
+    return _cc_key(t1, comm_set, th) == _cc_key(t2, comm_set, th)
 
 
 # ---------------------------------------------------------------------------
 # mirror search
-
-
-def _var_sort(v: Var | LVar) -> str:
-    return v.sort if isinstance(v, LVar) else SORT_PROC
 
 
 def _bind_renaming(state, var: Var | LVar, value):
@@ -94,7 +94,8 @@ def _bind_renaming(state, var: Var | LVar, value):
     no two variables to the same one.
     """
     hmap, used = state
-    if not (isinstance(value, (Var, LVar)) and _var_sort(value) == _var_sort(var)):
+    kind = type(value)
+    if kind is not type(var) or (kind is LVar and value.sort != var.sort):
         return
     old = hmap.get(var.name)
     if old is not None:
@@ -116,25 +117,12 @@ def _mapping_substitution(spec: Spec, hmap: dict[str, str]) -> Substitution:
     return sub
 
 
-def _complete_mapping(rule_a: Rule, rule_b: Rule, hmap: dict[str, str]) -> dict[str, str]:
-    """Extend the mapping to an involution-style display over both rules' variables."""
+def _complete_mapping(names: list[str], hmap: dict[str, str]) -> dict[str, str]:
+    """Extend the mapping to an involution-style display over the sorted
+    variables of both rules."""
     out = dict(hmap)
     image = {v: k for k, v in hmap.items()}
-    names: set[str] = set()
-    for r in (rule_a, rule_b):
-        for part in (r.conclusion.source, r.conclusion.target):
-            ps, ls = free_vars(part)
-            names |= ps | ls
-        for p in r.positives:
-            ps, ls = free_vars(p.source)
-            names |= ps | ls
-            names |= free_vars(p.label)[1]
-            ps, ls = free_vars(p.target)
-            names |= ps | ls
-        for n in r.negatives:
-            names |= free_vars(n.source)[0]
-            names |= free_vars(n.label)[1]
-    for v in sorted(names):
+    for v in names:
         if v not in out:
             out[v] = image.get(v, v)
     return out
@@ -146,47 +134,51 @@ def find_mirror(
     """All mirror mappings sending rule_b onto rule_a with arguments swapped.
 
     Both rules are rules of the spec for one binary operator, so their
-    sources are that operator over two distinct variables.
+    sources are that operator over two distinct variables.  What depends on
+    rule_a alone is computed once per call, when a mapping first needs it.
     """
     spec.check()
     th = spec.theory
-    a0, a1 = (slot.name for slot in rule_a.conclusion.source.args)
-    b0, b1 = (slot.name for slot in rule_b.conclusion.source.args)
-
-    def sort_of(name: str) -> str:
-        return spec.variables.get(name, SORT_PROC)
-
-    if sort_of(b0) != sort_of(a1) or sort_of(b1) != sort_of(a0):
+    args_a = rule_a.conclusion.source.args
+    args_b = rule_b.conclusion.source.args
+    a0, a1, b0, b1 = args_a[0].name, args_a[1].name, args_b[0].name, args_b[1].name
+    sort_of = spec.variables.get
+    if sort_of(b0, SORT_PROC) != sort_of(a1, SORT_PROC) or \
+            sort_of(b1, SORT_PROC) != sort_of(a0, SORT_PROC):
         return []
     hmap = {b0: a1, b1: a0}
     used = {a0, a1}
 
     found: list[dict[str, str]] = []
     seen_keys: set[tuple] = set()
+    # rule_a's side: its negative premises, conclusion label and target
+    # keys, and both rules' variables, computed when first needed
+    neg_index: set[tuple[str, str]] | None = None
+    label_a = target_a = ""
+    names: list[str] = []
 
     def check_negatives_and_conclusion(hm: dict[str, str]) -> None:
+        nonlocal neg_index, label_a, target_a, names
+        if neg_index is None:
+            neg_index = {
+                (render_term(n.source), render_label(canon_label(n.label, th)))
+                for n in rule_a.negatives
+            }
+            label_a = render_label(canon_label(rule_a.conclusion.label, th))
         sub = _mapping_substitution(spec, hm)
-        neg_index = {
-            (render_term(n.source), render_label(canon_label(n.label, th)))
-            for n in rule_a.negatives
-        }
         for n in rule_b.negatives:
             img_src = substitute_term(n.source, sub)
             img_lbl = canon_label(substitute_label(n.label, sub), th)
             if (render_term(img_src), render_label(img_lbl)) not in neg_index:
                 return
-        ca = render_label(canon_label(rule_a.conclusion.label, th))
-        cb = render_label(canon_label(substitute_label(rule_b.conclusion.label, sub), th))
-        if ca != cb:
+        if render_label(canon_label(substitute_label(rule_b.conclusion.label, sub), th)) != label_a:
             return
-        if not cc_equal(
-            substitute_term(rule_b.conclusion.target, sub),
-            rule_a.conclusion.target,
-            comm_set,
-            th,
-        ):
+        if not target_a:
+            target_a = _cc_key(rule_a.conclusion.target, comm_set, th)
+            names = sorted({*rule_a.var_names, *rule_b.var_names})
+        if _cc_key(substitute_term(rule_b.conclusion.target, sub), comm_set, th) != target_a:
             return
-        full = _complete_mapping(rule_a, rule_b, hm)
+        full = _complete_mapping(names, hm)
         key = tuple(sorted(full.items()))
         if key not in seen_keys:
             seen_keys.add(key)

@@ -14,9 +14,19 @@ end of input.  Tokens carry no positions: when a ParseError is raised, the
 text is scanned again up to the offending token, and its line and column
 are computed from that token's offset.
 
+One pattern, compiled on import, cuts every text whose digits are decimal
+and whose numerals are digits, ASCII text included; its identifier branch
+for an ASCII letter comes before the one for any letter.  ASCII text is
+not scanned for other characters; a text with odd digits or numerals gets
+a pattern of its own.
+
 The term parser decides from the current token whether a label can start
 there, so valid input is parsed without backtracking on exceptions.  The
-name tables it reads are built once per Spec (`Spec.parse_context`).
+name tables it reads are built once per Spec (`Spec.parse_context`).  A
+leaf (a process variable, a recursion constant or `0`) is one lookup in
+the table of leaves, which hands out one shared node per name; a leaf
+label, such as an action or a label variable, is one lookup as well, and
+the table tells whether a label's sort is a data sort.
 """
 
 from __future__ import annotations
@@ -90,6 +100,7 @@ def _token_pattern(digits: str, numerals: str) -> re.Pattern[str]:
     return re.compile(
         r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
         r"([(){}\[\]<>,;:=.+\-]"
+        r"|[A-Za-z][\w']*"
         rf"|[^\W\d_{odd}][\w']*"
         rf"|[\d{re.escape(digits)}]+"
         r"|_[|!?~^&*%@/;+.]+_"
@@ -99,9 +110,10 @@ def _token_pattern(digits: str, numerals: str) -> re.Pattern[str]:
     )
 
 
-# Compiled on import, where it lives with the module's other long-lived
-# objects, not in the middle of the first command's heap.
-_token_pattern("", "")
+# The pattern of every text without odd digits or numerals, ASCII text
+# included.  Compiled on import, where it lives with the module's other
+# long-lived objects, not in the middle of the first command's heap.
+_TOKEN = _token_pattern("", "")
 
 
 def _is_name(t: str) -> bool:
@@ -114,11 +126,14 @@ class Tokens:
     """The tokens of one text, ending in one or two end-of-input tokens ``""``."""
 
     def __init__(self, text: str):
-        odd = {c for c in set(_NON_ASCII.findall(text))
-               if c.isalnum() and not c.isalpha() and not c.isdecimal()}
         self.text = text
-        self.pattern = _token_pattern("".join(sorted(c for c in odd if c.isdigit())),
-                                      "".join(sorted(c for c in odd if not c.isdigit())))
+        if text.isascii():
+            self.pattern = _TOKEN
+        else:
+            odd = {c for c in set(_NON_ASCII.findall(text))
+                   if c.isalnum() and not c.isalpha() and not c.isdecimal()}
+            self.pattern = _token_pattern("".join(sorted(c for c in odd if c.isdigit())),
+                                          "".join(sorted(c for c in odd if not c.isdigit())))
         self.toks = toks = self.pattern.findall(text)
         if len(toks) > 1:
             last = toks[-2]
@@ -403,9 +418,30 @@ class ParseContext:
             labels[name] = PredConst(name)
         for name in spec.actions:
             labels[name] = ActConst(name)
-        self.labels = {name: v for name, v in labels.items() if _is_name(name)}
+        self.labels = labels = {name: v for name, v in labels.items() if _is_name(name)}
+        self.leaf_labels = {name: v for name, v in labels.items() if not isinstance(v, LabelOp)}
         # tokens at which a label, and so a prefix, can start ("(" aside)
-        self.label_starts = frozenset(self.labels) | {"{", "<"}
+        self.label_starts = frozenset(labels) | {"{", "<"}
+        # the starts of labels of a data sort
+        self.data_starts = frozenset(
+            name for name, v in labels.items()
+            if is_data_sort(v.result_sort if isinstance(v, LabelOp) else label_sort(v))
+        ) | {"{"}
+        # process leaves: a token that is a whole process term on its own
+        # (a process variable, a recursion constant, `0`) -> its shared node;
+        # and the names that can only apply a process operator.  A name that
+        # is also a label is in neither table: the prefix parser reads it.
+        plain = {name for name in spec.variables.keys() | spec.defs.keys() | spec.proc_ops.keys()
+                 if name[:1].isalpha() and name not in KEYWORDS and name not in labels}
+        self.leaves: dict[str, Term] = {"0": NIL}
+        for name, sort in spec.variables.items():
+            if sort == SORT_PROC and name in plain:
+                self.leaves[name] = Var(name)
+        for name in spec.defs:
+            if name in plain and name not in spec.variables:
+                self.leaves[name] = DefConst(name)
+        self.apps = {name: op for name, op in spec.proc_ops.items()
+                     if name in plain and name not in self.leaves}
         # infix token -> `_sym_` operator name
         self.infix = {
             op.symbol: op.name for op in spec.proc_ops.values()
@@ -420,6 +456,15 @@ def _can_start_term(t: str) -> bool:
     return c.isdigit() or c in _SYM_CHARS or t in ("(", "{", "<")
 
 
+# tokens that cannot continue a term: a leaf before one is the whole term
+_TERM_ENDS = frozenset({",", ")", "-", "=", ""})
+# punctuation runs of a premise and a store triple
+_OPEN_LABEL = ["-", "("]
+_ARROW_TAIL = [")", "-", ">"]
+_NEG_TAIL = [")", "/", ">"]
+_TRIPLE_MID = [",", "-", ","]
+
+
 class _TermParser:
     def __init__(self, src: Tokens, spec: Spec):
         self.src = src
@@ -428,7 +473,11 @@ class _TermParser:
         self.spec = spec
         ctx = spec.parse_context
         self.labels = ctx.labels
+        self.leaf_labels = ctx.leaf_labels
         self.label_starts = ctx.label_starts
+        self.data_starts = ctx.data_starts
+        self.leaves = ctx.leaves
+        self.apps = ctx.apps
         self.infix = ctx.infix
 
     def err(self, msg: str, i: int | None = None, kind: type[ParseError] = ParseError):
@@ -438,6 +487,17 @@ class _TermParser:
         if self.toks[self.i] != ch:
             self.err(f"expected {ch!r}")
         self.i += 1
+
+    def expect_run(self, run: list[str]) -> None:
+        """The tokens of `run`, in order; the first one missing is reported."""
+        i = self.i
+        end = i + len(run)
+        toks = self.toks
+        if toks[i:end] != run:
+            for k, ch in enumerate(run):
+                if toks[i + k] != ch:
+                    self.err(f"expected {ch!r}", i + k)
+        self.i = end
 
     def expect_eof(self) -> None:
         t = self.toks[self.i]
@@ -458,50 +518,98 @@ class _TermParser:
     # -- terms ------------------------------------------------------------
 
     def parse_term(self, allow_data: bool = False) -> Term | LabelTerm:
-        t = self.parse_choice(allow_data)
+        """Infix applications, nested to the left, over choices, nested to the
+        right, over prefixes and atoms; a leaf is one table lookup."""
         toks = self.toks
+        leaves = self.leaves
+        i = self.i
+        t = leaves.get(toks[i])
+        if t is not None and toks[i + 1] in _TERM_ENDS:
+            self.i = i + 1
+            return t
+        op = None
         while True:
+            tok = toks[self.i]
+            unit = leaves.get(tok)
+            if unit is not None:
+                self.i += 1
+            elif tok in self.apps:
+                unit = self.parse_app(self.apps[tok])
+            else:
+                unit = self.parse_prefix(allow_data)
+            if toks[self.i] == "+":
+                units = [unit]
+                while toks[self.i] == "+":
+                    self.i += 1
+                    units.append(self.parse_prefix(allow_data))
+                unit = units.pop()
+                for left in reversed(units):
+                    if isinstance(left, LabelTerm) or isinstance(unit, LabelTerm):
+                        self.err("choice combines process terms")
+                    unit = Choice(left, unit)  # type: ignore[arg-type]
+            t = unit if op is None else App(op, (t, unit))  # type: ignore[arg-type]
             op = self.infix.get(toks[self.i])
             if op is None or not _can_start_term(toks[self.i + 1]):
                 return t
             self.i += 1
-            t = App(op, (t, self.parse_choice(allow_data)))  # type: ignore[arg-type]
-
-    def parse_choice(self, allow_data: bool) -> Term | LabelTerm:
-        t = self.parse_prefix(allow_data)
-        if self.toks[self.i] != "+":
-            return t
-        self.i += 1
-        rhs = self.parse_choice(allow_data)
-        if isinstance(t, LabelTerm) or isinstance(rhs, LabelTerm):
-            self.err("choice combines process terms")
-        return Choice(t, rhs)  # type: ignore[arg-type]
 
     def parse_prefix(self, allow_data: bool) -> Term | LabelTerm:
-        # `label . body`, where the label may sit in parentheses
+        """`label . body`, where the label may sit in parentheses, or an atom.
+
+        The body is read by a nested call: one frame per prefix, so that
+        the nesting a command handles stays bounded by the recursion limit.
+        """
         toks = self.toks
         start = self.i
         depth = 0
         while toks[start + depth] == "(":
             depth += 1
-        if toks[start + depth] in self.label_starts:
+        first = toks[start + depth]
+        if first in self.label_starts:
             self.i = start + depth
-            try:
-                label: LabelTerm | None = self.parse_label()
-            except ParseError:
-                # only malformed input gets here; a label operator is no
-                # atom, so its own error stands, and the atom parse below
-                # raises the error other input has always raised
-                if isinstance(self.labels.get(toks[start + depth]), LabelOp):
-                    raise
-                label = None
+            label: LabelTerm | None = self.leaf_labels.get(first)
+            if label is not None:
+                self.i += 1
+            else:
+                try:
+                    label = self.parse_label()
+                except ParseError:
+                    # only malformed input gets here; a label operator is no
+                    # atom, so its own error stands, and the atom parse below
+                    # raises the error other input has always raised
+                    if first in self.labels:  # a label operator
+                        raise
+                    label = None
             end = self.i + depth
-            if (label is not None and toks[self.i:end] == [")"] * depth and toks[end] == "."
-                    and not is_data_sort(label_sort(label))):
+            if (label is not None and (depth == 0 or toks[self.i:end] == [")"] * depth)
+                    and toks[end] == "." and first not in self.data_starts):
                 self.i = end + 1
                 return Prefix(label, self.parse_prefix(False))  # type: ignore[arg-type]
             self.i = start
+        leaf = self.leaves.get(toks[self.i])
+        if leaf is not None:
+            self.i += 1
+            return leaf
         return self.parse_atom(allow_data)
+
+    def parse_app(self, op: ProcOp) -> App:
+        """An operator applied to its arguments, at the operator's name."""
+        toks = self.toks
+        at = self.i
+        self.i += 1
+        if toks[self.i] != "(":
+            self.err(f"{op.name} expects {op.arity} arguments", at)
+        self.i += 1
+        args = []
+        if toks[self.i] != ")":
+            args.append(self.parse_term(True))
+            while toks[self.i] == ",":
+                self.i += 1
+                args.append(self.parse_term(True))
+        self.expect(")")
+        if len(args) != op.arity:
+            self.err(f"{op.name} expects {op.arity} arguments, got {len(args)}", at, ArityMismatch)
+        return App(op.name, tuple(args))
 
     def parse_atom(self, allow_data: bool) -> Term | LabelTerm:
         i = self.i
@@ -544,14 +652,7 @@ class _TermParser:
             return DefConst(t)
         op = spec.proc_ops.get(t)
         if op is not None:
-            self.i = i + 1
-            if self.toks[self.i] != "(":
-                self.err(f"{t} expects {op.arity} arguments", i)
-            self.i += 1
-            args = self.parse_list(lambda: self.parse_term(allow_data=True), ")")
-            if len(args) != op.arity:
-                self.err(f"{t} expects {op.arity} arguments, got {len(args)}", i, ArityMismatch)
-            return App(t, tuple(args))
+            return self.parse_app(op)
         if t in spec.actions or t in spec.predicates:
             self.err(f"label constant {t} cannot stand alone as a process", i)
         self.err(f"undeclared identifier {t}", i, UnknownSymbol)
@@ -585,14 +686,20 @@ class _TermParser:
         raise AssertionError  # unreachable
 
     def parse_lapp(self, op: LabelOp, at: int) -> LabelTerm:
+        """An operator's arguments; one declared `assoc` over two sorts takes
+        two or more, each of the sort it has when the application is read
+        nested to the right: `f(a, b, c)` is `f(a, f(b, c))`, flattened."""
         self.expect("(")
         args = self.parse_list(self.parse_label, ")")
-        if len(args) != len(op.arg_sorts):
+        want = op.arg_sorts
+        if len(args) != len(want) and op.attrs.assoc and len(want) == 2 and len(args) > 2:
+            want = (want[0],) * (len(args) - 1) + want[1:]
+        if len(args) != len(want):
             self.err(f"{op.name} expects {len(op.arg_sorts)} arguments, got {len(args)}",
                      at, ArityMismatch)
-        for a, want in zip(args, op.arg_sorts):
-            if not sort_accepts(want, label_sort(a)):
-                self.err(f"{op.name} argument {render_label(a)} is not of sort {want}", at)
+        for a, sort in zip(args, want):
+            if not sort_accepts(sort, label_sort(a)):
+                self.err(f"{op.name} argument {render_label(a)} is not of sort {sort}", at)
         return LApp(op.name, tuple(args), op.result_sort)
 
     def parse_mset(self) -> MSet:
@@ -616,59 +723,65 @@ class _TermParser:
     def parse_triple(self) -> Triple:
         self.i += 1
         pre = self.parse_sorted_label(True, "store slots hold data terms")
-        self.expect(",")
-        self.expect("-")
-        self.expect(",")
+        self.expect_run(_TRIPLE_MID)
         post = self.parse_sorted_label(True, "store slots hold data terms")
         self.expect(">")
         return Triple(pre, post)
 
     def parse_sorted_label(self, data: bool, complaint: str) -> LabelTerm:
-        """A label of a data sort, or of any other sort."""
-        at = self.i
-        l = self.parse_label()
-        if is_data_sort(label_sort(l)) != data:
+        """A label of a data sort, or of any other sort.
+
+        Whether a label is of a data sort follows from its first token
+        inside any parentheses.
+        """
+        toks = self.toks
+        at = first = self.i
+        label = self.leaf_labels.get(toks[at])
+        if label is not None:
+            self.i = at + 1
+        else:
+            label = self.parse_label()
+            while toks[first] == "(":
+                first += 1
+        if (toks[first] in self.data_starts) != data:
             self.err(complaint, at)
-        return l
+        return label
 
     # -- rules ------------------------------------------------------------
 
-    def at_rule_arrow(self) -> bool:
-        toks, i = self.toks, self.i
-        return toks[i] == "=" and toks[i + 1] == "=" and toks[i + 2] == ">"
-
     def parse_premise(self) -> Transition | NegPremise:
+        toks = self.toks
         src = self.parse_term(False)
-        self.expect("-")
-        self.expect("(")
+        self.expect_run(_OPEN_LABEL)
         lbl = self.parse_sorted_label(False, "data term cannot be a transition label")
-        self.expect(")")
-        if self.toks[self.i] == "/":
-            self.i += 1
-            self.expect(">")
+        i = self.i
+        if toks[i] == ")" and toks[i + 1] == "/":
+            self.expect_run(_NEG_TAIL)
             return NegPremise(src, lbl)  # type: ignore[arg-type]
-        self.expect("-")
-        self.expect(">")
+        self.expect_run(_ARROW_TAIL)
         return Transition(src, lbl, self.parse_term(False))  # type: ignore[arg-type]
 
     def parse_rule(self) -> Rule:
+        toks = self.toks
         positives: list[Transition] = []
         negatives: list[NegPremise] = []
-        if not self.at_rule_arrow():
+        i = self.i
+        if not (toks[i] == "=" and toks[i + 1] == "=" and toks[i + 2] == ">"):
             while True:
                 prem = self.parse_premise()
-                if isinstance(prem, Transition):
+                if type(prem) is Transition:
                     positives.append(prem)
                 else:
-                    negatives.append(prem)
-                if self.toks[self.i] != ",":
+                    negatives.append(prem)  # type: ignore[arg-type]
+                if toks[self.i] != ",":
                     break
                 self.i += 1
-        if not self.at_rule_arrow():
-            self.err("expected ==>")
-        self.i += 3
+            i = self.i
+            if not (toks[i] == "=" and toks[i + 1] == "=" and toks[i + 2] == ">"):
+                self.err("expected ==>")
+        self.i = i + 3
         concl = self.parse_premise()
-        if isinstance(concl, NegPremise):
+        if type(concl) is NegPremise:
             self.err("a conclusion cannot be negative")
         self.expect_eof()
         return Rule(tuple(positives), tuple(negatives), concl)  # type: ignore[arg-type]

@@ -372,21 +372,22 @@ def free_vars(t: Term | LabelTerm) -> tuple[set[str], set[str]]:
     todo = [t]
     while todo:
         x = todo.pop()
-        if isinstance(x, Var):
+        cls = type(x)  # node classes have no subclasses
+        if cls is Var:
             procs.add(x.name)
-        elif isinstance(x, LVar):
+        elif cls is LVar:
             labels.add(x.name)
-        elif isinstance(x, Prefix):
+        elif cls is App or cls is LApp:
+            todo.extend(x.args)
+        elif cls is Prefix:
             todo.append(x.label)
             todo.append(x.body)
-        elif isinstance(x, Choice):
+        elif cls is Choice:
             todo.append(x.left)
             todo.append(x.right)
-        elif isinstance(x, (App, LApp)):
-            todo.extend(x.args)
-        elif isinstance(x, MSet):
+        elif cls is MSet:
             todo.extend(x.elements)
-        elif isinstance(x, Triple):
+        elif cls is Triple:
             todo.append(x.pre)
             todo.append(x.post)
     return procs, labels

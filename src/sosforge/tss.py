@@ -14,12 +14,14 @@ from typing import NamedTuple
 
 from .errors import InvalidSpec, UnknownDefConst
 from .terms import (
+    App,
     EquationalTheory,
     LabelTerm,
     LVar,
     OpAttrs,
     Substitution,
     Term,
+    Var,
     canon_label,
     free_vars,
     infix_symbol,
@@ -52,13 +54,88 @@ class NegPremise:
         return f"{render_term(self.source)} -({render_label(self.label)})/>"
 
 
+class RuleVars:
+    """The variable names of a rule's labels and conclusion target.
+
+    `positives` and `negatives` hold the label variables of each premise's
+    label, in order; `label` those of the conclusion label; `target` the
+    process and the label variables of the conclusion target.  `names`,
+    every variable the rule names, sorted, is filled in by `Rule.var_names`.
+    """
+
+    __slots__ = ("positives", "negatives", "label", "target", "names")
+
+    def __init__(self, positives: tuple[tuple[str, ...], ...], negatives: tuple[tuple[str, ...], ...],
+                 label: tuple[str, ...], target: tuple[tuple[str, ...], tuple[str, ...]]):
+        self.positives = positives
+        self.negatives = negatives
+        self.label = label
+        self.target = target
+        self.names: tuple[str, ...] | None = None
+
+
+def _label_vars(label: LabelTerm) -> tuple[str, ...]:
+    return tuple(free_vars(label)[1])
+
+
+def _part_names(t: Term | LabelTerm) -> set[str]:
+    """The variables of a source argument or premise part: itself, in a rule of the format."""
+    if isinstance(t, (Var, LVar)):
+        return {t.name}
+    procs, labels = free_vars(t)
+    return procs | labels
+
+
 @dataclass(frozen=True)
 class Rule:
-    """A transition rule: positive and negative premises over one conclusion."""
+    """A transition rule: positive and negative premises over one conclusion.
+
+    Its variables are found on first use, each label and the conclusion
+    target walked once, and kept on the rule, where the validator,
+    `plan_rule` and the mirror search read them.
+    """
 
     positives: tuple[Transition, ...]
     negatives: tuple[NegPremise, ...]
     conclusion: Transition
+
+    # the cache of `var_sets`, written past the frozen __setattr__ so that
+    # it stays inline, as the term nodes' caches do
+    _vars = None
+
+    @property
+    def var_sets(self) -> RuleVars:
+        vs = self._vars
+        if vs is None:
+            procs, labels = free_vars(self.conclusion.target)
+            vs = RuleVars(
+                tuple([_label_vars(p.label) for p in self.positives]),
+                tuple([_label_vars(n.label) for n in self.negatives]),
+                _label_vars(self.conclusion.label),
+                (tuple(procs), tuple(labels)),
+            )
+            object.__setattr__(self, "_vars", vs)
+        return vs
+
+    @property
+    def var_names(self) -> tuple[str, ...]:
+        """Every variable the rule names, sorted."""
+        vs = self.var_sets
+        names = vs.names
+        if names is None:
+            found = set().union(vs.label, *vs.target)
+            source = self.conclusion.source
+            for a in source.args if isinstance(source, App) else (source,):
+                found |= _part_names(a)
+            for p, lvars in zip(self.positives, vs.positives):
+                found |= _part_names(p.source) | _part_names(p.target)
+                found.update(lvars)
+            for n, lvars in zip(self.negatives, vs.negatives):
+                src = n.source
+                found |= {src.name} if isinstance(src, Var) else free_vars(src)[0]
+                found.update(lvars)
+            names = vs.names = tuple(sorted(found))
+        return names
 
     def premises_str(self) -> str:
         parts = [str(p) for p in self.positives] + [str(n) for n in self.negatives]
@@ -116,18 +193,19 @@ class RulePlan(NamedTuple):
     conclusion: LabelPlan
 
 
-def _label_plan(label: LabelTerm, bound: set[str], th: EquationalTheory) -> LabelPlan:
-    """Classify a label whose variables are bound in `bound` or fresh; add the fresh ones."""
+def _label_plan(label: LabelTerm, names: tuple[str, ...], bound: set[str],
+                th: EquationalTheory) -> LabelPlan:
+    """Classify a label, whose variables are `names`, by those bound in
+    `bound` and those fresh; add the fresh ones."""
     if isinstance(label, LVar):
         kind = BOUND if label.name in bound else FRESH
         bound.add(label.name)
         return LabelPlan(kind, label, label.name, label.sort)
-    names = free_vars(label)[1]
     if not names:
         canon = canon_label(label, th)
         return LabelPlan(GROUND, canon, render_label(canon))
-    substitute = not names.isdisjoint(bound)
-    bound |= names
+    substitute = not bound.isdisjoint(names)
+    bound.update(names)
     return LabelPlan(GENERAL, label, substitute=substitute)
 
 
@@ -145,13 +223,14 @@ def plan_rule(rule: Rule, th: EquationalTheory) -> RulePlan:
         else:
             slots.append((slot.name, None))
             pos_of[slot.name] = k
-    positives = tuple((pos_of[p.source.name], p.target.name, _label_plan(p.label, bound, th))
-                      for p in rule.positives)
+    vs = rule.var_sets
+    positives = tuple((pos_of[p.source.name], p.target.name, _label_plan(p.label, names, bound, th))
+                      for p, names in zip(rule.positives, vs.positives))
     # negative and conclusion labels bind nothing: every variable is bound by now
-    negatives = tuple((pos_of[n.source.name], _label_plan(n.label, bound, th))
-                      for n in rule.negatives)
+    negatives = tuple((pos_of[n.source.name], _label_plan(n.label, names, bound, th))
+                      for n, names in zip(rule.negatives, vs.negatives))
     return RulePlan(tuple(slots), positives, negatives,
-                    _label_plan(rule.conclusion.label, bound, th))
+                    _label_plan(rule.conclusion.label, vs.label, bound, th))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ positively.  Definitions must stay in the base fragment and be guarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .terms import (
     App,
@@ -20,7 +21,6 @@ from .terms import (
     Prefix,
     Term,
     Var,
-    free_vars,
     render_term,
 )
 from .tss import Rule, Spec
@@ -66,16 +66,97 @@ def _source_slots(rule: Rule):
     """The argument slots of the conclusion source, or None if shapeless."""
     src = rule.conclusion.source
     if isinstance(src, App):
-        return list(src.args)
+        return src.args
     if isinstance(src, Prefix):
-        return [src.label, src.body]
+        return (src.label, src.body)
     if isinstance(src, Choice):
-        return [src.left, src.right]
+        return (src.left, src.right)
     return None
 
 
-def check_gsos(spec: Spec) -> list[Violation]:
-    """Check every rule against the structural rule-format conditions."""
+# A rule check reads a rule, the argument slots of its conclusion source and
+# a callback taking each violation's kind and message.
+Bad = Callable[[str, str], None]
+
+
+def _gsos(rule: Rule, slots, bad: Bad) -> None:
+    """The structural rule-format conditions."""
+    if slots is None:
+        bad(
+            NON_VARIABLE_SOURCE,
+            f"conclusion source {render_term(rule.conclusion.source)} is not an operator over variables",
+        )
+        return
+    proc_args: set[str] = set()
+    label_args: set[str] = set()
+    seen: set[str] = set()
+    shapeless = False
+    for slot in slots:
+        if isinstance(slot, Var):
+            name = slot.name
+            bucket = proc_args
+        elif isinstance(slot, LVar):
+            name = slot.name
+            bucket = label_args
+        else:
+            bad(NON_VARIABLE_SOURCE, f"source argument {slot} is not a variable")
+            shapeless = True
+            continue
+        if name in seen:
+            bad(REPEATED_VARIABLE, f"variable {name} occurs twice in the conclusion source")
+        seen.add(name)
+        bucket.add(name)
+    if shapeless:
+        return
+
+    for prem in (*rule.positives, *rule.negatives):
+        if not (isinstance(prem.source, Var) and prem.source.name in proc_args):
+            bad(
+                PREMISE_ON_NON_ARGUMENT,
+                f"premise tests {render_term(prem.source)}, not a source argument",
+            )
+
+    target_vars: set[str] = set()
+    for prem in rule.positives:
+        tgt = prem.target
+        if not isinstance(tgt, Var):
+            bad(TARGET_VAR_REUSE, f"premise target {render_term(tgt)} is not a fresh variable")
+            continue
+        if tgt.name in proc_args or tgt.name in target_vars:
+            bad(TARGET_VAR_REUSE, f"premise target {tgt.name} is not fresh")
+        target_vars.add(tgt.name)
+
+    vs = rule.var_sets
+    bound_procs = proc_args | target_vars
+    bound_labels = label_args.union(*vs.positives)
+    procs, labels = vs.target
+    for name in sorted(set(procs) - bound_procs | set(labels) - bound_labels):
+        bad(CONCL_VAR_ESCAPE, f"conclusion target uses unbound variable {name}")
+    for name in sorted(set(vs.label) - bound_labels):
+        bad(CONCL_VAR_ESCAPE, f"conclusion label uses unbound variable {name}")
+
+
+def _negative_labels(rule: Rule, slots, bad: Bad) -> None:
+    """Negative-premise labels may use only positively bound variables."""
+    vs = rule.var_sets
+    if not vs.negatives:
+        return
+    bound = {s.name for s in slots or () if isinstance(s, LVar)}.union(*vs.positives)
+    for lvars in vs.negatives:
+        for name in sorted(set(lvars) - bound):
+            bad(NEG_LABEL_UNBOUND, f"negative premise label uses unbound variable {name}")
+
+
+def _disjoint_extension(rule: Rule, slots, bad: Bad) -> None:
+    """User rules must not redefine deadlock, prefixing, or choice."""
+    src = rule.conclusion.source
+    if isinstance(src, (Nil, Prefix, Choice)):
+        shape = {Nil: "0", Prefix: "prefixing", Choice: "choice"}[type(src)]
+        bad(REDEFINES_BCCSP, f"rule concludes about built-in {shape}")
+
+
+def _check_rules(spec: Spec, *checks: Callable[[Rule, object, Bad], None]) -> list[Violation]:
+    """The violations of each rule in order, by check within a rule."""
     out: list[Violation] = []
     for idx, rule in enumerate(spec.rules, start=1):
 
@@ -83,106 +164,14 @@ def check_gsos(spec: Spec) -> list[Violation]:
             out.append(Violation(kind, idx, message, str(rule)))
 
         slots = _source_slots(rule)
-        if slots is None:
-            bad(
-                NON_VARIABLE_SOURCE,
-                f"conclusion source {render_term(rule.conclusion.source)} is not an operator over variables",
-            )
-            continue
-        proc_args: set[str] = set()
-        label_args: set[str] = set()
-        seen: set[str] = set()
-        shapeless = False
-        for slot in slots:
-            if isinstance(slot, Var):
-                name = slot.name
-                bucket = proc_args
-            elif isinstance(slot, LVar):
-                name = slot.name
-                bucket = label_args
-            else:
-                bad(NON_VARIABLE_SOURCE, f"source argument {slot} is not a variable")
-                shapeless = True
-                continue
-            if name in seen:
-                bad(REPEATED_VARIABLE, f"variable {name} occurs twice in the conclusion source")
-            seen.add(name)
-            bucket.add(name)
-        if shapeless:
-            continue
-
-        for prem in list(rule.positives) + list(rule.negatives):
-            if not (isinstance(prem.source, Var) and prem.source.name in proc_args):
-                bad(
-                    PREMISE_ON_NON_ARGUMENT,
-                    f"premise tests {render_term(prem.source)}, not a source argument",
-                )
-
-        premise_label_vars: set[str] = set()
-        target_vars: set[str] = set()
-        for prem in rule.positives:
-            premise_label_vars |= free_vars(prem.label)[1]
-        for prem in rule.positives:
-            tgt = prem.target
-            if not isinstance(tgt, Var):
-                bad(TARGET_VAR_REUSE, f"premise target {render_term(tgt)} is not a fresh variable")
-                continue
-            if tgt.name in proc_args or tgt.name in target_vars:
-                bad(TARGET_VAR_REUSE, f"premise target {tgt.name} is not fresh")
-            target_vars.add(tgt.name)
-
-        bound_procs = proc_args | target_vars
-        bound_labels = label_args | premise_label_vars
-        procs, labels = free_vars(rule.conclusion.target)
-        for name in sorted((procs - bound_procs) | (labels - bound_labels)):
-            bad(CONCL_VAR_ESCAPE, f"conclusion target uses unbound variable {name}")
-        _, concl_label_vars = free_vars(rule.conclusion.label)
-        for name in sorted(concl_label_vars - bound_labels):
-            bad(CONCL_VAR_ESCAPE, f"conclusion label uses unbound variable {name}")
+        for check in checks:
+            check(rule, slots, bad)
     return out
 
 
-def check_negative_labels(spec: Spec) -> list[Violation]:
-    """Negative-premise labels may use only positively bound variables."""
-    out: list[Violation] = []
-    for idx, rule in enumerate(spec.rules, start=1):
-        slots = _source_slots(rule)
-        label_args = (
-            {s.name for s in slots if isinstance(s, LVar)} if slots is not None else set()
-        )
-        bound = set(label_args)
-        for prem in rule.positives:
-            bound |= free_vars(prem.label)[1]
-        for prem in rule.negatives:
-            _, lvars = free_vars(prem.label)
-            for name in sorted(lvars - bound):
-                out.append(
-                    Violation(
-                        NEG_LABEL_UNBOUND,
-                        idx,
-                        f"negative premise label uses unbound variable {name}",
-                        str(rule),
-                    )
-                )
-    return out
-
-
-def check_disjoint_extension(spec: Spec) -> list[Violation]:
-    """User rules must not redefine deadlock, prefixing, or choice."""
-    out: list[Violation] = []
-    for idx, rule in enumerate(spec.rules, start=1):
-        src = rule.conclusion.source
-        if isinstance(src, (Nil, Prefix, Choice)):
-            shape = {Nil: "0", Prefix: "prefixing", Choice: "choice"}[type(src)]
-            out.append(
-                Violation(
-                    REDEFINES_BCCSP,
-                    idx,
-                    f"rule concludes about built-in {shape}",
-                    str(rule),
-                )
-            )
-    return out
+def check_gsos(spec: Spec) -> list[Violation]:
+    """Check every rule against the structural rule-format conditions."""
+    return _check_rules(spec, _gsos)
 
 
 def check_guarded_defs(spec: Spec) -> list[Violation]:
@@ -211,14 +200,7 @@ def check_guarded_defs(spec: Spec) -> list[Violation]:
 
 def check_all(spec: Spec) -> list[Violation]:
     """Every check, in rule order and then definition order."""
-    by_rule: dict[int, list[Violation]] = {}
-    for v in check_gsos(spec) + check_negative_labels(spec) + check_disjoint_extension(spec):
-        by_rule.setdefault(v.rule, []).append(v)  # type: ignore[arg-type]
-    out: list[Violation] = []
-    for idx in range(1, len(spec.rules) + 1):
-        out.extend(by_rule.get(idx, []))
-    out.extend(check_guarded_defs(spec))
-    return out
+    return _check_rules(spec, _gsos, _negative_labels, _disjoint_extension) + check_guarded_defs(spec)
 
 
 def violations_to_json(violations: list[Violation]) -> list[dict]:

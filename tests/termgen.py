@@ -4,7 +4,10 @@ Everything here is deterministic given the caller's random.Random instance,
 so failures reproduce from the seed alone.
 """
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from sosforge.bisim import Lts
 from sosforge.terms import (
@@ -141,3 +144,18 @@ def random_lts(rng: random.Random, max_states: int = 30, max_labels: int = 3) ->
         transitions.append(outs)
     states = [DefConst(f"s{i}") for i in range(n)]
     return Lts(states=states, transitions=transitions, roots=[0])
+
+
+def front_spec_text(seed: int, k: int) -> str:
+    """A clean spec of k renamed copies of full.sos's operators, made by the
+    benchmark's spec_front generator from that workload's seed.  For k = 10
+    it is the first spec the workload writes for the seed."""
+    name = "perfbench_workloads"
+    module = sys.modules.get(name)
+    if module is None:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module._front_spec(random.Random(f"spec_front:{seed}"), k)[0]

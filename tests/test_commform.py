@@ -1,14 +1,19 @@
 """Commutativity checking: mirror search, the fixed point, reports."""
 
+import collections
+import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from sosforge import load_corpus, parse_spec, parse_term
+import sosforge
+from sosforge import corpus_text, load_corpus, parse_spec, parse_term
 from sosforge.bisim import bisimilar
+from sosforge.cli import main
 from sosforge.commform import (
     CHOICE_OP,
     CommReport,
@@ -33,7 +38,7 @@ from sosforge.terms import (
     substitute_term,
 )
 from sosforge.tss import ProcOp, render_spec
-from termgen import random_bccsp_term
+from termgen import front_spec_text, random_bccsp_term
 
 # -- equality up to commutative swaps ------------------------------------------
 
@@ -455,3 +460,52 @@ def test_drawn_specs_reach_cascades():
         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
     )
     assert removal_rounds(found) >= 2
+
+
+# -- the mirror search's cost and full output -------------------------------------
+
+
+def test_rule_variables_walked_once(monkeypatch):
+    """The format check and the mirror search walk each premise label,
+    conclusion label and conclusion target once, however often the search
+    runs."""
+    spec = parse_spec(front_spec_text(9, 10))
+    walks = collections.Counter()
+    free_vars = sosforge.terms.free_vars
+
+    def counted(t):
+        walks["free_vars"] += 1
+        return free_vars(t)
+
+    for name in ("terms", "tss", "validator", "commform", "parser", "simulator", "axioms"):
+        module = getattr(sosforge, name)
+        if hasattr(module, "free_vars"):
+            monkeypatch.setattr(module, "free_vars", counted)
+    parts = sum(len(r.positives) + len(r.negatives) + 2 for r in spec.rules)
+    assert (len(spec.rules), parts) == (130, 430)
+    spec.check()
+    check_comm(spec)
+    assert walks["free_vars"] <= parts
+    once = walks["free_vars"]
+    check_comm(spec)
+    for op in spec.proc_ops.values():
+        if op.arity == 2:
+            for _, ra in spec.rules_for(op.name):
+                for _, rb in spec.rules_for(op.name):
+                    find_mirror(spec, ra, rb, {CHOICE_OP})
+    assert walks["free_vars"] == once
+
+
+# `comm --json` of each bundled spec and of the first spec_front spec of seed 9
+# (130 rules), mappings included, as recorded before the mirror search was
+# reworked.
+COMM_JSON = json.loads((Path(__file__).parent / "golden" / "comm_json.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(COMM_JSON))
+def test_comm_json_is_pinned(capsys, tmp_path, name):
+    text = front_spec_text(9, 10) if name == "front10" else corpus_text(name)
+    path = tmp_path / f"{name}.sos"
+    path.write_text(text, encoding="utf-8")
+    code = main(["comm", "--json", str(path)])
+    assert (code, capsys.readouterr().out) == (COMM_JSON[name]["exit"], COMM_JSON[name]["stdout"])

@@ -17,8 +17,8 @@ from sosforge.errors import (
 )
 from sosforge.parser import Tokens
 from sosforge.tss import render_spec
-from sosforge.terms import render_label, render_term
-from termgen import random_bccsp_term, random_full_term
+from sosforge.terms import ActConst, LApp, LVar, canon_label, render_label, render_term
+from termgen import front_spec_text, random_bccsp_term, random_full_term
 
 CORPUS = ("bccsp", "bccsp_par", "g", "linda", "recursion", "full")
 
@@ -210,11 +210,22 @@ def _random_spec_text(rng: random.Random, k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A comment the tokenizer reads on its Unicode path: a letter, a digit that
+# is not decimal and a numeral beyond ASCII.
+UNICODE_COMMENT = "# é ² ½\n"
+
+
 def test_generated_specs_roundtrip():
+    """Generated, bundled and benchmark specs render back to themselves, and
+    parse the same when a non-ASCII comment takes the tokenizer off its
+    ASCII path."""
     rng = random.Random(18)
-    for k in range(80):
-        text = _random_spec_text(rng, k)
+    texts = [_random_spec_text(rng, k) for k in range(80)]
+    texts += [corpus_text(name) for name in CORPUS]
+    texts += [front_spec_text(9, 10), front_spec_text(9, 40)]
+    for text in texts:
         spec = parse_spec(text)
+        assert parse_spec(text + UNICODE_COMMENT) == spec, text
         rendered = render_spec(spec)
         assert render_spec(parse_spec(rendered)) == rendered, text
 
@@ -466,6 +477,86 @@ def test_prefix_labels_in_parentheses(full):
     t = parse_term("(< {d}, -, {d} > . 0 + a . 0) || (b . 0)", full)
     assert t.op == "_||_" and render_term(t.args[0]) == "< {d},-,{d} > . 0 + a . 0"
     assert parse_term("ask(< {d}, -, {d} >)", full) == parse_term("ask(< {d},-,{d} >)", full)
+
+
+def test_leaves_are_shared_nodes(full):
+    """A process variable, a recursion constant and 0 are one node per spec."""
+    t = parse_term("g(x, x) || (w1 + 0)", full, closed=False)
+    assert t.args[0].args[0] is t.args[0].args[1]
+    again = parse_term("x || a . w1 + 0", full, closed=False)
+    assert again.args[0] is t.args[0].args[0]
+    assert again.args[1].left.body is t.args[1].left
+    assert again.args[1].right is t.args[1].right
+
+
+# -- label operators declared assoc ----------------------------------------------
+
+LID = """spec LID
+actions a b e ;
+labelop cat : Label Label -> Label [assoc id: e] ;
+labelop mix : Label Label -> Label [comm id: e] ;
+labelop seq : Label Label -> Label ;
+op f : 1 ;
+var x x' : Proc ;
+var k l : Label ;
+var alpha : Action ;
+rule x -(k)-> x' ==> f(x) -(cat(k, a))-> x' ;
+"""
+
+
+def test_assoc_label_takes_more_arguments():
+    """An `assoc` operator reads back the flat application it canonicalizes to."""
+    lid = parse_spec(LID)
+    flat = parse_label("cat(a, b, a)", lid)
+    assert flat == LApp("cat", (ActConst("a"), ActConst("b"), ActConst("a")))
+    assert render_label(flat) == "cat(a,b,a)"
+    for nested in ("cat(cat(a, b), a)", "cat(a, cat(b, a))"):
+        assert canon_label(parse_label(nested, lid), lid.theory) == flat
+    assert parse_label(render_label(flat), lid) == flat
+    assert parse_label("cat(k, alpha, b, l)", lid).args == (
+        LVar("k", "Label"), LVar("alpha", "Action"), ActConst("b"), LVar("l", "Label"))
+
+
+@pytest.mark.parametrize("text, kind, message", [
+    ("cat(a)", "ArityMismatch", "1:1: cat expects 2 arguments, got 1"),
+    ("cat()", "ArityMismatch", "1:1: cat expects 2 arguments, got 0"),
+    ("cat(a, b, x)", "ParseError", "1:11: process variable x in label position"),
+    ("mix(a, b, a)", "ArityMismatch", "1:1: mix expects 2 arguments, got 3"),
+    ("seq(a, b, a)", "ArityMismatch", "1:1: seq expects 2 arguments, got 3"),
+])
+def test_operators_keep_their_arity_errors(text, kind, message):
+    with pytest.raises(ParseError) as e:
+        parse_label(text, parse_spec(LID))
+    assert (type(e.value).__name__, str(e.value)) == (kind, message)
+
+
+def test_assoc_arguments_keep_their_sorts():
+    text = LID.replace("labelop cat : Label Label", "labelop cat : Action Action")
+    lid = parse_spec(text.replace("rule x -(k)-> x' ==> f(x) -(cat(k, a))-> x' ;\n", ""))
+    assert parse_label("cat(a, alpha, b)", lid).sort == "Label"
+    with pytest.raises(ParseError) as e:
+        parse_label("cat(a, b, k)", lid)
+    assert str(e.value) == "1:1: cat argument k is not of sort Action"
+
+
+def test_canon_label_assoc_and_identity():
+    """`canon_label` flattens `assoc`, drops an `id:` constant, sorts `comm`."""
+    lid = parse_spec(LID)
+    th = lid.theory
+
+    def canon(text):
+        return render_label(canon_label(parse_label(text, lid), th))
+
+    assert canon("cat(cat(a, b), cat(b, a))") == "cat(a,b,b,a)"
+    assert canon("cat(a, cat(e, b))") == "cat(a,b)"
+    assert canon("cat(e, a)") == "a"
+    assert canon("cat(e, e)") == "e"
+    assert canon("cat(e, cat(e, a), e)") == "a"
+    assert canon("mix(b, a)") == "mix(a,b)"
+    assert canon("mix(b, e)") == "b"
+    assert canon("mix(cat(b, a), cat(a, b))") == "mix(cat(a,b),cat(b,a))"
+    assert canon("cat(mix(b, a), k)") == "cat(mix(a,b),k)"
+    assert canon("seq(seq(a, b), e)") == "seq(seq(a,b),e)"  # no attributes, no equations
 
 
 def test_parse_context_built_once_per_spec():
