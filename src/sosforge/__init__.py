@@ -25,7 +25,7 @@ from .terms import (
     summands,
 )
 from .tss import Rule, Spec, render_spec
-from .validator import check_all, check_gsos
+from .validator import check_all
 
 __all__ = [
     "NormalizeBudget", "axiom_report", "normalize", "satisfies",
@@ -38,7 +38,7 @@ __all__ = [
     "render_label", "render_term", "substitute_label", "substitute_term",
     "summands",
     "Rule", "Spec", "render_spec",
-    "check_all", "check_gsos",
+    "check_all",
     "corpus_text", "load_corpus",
 ]
 

@@ -11,7 +11,7 @@ from pathlib import Path
 from .axioms import NormalizeBudget, axiom_report_json, axiom_report_text, normalize
 from .bisim import are_equal, bisimilar
 from .commform import check_comm, comm_report_json, comm_report_text, formats_spec
-from .errors import BudgetExceeded, ParseError, SosError, StateCapExceeded
+from .errors import BudgetExceeded, InvalidSpec, SosError, StateCapExceeded
 from .parser import parse_spec, parse_term
 from .simulator import step, steps_to_json
 from .terms import render_term
@@ -45,7 +45,9 @@ def _read_spec(path: str):
 def _load_spec(path: str):
     """Parse a spec file and refuse it unless it meets the rule format."""
     spec = _read_spec(path)
-    spec.check()
+    violations = check_all(spec)
+    if violations:
+        raise InvalidSpec(violations)
     return spec
 
 
@@ -202,13 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return EXIT_BUDGET
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except SosError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
+    except (SosError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

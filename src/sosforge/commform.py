@@ -128,6 +128,14 @@ def _complete_mapping(names: list[str], hmap: dict[str, str]) -> dict[str, str]:
     return out
 
 
+def _variables(spec: Spec, rule: Rule) -> set[str]:
+    """Every variable a rule of the format names: its source arguments,
+    premise targets and positive label variables bind all the others."""
+    names = {a.name for a in rule.conclusion.source.args}
+    names.update(p.target.name for p in rule.positives)
+    return names.union(*spec.rule_vars(rule).positives)
+
+
 def find_mirror(
     spec: Spec, rule_a: Rule, rule_b: Rule, comm_set: set[str]
 ) -> list[dict[str, str]]:
@@ -175,7 +183,7 @@ def find_mirror(
             return
         if not target_a:
             target_a = _cc_key(rule_a.conclusion.target, comm_set, th)
-            names = sorted({*rule_a.var_names, *rule_b.var_names})
+            names = sorted(_variables(spec, rule_a) | _variables(spec, rule_b))
         if _cc_key(substitute_term(rule_b.conclusion.target, sub), comm_set, th) != target_a:
             return
         full = _complete_mapping(names, hm)

@@ -4,6 +4,12 @@ A specification bundles the signature (actions, predicates, data sorts and
 constants, label operators, process operators), variable declarations,
 transition rules, and recursive definitions.  Deadlock, prefixing, and
 choice are built into the engine and never appear as declared operators.
+
+A `Rule` is a plain value.  The rule-format check (`validator.check_rules`)
+is the only code that reads a rule's structure: it runs once per `Spec`
+and records, for each rule that meets the format, the label variables of
+its premises and conclusion (`RuleVars`).  Firing plans (`plan_rule`,
+compiled on a rule's first firing) and the mirror search read that record.
 """
 
 from __future__ import annotations
@@ -14,16 +20,13 @@ from typing import NamedTuple
 
 from .errors import InvalidSpec, UnknownDefConst
 from .terms import (
-    App,
     EquationalTheory,
     LabelTerm,
     LVar,
     OpAttrs,
     Substitution,
     Term,
-    Var,
     canon_label,
-    free_vars,
     infix_symbol,
     render_label,
     render_term,
@@ -54,88 +57,23 @@ class NegPremise:
         return f"{render_term(self.source)} -({render_label(self.label)})/>"
 
 
-class RuleVars:
-    """The variable names of a rule's labels and conclusion target.
+class RuleVars(NamedTuple):
+    """What the rule-format check records of a rule that meets the format:
+    the label variables of each positive premise's label, of each negative
+    premise's label, in order, and of the conclusion label."""
 
-    `positives` and `negatives` hold the label variables of each premise's
-    label, in order; `label` those of the conclusion label; `target` the
-    process and the label variables of the conclusion target.  `names`,
-    every variable the rule names, sorted, is filled in by `Rule.var_names`.
-    """
-
-    __slots__ = ("positives", "negatives", "label", "target", "names")
-
-    def __init__(self, positives: tuple[tuple[str, ...], ...], negatives: tuple[tuple[str, ...], ...],
-                 label: tuple[str, ...], target: tuple[tuple[str, ...], tuple[str, ...]]):
-        self.positives = positives
-        self.negatives = negatives
-        self.label = label
-        self.target = target
-        self.names: tuple[str, ...] | None = None
-
-
-def _label_vars(label: LabelTerm) -> tuple[str, ...]:
-    return tuple(free_vars(label)[1])
-
-
-def _part_names(t: Term | LabelTerm) -> set[str]:
-    """The variables of a source argument or premise part: itself, in a rule of the format."""
-    if isinstance(t, (Var, LVar)):
-        return {t.name}
-    procs, labels = free_vars(t)
-    return procs | labels
+    positives: tuple[tuple[str, ...], ...]
+    negatives: tuple[tuple[str, ...], ...]
+    label: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Rule:
-    """A transition rule: positive and negative premises over one conclusion.
-
-    Its variables are found on first use, each label and the conclusion
-    target walked once, and kept on the rule, where the validator,
-    `plan_rule` and the mirror search read them.
-    """
+    """A transition rule: positive and negative premises over one conclusion."""
 
     positives: tuple[Transition, ...]
     negatives: tuple[NegPremise, ...]
     conclusion: Transition
-
-    # the cache of `var_sets`, written past the frozen __setattr__ so that
-    # it stays inline, as the term nodes' caches do
-    _vars = None
-
-    @property
-    def var_sets(self) -> RuleVars:
-        vs = self._vars
-        if vs is None:
-            procs, labels = free_vars(self.conclusion.target)
-            vs = RuleVars(
-                tuple([_label_vars(p.label) for p in self.positives]),
-                tuple([_label_vars(n.label) for n in self.negatives]),
-                _label_vars(self.conclusion.label),
-                (tuple(procs), tuple(labels)),
-            )
-            object.__setattr__(self, "_vars", vs)
-        return vs
-
-    @property
-    def var_names(self) -> tuple[str, ...]:
-        """Every variable the rule names, sorted."""
-        vs = self.var_sets
-        names = vs.names
-        if names is None:
-            found = set().union(vs.label, *vs.target)
-            source = self.conclusion.source
-            for a in source.args if isinstance(source, App) else (source,):
-                found |= _part_names(a)
-            for p, lvars in zip(self.positives, vs.positives):
-                found |= _part_names(p.source) | _part_names(p.target)
-                found.update(lvars)
-            for n, lvars in zip(self.negatives, vs.negatives):
-                src = n.source
-                found |= {src.name} if isinstance(src, Var) else free_vars(src)[0]
-                found.update(lvars)
-            names = vs.names = tuple(sorted(found))
-        return names
 
     def premises_str(self) -> str:
         parts = [str(p) for p in self.positives] + [str(n) for n in self.negatives]
@@ -209,10 +147,10 @@ def _label_plan(label: LabelTerm, names: tuple[str, ...], bound: set[str],
     return LabelPlan(GENERAL, label, substitute=substitute)
 
 
-def plan_rule(rule: Rule, th: EquationalTheory) -> RulePlan:
-    """Compile a rule that meets the rule format: its source arguments are
-    distinct variables, its premises test them and its premise targets are
-    fresh variables."""
+def plan_rule(rule: Rule, vs: RuleVars, th: EquationalTheory) -> RulePlan:
+    """Compile a rule that meets the rule format, given what the format
+    check recorded of it: its source arguments are distinct variables, its
+    premises test them and its premise targets are fresh variables."""
     slots = []
     pos_of: dict[str, int] = {}
     bound: set[str] = set()
@@ -223,7 +161,6 @@ def plan_rule(rule: Rule, th: EquationalTheory) -> RulePlan:
         else:
             slots.append((slot.name, None))
             pos_of[slot.name] = k
-    vs = rule.var_sets
     positives = tuple((pos_of[p.source.name], p.target.name, _label_plan(p.label, names, bound, th))
                       for p, names in zip(rule.positives, vs.positives))
     # negative and conclusion labels bind nothing: every variable is bound by now
@@ -269,12 +206,13 @@ class Spec:
     """A parsed language specification.
 
     A Spec is not mutated after `parse_spec` returns it: its equational
-    theory, its rule index, its parse context and the plan of each rule
-    the engine fires are computed once, on first use.  `parse_spec` checks
-    syntax only; the rule index checks the rule format
-    (`validator.check_all`) and raises `InvalidSpec` on a violation, so
-    every rule and definition the engine reads comes from a spec that
-    passed.
+    theory, its rule-format check, its rule index, its parse context and
+    the plan of each rule the engine fires are computed once, on first
+    use.  `parse_spec` checks syntax only; the rule index reads the
+    check's violations (`validator.check_all`) and raises `InvalidSpec` on
+    one, so every rule and definition the engine reads comes from a spec
+    that passed.  Plans are compiled from what the check recorded of each
+    rule, and only for rules that fire.
     """
 
     name: str
@@ -296,10 +234,17 @@ class Spec:
         )
 
     @cached_property
-    def _rule_index(self) -> dict[str, list[tuple[int, Rule]]]:
-        from .validator import check_all  # the validator reads Specs, so it imports this module
+    def _format(self) -> tuple[list, dict[int, RuleVars]]:
+        """The rule-format check, run once: every violation, and what it
+        recorded of each rule that meets the format, by id(rule)."""
+        from .validator import check_guarded_defs, check_rules  # the validator imports this module
 
-        violations = check_all(self)
+        violations, records = check_rules(self)
+        return violations + check_guarded_defs(self), records
+
+    @cached_property
+    def _rule_index(self) -> dict[str, list[tuple[int, Rule]]]:
+        violations = self._format[0]
         if violations:
             raise InvalidSpec(violations)
         index: dict[str, list[tuple[int, Rule]]] = {}
@@ -308,10 +253,8 @@ class Spec:
         return index
 
     @cached_property
-    def _plans(self) -> dict[int, tuple[Rule, RulePlan]]:
-        # by id(rule); each entry keeps its rule alive, so no id is reused
-        self.check()  # plans assume the rule format
-        return {}
+    def _plans(self) -> dict[int, RulePlan]:
+        return {}  # by id(rule); `rules` keeps every rule alive, so no id is reused
 
     @cached_property
     def parse_context(self):
@@ -328,17 +271,20 @@ class Spec:
         """The rules defining an operator, with their 1-based indices (a shared list)."""
         return self._rule_index.get(op, [])
 
+    def rule_vars(self, rule: Rule) -> RuleVars:
+        """What the format check recorded of a rule of this spec; raises InvalidSpec unless it passed."""
+        self.check()
+        return self._format[1][id(rule)]
+
     def plan(self, rule: Rule) -> RulePlan:
         """The firing plan of a rule of this spec, compiled when first asked for.
 
         Raises InvalidSpec unless the spec meets the rule format.
         """
         plans = self._plans
-        hit = plans.get(id(rule))
-        if hit is not None:
-            return hit[1]
-        compiled = plan_rule(rule, self.theory)
-        plans[id(rule)] = (rule, compiled)
+        compiled = plans.get(id(rule))
+        if compiled is None:
+            compiled = plans[id(rule)] = plan_rule(rule, self.rule_vars(rule), self.theory)
         return compiled
 
     def definition(self, name: str) -> Term:

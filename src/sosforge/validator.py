@@ -5,12 +5,17 @@ distinct variables, premises test only those argument variables, premise
 targets are fresh variables, nothing leaks into the conclusion that was
 never bound, and negative-premise labels use only variables bound
 positively.  Definitions must stay in the base fragment and be guarded.
+
+`check_rules` walks each rule once.  Besides the violations it records,
+for each rule that meets the format, the label variables of its premises
+and conclusion label (`tss.RuleVars`), which is all the firing plans and
+the mirror search need beyond the rule itself.  A `Spec` runs the check
+once, on first use, and `check_all` returns the violations of that run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .terms import (
     App,
@@ -21,9 +26,10 @@ from .terms import (
     Prefix,
     Term,
     Var,
+    free_vars,
     render_term,
 )
-from .tss import Rule, Spec
+from .tss import RuleVars, Spec
 
 NON_VARIABLE_SOURCE = "NonVariableSource"
 REPEATED_VARIABLE = "RepeatedVariable"
@@ -62,116 +68,87 @@ class Violation:
         return f"{where}: {self.kind}: {self.message}"
 
 
-def _source_slots(rule: Rule):
-    """The argument slots of the conclusion source, or None if shapeless."""
-    src = rule.conclusion.source
-    if isinstance(src, App):
-        return src.args
-    if isinstance(src, Prefix):
-        return (src.label, src.body)
-    if isinstance(src, Choice):
-        return (src.left, src.right)
-    return None
+def check_rules(spec: Spec) -> tuple[list[Violation], dict[int, RuleVars]]:
+    """Check every rule against the rule format, each rule in one walk.
 
-
-# A rule check reads a rule, the argument slots of its conclusion source and
-# a callback taking each violation's kind and message.
-Bad = Callable[[str, str], None]
-
-
-def _gsos(rule: Rule, slots, bad: Bad) -> None:
-    """The structural rule-format conditions."""
-    if slots is None:
-        bad(
-            NON_VARIABLE_SOURCE,
-            f"conclusion source {render_term(rule.conclusion.source)} is not an operator over variables",
-        )
-        return
-    proc_args: set[str] = set()
-    label_args: set[str] = set()
-    seen: set[str] = set()
-    shapeless = False
-    for slot in slots:
-        if isinstance(slot, Var):
-            name = slot.name
-            bucket = proc_args
-        elif isinstance(slot, LVar):
-            name = slot.name
-            bucket = label_args
-        else:
-            bad(NON_VARIABLE_SOURCE, f"source argument {slot} is not a variable")
-            shapeless = True
-            continue
-        if name in seen:
-            bad(REPEATED_VARIABLE, f"variable {name} occurs twice in the conclusion source")
-        seen.add(name)
-        bucket.add(name)
-    if shapeless:
-        return
-
-    for prem in (*rule.positives, *rule.negatives):
-        if not (isinstance(prem.source, Var) and prem.source.name in proc_args):
-            bad(
-                PREMISE_ON_NON_ARGUMENT,
-                f"premise tests {render_term(prem.source)}, not a source argument",
-            )
-
-    target_vars: set[str] = set()
-    for prem in rule.positives:
-        tgt = prem.target
-        if not isinstance(tgt, Var):
-            bad(TARGET_VAR_REUSE, f"premise target {render_term(tgt)} is not a fresh variable")
-            continue
-        if tgt.name in proc_args or tgt.name in target_vars:
-            bad(TARGET_VAR_REUSE, f"premise target {tgt.name} is not fresh")
-        target_vars.add(tgt.name)
-
-    vs = rule.var_sets
-    bound_procs = proc_args | target_vars
-    bound_labels = label_args.union(*vs.positives)
-    procs, labels = vs.target
-    for name in sorted(set(procs) - bound_procs | set(labels) - bound_labels):
-        bad(CONCL_VAR_ESCAPE, f"conclusion target uses unbound variable {name}")
-    for name in sorted(set(vs.label) - bound_labels):
-        bad(CONCL_VAR_ESCAPE, f"conclusion label uses unbound variable {name}")
-
-
-def _negative_labels(rule: Rule, slots, bad: Bad) -> None:
-    """Negative-premise labels may use only positively bound variables."""
-    vs = rule.var_sets
-    if not vs.negatives:
-        return
-    bound = {s.name for s in slots or () if isinstance(s, LVar)}.union(*vs.positives)
-    for lvars in vs.negatives:
-        for name in sorted(set(lvars) - bound):
-            bad(NEG_LABEL_UNBOUND, f"negative premise label uses unbound variable {name}")
-
-
-def _disjoint_extension(rule: Rule, slots, bad: Bad) -> None:
-    """User rules must not redefine deadlock, prefixing, or choice."""
-    src = rule.conclusion.source
-    if isinstance(src, (Nil, Prefix, Choice)):
-        shape = {Nil: "0", Prefix: "prefixing", Choice: "choice"}[type(src)]
-        bad(REDEFINES_BCCSP, f"rule concludes about built-in {shape}")
-
-
-def _check_rules(spec: Spec, *checks: Callable[[Rule, object, Bad], None]) -> list[Violation]:
-    """The violations of each rule in order, by check within a rule."""
+    Returns the violations in rule order, by condition within a rule, and
+    for each rule that meets the format the label variables of its
+    premises and conclusion label, by id(rule).
+    """
     out: list[Violation] = []
+    records: dict[int, RuleVars] = {}
     for idx, rule in enumerate(spec.rules, start=1):
+        bad: list[tuple[str, str]] = []
+        positives = tuple([tuple(free_vars(p.label)[1]) for p in rule.positives])
+        negatives = tuple([tuple(free_vars(n.label)[1]) for n in rule.negatives])
+        label = tuple(free_vars(rule.conclusion.label)[1])
 
-        def bad(kind: str, message: str) -> None:
-            out.append(Violation(kind, idx, message, str(rule)))
+        # the conclusion source: an operator over distinct variables
+        src = rule.conclusion.source
+        shapeless = False
+        if isinstance(src, App):
+            slots = src.args
+        elif isinstance(src, Prefix):
+            slots = (src.label, src.body)
+        elif isinstance(src, Choice):
+            slots = (src.left, src.right)
+        else:
+            slots = ()
+            shapeless = True
+            bad.append((NON_VARIABLE_SOURCE,
+                        f"conclusion source {render_term(src)} is not an operator over variables"))
+        proc_args: set[str] = set()
+        label_args: set[str] = set()
+        for slot in slots:
+            if not isinstance(slot, (Var, LVar)):
+                bad.append((NON_VARIABLE_SOURCE, f"source argument {slot} is not a variable"))
+                shapeless = True
+                continue
+            if slot.name in proc_args or slot.name in label_args:
+                bad.append((REPEATED_VARIABLE,
+                            f"variable {slot.name} occurs twice in the conclusion source"))
+            (proc_args if isinstance(slot, Var) else label_args).add(slot.name)
+        bound_labels = label_args.union(*positives)
 
-        slots = _source_slots(rule)
-        for check in checks:
-            check(rule, slots, bad)
-    return out
+        # premises test source arguments, positive ones into fresh targets,
+        # and the conclusion uses only what they bound
+        if not shapeless:
+            for prem in (*rule.positives, *rule.negatives):
+                if not (isinstance(prem.source, Var) and prem.source.name in proc_args):
+                    bad.append((PREMISE_ON_NON_ARGUMENT,
+                                f"premise tests {render_term(prem.source)}, not a source argument"))
+            target_vars: set[str] = set()
+            for prem in rule.positives:
+                tgt = prem.target
+                if not isinstance(tgt, Var):
+                    bad.append((TARGET_VAR_REUSE,
+                                f"premise target {render_term(tgt)} is not a fresh variable"))
+                    continue
+                if tgt.name in proc_args or tgt.name in target_vars:
+                    bad.append((TARGET_VAR_REUSE, f"premise target {tgt.name} is not fresh"))
+                target_vars.add(tgt.name)
+            procs, labels = free_vars(rule.conclusion.target)
+            for name in sorted(procs - proc_args - target_vars | labels - bound_labels):
+                bad.append((CONCL_VAR_ESCAPE, f"conclusion target uses unbound variable {name}"))
+            for name in sorted(set(label) - bound_labels):
+                bad.append((CONCL_VAR_ESCAPE, f"conclusion label uses unbound variable {name}"))
 
+        # negative premise labels use only positively bound variables
+        for names in negatives:
+            for name in sorted(set(names) - bound_labels):
+                bad.append((NEG_LABEL_UNBOUND, f"negative premise label uses unbound variable {name}"))
 
-def check_gsos(spec: Spec) -> list[Violation]:
-    """Check every rule against the structural rule-format conditions."""
-    return _check_rules(spec, _gsos)
+        # user rules do not redefine deadlock, prefixing or choice
+        if isinstance(src, (Nil, Prefix, Choice)):
+            shape = {Nil: "0", Prefix: "prefixing", Choice: "choice"}[type(src)]
+            bad.append((REDEFINES_BCCSP, f"rule concludes about built-in {shape}"))
+
+        if bad:
+            span = str(rule)
+            out += [Violation(kind, idx, message, span) for kind, message in bad]
+        else:
+            records[id(rule)] = RuleVars(positives, negatives, label)
+    return out, records
 
 
 def check_guarded_defs(spec: Spec) -> list[Violation]:
@@ -199,8 +176,9 @@ def check_guarded_defs(spec: Spec) -> list[Violation]:
 
 
 def check_all(spec: Spec) -> list[Violation]:
-    """Every check, in rule order and then definition order."""
-    return _check_rules(spec, _gsos, _negative_labels, _disjoint_extension) + check_guarded_defs(spec)
+    """Every violation, in rule order and then definition order, from the
+    spec's one format check (run on first use and kept on the Spec)."""
+    return list(spec._format[0])
 
 
 def violations_to_json(violations: list[Violation]) -> list[dict]:

@@ -11,7 +11,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import sosforge
-from sosforge import corpus_text, load_corpus, parse_spec, parse_term
+from sosforge import check_all, corpus_text, load_corpus, normalize, parse_spec, parse_term, step
 from sosforge.bisim import bisimilar
 from sosforge.cli import main
 from sosforge.commform import (
@@ -468,19 +468,28 @@ def test_drawn_specs_reach_cascades():
 def test_rule_variables_walked_once(monkeypatch):
     """The format check and the mirror search walk each premise label,
     conclusion label and conclusion target once, however often the search
-    runs."""
+    runs; the check runs once per spec, and firing rules, which compiles
+    their plans, walks nothing again."""
     spec = parse_spec(front_spec_text(9, 10))
+    terms = [parse_term(f"{op.name}(d)" if op.arity == 1 else f"{op.name}(a . 0 + | . 0, b . | . 0)", spec)
+             for op in spec.proc_ops.values()]
     walks = collections.Counter()
     free_vars = sosforge.terms.free_vars
+    check_rules = sosforge.validator.check_rules
 
     def counted(t):
         walks["free_vars"] += 1
         return free_vars(t)
 
+    def counted_pass(s):
+        walks["pass"] += 1
+        return check_rules(s)
+
     for name in ("terms", "tss", "validator", "commform", "parser", "simulator", "axioms"):
         module = getattr(sosforge, name)
         if hasattr(module, "free_vars"):
             monkeypatch.setattr(module, "free_vars", counted)
+    monkeypatch.setattr(sosforge.validator, "check_rules", counted_pass)
     parts = sum(len(r.positives) + len(r.negatives) + 2 for r in spec.rules)
     assert (len(spec.rules), parts) == (130, 430)
     spec.check()
@@ -493,7 +502,14 @@ def test_rule_variables_walked_once(monkeypatch):
             for _, ra in spec.rules_for(op.name):
                 for _, rb in spec.rules_for(op.name):
                     find_mirror(spec, ra, rb, {CHOICE_OP})
-    assert walks["free_vars"] == once
+    assert sum(len(step(spec, t)) for t in terms) > 0
+    normalize(spec, terms[-1])
+    for _ in range(3):
+        assert check_all(spec) == []
+        spec.check()
+        for op in spec.proc_ops:
+            spec.rules_for(op)
+    assert walks == {"free_vars": once, "pass": 1}
 
 
 # `comm --json` of each bundled spec and of the first spec_front spec of seed 9
