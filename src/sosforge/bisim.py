@@ -1,15 +1,25 @@
-"""Strong bisimilarity by partition refinement, with checkable witnesses.
+"""Strong bisimilarity of closed terms, decided while exploring.
 
-States are canonical closed terms reached by repeated stepping.  Blocks
-are split on transition signatures (label, successor block) until stable;
-two states are bisimilar exactly when they end in the same block.  A
-positive answer comes with the product-reachable set of same-block pairs,
-whose symmetric closure is a bisimulation containing the queried pair.
+States are canonical closed terms reached by repeated stepping, explored
+breadth-first one depth layer at a time.  After a layer, the two roots are
+compared under k-step bisimilarity (Hennessy & Milner 1985), which needs only
+the states within depth k of the roots: if it separates them, they are not
+bisimilar, and the answer "false" comes before the rest of the state space is
+built.  A comparison runs only once the explored states have doubled since
+the last one, and keeps each state's classes for the next, so on a pair that
+turns out bisimilar the comparisons cost less than the refinement.
+
+Once the exploration closes, blocks are split on transition signatures
+(label, successor block) until stable; two states are bisimilar exactly when
+they end in the same block.  A positive answer comes with the
+product-reachable set of same-block pairs, whose symmetric closure is a
+bisimulation containing the queried pair.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import SosError, StateCapExceeded
@@ -36,21 +46,111 @@ def default_state_cap() -> int:
 
 @dataclass
 class Lts:
-    """A finite labelled transition system over canonical terms."""
+    """A labelled transition system over canonical terms, explored breadth-first.
+
+    `transitions` holds the moves of the explored states, a prefix of
+    `states`.  When `closed` is false the exploration stopped early, and the
+    states past that prefix are unexplored.
+    """
 
     states: list[Term] = field(default_factory=list)
     transitions: list[list[tuple[str, int]]] = field(default_factory=list)
     roots: list[int] = field(default_factory=list)
+    closed: bool = True
 
     def state_key(self, i: int) -> str:
         return render_term(self.states[i])
 
 
-def build_lts(spec: Spec, roots: list[Term], state_cap: int | None = None) -> Lts:
+class StepClasses:
+    """k-step bisimilarity classes of an LTS explored in breadth-first layers.
+
+    `layers[d]` is the number of states of depth at most d; the states are in
+    breadth-first order, so those states are a prefix.  Level 0 is one class.
+    Level j gives each state of depth at most k - j the id of its set of
+    (label, level j-1 class of the target) moves; two states of depth 0 are
+    k-step bisimilar exactly when level k gives them the same id.  A state's
+    class at a level does not depend on k, so each level keeps its ids and
+    only classifies the states its region gained since the last call.
+    """
+
+    def __init__(self, lts: Lts, layers: list[int]):
+        self.lts = lts
+        self.layers = layers
+        # Per level j >= 1: signature ids, the class of each state of the
+        # region, and the level j-1 classes met on the region.
+        self.levels: list[tuple[dict[frozenset, int], list[int], set[int]]] = []
+        self.signatures = 0
+
+    def separates(self, k: int, i: int, j: int) -> bool:
+        """Whether k-step bisimilarity tells states i and j of depth 0 apart.
+
+        Needs the moves of every state of depth below k.  Stops at the first
+        level that splits no class of the level before it on its region: the
+        partition is stable there, so every later level separates the same
+        states.
+        """
+        trans = self.lts.transitions
+        prev: Sequence[int] = bytes(self.layers[k])  # level 0: every class id is 0
+        for level in range(1, k + 1):
+            if level > len(self.levels):
+                self.levels.append(({}, [], set()))
+            ids, cls, parents = self.levels[level - 1]
+            start, end = len(cls), self.layers[k - level]
+            for s in range(start, end):
+                sig = frozenset([(l, prev[t]) for l, t in trans[s]])
+                cls.append(ids.setdefault(sig, len(ids)))
+            parents.update(prev[start:end])
+            self.signatures += end - start
+            if cls[i] != cls[j]:
+                return True
+            if len(ids) == len(parents):
+                return False
+            prev = cls
+        return False
+
+
+def explore(
+    lts: Lts, moves: Callable[[int], list[tuple[str, int]]], decide: bool = False
+) -> Lts:
+    """Expand the interned roots of lts one depth layer at a time.
+
+    `moves(i)` lists state i's transitions, interning new targets.  With
+    `decide`, the first two roots are compared under k-step bisimilarity
+    after the k-th layer, whenever the explored states have at least doubled
+    since the last comparison; a layer that separates them ends the
+    exploration, and the LTS comes back not closed.
+    """
+    layers = [len(lts.states)]
+    classes = None
+    if decide and lts.roots[0] != lts.roots[1]:
+        classes = StepClasses(lts, layers)
+    checked = 0
+    states, trans = lts.states, lts.transitions
+    while len(trans) < len(states):
+        trans.append(moves(len(trans)))
+        explored = len(trans)
+        if explored < layers[-1]:
+            continue
+        # A layer is explored.  Once it finds no new state the exploration
+        # is closed, and refinement decides without a comparison.
+        layers.append(len(states))
+        if classes is not None and len(states) > explored and explored >= 2 * checked:
+            checked = explored
+            if classes.separates(len(layers) - 1, lts.roots[0], lts.roots[1]):
+                lts.closed = False
+                break
+    return lts
+
+
+def build_lts(
+    spec: Spec, roots: list[Term], state_cap: int | None = None, decide: bool = False
+) -> Lts:
     """Explore everything reachable from the roots, up to the state cap.
 
     One step cache serves the whole exploration, so each canonical subterm
-    of the reachable states is stepped once.
+    of the reachable states is stepped once.  With `decide`, the exploration
+    stops at the first layer that separates the two roots (see `explore`).
     """
     cap = default_state_cap() if state_cap is None else state_cap
     th = spec.theory
@@ -62,25 +162,21 @@ def build_lts(spec: Spec, roots: list[Term], state_cap: int | None = None) -> Lt
         c = canon_term(t, th)
         key = render_term(c)
         i = index.get(key)
-        if i is not None:
-            return i
-        if len(lts.states) >= cap:
-            raise StateCapExceeded(cap)
-        index[key] = len(lts.states)
-        lts.states.append(c)
-        lts.transitions.append([])
-        return index[key]
+        if i is None:
+            if len(lts.states) >= cap:
+                raise StateCapExceeded(cap)
+            i = index[key] = len(lts.states)
+            lts.states.append(c)
+        return i
 
-    lts.roots = [intern(r) for r in roots]
-    done = 0
-    while done < len(lts.states):
-        i = done
-        done += 1
+    def moves(i: int) -> list[tuple[str, int]]:
         out = []
         for s in step(spec, lts.states[i], cache=step_cache):
             out.append((render_label(s.label), intern(s.target)))
-        lts.transitions[i] = out
-    return lts
+        return out
+
+    lts.roots = [intern(r) for r in roots]
+    return explore(lts, moves, decide)
 
 
 def refine(lts: Lts) -> list[int]:
@@ -116,23 +212,36 @@ class BisimWitness:
 
 
 def _product_pairs(lts: Lts, blocks: list[int], r0: int, r1: int) -> list[tuple[int, int]]:
+    trans = lts.transitions
     seen = {(r0, r1)}
     queue = [(r0, r1)]
+    # Moves by (label, target block), kept for the states with several moves.
+    index: dict[int, dict[tuple[str, int], list[int]]] = {}
     while queue:
         i, j = queue.pop()
-        for l, ti in lts.transitions[i]:
-            for l2, tj in lts.transitions[j]:
-                if l2 == l and blocks[ti] == blocks[tj] and (ti, tj) not in seen:
+        moves = index.get(j)
+        if moves is None:
+            moves = {}
+            for l, tj in trans[j]:
+                moves.setdefault((l, blocks[tj]), []).append(tj)
+            if len(trans[j]) > 1:
+                index[j] = moves
+        for l, ti in trans[i]:
+            for tj in moves.get((l, blocks[ti]), ()):
+                if (ti, tj) not in seen:
                     seen.add((ti, tj))
                     queue.append((ti, tj))
-    return sorted(seen, key=lambda ij: (lts.state_key(ij[0]), lts.state_key(ij[1])))
+    keys = [render_term(t) for t in lts.states]
+    return sorted(seen, key=lambda ij: (keys[ij[0]], keys[ij[1]]))
 
 
 def bisimilar(
     spec: Spec, p: Term, q: Term, state_cap: int | None = None
 ) -> tuple[bool, BisimWitness | None]:
     """Decide strong bisimilarity of two closed terms."""
-    lts = build_lts(spec, [p, q], state_cap)
+    lts = build_lts(spec, [p, q], state_cap, decide=True)
+    if not lts.closed:
+        return False, None
     blocks = refine(lts)
     r0, r1 = lts.roots
     if blocks[r0] != blocks[r1]:

@@ -131,6 +131,45 @@ def equivalent_variant(rng: random.Random, t: Term) -> Term:
     return out
 
 
+def mutate_action(rng: random.Random, t: Term) -> Term:
+    """The term with one action prefix, picked at random, relabelled.
+
+    The new label is another action.  A term without action prefixes comes
+    back unchanged, and the result need not behave differently: the changed
+    prefix may be unreachable or have a twin summand.
+    """
+    count = _action_prefixes(t)
+    if count == 0:
+        return t
+    left = [rng.randrange(count)]
+
+    def walk(u: Term) -> Term:
+        if isinstance(u, Prefix):
+            label = u.label
+            if isinstance(label, ActConst):
+                if left[0] == 0:
+                    label = ActConst(rng.choice([a for a in ACTION_NAMES if a != label.name]))
+                left[0] -= 1
+            return Prefix(label, walk(u.body))
+        if isinstance(u, Choice):
+            return Choice(walk(u.left), walk(u.right))
+        if isinstance(u, App):
+            return App(u.op, tuple(a if isinstance(a, LabelTerm) else walk(a) for a in u.args))
+        return u
+
+    return walk(t)
+
+
+def _action_prefixes(t: Term) -> int:
+    if isinstance(t, Prefix):
+        return isinstance(t.label, ActConst) + _action_prefixes(t.body)
+    if isinstance(t, Choice):
+        return _action_prefixes(t.left) + _action_prefixes(t.right)
+    if isinstance(t, App):
+        return sum(_action_prefixes(a) for a in t.args if not isinstance(a, LabelTerm))
+    return 0
+
+
 def random_lts(rng: random.Random, max_states: int = 30, max_labels: int = 3) -> Lts:
     """A random finite transition system with synthetic state names."""
     n = rng.randint(1, max_states)

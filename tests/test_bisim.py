@@ -4,12 +4,16 @@ import random
 
 import pytest
 
-from sosforge import parse_spec, parse_term
+from sosforge import bisim, parse_spec, parse_term
 from sosforge.bisim import (
+    Lts,
+    StepClasses,
+    _product_pairs,
     are_equal,
     bisimilar,
     build_lts,
     default_state_cap,
+    explore,
     refine,
 )
 from sosforge.errors import InvalidSpec, StateCapExceeded
@@ -23,7 +27,13 @@ from sosforge.terms import (
     render_label,
     render_term,
 )
-from termgen import equivalent_variant, random_bccsp_term, random_full_term, random_lts
+from termgen import (
+    equivalent_variant,
+    mutate_action,
+    random_bccsp_term,
+    random_full_term,
+    random_lts,
+)
 
 # -- an independent stepper for the parallel fragment ---------------------------
 
@@ -208,6 +218,156 @@ def test_refine_matches_naive_fixpoint():
     for _ in range(60):
         lts = random_lts(rng, max_states=14)
         assert same_partition(refine(lts), naive_blocks(lts))
+
+
+# -- k-step separation while exploring ----------------------------------------------
+
+
+def _explore_from(src, roots, decide):
+    """Explore the part of a random LTS reachable from the given states."""
+    lts, index, origin = Lts(), {}, []
+
+    def intern(s):
+        if s not in index:
+            index[s] = len(lts.states)
+            lts.states.append(src.states[s])
+            origin.append(s)
+        return index[s]
+
+    lts.roots = [intern(r) for r in roots]
+    return explore(lts, lambda i: [(l, intern(t)) for l, t in src.transitions[origin[i]]], decide)
+
+
+def test_step_classes_agree_with_refine_on_random_lts():
+    """k-step classes over whole random systems: never finer than bisimilarity,
+    and equal to it once k reaches the number of states."""
+    rng = random.Random(104)
+    for _ in range(100):
+        lts = random_lts(rng, max_states=30)
+        n = len(lts.states)
+        blocks = refine(lts)
+        classes = StepClasses(lts, [n] * (n + 4))
+        for k in (1, 2, 3, n):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    split = classes.separates(k, i, j)
+                    assert not split or blocks[i] != blocks[j], (k, i, j)
+                    if k == n:
+                        assert split == (blocks[i] != blocks[j]), (i, j)
+
+
+def test_exploration_stops_only_on_separated_roots():
+    rng = random.Random(104)
+    stopped = 0
+    for _ in range(100):
+        src = random_lts(rng, max_states=30)
+        blocks = refine(src)
+        n = len(src.states)
+        for _ in range(10):
+            i, j = rng.randrange(n), rng.randrange(n)
+            lts = _explore_from(src, [i, j], decide=True)
+            if not lts.closed:
+                stopped += 1
+                assert blocks[i] != blocks[j]
+                continue
+            full = _explore_from(src, [i, j], decide=False)
+            assert (lts.states, lts.transitions) == (full.states, full.transitions)
+            sub = refine(lts)
+            assert (sub[lts.roots[0]] == sub[lts.roots[1]]) == (blocks[i] == blocks[j])
+    assert stopped > 0
+
+
+def _naive_product_pairs(lts, blocks, r0, r1):
+    """Same-block pairs reachable in the product, comparing every pair of moves."""
+    seen = {(r0, r1)}
+    queue = [(r0, r1)]
+    while queue:
+        i, j = queue.pop()
+        for l, ti in lts.transitions[i]:
+            for l2, tj in lts.transitions[j]:
+                if l2 == l and blocks[ti] == blocks[tj] and (ti, tj) not in seen:
+                    seen.add((ti, tj))
+                    queue.append((ti, tj))
+    return sorted(seen, key=lambda ij: (lts.state_key(ij[0]), lts.state_key(ij[1])))
+
+
+def _verdicts_match_full_exploration(spec, pairs):
+    verdicts = set()
+    for p, q in pairs:
+        ok, w = bisimilar(spec, p, q)
+        full = build_lts(spec, [p, q])
+        assert full.closed
+        blocks = refine(full)
+        r0, r1 = full.roots
+        assert ok == (blocks[r0] == blocks[r1]), (render_term(p), render_term(q))
+        verdicts.add(ok)
+        if ok:
+            want = _naive_product_pairs(full, blocks, r0, r1)
+            assert _product_pairs(full, blocks, r0, r1) == want
+            assert [(render_term(a), render_term(b)) for a, b in w.pairs] == [
+                (full.state_key(i), full.state_key(j)) for i, j in want
+            ]
+        else:
+            assert w is None
+    assert verdicts == {True, False}
+
+
+def test_early_verdicts_match_full_exploration_full_spec(full):
+    rng = random.Random(105)
+    pairs = []
+    for _ in range(40):
+        t = random_full_term(rng, 4)
+        pairs += [(t, equivalent_variant(rng, t)), (t, mutate_action(rng, t))]
+    _verdicts_match_full_exploration(full, pairs)
+
+
+def test_early_verdicts_match_full_exploration_parallel(par):
+    rng = random.Random(106)
+    pairs = []
+    for _ in range(40):
+        t = App("_||_", (random_bccsp_term(rng, 3), random_bccsp_term(rng, 3)))
+        pairs += [(t, equivalent_variant(rng, t)), (t, mutate_action(rng, t))]
+    _verdicts_match_full_exploration(par, pairs)
+
+
+class _CountedMoves(list):
+    """A transition list that counts how often a state's moves are read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def _check_work(monkeypatch, decide):
+    """Signatures the k-step checks compute, against refine's on the closed LTS."""
+    made = []
+
+    class Recording(StepClasses):
+        def __init__(self, lts, layers):
+            super().__init__(lts, layers)
+            made.append(self)
+
+    monkeypatch.setattr(bisim, "StepClasses", Recording)
+    ok, _ = decide()
+    assert ok and len(made) == 1
+    lts = made[0].lts
+    moves = _CountedMoves(lts.transitions)
+    refine(Lts(lts.states, moves, lts.roots))
+    return made[0].signatures, moves.reads
+
+
+def test_checks_cost_no_more_than_refine(monkeypatch, par):
+    body = " . ".join(["a"] * 400)
+    cycle = parse_spec(f"spec CYCLE\nactions a ;\ndef p = {body} . p ;\ndef q = a . q ;\n")
+    checks, refined = _check_work(monkeypatch, lambda: are_equal(cycle, "p", "q"))
+    assert 0 < checks <= refined
+    chain = parse_term(f"{body} . 0", par)
+    checks, refined = _check_work(
+        monkeypatch, lambda: bisimilar(par, chain, App("_||_", (chain, Nil())))
+    )
+    assert 0 < checks <= refined
 
 
 # -- equivalence queries -------------------------------------------------------------

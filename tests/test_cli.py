@@ -173,6 +173,16 @@ def test_state_cap_exit(capsys):
     assert code == 3 and "error:" in err
 
 
+def test_state_cap_bounds_explored_states(capsys):
+    """A false pair is answered once a layer separates it, before the cap."""
+    p7 = " || ".join(["a . b . | . 0"] * 7)
+    q7 = " || ".join(["a . b . | . 0"] * 6 + ["a . c . | . 0"])
+    assert run(capsys, "bisim", PAR, "--state-cap", "200", p7, q7) == (1, "false\n", "")
+    code, out, err = run(capsys, "bisim", PAR, "--state-cap", "200", p7, p7)
+    assert (code, out) == (3, "")
+    assert err == "error: state cap exceeded (200 states)\n"
+
+
 def test_budget_exit(capsys):
     code, _, err = run(capsys, "normalize", PAR, "--budget", "1", "a . 0 || b . 0")
     assert code == 3 and "error:" in err
