@@ -22,7 +22,9 @@ from .terms import (
     Prefix,
     Substitution,
     Term,
+    Triple,
     Var,
+    _slot_form,
     canon_label,
     canon_term,
     label_sort,
@@ -33,7 +35,7 @@ from .terms import (
     substitute_label,
     substitute_term,
 )
-from .tss import FRESH, GENERAL, GROUND, Rule, Spec
+from .tss import BOUND, FRESH, GROUND, TRIPLE, LabelPlan, Rule, Spec
 
 DEFAULT_DEPTH_CAP = 500
 DEFAULT_SET_CAP = 10000
@@ -63,7 +65,10 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
     the spec meets the rule format: source slots are distinct variables,
     premises test them and premise targets are fresh.  A premise label
     that is a bare variable or ground is checked by a sort check or by
-    comparing canonical strings; only the others go through `match`.
+    comparing canonical strings.  So is each slot of a store triple whose
+    slots are each a variable or a constant store (`_read_slots`).  Only
+    the other labels, multisets over variables and label-operator
+    applications over variables, go through `match`.
     """
     plan = spec.plan(rule)
     th = spec.theory
@@ -94,21 +99,29 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
                     merged.labels[lp.key] = lbl
                     merged.terms[target] = cont
                     nxt.append(merged)
-        elif kind == GENERAL:
+        elif kind == GROUND or kind == BOUND:
+            for s in subs:
+                key = lp.key if kind == GROUND else render_label(s.labels[lp.key])
+                for lbl, cont in offered:
+                    if render_label(lbl) == key:
+                        merged = s.copy()
+                        merged.terms[target] = cont
+                        nxt.append(merged)
+        elif kind == TRIPLE:
+            for s in subs:
+                for lbl, cont in offered:
+                    if isinstance(lbl, Triple):
+                        merged = s.copy()
+                        if _read_slots(lp.slots, lbl, merged.labels):
+                            merged.terms[target] = cont
+                            nxt.append(merged)
+        else:
             for s in subs:
                 pat = substitute_label(lp.label, s) if lp.substitute else lp.label
                 for lbl, cont in offered:
                     for m in match(pat, lbl, th):
                         merged = s.copy()
                         merged.labels.update(m.labels)
-                        merged.terms[target] = cont
-                        nxt.append(merged)
-        else:
-            for s in subs:
-                key = lp.key if kind == GROUND else render_label(s.labels[lp.key])
-                for lbl, cont in offered:
-                    if render_label(lbl) == key:
-                        merged = s.copy()
                         merged.terms[target] = cont
                         nxt.append(merged)
         subs = nxt
@@ -125,6 +138,27 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
         if not subs:
             return []
     return subs
+
+
+def _read_slots(slots: tuple[LabelPlan, ...], triple: Triple, labels: dict[str, LabelTerm]) -> bool:
+    """Whether a canonical store triple meets a TRIPLE plan's slots; binds
+    the fresh slot variables into `labels`.
+
+    A bound slot compares its value as a slot holds it, a lone data
+    constant as its singleton multiset.  A bound or ground slot compares
+    sorts as well as canonical strings, as `match` does: `{}` prints the
+    same in every data sort.
+    """
+    for sp, value in zip(slots, (triple.pre, triple.post)):
+        if sp.kind == FRESH:
+            if not sort_accepts(sp.sort, label_sort(value)):
+                return False
+            labels[sp.key] = value
+            continue
+        want = sp.label if sp.kind == GROUND else _slot_form(labels[sp.key])
+        if render_label(value) != render_label(want) or label_sort(value) != label_sort(want):
+            return False
+    return True
 
 
 def step(spec: Spec, term: Term, *, cache: dict[str, list[Step]] | None = None) -> list[Step]:

@@ -444,8 +444,7 @@ def canon_label(l: LabelTerm, th: EquationalTheory = EMPTY_THEORY) -> LabelTerm:
         out = MSet(tuple(flat), l.sort)
         _cache_on(out, "_cth", th)
     elif isinstance(l, Triple):
-        out = Triple(_canon_slot(l.pre, th), _canon_slot(l.post, th))
-        _cache_on(out, "_cth", th)
+        out = _canon_triple(canon_label(l.pre, th), canon_label(l.post, th), th)
     else:
         raise TypeError(f"not a label term: {l!r}")
     _cache_on(l, "_cth", th)
@@ -453,12 +452,19 @@ def canon_label(l: LabelTerm, th: EquationalTheory = EMPTY_THEORY) -> LabelTerm:
     return out
 
 
-def _canon_slot(slot: LabelTerm, th: EquationalTheory) -> LabelTerm:
-    """Canonicalize a triple slot, coercing a lone data constant to a singleton multiset."""
-    c = canon_label(slot, th)
+def _slot_form(c: LabelTerm) -> LabelTerm:
+    """A canonical label as a store slot holds it: a lone data constant is
+    its singleton multiset."""
     if isinstance(c, DataConst):
         return MSet((c,), c.sort)
     return c
+
+
+def _canon_triple(pre: LabelTerm, post: LabelTerm, th: EquationalTheory) -> Triple:
+    """The canonical store triple over two canonical slot labels."""
+    out = Triple(_slot_form(pre), _slot_form(post))
+    _cache_on(out, "_cth", th)
+    return out
 
 
 def choice_atoms(t: Term) -> list[Term]:

@@ -20,12 +20,17 @@ from typing import NamedTuple
 
 from .errors import InvalidSpec, UnknownDefConst
 from .terms import (
+    DataConst,
     EquationalTheory,
     LabelTerm,
     LVar,
+    MSet,
     OpAttrs,
     Substitution,
     Term,
+    Triple,
+    _canon_triple,
+    _slot_form,
     canon_label,
     infix_symbol,
     render_label,
@@ -88,16 +93,20 @@ class Rule:
 FRESH = "fresh"      # a bare variable not bound yet: bind it after a sort check
 BOUND = "bound"      # a bare bound variable: compare canonical strings
 GROUND = "ground"    # no variables: compare with its canonical string
+TRIPLE = "triple"    # a store triple of variable or constant-store slots: read slot by slot
 GENERAL = "general"  # anything else: the matcher
 
 
 class LabelPlan(NamedTuple):
-    """One label of a rule, classified once.
+    """One label of a rule, or one slot of a TRIPLE label, classified once.
 
-    `label` is the canonical form of a GROUND label and the label as
-    written otherwise; `key` is the canonical string of a GROUND label and
-    the variable's name for FRESH and BOUND; `sort` is a FRESH variable's
-    sort; `substitute` tells whether a GENERAL label names a bound variable.
+    `label` is the canonical form of a GROUND label (of a GROUND slot, its
+    form as a slot holds it: a lone data constant is its singleton
+    multiset) and the label as written otherwise; `key` is the canonical
+    string of a GROUND label and the variable's name for FRESH and BOUND;
+    `sort` is a FRESH variable's sort; `substitute` tells whether a GENERAL
+    label names a bound variable; `slots` holds the plans of a TRIPLE
+    label's two slots.
     """
 
     kind: str
@@ -105,6 +114,7 @@ class LabelPlan(NamedTuple):
     key: str = ""
     sort: str = ""
     substitute: bool = False
+    slots: tuple[LabelPlan, ...] = ()
 
     def under(self, sub: Substitution, th: EquationalTheory) -> LabelTerm:
         """The label's canonical form under a substitution that binds its variables."""
@@ -112,6 +122,9 @@ class LabelPlan(NamedTuple):
             return self.label
         if self.kind == BOUND:
             return sub.labels[self.key]
+        if self.kind == TRIPLE:
+            pre, post = self.slots
+            return _canon_triple(pre.under(sub, th), post.under(sub, th), th)
         return canon_label(substitute_label(self.label, sub), th)
 
 
@@ -142,9 +155,34 @@ def _label_plan(label: LabelTerm, names: tuple[str, ...], bound: set[str],
     if not names:
         canon = canon_label(label, th)
         return LabelPlan(GROUND, canon, render_label(canon))
+    if isinstance(label, Triple):
+        slots = _slot_plans(label, bound, th)
+        if slots is not None:
+            bound.update(names)
+            return LabelPlan(TRIPLE, label, slots=slots)
     substitute = not bound.isdisjoint(names)
     bound.update(names)
     return LabelPlan(GENERAL, label, substitute=substitute)
+
+
+def _slot_plans(label: Triple, bound: set[str],
+                th: EquationalTheory) -> tuple[LabelPlan, LabelPlan] | None:
+    """Classify a store triple's slots: a variable as `_label_plan` does, a
+    variable repeated in the second slot as BOUND, and a constant store (a
+    data constant or a multiset of them) as GROUND.  None if a slot is
+    anything else."""
+    seen = set(bound)
+    plans = []
+    for slot in (label.pre, label.post):
+        if isinstance(slot, LVar):
+            plans.append(LabelPlan(BOUND if slot.name in seen else FRESH, slot, slot.name, slot.sort))
+            seen.add(slot.name)
+            continue
+        canon = _slot_form(canon_label(slot, th))
+        if not (isinstance(canon, MSet) and all(isinstance(e, DataConst) for e in canon.elements)):
+            return None
+        plans.append(LabelPlan(GROUND, canon, render_label(canon)))
+    return plans[0], plans[1]
 
 
 def plan_rule(rule: Rule, vs: RuleVars, th: EquationalTheory) -> RulePlan:

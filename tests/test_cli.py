@@ -362,26 +362,39 @@ ACU_SPEC = """spec ACU
 predicates | ;
 datasort Data [assoc comm id: empty] ;
 dataconst d u v : Data ;
-op ask : 1 ;  op f : 1 ;  op h : 1 ;
-var x x' : Proc ;  var mu xD xD' : Data ;
+op ask : 1 ;  op f : 1 ;  op h : 1 ;  op g : 2 ;  op m : 2 ;
+var x y x' y' : Proc ;  var mu xD xD' : Data ;
 rule ==> ask(mu) -( < {d, mu}, -, {d, mu} > )-> | . 0 ;
 rule x -(< {d, xD}, -, xD' >)-> x' ==> f(x) -(< xD, -, xD' >)-> x' ;
 rule x -(< {xD}, -, xD' >)-> x' ==> h(x) -(< xD, -, xD' >)-> x' ;
+rule x -(< {d, xD}, -, xD' >)-> x' , y -(< xD, -, xD' >)-> y' ==> g(x, y) -(|)-> 0 ;
+rule x -(< mu, -, mu >)-> x' ==> m(mu, x) -(< mu, -, mu >)-> m(mu, x') ;
 """
 
 
-@pytest.mark.parametrize("term, label", [
-    ("f(ask(empty))", "< {},-,{d} >"),
-    ("f(ask(u))", "< {u},-,{d, u} >"),
-    ("f(ask({u, v}))", "< {u, v},-,{d, u, v} >"),
-    ("h(ask(u))", "< {d, u},-,{d, u} >"),
-])
-def test_premise_multiset_variable_takes_any_share(tmp_path, capsys, term, label):
+# term, the label and target of its one step, and the normal form of that target
+ACU_ROWS = [
+    ("f(ask(empty))", "< {},-,{d} >", "| . 0", "| . 0"),
+    ("f(ask(u))", "< {u},-,{d, u} >", "| . 0", "| . 0"),
+    ("f(ask({u, v}))", "< {u, v},-,{d, u, v} >", "| . 0", "| . 0"),
+    ("h(ask(u))", "< {d, u},-,{d, u} >", "| . 0", "| . 0"),
+    # xD takes the one-element share u, then reads as {u} in the second premise
+    ("g(ask(u), < {u}, -, {d, u} > . 0)", "|", "0", "0"),
+    # mu holds the lone constant u of a source slot, {u} in a store slot
+    ("m(u, < u, -, u > . 0)", "< {u},-,{u} >", "m(u,0)", "0"),
+]
+
+
+@pytest.mark.parametrize("term, label, target, nf_target", ACU_ROWS,
+                         ids=[f"{term}-{label}" for term, label, _, _ in ACU_ROWS])
+def test_premise_multiset_variable_takes_any_share(tmp_path, capsys, term, label, target, nf_target):
     spec = tmp_path / "acu.sos"
     spec.write_text(ACU_SPEC, encoding="utf-8")
     code, out, err = run(capsys, "simulate", str(spec), term)
     assert (code, err) == (0, "")
-    assert out == f"Possible steps:\n < {label} # | . 0 >\n"
+    assert out == f"Possible steps:\n < {label} # {target} >\n"
+    code, out, err = run(capsys, "normalize", str(spec), term)
+    assert (code, out, err) == (0, f"{label} . {nf_target}\n", "")
 
 
 def test_bisim_sees_empty_share(tmp_path, capsys):

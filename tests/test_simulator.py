@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from sosforge import axioms, load_corpus, parse_spec, parse_term, simulator
+from sosforge import axioms, load_corpus, parse_label, parse_spec, parse_term, simulator
 from sosforge.axioms import normalize
 from sosforge.bisim import build_lts
 from sosforge.errors import BudgetExceeded, InvalidSpec
 from sosforge.simulator import solve_rule, step
-from sosforge.tss import BOUND, FRESH, GENERAL, GROUND
+from sosforge.tss import BOUND, FRESH, GENERAL, GROUND, TRIPLE
 from sosforge.terms import (
     NIL,
     ActConst,
@@ -390,9 +390,13 @@ def test_solve_rule_matches_reference_on_linda_chains(linda, against_reference):
 # Every kind of label a rule plan reads, in a spec written for it: a fresh
 # `alpha : Action` offered `|` (rule 1), a ground negative (1), a ground
 # premise and conclusion (2), a label source slot reused in a premise (3),
-# a general triple pattern (4), a bound variable in a second premise with a
-# general negative (5), and a general pattern over a bound and a fresh
-# variable with a bound negative (6).
+# a general triple pattern (3, 11), a store triple of two fresh slots with
+# one of two bound slots in the conclusion (4), a bound variable in a
+# second premise with a general negative (5), a general pattern over a
+# bound and a fresh variable with a bound negative (6), and store triples
+# with a repeated slot variable (7), a ground slot (8), a negative of bound
+# slots (9), a source slot variable in a slot (10) and a slot variable
+# bound to a lone data constant by a one-element multiset share (11).
 KINDS = """spec KINDS
 actions a b ;
 predicates | ;
@@ -400,6 +404,7 @@ datasort Data [assoc comm id: empty] ;
 dataconst d u : Data ;
 labelop mix : Label Label -> Label [comm] ;
 op n : 1 ;  op h : 2 ;  op r : 1 ;  op q : 2 ;
+op e : 1 ;  op g : 1 ;  op p : 2 ;  op w : 2 ;  op f : 2 ;
 var x y x' y' : Proc ;
 var alpha : Action ;
 var k l : Label ;
@@ -410,10 +415,15 @@ rule x -(< {d, mu}, -, {d, mu} >)-> x' ==> h(mu, x) -(< {d, mu}, -, {d, mu} >)->
 rule x -(< xD, -, xD' >)-> x' ==> r(x) -(< xD', -, xD >)-> r(x') ;
 rule x -(k)-> x' , y -(k)-> y' , y -(mix(k, k))/> ==> q(x, y) -(k)-> q(x', y') ;
 rule x -(k)-> x' , y -(mix(k, l))-> y' , x -(l)/> ==> q(x, y) -(mix(l, k))-> x' ;
+rule x -(< xD, -, xD >)-> x' ==> e(x) -(< xD, -, xD >)-> e(x') ;
+rule x -(< d, -, xD' >)-> x' ==> g(x) -(< {d, u}, -, xD' >)-> g(x') ;
+rule x -(< xD, -, xD' >)-> x' , y -(< xD', -, xD >)/> ==> p(x, y) -(< xD, -, xD' >)-> p(x', y) ;
+rule x -(< mu, -, xD' >)-> x' ==> w(mu, x) -(< xD', -, mu >)-> w(mu, x') ;
+rule x -(< {d, xD}, -, xD' >)-> x' , y -(< xD, -, xD' >)-> y' ==> f(x, y) -(< xD, -, xD' >)-> f(x', y') ;
 """
 KINDS_LABELS = ("a", "b", "|", "mix(a, b)", "mix(a, a)", "mix(b, |)",
                 "< {d, u}, -, {d, u} >", "< {d}, -, {d} >", "< {d, d}, -, {d, d} >",
-                "< {}, -, {u} >")
+                "< {}, -, {u} >", "< {u}, -, {d, u} >", "< u, -, u >", "< d, -, {d, u} >")
 KINDS_DATA = ("d", "u", "{}", "{d, u}")
 
 
@@ -424,11 +434,11 @@ def _kinds_text(rng, depth):
     if rng.random() < 0.5:
         return " + ".join(f"{rng.choice(KINDS_LABELS)} . {_kinds_text(rng, depth - 1)}"
                           for _ in range(rng.randint(1, 3)))
-    op = rng.choice("nhrq")
-    if op == "h":
-        return f"h({rng.choice(KINDS_DATA)}, {_kinds_text(rng, depth - 1)})"
-    if op == "q":
-        return f"q({_kinds_text(rng, depth - 1)}, {_kinds_text(rng, depth - 1)})"
+    op = rng.choice("nhrqegpwf")
+    if op in "hw":
+        return f"{op}({rng.choice(KINDS_DATA)}, {_kinds_text(rng, depth - 1)})"
+    if op in "qpf":
+        return f"{op}({_kinds_text(rng, depth - 1)}, {_kinds_text(rng, depth - 1)})"
     return f"{op}({_kinds_text(rng, depth - 1)})"
 
 
@@ -436,13 +446,25 @@ def test_solve_rule_matches_reference_on_every_plan_kind(against_reference):
     spec = parse_spec(KINDS)
     plans = [spec.plan(r) for r in spec.rules]
     assert [[lp.kind for _, _, lp in p.positives] for p in plans] == [
-        [FRESH], [GROUND], [GENERAL], [GENERAL], [FRESH, BOUND], [FRESH, GENERAL]]
+        [FRESH], [GROUND], [GENERAL], [TRIPLE], [FRESH, BOUND], [FRESH, GENERAL],
+        [TRIPLE], [TRIPLE], [TRIPLE], [TRIPLE], [GENERAL, TRIPLE]]
     assert [[lp.kind for _, lp in p.negatives] for p in plans] == [
-        [GROUND], [], [], [], [GENERAL], [BOUND]]
+        [GROUND], [], [], [], [GENERAL], [BOUND], [], [], [TRIPLE], [], []]
     assert [p.conclusion.kind for p in plans] == [
-        BOUND, GROUND, GENERAL, GENERAL, BOUND, GENERAL]
+        BOUND, GROUND, GENERAL, TRIPLE, BOUND, GENERAL, TRIPLE, TRIPLE, TRIPLE, TRIPLE, TRIPLE]
+    slot_kinds = [[[sp.kind for sp in lp.slots] for lp in (p.positives[-1][2], p.conclusion)]
+                  for p in [plans[3], *plans[6:]]]
+    assert slot_kinds == [
+        [[FRESH, FRESH], [BOUND, BOUND]],
+        [[FRESH, BOUND], [BOUND, BOUND]],
+        [[GROUND, FRESH], [GROUND, BOUND]],
+        [[FRESH, FRESH], [BOUND, BOUND]],
+        [[BOUND, FRESH], [BOUND, BOUND]],
+        [[BOUND, BOUND], [BOUND, BOUND]]]
+    assert [sp.kind for sp in plans[8].negatives[0][1].slots] == [BOUND, BOUND]
+    assert plans[7].positives[0][2].slots[0].label == parse_label("{d}", spec)
     assert plans[2].positives[0][2].substitute and plans[5].positives[1][2].substitute
-    assert not plans[3].positives[0][2].substitute
+    assert not plans[10].positives[0][2].substitute
 
     assert [str(s) for s in step(spec, parse_term("n(| . 0 + b . 0)", spec))] == [
         "< b # 0 >", "< | # 0 >"]
@@ -455,6 +477,17 @@ def test_solve_rule_matches_reference_on_every_plan_kind(against_reference):
     assert [str(s) for s in step(spec, parse_term("q(a . 0, mix(a, b) . 0)", spec))] == [
         "< mix(a,b) # 0 >"]
     assert step(spec, parse_term("q(a . 0 + b . 0, mix(a, b) . 0)", spec)) == []
+    assert [str(s) for s in step(spec, parse_term("e(< u, -, u > . 0 + < d, -, u > . 0)", spec))] == [
+        "< < {u},-,{u} > # e(0) >"]
+    assert [str(s) for s in step(spec, parse_term("g(< d, -, u > . 0 + < {d, u}, -, u > . 0)", spec))] == [
+        "< < {d, u},-,{u} > # g(0) >"]
+    assert [str(s) for s in step(spec, parse_term("p(< d, -, u > . 0, < u, -, {} > . 0)", spec))] == [
+        "< < {d},-,{u} > # p(0,< u,-,{} > . 0) >"]
+    assert step(spec, parse_term("p(< d, -, u > . 0, < u, -, d > . 0)", spec)) == []
+    assert [str(s) for s in step(spec, parse_term("w(u, < u, -, {} > . 0 + < d, -, {} > . 0)", spec))] == [
+        "< < {},-,{u} > # w(u,0) >"]
+    assert [str(s) for s in step(spec, parse_term("f(< {d, u}, -, d > . 0, < u, -, d > . 0)", spec))] == [
+        "< < {u},-,{d} > # f(0,0) >"]
     rng = random.Random(33)
     for _ in range(300):
         t = parse_term(_kinds_text(rng, 4), spec)
@@ -462,6 +495,33 @@ def test_solve_rule_matches_reference_on_every_plan_kind(against_reference):
         normalize(spec, t)
     fired = sum(1 for c in against_reference if c)
     assert fired > 200 and len(against_reference) > 2 * fired
+
+
+def test_store_slots_keep_their_sort(against_reference):
+    """A store slot reads its sort as `match` does, though `{}` prints the
+    same in every data sort."""
+    spec = parse_spec("""spec SORTS
+datasort Data [assoc comm id: none] ;  datasort Key [assoc comm id: nokey] ;
+dataconst d : Data ;  dataconst k : Key ;
+op r : 1 ;  op s : 1 ;  op t : 1 ;
+var x x' : Proc ;
+var xD xD' : Data ;
+rule x -(< xD, -, xD' >)-> x' ==> r(x) -(< xD', -, xD >)-> r(x') ;
+rule x -(< xD, -, none >)-> x' ==> s(x) -(< xD, -, xD >)-> s(x') ;
+rule x -(< xD, -, xD >)-> x' ==> t(x) -(< xD, -, none >)-> t(x') ;
+""")
+    # `< d, -, none >` and `< d, -, nokey >` print alike, so each is offered alone
+    cases = [
+        ("r(< d, -, d > . 0 + < k, -, k > . 0 + < d, -, k > . 0)", "< {d},-,{d} >", "r"),
+        ("s(< d, -, nokey > . 0)", None, "s"),
+        ("s(< d, -, none > . 0)", "< {d},-,{d} >", "s"),
+        ("t(< none, -, nokey > . 0 + < d, -, d > . 0)", "< {d},-,{} >", "t"),
+    ]
+    for text, label, op in cases:
+        t = parse_term(text, spec)
+        assert [str(s) for s in step(spec, t)] == ([f"< {label} # {op}(0) >"] if label else [])
+        assert render_term(normalize(spec, t)) == (f"{label} . 0" if label else "0")
+    assert against_reference == [1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0]
 
 
 # -- work counts --------------------------------------------------------------
@@ -479,3 +539,26 @@ def test_bccsp_par_exploration_makes_no_match_call(par, monkeypatch):
     monkeypatch.setattr(simulator, "match", counted)
     lts = build_lts(par, [parse_term(" || ".join(["a . b . | . 0"] * 6), par)])
     assert len(lts.states) == 3 ** 6 + 1 and calls == []
+
+
+def test_store_triples_make_no_match_call(linda, full, monkeypatch):
+    """`linda.sos`'s and `full.sos`'s premise labels are a bare variable,
+    ground, or a store triple over two slot variables, so neither `step`
+    nor `normalize` calls the matcher on them."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return match(*args)
+
+    monkeypatch.setattr(simulator, "match", counted)
+    rng = random.Random(34)
+    normalize(linda, parse_term(_linda_chain(rng, 24), linda))
+    pair = parse_term(f"({_linda_chain(rng, 3)}) || ({_linda_chain(rng, 3)})", linda)
+    assert len(build_lts(linda, [pair]).states) > 10
+    fired = 0
+    for _ in range(100):
+        t = random_full_term(rng, 3)
+        fired += len(step(full, t))
+        normalize(full, t)
+    assert fired > 100 and calls == []
