@@ -10,8 +10,6 @@ ground terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BudgetExceeded, NonBccspTerm, NonHnfArgument, OpenTerm
 from .simulator import solve_rule
 from .terms import (
@@ -32,11 +30,12 @@ from .terms import (
     render_term,
     substitute_label,
     summands,
+    valueclass,
 )
 from .tss import Rule, Spec
 
 
-@dataclass(frozen=True)
+@valueclass
 class NormalizeBudget:
     """Work limits for normalization of ill-founded inputs."""
 
@@ -142,7 +141,7 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
 # the equation schema as a report
 
 
-@dataclass(frozen=True)
+@valueclass
 class AxiomEntry:
     """One defining equation: a summand guarded by premise conditions."""
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .errors import SosError, StateCapExceeded
 from .simulator import Step, step
-from .terms import DefConst, Term, canon_term, render_label, render_term
+from .terms import DefConst, Term, canon_term, render_label, render_term, valueclass
 from .tss import Spec
 
 DEFAULT_STATE_CAP = 100000
@@ -44,7 +44,7 @@ def default_state_cap() -> int:
     return cap
 
 
-@dataclass
+@valueclass(hashable=False)
 class Lts:
     """A labelled transition system over canonical terms, explored breadth-first.
 
@@ -57,9 +57,6 @@ class Lts:
     transitions: list[list[tuple[str, int]]] = field(default_factory=list)
     roots: list[int] = field(default_factory=list)
     closed: bool = True
-
-    def state_key(self, i: int) -> str:
-        return render_term(self.states[i])
 
 
 class StepClasses:
@@ -198,7 +195,7 @@ def refine(lts: Lts) -> list[int]:
         count = len(mapping)
 
 
-@dataclass
+@valueclass(hashable=False)
 class BisimWitness:
     """Same-block state pairs reachable in the product from the root pair."""
 

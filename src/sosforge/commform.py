@@ -14,7 +14,7 @@ with an unmirrored rule.  The report is the last round, which drops none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .terms import (
     SORT_PROC,
@@ -33,6 +33,7 @@ from .terms import (
     render_term,
     substitute_label,
     substitute_term,
+    valueclass,
 )
 from .tss import Rule, Spec
 
@@ -215,7 +216,7 @@ def find_mirror(
 # the fixed-point check
 
 
-@dataclass(frozen=True)
+@valueclass
 class MirrorWitness:
     """One proved mirror: rule_a is mirrored by rule_b under the mapping."""
 
@@ -228,7 +229,7 @@ class MirrorWitness:
         return "  ".join(f"{v} <- {w}" for v, w in self.mapping)
 
 
-@dataclass
+@valueclass(hashable=False)
 class CommReport:
     """Outcome of the commutativity check over all binary operators."""
 

@@ -9,7 +9,6 @@ negative premises to be unmet.  The same solver drives both simulation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BudgetExceeded, OpenTerm
@@ -34,6 +33,7 @@ from .terms import (
     sort_accepts,
     substitute_label,
     substitute_term,
+    valueclass,
 )
 from .tss import BOUND, FRESH, GROUND, TRIPLE, LabelPlan, Rule, Spec
 
@@ -43,7 +43,7 @@ DEFAULT_SET_CAP = 10000
 Moves = Callable[[int], list[tuple[LabelTerm, Term]]]
 
 
-@dataclass(frozen=True)
+@valueclass
 class Step:
     """One outgoing transition: a ground label and the successor term."""
 
@@ -65,10 +65,11 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
     the spec meets the rule format: source slots are distinct variables,
     premises test them and premise targets are fresh.  A premise label
     that is a bare variable or ground is checked by a sort check or by
-    comparing canonical strings.  So is each slot of a store triple whose
-    slots are each a variable or a constant store (`_read_slots`).  Only
-    the other labels, multisets over variables and label-operator
-    applications over variables, go through `match`.
+    comparing canonical forms: their strings first, then the labels, as
+    `{}` prints the same in every data sort.  So is each slot of a store
+    triple whose slots are each a variable or a constant store
+    (`_read_slots`).  Only the other labels, multisets over variables and
+    label-operator applications over variables, go through `match`.
     """
     plan = spec.plan(rule)
     th = spec.theory
@@ -101,9 +102,10 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
                     nxt.append(merged)
         elif kind == GROUND or kind == BOUND:
             for s in subs:
-                key = lp.key if kind == GROUND else render_label(s.labels[lp.key])
+                want = lp.label if kind == GROUND else s.labels[lp.key]
+                key = lp.key if kind == GROUND else render_label(want)
                 for lbl, cont in offered:
-                    if render_label(lbl) == key:
+                    if render_label(lbl) == key and lbl == want:
                         merged = s.copy()
                         merged.terms[target] = cont
                         nxt.append(merged)
@@ -129,15 +131,22 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
             return []
 
     for k, lp in plan.negatives:
-        offered_labels = {render_label(l) for l, _ in moves(k)}
+        offered_labels: dict[str, list[LabelTerm]] = {}
+        for l, _ in moves(k):
+            offered_labels.setdefault(render_label(l), []).append(l)
         if lp.kind == GROUND:
-            if lp.key in offered_labels:
+            if _offers(offered_labels, lp.label):
                 return []
             continue
-        subs = [s for s in subs if render_label(lp.under(s, th)) not in offered_labels]
+        subs = [s for s in subs if not _offers(offered_labels, lp.under(s, th))]
         if not subs:
             return []
     return subs
+
+
+def _offers(offered: dict[str, list[LabelTerm]], label: LabelTerm) -> bool:
+    """Whether a canonical label is among the offered ones, grouped by canonical string."""
+    return any(l == label for l in offered.get(render_label(label), ()))
 
 
 def _read_slots(slots: tuple[LabelPlan, ...], triple: Triple, labels: dict[str, LabelTerm]) -> bool:

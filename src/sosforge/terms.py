@@ -9,17 +9,21 @@ one rule's labels against another's in the mirror search.  The rendered
 string of a canonical form doubles as the identity key everywhere else in
 the package (state sets, memo tables, dedup).
 
-Nodes are immutable, so a compound node computes its rendered string once
-and caches it on itself, and caches its canonical form together with the
-theory it was computed under (one node, such as a rule pattern, can be
-canonicalized under several theories; the last one is kept).  A key then
-costs O(1) after its first use.  The caches live in the instance dict of
-the frozen dataclasses and take no part in equality, hashing or repr.
+Nodes, like every record the package builds, are value classes
+(`valueclass`): immutable by convention, compared and hashed by their
+fields.  So a compound node computes its rendered string once and caches
+it on itself, and caches its canonical form together with the theory it
+was computed under (one node, such as a rule pattern, can be canonicalized
+under several theories; the last one is kept).  A key then costs O(1)
+after its first use.  The caches are plain instance attributes, not
+fields, and take no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from reprlib import recursive_repr
 
 from .errors import NonBccspTerm, OpenTerm, SortError
 
@@ -30,13 +34,58 @@ SORT_LABEL = "Label"
 
 
 # ---------------------------------------------------------------------------
+# value classes
+
+
+def valueclass(cls=None, /, *, hashable=True):
+    """Make a class a dataclass whose only generated method is `__init__`.
+
+    Every value class shares one `__eq__`, one `__repr__` and, unless
+    `hashable` is false, one `__hash__`; they behave and print exactly as a
+    frozen dataclass's generated methods do, over all fields (no field
+    opts out of comparison, hashing or repr).  Instances are immutable by
+    convention: nothing assigns a field after construction, so a node may
+    cache what it derives as plain attributes.  `dataclasses.fields`,
+    `replace` and `is_dataclass` work as on any dataclass.
+    """
+    if cls is None:
+        return lambda c: valueclass(c, hashable=hashable)
+    cls = dataclass(cls, eq=False, repr=False)
+    names = tuple(f.name for f in fields(cls))
+    if len(names) > 1:
+        key = attrgetter(*names)
+    elif names:
+        get = attrgetter(*names)
+        key = lambda obj: (get(obj),)
+    else:
+        key = lambda obj: ()
+    cls._value_key = staticmethod(key)  # the field tuple a frozen dataclass compares and hashes
+    cls._value_names = names
+    cls.__eq__ = _value_eq
+    cls.__repr__ = _value_repr
+    cls.__hash__ = _value_hash if hashable else None
+    return cls
+
+
+def _value_eq(self, other):
+    if other.__class__ is self.__class__:
+        key = self._value_key
+        return key(self) == key(other)
+    return NotImplemented
+
+
+def _value_hash(self):
+    return hash(self._value_key(self))
+
+
+@recursive_repr()
+def _value_repr(self):
+    fs = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._value_names)
+    return f"{self.__class__.__qualname__}({fs})"
+
+
+# ---------------------------------------------------------------------------
 # nodes
-
-
-# Writes a node cache past the frozen dataclass's __setattr__.  Unlike
-# `node.__dict__[...] = ...` it keeps the attribute values inline, without
-# materializing a dict per node.
-_cache_on = object.__setattr__
 
 
 class LabelTerm:
@@ -52,21 +101,21 @@ class LabelTerm:
         return render_label(self)
 
 
-@dataclass(frozen=True)
+@valueclass
 class ActConst(LabelTerm):
     """A declared action constant."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@valueclass
 class PredConst(LabelTerm):
     """A declared predicate constant, e.g. the termination marker `|`."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@valueclass
 class DataConst(LabelTerm):
     """A declared data constant together with its data sort."""
 
@@ -74,7 +123,7 @@ class DataConst(LabelTerm):
     sort: str
 
 
-@dataclass(frozen=True)
+@valueclass
 class LVar(LabelTerm):
     """A label-side variable; its sort bounds what it may be bound to."""
 
@@ -82,7 +131,7 @@ class LVar(LabelTerm):
     sort: str
 
 
-@dataclass(frozen=True)
+@valueclass
 class LApp(LabelTerm):
     """A label-operator application, e.g. mix(k, l)."""
 
@@ -91,7 +140,7 @@ class LApp(LabelTerm):
     sort: str = SORT_LABEL
 
 
-@dataclass(frozen=True)
+@valueclass
 class MSet(LabelTerm):
     """A data multiset; union is associative and commutative with an identity."""
 
@@ -99,7 +148,7 @@ class MSet(LabelTerm):
     sort: str
 
 
-@dataclass(frozen=True)
+@valueclass
 class Triple(LabelTerm):
     """A store transition < pre,-,post > over data multisets."""
 
@@ -119,14 +168,14 @@ class Term:
         return render_term(self)
 
 
-@dataclass(frozen=True)
+@valueclass
 class Var(Term):
     """A process variable."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@valueclass
 class Nil(Term):
     """The deadlock process `0`."""
 
@@ -134,7 +183,7 @@ class Nil(Term):
 NIL = Nil()
 
 
-@dataclass(frozen=True)
+@valueclass
 class Prefix(Term):
     """`label . body`: perform the label, continue as the body."""
 
@@ -142,7 +191,7 @@ class Prefix(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@valueclass
 class Choice(Term):
     """`left + right`: nondeterministic choice."""
 
@@ -150,14 +199,14 @@ class Choice(Term):
     right: Term
 
 
-@dataclass(frozen=True)
+@valueclass
 class DefConst(Term):
     """A recursion constant bound by a defining equation."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@valueclass
 class App(Term):
     """A user-operator application; arguments may be process or data terms."""
 
@@ -176,7 +225,7 @@ def infix_symbol(op: str) -> str | None:
 # equational theory
 
 
-@dataclass(frozen=True)
+@valueclass
 class OpAttrs:
     """Declared equational attributes of a label operator."""
 
@@ -185,7 +234,7 @@ class OpAttrs:
     identity: LabelTerm | None = None
 
 
-@dataclass(frozen=True)
+@valueclass
 class EquationalTheory:
     """Label-side equations in force: operator attributes and multiset identities."""
 
@@ -222,7 +271,7 @@ def render_label(l: LabelTerm) -> str:
         s = f"< {render_label(l.pre)},-,{render_label(l.post)} >"
     else:
         raise TypeError(f"not a label term: {l!r}")
-    _cache_on(l, "_s", s)
+    l._s = s
     return s
 
 
@@ -255,7 +304,7 @@ def _render(t: Term, min_level: int) -> str:
                 s = f"{t.op}({','.join(_render_any(a, _LVL_INFIX) for a in t.args)})"
         else:
             raise TypeError(f"not a process term: {t!r}")
-        _cache_on(t, "_s", s)
+        t._s = s
     # only choice and infix nodes sit below a level a caller asks for
     if isinstance(t, Choice):
         return f"({s})" if min_level > _LVL_CHOICE else s
@@ -304,7 +353,7 @@ def is_data_sort(sort: str) -> bool:
 # substitution
 
 
-@dataclass
+@valueclass(hashable=False)
 class Substitution:
     """A finite mapping from process variables to terms and label variables to labels."""
 
@@ -431,7 +480,7 @@ def canon_label(l: LabelTerm, th: EquationalTheory = EMPTY_THEORY) -> LabelTerm:
             if attrs.comm:
                 args.sort(key=render_label)
             out = LApp(l.op, tuple(args), l.sort)
-            _cache_on(out, "_cth", th)
+            out._cth = th
     elif isinstance(l, MSet):
         flat = []
         for e in l.elements:
@@ -442,13 +491,13 @@ def canon_label(l: LabelTerm, th: EquationalTheory = EMPTY_THEORY) -> LabelTerm:
                 flat.append(ce)
         flat.sort(key=render_label)
         out = MSet(tuple(flat), l.sort)
-        _cache_on(out, "_cth", th)
+        out._cth = th
     elif isinstance(l, Triple):
         out = _canon_triple(canon_label(l.pre, th), canon_label(l.post, th), th)
     else:
         raise TypeError(f"not a label term: {l!r}")
-    _cache_on(l, "_cth", th)
-    _cache_on(l, "_c", out)
+    l._cth = th
+    l._c = out
     return out
 
 
@@ -463,7 +512,7 @@ def _slot_form(c: LabelTerm) -> LabelTerm:
 def _canon_triple(pre: LabelTerm, post: LabelTerm, th: EquationalTheory) -> Triple:
     """The canonical store triple over two canonical slot labels."""
     out = Triple(_slot_form(pre), _slot_form(post))
-    _cache_on(out, "_cth", th)
+    out._cth = th
     return out
 
 
@@ -497,7 +546,7 @@ def canon_term(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
         return t
     if isinstance(t, Prefix):
         out: Term = Prefix(canon_label(t.label, th), canon_term(t.body, th))
-        _cache_on(out, "_cth", th)
+        out._cth = th
     elif isinstance(t, App):
         out = App(
             t.op,
@@ -506,7 +555,7 @@ def canon_term(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
                 for a in t.args
             ),
         )
-        _cache_on(out, "_cth", th)
+        out._cth = th
     elif isinstance(t, Choice):
         atoms = [canon_term(a, th) for a in choice_atoms(t)]
         atoms = [a for a in atoms if not isinstance(a, Nil)]
@@ -519,11 +568,11 @@ def canon_term(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
         out = deduped.pop() if deduped else NIL
         for a in reversed(deduped):
             out = Choice(a, out)
-            _cache_on(out, "_cth", th)
+            out._cth = th
     else:
         raise TypeError(f"not a process term: {t!r}")
-    _cache_on(t, "_cth", th)
-    _cache_on(t, "_c", out)
+    t._cth = th
+    t._c = out
     return out
 
 

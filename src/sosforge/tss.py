@@ -14,7 +14,7 @@ compiled on a rule's first firing) and the mirror search read that record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -36,10 +36,11 @@ from .terms import (
     render_label,
     render_term,
     substitute_label,
+    valueclass,
 )
 
 
-@dataclass(frozen=True)
+@valueclass
 class Transition:
     """A positive transition `source -(label)-> target`."""
 
@@ -51,7 +52,7 @@ class Transition:
         return f"{render_term(self.source)} -({render_label(self.label)})-> {render_term(self.target)}"
 
 
-@dataclass(frozen=True)
+@valueclass
 class NegPremise:
     """A negative premise `source -(label)/>`."""
 
@@ -72,7 +73,7 @@ class RuleVars(NamedTuple):
     label: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@valueclass
 class Rule:
     """A transition rule: positive and negative premises over one conclusion."""
 
@@ -208,7 +209,7 @@ def plan_rule(rule: Rule, vs: RuleVars, th: EquationalTheory) -> RulePlan:
                     _label_plan(rule.conclusion.label, vs.label, bound, th))
 
 
-@dataclass(frozen=True)
+@valueclass
 class ProcOp:
     """A declared process operator; `_sym_` names render as infix."""
 
@@ -221,7 +222,7 @@ class ProcOp:
         return infix_symbol(self.name)
 
 
-@dataclass(frozen=True)
+@valueclass
 class LabelOp:
     """A declared label operator with argument and result sorts."""
 
@@ -231,7 +232,7 @@ class LabelOp:
     attrs: OpAttrs = OpAttrs()
 
 
-@dataclass(frozen=True)
+@valueclass
 class DataSortDecl:
     """A declared data sort; its multisets are built in, with an optional identity."""
 
@@ -239,7 +240,7 @@ class DataSortDecl:
     identity: str | None = None
 
 
-@dataclass
+@valueclass(hashable=False)
 class Spec:
     """A parsed language specification.
 

@@ -15,8 +15,6 @@ once, on first use, and `check_all` returns the violations of that run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .terms import (
     App,
     Choice,
@@ -28,6 +26,7 @@ from .terms import (
     Var,
     free_vars,
     render_term,
+    valueclass,
 )
 from .tss import RuleVars, Spec
 
@@ -54,7 +53,7 @@ ALL_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@valueclass
 class Violation:
     """One broken well-formedness condition, tied to a rule or definition."""
 

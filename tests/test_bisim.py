@@ -103,7 +103,7 @@ def test_step_matches_structural_oracle(par):
 
 def test_build_lts_state_sets(par):
     lts = build_lts(par, [parse_term("a . 0 || b . 0", par)])
-    names = sorted(lts.state_key(i) for i in range(len(lts.states)))
+    names = sorted(render_term(lts.states[i]) for i in range(len(lts.states)))
     assert names == ["0 || 0", "0 || b . 0", "a . 0 || 0", "a . 0 || b . 0"]
     nf = build_lts(par, [parse_term("a . b . 0 + b . a . 0", par)])
     assert len(nf.states) == 4  # the sum, a . 0, b . 0, 0
@@ -140,7 +140,7 @@ def _explore_fresh(spec, roots):
 
 def _shared_vs_fresh(spec, make_roots):
     lts = build_lts(spec, make_roots())
-    keys = [lts.state_key(i) for i in range(len(lts.states))]
+    keys = [render_term(lts.states[i]) for i in range(len(lts.states))]
     assert (keys, lts.transitions, lts.roots) == _explore_fresh(spec, make_roots())
 
 
@@ -288,7 +288,7 @@ def _naive_product_pairs(lts, blocks, r0, r1):
                 if l2 == l and blocks[ti] == blocks[tj] and (ti, tj) not in seen:
                     seen.add((ti, tj))
                     queue.append((ti, tj))
-    return sorted(seen, key=lambda ij: (lts.state_key(ij[0]), lts.state_key(ij[1])))
+    return sorted(seen, key=lambda ij: (render_term(lts.states[ij[0]]), render_term(lts.states[ij[1]])))
 
 
 def _verdicts_match_full_exploration(spec, pairs):
@@ -305,7 +305,7 @@ def _verdicts_match_full_exploration(spec, pairs):
             want = _naive_product_pairs(full, blocks, r0, r1)
             assert _product_pairs(full, blocks, r0, r1) == want
             assert [(render_term(a), render_term(b)) for a, b in w.pairs] == [
-                (full.state_key(i), full.state_key(j)) for i, j in want
+                (render_term(full.states[i]), render_term(full.states[j])) for i, j in want
             ]
         else:
             assert w is None

@@ -402,3 +402,35 @@ def test_bisim_sees_empty_share(tmp_path, capsys):
     spec.write_text(ACU_SPEC, encoding="utf-8")
     code, out, _ = run(capsys, "bisim", str(spec), "f(ask(empty))", "0")
     assert (code, out) == (1, "false\n")
+
+
+# Two data sorts whose empty multisets both print `{}`.
+SORTS_DECLS = (
+    "predicates | ; datasort A [assoc comm id: ea] ; datasort B [assoc comm id: eb] ; "
+    "dataconst a1 : A ; dataconst b1 : B ; op g : 1 ; "
+)
+TWO_SPEC = (
+    f"spec TWO {SORTS_DECLS}var x x2 : Proc ; "
+    "rule x -(< a1, -, ea >)-> x2 ==> g(x) -(< a1, -, a1 >)-> x2 ;\n"
+)
+NEG_SPEC = (
+    f"spec NEG {SORTS_DECLS}actions a ; op h : 1 ; var x x2 : Proc ; "
+    "rule x -(a)-> x2 , x -(< a1, -, ea >)/> ==> h(x) -(a)-> x2 ;\n"
+)
+
+
+@pytest.mark.parametrize("text, term, steps, nf", [
+    (TWO_SPEC, "g(< a1, -, eb > . 0)", "", "0"),
+    (TWO_SPEC, "g(< a1, -, ea > . 0)", " < < {a1},-,{a1} > # 0 >\n", "< {a1},-,{a1} > . 0"),
+    (NEG_SPEC, "h(a . 0 + < a1, -, eb > . 0)", " < a # 0 >\n", "a . 0"),
+    (NEG_SPEC, "h(a . 0 + < a1, -, ea > . 0)", "", "0"),
+], ids=["two-other-sort", "two-same-sort", "neg-other-sort", "neg-same-sort"])
+def test_ground_premise_label_keeps_its_sort(tmp_path, capsys, text, term, steps, nf):
+    """A ground premise label, positive or negative, meets only an offered
+    label of its own sort, though `{}` prints the same in every data sort."""
+    spec = tmp_path / "sorts.sos"
+    spec.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "simulate", str(spec), term)
+    assert (code, out, err) == (0, "Possible steps:\n" + steps, "")
+    code, out, err = run(capsys, "normalize", str(spec), term)
+    assert (code, out, err) == (0, nf + "\n", "")

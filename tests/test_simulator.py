@@ -524,6 +524,28 @@ rule x -(< xD, -, xD >)-> x' ==> t(x) -(< xD, -, none >)-> t(x') ;
     assert against_reference == [1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0]
 
 
+def test_bound_premise_label_keeps_its_sort():
+    """A bound label variable meets only an offered label of its own sort,
+    though `{}` prints the same in every data sort.  (`step` keys the terms
+    it steps by their strings, so the two empty stores are offered by hand.)"""
+    spec = parse_spec("""spec BOUND
+datasort A [assoc comm id: ea] ;  datasort B [assoc comm id: eb] ;
+dataconst a1 : A ;
+op f : 2 ;
+var x x2 y y2 : Proc ;
+var k : Label ;
+rule x -(k)-> x2 , y -(k)-> y2 ==> f(x, y) -(k)-> 0 ;
+""")
+    rule = spec.rules[0]
+    assert spec.plan(rule).positives[1][2].kind == BOUND
+    th = spec.theory
+    a, b = (canon_label(parse_label(f"< a1, -, {e} >", spec), th) for e in ("ea", "eb"))
+    assert render_label(a) == render_label(b) and a != b
+    for offered, fires in [((a, a), True), ((a, b), False), ((b, a), False)]:
+        subs = solve_rule(spec, rule, (NIL, NIL), lambda k: [(offered[k], NIL)])
+        assert bool(subs) == fires, offered
+
+
 # -- work counts --------------------------------------------------------------
 
 
