@@ -23,7 +23,9 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    app_width,
     canon_label,
+    canon_prefix,
     canon_term,
     fold_choice,
     render_label,
@@ -72,15 +74,18 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     """Rewrite a closed, definition-free term to its canonical normal form.
 
     A rewrite reads each process argument's summands once and fires the
-    operator's rules on them through their plans (`Spec.plan`).
+    operator's rules on them through their plans (`Spec.plan`).  Normal
+    forms are the spec's canonical nodes, so a rewrite is memoized by its
+    operator and the identities of its arguments' normal forms.
     """
     th = spec.theory
     budget = budget or DEFAULT_BUDGET
-    memo: dict[str, Term] = {}
+    memo: dict[tuple, Term] = {}  # the theory keeps every normal form alive, so no id is reused
     spent = 0
 
     def norm(t: Term, sub: Substitution, depth: int) -> Term:
-        # sub binds a rule's process variables to normal forms: they are not walked again
+        # Returns a canonical node.  sub binds a rule's process variables to
+        # normal forms: they are not walked again.
         nonlocal spent
         if depth > MAX_DEPTH:
             raise BudgetExceeded(
@@ -95,9 +100,10 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
         if isinstance(t, DefConst):
             raise NonBccspTerm(f"recursion constant {t.name} cannot be normalized")
         if isinstance(t, Nil):
-            return t
+            return canon_term(t, th)
         if isinstance(t, Prefix):
-            return Prefix(canon_label(substitute_label(t.label, sub), th), norm(t.body, sub, depth + 1))
+            return canon_prefix(canon_label(substitute_label(t.label, sub), th),
+                                norm(t.body, sub, depth + 1), th)
         if isinstance(t, Choice):
             parts = [norm(a, sub, depth + 1) for a in (t.left, t.right)]
             return canon_term(Choice(parts[0], parts[1]), th)
@@ -107,12 +113,13 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
             else norm(a, sub, depth + 1)
             for a in t.args
         )
-        key = render_term(App(t.op, normed_args))
-        if len(key) > MAX_NF_CHARS:
-            raise BudgetExceeded(f"normalization met a term of more than {MAX_NF_CHARS} characters")
+        key = (t.op, *map(id, normed_args))
         hit = memo.get(key)
         if hit is not None:
             return hit
+        # a hit was measured when it was made
+        if app_width(t.op, normed_args) > MAX_NF_CHARS:
+            raise BudgetExceeded(f"normalization met a term of more than {MAX_NF_CHARS} characters")
         spent += 1
         if spent > budget.max_rewrites:
             raise BudgetExceeded(

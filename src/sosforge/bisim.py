@@ -24,7 +24,7 @@ from dataclasses import field
 
 from .errors import SosError, StateCapExceeded
 from .simulator import Step, step
-from .terms import DefConst, Term, canon_term, render_label, render_term, valueclass
+from .terms import DefConst, LabelTerm, Term, canon_term, render_term, valueclass
 from .tss import Spec
 
 DEFAULT_STATE_CAP = 100000
@@ -49,12 +49,14 @@ class Lts:
     """A labelled transition system over canonical terms, explored breadth-first.
 
     `transitions` holds the moves of the explored states, a prefix of
-    `states`.  When `closed` is false the exploration stopped early, and the
+    `states`, as (label, target state) pairs.  Labels are compared by
+    identity: `build_lts`'s are canonical nodes, one object per canonical
+    label.  When `closed` is false the exploration stopped early, and the
     states past that prefix are unexplored.
     """
 
     states: list[Term] = field(default_factory=list)
-    transitions: list[list[tuple[str, int]]] = field(default_factory=list)
+    transitions: list[list[tuple[LabelTerm, int]]] = field(default_factory=list)
     roots: list[int] = field(default_factory=list)
     closed: bool = True
 
@@ -95,7 +97,7 @@ class StepClasses:
             ids, cls, parents = self.levels[level - 1]
             start, end = len(cls), self.layers[k - level]
             for s in range(start, end):
-                sig = frozenset([(l, prev[t]) for l, t in trans[s]])
+                sig = frozenset([(id(l), prev[t]) for l, t in trans[s]])
                 cls.append(ids.setdefault(sig, len(ids)))
             parents.update(prev[start:end])
             self.signatures += end - start
@@ -108,7 +110,7 @@ class StepClasses:
 
 
 def explore(
-    lts: Lts, moves: Callable[[int], list[tuple[str, int]]], decide: bool = False
+    lts: Lts, moves: Callable[[int], list[tuple[LabelTerm, int]]], decide: bool = False
 ) -> Lts:
     """Expand the interned roots of lts one depth layer at a time.
 
@@ -145,32 +147,30 @@ def build_lts(
 ) -> Lts:
     """Explore everything reachable from the roots, up to the state cap.
 
-    One step cache serves the whole exploration, so each canonical subterm
-    of the reachable states is stepped once.  With `decide`, the exploration
-    stops at the first layer that separates the two roots (see `explore`).
+    States are the spec's canonical nodes, indexed by identity, and
+    transition labels are canonical label nodes.  One step cache serves the
+    whole exploration, so each canonical subterm of the reachable states is
+    stepped once.  With `decide`, the exploration stops at the first layer
+    that separates the two roots (see `explore`).
     """
     cap = default_state_cap() if state_cap is None else state_cap
     th = spec.theory
     lts = Lts()
-    index: dict[str, int] = {}
-    step_cache: dict[str, list[Step]] = {}
+    index: dict[int, int] = {}  # id of a canonical node: the theory keeps it alive
+    step_cache: dict[int, list[Step]] = {}
 
     def intern(t: Term) -> int:
         c = canon_term(t, th)
-        key = render_term(c)
-        i = index.get(key)
+        i = index.get(id(c))
         if i is None:
             if len(lts.states) >= cap:
                 raise StateCapExceeded(cap)
-            i = index[key] = len(lts.states)
+            i = index[id(c)] = len(lts.states)
             lts.states.append(c)
         return i
 
-    def moves(i: int) -> list[tuple[str, int]]:
-        out = []
-        for s in step(spec, lts.states[i], cache=step_cache):
-            out.append((render_label(s.label), intern(s.target)))
-        return out
+    def moves(i: int) -> list[tuple[LabelTerm, int]]:
+        return [(s.label, intern(s.target)) for s in step(spec, lts.states[i], cache=step_cache)]
 
     lts.roots = [intern(r) for r in roots]
     return explore(lts, moves, decide)
@@ -185,7 +185,7 @@ def refine(lts: Lts) -> list[int]:
         mapping: dict[tuple, int] = {}
         nxt = [0] * n
         for i in range(n):
-            sig = (blocks[i], frozenset((l, blocks[j]) for l, j in lts.transitions[i]))
+            sig = (blocks[i], frozenset((id(l), blocks[j]) for l, j in lts.transitions[i]))
             if sig not in mapping:
                 mapping[sig] = len(mapping)
             nxt[i] = mapping[sig]
@@ -213,18 +213,18 @@ def _product_pairs(lts: Lts, blocks: list[int], r0: int, r1: int) -> list[tuple[
     seen = {(r0, r1)}
     queue = [(r0, r1)]
     # Moves by (label, target block), kept for the states with several moves.
-    index: dict[int, dict[tuple[str, int], list[int]]] = {}
+    index: dict[int, dict[tuple[int, int], list[int]]] = {}
     while queue:
         i, j = queue.pop()
         moves = index.get(j)
         if moves is None:
             moves = {}
             for l, tj in trans[j]:
-                moves.setdefault((l, blocks[tj]), []).append(tj)
+                moves.setdefault((id(l), blocks[tj]), []).append(tj)
             if len(trans[j]) > 1:
                 index[j] = moves
         for l, ti in trans[i]:
-            for tj in moves.get((l, blocks[ti]), ()):
+            for tj in moves.get((id(l), blocks[ti]), ()):
                 if (ti, tj) not in seen:
                     seen.add((ti, tj))
                     queue.append((ti, tj))

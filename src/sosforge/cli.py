@@ -89,10 +89,10 @@ def cmd_bisim(args) -> int:
     if args.json:
         _emit({"bisimilar": ok, "witness": witness.to_json() if witness else None})
     elif ok:
-        print("true")
         assert witness is not None
-        for pair in witness.pairs:
-            print(f" < {render_term(pair[0])} ; {render_term(pair[1])} >")
+        lines = ["true\n"]
+        lines += [f" < {render_term(p)} ; {render_term(q)} >\n" for p, q in witness.pairs]
+        sys.stdout.write("".join(lines))
     else:
         print("false")
     return EXIT_OK if ok else EXIT_FALSE

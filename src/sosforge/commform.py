@@ -18,6 +18,7 @@ from dataclasses import replace
 
 from .terms import (
     SORT_PROC,
+    EMPTY_THEORY,
     App,
     Choice,
     EquationalTheory,
@@ -78,7 +79,7 @@ def _cc_key(t: Term, comm_set: set[str], th: EquationalTheory) -> str:
 
 
 def cc_equal(
-    t1: Term, t2: Term, comm_set: set[str], th: EquationalTheory = EquationalTheory()
+    t1: Term, t2: Term, comm_set: set[str], th: EquationalTheory = EMPTY_THEORY
 ) -> bool:
     """Equality up to swapping arguments of known-commutative operators."""
     return _cc_key(t1, comm_set, th) == _cc_key(t2, comm_set, th)

@@ -16,6 +16,7 @@ from .terms import (
     App,
     Choice,
     DefConst,
+    EquationalTheory,
     LabelTerm,
     Nil,
     Prefix,
@@ -32,7 +33,6 @@ from .terms import (
     render_term,
     sort_accepts,
     substitute_label,
-    substitute_term,
     valueclass,
 )
 from .tss import BOUND, FRESH, GROUND, TRIPLE, LabelPlan, Rule, Spec
@@ -65,11 +65,11 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
     the spec meets the rule format: source slots are distinct variables,
     premises test them and premise targets are fresh.  A premise label
     that is a bare variable or ground is checked by a sort check or by
-    comparing canonical forms: their strings first, then the labels, as
-    `{}` prints the same in every data sort.  So is each slot of a store
-    triple whose slots are each a variable or a constant store
-    (`_read_slots`).  Only the other labels, multisets over variables and
-    label-operator applications over variables, go through `match`.
+    comparing canonical nodes, which are one object per canonical form.
+    So is each slot of a store triple whose slots are each a variable or a
+    constant store (`_read_slots`).  Only the other labels, multisets over
+    variables and label-operator applications over variables, go through
+    `match`.  Every label the substitutions bind is a canonical node.
     """
     plan = spec.plan(rule)
     th = spec.theory
@@ -103,9 +103,8 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
         elif kind == GROUND or kind == BOUND:
             for s in subs:
                 want = lp.label if kind == GROUND else s.labels[lp.key]
-                key = lp.key if kind == GROUND else render_label(want)
                 for lbl, cont in offered:
-                    if render_label(lbl) == key and lbl == want:
+                    if lbl is want:
                         merged = s.copy()
                         merged.terms[target] = cont
                         nxt.append(merged)
@@ -114,7 +113,7 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
                 for lbl, cont in offered:
                     if isinstance(lbl, Triple):
                         merged = s.copy()
-                        if _read_slots(lp.slots, lbl, merged.labels):
+                        if _read_slots(lp.slots, lbl, merged.labels, th):
                             merged.terms[target] = cont
                             nxt.append(merged)
         else:
@@ -123,7 +122,8 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
                 for lbl, cont in offered:
                     for m in match(pat, lbl, th):
                         merged = s.copy()
-                        merged.labels.update(m.labels)
+                        for name, value in m.labels.items():
+                            merged.labels[name] = canon_label(value, th)
                         merged.terms[target] = cont
                         nxt.append(merged)
         subs = nxt
@@ -131,32 +131,24 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
             return []
 
     for k, lp in plan.negatives:
-        offered_labels: dict[str, list[LabelTerm]] = {}
-        for l, _ in moves(k):
-            offered_labels.setdefault(render_label(l), []).append(l)
+        offered_labels = {id(l) for l, _ in moves(k)}
         if lp.kind == GROUND:
-            if _offers(offered_labels, lp.label):
+            if id(lp.label) in offered_labels:
                 return []
             continue
-        subs = [s for s in subs if not _offers(offered_labels, lp.under(s, th))]
+        subs = [s for s in subs if id(lp.under(s, th)) not in offered_labels]
         if not subs:
             return []
     return subs
 
 
-def _offers(offered: dict[str, list[LabelTerm]], label: LabelTerm) -> bool:
-    """Whether a canonical label is among the offered ones, grouped by canonical string."""
-    return any(l == label for l in offered.get(render_label(label), ()))
-
-
-def _read_slots(slots: tuple[LabelPlan, ...], triple: Triple, labels: dict[str, LabelTerm]) -> bool:
+def _read_slots(slots: tuple[LabelPlan, ...], triple: Triple, labels: dict[str, LabelTerm],
+                th: EquationalTheory) -> bool:
     """Whether a canonical store triple meets a TRIPLE plan's slots; binds
     the fresh slot variables into `labels`.
 
     A bound slot compares its value as a slot holds it, a lone data
-    constant as its singleton multiset.  A bound or ground slot compares
-    sorts as well as canonical strings, as `match` does: `{}` prints the
-    same in every data sort.
+    constant as its singleton multiset.
     """
     for sp, value in zip(slots, (triple.pre, triple.post)):
         if sp.kind == FRESH:
@@ -164,27 +156,37 @@ def _read_slots(slots: tuple[LabelPlan, ...], triple: Triple, labels: dict[str, 
                 return False
             labels[sp.key] = value
             continue
-        want = sp.label if sp.kind == GROUND else _slot_form(labels[sp.key])
-        if render_label(value) != render_label(want) or label_sort(value) != label_sort(want):
+        want = sp.label if sp.kind == GROUND else _slot_form(labels[sp.key], th)
+        if value is not want:
             return False
     return True
 
 
-def step(spec: Spec, term: Term, *, cache: dict[str, list[Step]] | None = None) -> list[Step]:
-    """All one-step transitions of a closed term, sorted and deduplicated.
+def step(spec: Spec, term: Term, *, cache: dict[int, list[Step]] | None = None) -> list[Step]:
+    """All one-step transitions of a closed term, deduplicated; sorted unless
+    a cache is passed.
 
     An operator's rules fire through their plans, compiled once per Spec
     (`Spec.plan`), and read each argument's moves from one list per node,
-    made when the first rule tests that argument.
+    made when the first rule tests that argument.  A rule's target is built
+    from the bindings by its plan, and is a canonical node when they are.
 
-    Every subterm is stepped once per cache, keyed by its canonical string,
-    and a hit returns the steps of the first subterm stepped under that key,
-    with targets in that subterm's shape.  A call makes its own cache;
-    `build_lts`, whose states are canonical and whose targets it
-    canonicalizes, passes one cache to every call of its exploration.  A hit
-    skips the caps: they held when the entry was made.
+    Two steps are the same when their labels and their targets' canonical
+    forms are the same nodes; the first one found is kept, with its target
+    in the shape it was built in.  Every subterm is stepped once per cache,
+    keyed by its canonical node, and a hit returns the steps of the first
+    subterm stepped under that key, with targets in that subterm's shape.
+    A hit skips the caps: they held when the entry was made.
+
+    A call without a cache makes its own, and orders each node's steps by
+    their labels' and targets' canonical strings, so the answer (and which
+    of two equal steps is kept) is the same whatever order the rules find
+    them in.  `build_lts`, whose states are canonical and whose targets it
+    canonicalizes, passes one cache to every call of its exploration and
+    reads the steps in the order they were found.
     """
     th = spec.theory
+    ordered = cache is None
     if cache is None:
         cache = {}
 
@@ -193,7 +195,7 @@ def step(spec: Spec, term: Term, *, cache: dict[str, list[Step]] | None = None) 
             raise BudgetExceeded(f"step recursion exceeded {DEFAULT_DEPTH_CAP} levels")
         if isinstance(t, Var):
             raise OpenTerm(f"cannot step open term with variable {t.name}")
-        key = render_term(canon_term(t, th))
+        key = id(canon_term(t, th))
         hit = cache.get(key)
         if hit is not None:
             return hit
@@ -221,20 +223,18 @@ def step(spec: Spec, term: Term, *, cache: dict[str, list[Step]] | None = None) 
             for _, rule in spec.rules_for(t.op):
                 subs = solve_rule(spec, rule, args, moves)
                 if subs:
-                    concl = spec.plan(rule).conclusion
+                    plan = spec.plan(rule)
                     for s in subs:
-                        tgt = substitute_term(rule.conclusion.target, s)
-                        steps.append(Step(concl.under(s, th), tgt))
+                        steps.append(Step(plan.conclusion.under(s, th), plan.target.under(s, th)))
 
-        # dedup and order by canonical serialization; targets keep their shape
-        uniq: dict[tuple[str, str], Step] = {}
+        uniq: dict[tuple[int, int], Step] = {}
         for s in steps:
-            uniq.setdefault(
-                (render_label(s.label), render_term(canon_term(s.target, th))), s
-            )
+            uniq.setdefault((id(s.label), id(canon_term(s.target, th))), s)
         if len(uniq) > DEFAULT_SET_CAP:
             raise BudgetExceeded(f"step set exceeded {DEFAULT_SET_CAP} transitions")
-        out = [uniq[k] for k in sorted(uniq)]
+        out = list(uniq.values())
+        if ordered:
+            out.sort(key=lambda s: (render_label(s.label), render_term(canon_term(s.target, th))))
         cache[key] = out
         return out
 

@@ -5,18 +5,26 @@ Process terms live over deadlock `0`, prefixing `l . t`, binary choice
 and predicate constants, data constants, variables, label-operator
 applications, data multisets, and store-transition triples.  Only labels
 are matched: a rule's premise labels against the labels a term offers, and
-one rule's labels against another's in the mirror search.  The rendered
-string of a canonical form doubles as the identity key everywhere else in
-the package (state sets, memo tables, dedup).
+one rule's labels against another's in the mirror search.
 
 Nodes, like every record the package builds, are value classes
 (`valueclass`): immutable by convention, compared and hashed by their
-fields.  So a compound node computes its rendered string once and caches
-it on itself, and caches its canonical form together with the theory it
-was computed under (one node, such as a rule pattern, can be canonicalized
-under several theories; the last one is kept).  A key then costs O(1)
-after its first use.  The caches are plain instance attributes, not
-fields, and take no part in equality, hashing or repr.
+fields.  Canonical forms are hash-consed per `EquationalTheory`, and so
+per `Spec`: the theory's table holds one node per distinct canonical term,
+keyed by the node's class, its plain fields (a multiset's sort among them)
+and its children's identities.  So two terms have equal canonical forms
+exactly when `canon_term` returns the same object for both, and the engine
+keys states, step caches and memo tables by `id` of that node; the table
+keeps each node alive for as long as the theory lives.  The default theory
+`EMPTY_THEORY` holds its nodes weakly, so library calls that use it keep
+no node nobody else holds.  Rendering is for output and for the canonical
+order of choice summands, multiset elements and commutative arguments.
+
+A node caches its rendered string on itself, and its canonical form
+together with the theory it was computed under (one node, such as a rule
+pattern, can be canonicalized under several theories; the last one is
+kept).  The caches are plain instance attributes, not fields, and take no
+part in equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from reprlib import recursive_repr
+from weakref import WeakValueDictionary
 
 from .errors import NonBccspTerm, OpenTerm, SortError
 
@@ -241,11 +250,19 @@ class EquationalTheory:
     label_ops: dict[str, OpAttrs] = field(default_factory=dict)
     data_identity: dict[str, str | None] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # the canonical nodes, by intern key (see `_node`); not a field
+        self._nodes: dict[tuple, Term | LabelTerm] = {}
+
     def op_attrs(self, op: str) -> OpAttrs:
         return self.label_ops.get(op, OpAttrs())
 
 
 EMPTY_THEORY = EquationalTheory()
+# Library calls share the default theory for the life of the process, so its
+# table holds nodes weakly: a node leaves it when nothing else holds it.  A
+# node holds its children, so the identities in a live key are never reused.
+EMPTY_THEORY._nodes = WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +322,31 @@ def _render(t: Term, min_level: int) -> str:
         else:
             raise TypeError(f"not a process term: {t!r}")
         t._s = s
-    # only choice and infix nodes sit below a level a caller asks for
+    return f"({s})" if min_level > _LVL_INFIX and _parenthesized(t, min_level) else s
+
+
+def _parenthesized(t: Term | LabelTerm, min_level: int) -> bool:
+    """Whether t prints in parentheses where min_level is asked for: only
+    choice and infix nodes sit below a level a caller asks for."""
     if isinstance(t, Choice):
-        return f"({s})" if min_level > _LVL_CHOICE else s
-    if min_level > _LVL_INFIX and isinstance(t, App) and len(t.args) == 2 \
-            and infix_symbol(t.op) is not None:
-        return f"({s})"
-    return s
+        return min_level > _LVL_CHOICE
+    return min_level > _LVL_INFIX and isinstance(t, App) and len(t.args) == 2 \
+        and infix_symbol(t.op) is not None
 
 
 def render_term(t: Term) -> str:
     """Serialize a process term; canonical inputs give the canonical string."""
     return _render(t, _LVL_INFIX)
+
+
+def app_width(op: str, args: tuple) -> int:
+    """len(render_term(App(op, args))), from the strings of the arguments alone."""
+    sym = infix_symbol(op)
+    if sym is not None and len(args) == 2:
+        left, right = args
+        return (len(_render_any(left, _LVL_INFIX)) + len(sym) + 2
+                + len(_render_any(right, _LVL_INFIX)) + 2 * _parenthesized(right, _LVL_CHOICE))
+    return len(op) + 1 + sum(len(_render_any(a, _LVL_INFIX)) for a in args) + max(len(args), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -446,74 +476,142 @@ def free_vars(t: Term | LabelTerm) -> tuple[set[str], set[str]]:
 # canonical forms
 
 
+def _store(th: EquationalTheory, key: tuple, node):
+    """Make a new node the canonical node th holds under key.
+
+    A key is the node's class, its plain fields and the `id` of each child,
+    and each child is one of th's canonical nodes.  Look a key up first:
+    `th._nodes.get(key) or _store(th, key, node)`.
+    """
+    node._cth = th
+    th._nodes[key] = node
+    return node
+
+
+def _ids(head: tuple, children: tuple | list) -> tuple:
+    """An intern key: head, then the identities of the children."""
+    if len(children) == 2:  # the common case, spelt out: unpacking a map costs more
+        return (*head, id(children[0]), id(children[1]))
+    return (*head, *map(id, children))
+
+
+def is_canonical(t: Term | LabelTerm, th: EquationalTheory) -> bool:
+    """Whether a node is one of th's canonical nodes."""
+    return t._cth is th and t._c is None
+
+
+def canon_prefix(label: LabelTerm, body: Term, th: EquationalTheory) -> Prefix:
+    """The canonical prefix over a canonical label and a canonical body."""
+    key = (Prefix, id(label), id(body))
+    return th._nodes.get(key) or _store(th, key, Prefix(label, body))
+
+
+def canon_app(op: str, args: tuple, th: EquationalTheory) -> App:
+    """The canonical application of a user operator to canonical arguments."""
+    key = (App, op, id(args[0]), id(args[1])) if len(args) == 2 else _ids((App, op), args)
+    return th._nodes.get(key) or _store(th, key, App(op, args))
+
+
+def _mset(elements: list | tuple, sort: str, th: EquationalTheory) -> MSet:
+    """The canonical multiset of canonical elements in canonical order."""
+    key = _ids((MSet, sort), elements)
+    return th._nodes.get(key) or _store(th, key, MSet(tuple(elements), sort))
+
+
+def _nil(th: EquationalTheory) -> Nil:
+    """th's `0`."""
+    return th._nodes.get(_NIL_KEY) or _store(th, _NIL_KEY, Nil())
+
+
+_NIL_KEY = (Nil,)
+
+
+def _ordered(nodes: list, render) -> list:
+    """Sort canonical nodes into canonical order: by their strings, and
+    nodes that print alike but differ (`{}` in two data sorts) by repr.
+    Equal nodes end up next to each other."""
+    if len(nodes) > 1:
+        nodes.sort(key=render)
+        prev = None
+        for n in nodes:
+            if prev is not None and n is not prev and render(n) == render(prev):
+                nodes.sort(key=lambda n: (render(n), repr(n)))
+                break
+            prev = n
+    return nodes
+
+
 def canon_label(l: LabelTerm, th: EquationalTheory = EMPTY_THEORY) -> LabelTerm:
-    """Canonical form of a label modulo the declared attribute equations."""
+    """Canonical form of a label modulo the declared attribute equations:
+    th's one node for it."""
     if l._cth is th:
         c = l._c
         return l if c is None else c
-    if isinstance(l, DataConst):
-        if th.data_identity.get(l.sort) == l.name:
-            return MSet((), l.sort)
-        return l
-    if isinstance(l, (ActConst, PredConst, LVar)):
-        return l
-    if isinstance(l, LApp):
+    cls = type(l)  # node classes have no subclasses
+    if cls is ActConst or cls is PredConst:
+        key = (cls, l.name)
+        out = th._nodes.get(key) or _store(th, key, cls(l.name))
+    elif cls is DataConst or cls is LVar:
+        if cls is DataConst and th.data_identity.get(l.sort) == l.name:
+            out = _mset((), l.sort, th)
+        else:
+            key = (cls, l.name, l.sort)
+            out = th._nodes.get(key) or _store(th, key, cls(l.name, l.sort))
+    elif cls is LApp:
         attrs = th.op_attrs(l.op)
         args = [canon_label(a, th) for a in l.args]
         if attrs.assoc:
             flat: list[LabelTerm] = []
             for a in args:
-                if isinstance(a, LApp) and a.op == l.op:
+                if type(a) is LApp and a.op == l.op:
                     flat.extend(a.args)
                 else:
                     flat.append(a)
             args = flat
-        out: LabelTerm | None = None
+        out = None
         if attrs.identity is not None:
-            ident = render_label(canon_label(attrs.identity, th))
-            args = [a for a in args if render_label(a) != ident]
+            ident = canon_label(attrs.identity, th)
+            args = [a for a in args if a is not ident]
             if not args:
-                out = canon_label(attrs.identity, th)
+                out = ident
             elif len(args) == 1:
                 out = args[0]
         if out is None:
             if attrs.comm:
-                args.sort(key=render_label)
-            out = LApp(l.op, tuple(args), l.sort)
-            out._cth = th
-    elif isinstance(l, MSet):
+                _ordered(args, render_label)
+            key = _ids((LApp, l.op, l.sort), args)
+            out = th._nodes.get(key) or _store(th, key, LApp(l.op, tuple(args), l.sort))
+    elif cls is MSet:
         flat = []
         for e in l.elements:
             ce = canon_label(e, th)
-            if isinstance(ce, MSet) and ce.sort == l.sort:
+            if type(ce) is MSet and ce.sort == l.sort:
                 flat.extend(ce.elements)
             else:
                 flat.append(ce)
-        flat.sort(key=render_label)
-        out = MSet(tuple(flat), l.sort)
-        out._cth = th
-    elif isinstance(l, Triple):
+        out = _mset(_ordered(flat, render_label), l.sort, th)
+    elif cls is Triple:
         out = _canon_triple(canon_label(l.pre, th), canon_label(l.post, th), th)
     else:
         raise TypeError(f"not a label term: {l!r}")
     l._cth = th
-    l._c = out
+    l._c = None if out is l else out
     return out
 
 
-def _slot_form(c: LabelTerm) -> LabelTerm:
+def _slot_form(c: LabelTerm, th: EquationalTheory) -> LabelTerm:
     """A canonical label as a store slot holds it: a lone data constant is
     its singleton multiset."""
-    if isinstance(c, DataConst):
-        return MSet((c,), c.sort)
+    if type(c) is DataConst:
+        return _mset((c,), c.sort, th)
     return c
 
 
 def _canon_triple(pre: LabelTerm, post: LabelTerm, th: EquationalTheory) -> Triple:
     """The canonical store triple over two canonical slot labels."""
-    out = Triple(_slot_form(pre), _slot_form(post))
-    out._cth = th
-    return out
+    pre, post = _slot_form(pre, th), _slot_form(post, th)
+    key = (Triple, id(pre), id(post))
+    return th._nodes.get(key) or _store(th, key, Triple(pre, post))
 
 
 def choice_atoms(t: Term) -> list[Term]:
@@ -534,7 +632,8 @@ def fold_choice(atoms: list[Term]) -> Term:
 
 
 def canon_term(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
-    """Canonical form modulo choice ACI with unit 0 and the label equations.
+    """Canonical form modulo choice ACI with unit 0 and the label equations:
+    th's one node for it.
 
     Works on arbitrary terms, open or closed; user operators are kept in
     place with their arguments canonicalized.
@@ -542,37 +641,32 @@ def canon_term(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
     if t._cth is th:
         c = t._c
         return t if c is None else c
-    if isinstance(t, (Nil, Var, DefConst)):
-        return t
-    if isinstance(t, Prefix):
-        out: Term = Prefix(canon_label(t.label, th), canon_term(t.body, th))
-        out._cth = th
-    elif isinstance(t, App):
-        out = App(
-            t.op,
-            tuple(
-                canon_label(a, th) if isinstance(a, LabelTerm) else canon_term(a, th)
-                for a in t.args
-            ),
-        )
-        out._cth = th
-    elif isinstance(t, Choice):
+    cls = type(t)
+    if cls is Nil:
+        return _nil(th)  # not cached on t: the shared NIL must hold no theory alive
+    if cls is Var or cls is DefConst:
+        key = (cls, t.name)
+        out = th._nodes.get(key) or _store(th, key, cls(t.name))
+    elif cls is Prefix:
+        out = canon_prefix(canon_label(t.label, th), canon_term(t.body, th), th)
+    elif cls is App:
+        out = canon_app(t.op, tuple(
+            canon_label(a, th) if isinstance(a, LabelTerm) else canon_term(a, th)
+            for a in t.args
+        ), th)
+    elif cls is Choice:
         atoms = [canon_term(a, th) for a in choice_atoms(t)]
-        atoms = [a for a in atoms if not isinstance(a, Nil)]
-        atoms.sort(key=render_term)
-        deduped: list[Term] = []
-        for a in atoms:
-            if not deduped or render_term(deduped[-1]) != render_term(a):
-                deduped.append(a)
-        # as fold_choice, marking each new link canonical
-        out = deduped.pop() if deduped else NIL
+        atoms = _ordered([a for a in atoms if type(a) is not Nil], render_term)
+        deduped = [a for i, a in enumerate(atoms) if not i or a is not atoms[i - 1]]
+        # as fold_choice, over canonical links
+        out = deduped.pop() if deduped else _nil(th)
         for a in reversed(deduped):
-            out = Choice(a, out)
-            out._cth = th
+            key = (Choice, id(a), id(out))
+            out = th._nodes.get(key) or _store(th, key, Choice(a, out))
     else:
         raise TypeError(f"not a process term: {t!r}")
     t._cth = th
-    t._c = out
+    t._c = None if out is t else out
     return out
 
 

@@ -20,19 +20,28 @@ from typing import NamedTuple
 
 from .errors import InvalidSpec, UnknownDefConst
 from .terms import (
+    App,
+    Choice,
     DataConst,
     EquationalTheory,
     LabelTerm,
+    LApp,
     LVar,
     MSet,
     OpAttrs,
+    Prefix,
     Substitution,
     Term,
     Triple,
+    Var,
     _canon_triple,
     _slot_form,
+    canon_app,
     canon_label,
+    canon_prefix,
+    canon_term,
     infix_symbol,
+    is_canonical,
     render_label,
     render_term,
     substitute_label,
@@ -92,8 +101,8 @@ class Rule:
 
 # How a rule plan reads a label, given the variables bound before it.
 FRESH = "fresh"      # a bare variable not bound yet: bind it after a sort check
-BOUND = "bound"      # a bare bound variable: compare canonical strings
-GROUND = "ground"    # no variables: compare with its canonical string
+BOUND = "bound"      # a bare bound variable: compare canonical nodes
+GROUND = "ground"    # no variables: compare with its canonical node
 TRIPLE = "triple"    # a store triple of variable or constant-store slots: read slot by slot
 GENERAL = "general"  # anything else: the matcher
 
@@ -101,13 +110,12 @@ GENERAL = "general"  # anything else: the matcher
 class LabelPlan(NamedTuple):
     """One label of a rule, or one slot of a TRIPLE label, classified once.
 
-    `label` is the canonical form of a GROUND label (of a GROUND slot, its
+    `label` is the canonical node of a GROUND label (of a GROUND slot, its
     form as a slot holds it: a lone data constant is its singleton
-    multiset) and the label as written otherwise; `key` is the canonical
-    string of a GROUND label and the variable's name for FRESH and BOUND;
-    `sort` is a FRESH variable's sort; `substitute` tells whether a GENERAL
-    label names a bound variable; `slots` holds the plans of a TRIPLE
-    label's two slots.
+    multiset) and the label as written otherwise; `key` is the variable's
+    name for FRESH and BOUND; `sort` is a FRESH variable's sort;
+    `substitute` tells whether a GENERAL label names a bound variable;
+    `slots` holds the plans of a TRIPLE label's two slots.
     """
 
     kind: str
@@ -118,7 +126,8 @@ class LabelPlan(NamedTuple):
     slots: tuple[LabelPlan, ...] = ()
 
     def under(self, sub: Substitution, th: EquationalTheory) -> LabelTerm:
-        """The label's canonical form under a substitution that binds its variables."""
+        """The label's canonical node under a substitution that binds its
+        variables to canonical nodes."""
         if self.kind == GROUND:
             return self.label
         if self.kind == BOUND:
@@ -129,6 +138,99 @@ class LabelPlan(NamedTuple):
         return canon_label(substitute_label(self.label, sub), th)
 
 
+# How a target plan builds a part of a conclusion target.
+VAR = "var"          # a process variable: its binding
+LABEL_VAR = "lvar"   # a label variable: its binding
+FIXED = "fixed"      # a ground part: itself, a canonical node when written canonically
+APP = "app"          # an operator application: built from its arguments' parts
+PREFIX = "prefix"    # a prefix: built from its label's and body's parts
+CHOICE = "choice"    # a choice: built from its two sides' parts
+LABEL = "label"      # a label over variables, not a bare one: substituted
+
+
+class TargetPlan(NamedTuple):
+    """A rule's conclusion target, or one part of it, compiled for building.
+
+    `under` builds the part from a rule's bindings, equal to what
+    substituting the bindings into the part as written gives.  An
+    application or a prefix whose parts come out as canonical nodes comes
+    out as one too, with one intern lookup, so a target over canonical
+    bindings needs no canonicalizing walk.  A choice comes out as written,
+    and is canonicalized by whoever needs its canonical form.  `key` is a
+    variable's name and an application's operator; `term` is a FIXED
+    part's node and the part as written otherwise.
+    """
+
+    kind: str
+    term: Term | LabelTerm
+    key: str = ""
+    parts: tuple[TargetPlan, ...] = ()
+
+    def under(self, sub: Substitution, th: EquationalTheory) -> Term | LabelTerm:
+        kind = self.kind
+        if kind == VAR:
+            return sub.terms[self.key]
+        if kind == APP:
+            terms = sub.terms
+            args = tuple([terms[p.key] if p.kind == VAR else p.under(sub, th) for p in self.parts])
+            for a in args:
+                if a._cth is not th or a._c is not None:  # not canonical
+                    return App(self.key, args)
+            return canon_app(self.key, args, th)
+        if kind == FIXED:
+            return self.term
+        if kind == LABEL_VAR:
+            return sub.labels[self.key]
+        if kind == PREFIX:
+            label, body = (p.under(sub, th) for p in self.parts)
+            if is_canonical(label, th) and is_canonical(body, th):
+                return canon_prefix(label, body, th)
+            return Prefix(label, body)
+        if kind == CHOICE:
+            left, right = (p.under(sub, th) for p in self.parts)
+            return Choice(left, right)
+        return substitute_label(self.term, sub)
+
+
+def plan_target(t: Term | LabelTerm, th: EquationalTheory) -> TargetPlan:
+    """Compile a conclusion target, or a part of one, for building."""
+    cls = type(t)  # node classes have no subclasses
+    if cls is Var:
+        return TargetPlan(VAR, t, t.name)
+    if cls is LVar:
+        return TargetPlan(LABEL_VAR, t, t.name)
+    parts = tuple([plan_target(c, th) for c in _parts(t)])
+    for p in parts:
+        if p.kind != FIXED:
+            break
+    else:
+        canon = canon_label(t, th) if isinstance(t, LabelTerm) else canon_term(t, th)
+        return TargetPlan(FIXED, canon if canon == t else t)
+    if cls is App:
+        return TargetPlan(APP, t, t.op, parts)
+    if cls is Prefix:
+        return TargetPlan(PREFIX, t, parts=parts)
+    if cls is Choice:
+        return TargetPlan(CHOICE, t, parts=parts)
+    return TargetPlan(LABEL, t)
+
+
+def _parts(t: Term | LabelTerm) -> tuple:
+    """The children of a node."""
+    cls = type(t)
+    if cls is App or cls is LApp:
+        return t.args
+    if cls is Prefix:
+        return t.label, t.body
+    if cls is Choice:
+        return t.left, t.right
+    if cls is MSet:
+        return t.elements
+    if cls is Triple:
+        return t.pre, t.post
+    return ()
+
+
 class RulePlan(NamedTuple):
     """A rule compiled for firing.
 
@@ -136,13 +238,15 @@ class RulePlan(NamedTuple):
     its sort (None for a process variable). `positives` holds, per positive
     premise in order, the tested argument's position, the target variable
     and the label's plan; `negatives` the tested position and the label's
-    plan.
+    plan; `conclusion` and `target` the plans that build the conclusion's
+    label and target.
     """
 
     slots: tuple[tuple[str, str | None], ...]
     positives: tuple[tuple[int, str, LabelPlan], ...]
     negatives: tuple[tuple[int, LabelPlan], ...]
     conclusion: LabelPlan
+    target: TargetPlan
 
 
 def _label_plan(label: LabelTerm, names: tuple[str, ...], bound: set[str],
@@ -154,8 +258,7 @@ def _label_plan(label: LabelTerm, names: tuple[str, ...], bound: set[str],
         bound.add(label.name)
         return LabelPlan(kind, label, label.name, label.sort)
     if not names:
-        canon = canon_label(label, th)
-        return LabelPlan(GROUND, canon, render_label(canon))
+        return LabelPlan(GROUND, canon_label(label, th))
     if isinstance(label, Triple):
         slots = _slot_plans(label, bound, th)
         if slots is not None:
@@ -179,10 +282,10 @@ def _slot_plans(label: Triple, bound: set[str],
             plans.append(LabelPlan(BOUND if slot.name in seen else FRESH, slot, slot.name, slot.sort))
             seen.add(slot.name)
             continue
-        canon = _slot_form(canon_label(slot, th))
+        canon = _slot_form(canon_label(slot, th), th)
         if not (isinstance(canon, MSet) and all(isinstance(e, DataConst) for e in canon.elements)):
             return None
-        plans.append(LabelPlan(GROUND, canon, render_label(canon)))
+        plans.append(LabelPlan(GROUND, canon))
     return plans[0], plans[1]
 
 
@@ -206,7 +309,8 @@ def plan_rule(rule: Rule, vs: RuleVars, th: EquationalTheory) -> RulePlan:
     negatives = tuple((pos_of[n.source.name], _label_plan(n.label, names, bound, th))
                       for n, names in zip(rule.negatives, vs.negatives))
     return RulePlan(tuple(slots), positives, negatives,
-                    _label_plan(rule.conclusion.label, vs.label, bound, th))
+                    _label_plan(rule.conclusion.label, vs.label, bound, th),
+                    plan_target(rule.conclusion.target, th))
 
 
 @valueclass

@@ -118,30 +118,34 @@ def test_build_lts_interns_by_canonical_form(par):
 
 
 def _explore_fresh(spec, roots):
-    """build_lts's exploration, stepping each state with a fresh cache: the reference."""
+    """build_lts's exploration, stepping each state with a fresh cache: the
+    reference.  Maps each state's rendered canonical form to its set of
+    (label node, rendered target), and lists the roots' rendered forms."""
     th = spec.theory
-    states, index = [], {}
-
-    def intern(t):
-        c = canon_term(t, th)
-        key = render_term(c)
-        if key not in index:
-            index[key] = len(states)
-            states.append(c)
-        return index[key]
-
-    root_ids = [intern(r) for r in roots]
-    transitions = []
-    while len(transitions) < len(states):
-        here = states[len(transitions)]
-        transitions.append([(render_label(s.label), intern(s.target)) for s in step(spec, here)])
-    return [render_term(c) for c in states], transitions, root_ids
+    root_keys = [render_term(canon_term(r, th)) for r in roots]
+    todo = [canon_term(r, th) for r in roots]
+    moves = {}
+    while todo:
+        here = todo.pop()
+        key = render_term(here)
+        if key in moves:
+            continue
+        moves[key] = set()
+        for s in step(spec, here):
+            target = canon_term(s.target, th)
+            moves[key].add((s.label, render_term(target)))
+            todo.append(target)
+    return moves, root_keys
 
 
 def _shared_vs_fresh(spec, make_roots):
+    """build_lts and the reference agree up to the numbering of states,
+    which follows the order steps are found in."""
     lts = build_lts(spec, make_roots())
     keys = [render_term(lts.states[i]) for i in range(len(lts.states))]
-    assert (keys, lts.transitions, lts.roots) == _explore_fresh(spec, make_roots())
+    assert len(set(keys)) == len(keys)
+    moves = {keys[i]: {(l, keys[j]) for l, j in lts.transitions[i]} for i in range(len(keys))}
+    assert (moves, [keys[r] for r in lts.roots]) == _explore_fresh(spec, make_roots())
 
 
 def test_build_lts_shared_cache_matches_fresh_steps_random(full):

@@ -1,8 +1,10 @@
 """Command line behaviour: transcripts, exit codes, JSON mode."""
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from importlib import resources
 
 import pytest
@@ -434,3 +436,63 @@ def test_ground_premise_label_keeps_its_sort(tmp_path, capsys, text, term, steps
     assert (code, out, err) == (0, "Possible steps:\n" + steps, "")
     code, out, err = run(capsys, "normalize", str(spec), term)
     assert (code, out, err) == (0, nf + "\n", "")
+
+
+def test_bisim_tells_empty_stores_of_two_sorts_apart(tmp_path, capsys):
+    """States whose labels print alike but differ in a data sort are two
+    states, and their labels two labels."""
+    spec = tmp_path / "two.sos"
+    spec.write_text(TWO_SPEC, encoding="utf-8")
+    p, q = "< a1, -, ea > . 0", "< a1, -, eb > . 0"
+    assert run(capsys, "bisim", str(spec), p, q) == (1, "false\n", "")
+    assert run(capsys, "bisim", str(spec), p, p)[:2] == (0, "true\n < 0 ; 0 >\n < < {a1},-,{} > . 0 ; < {a1},-,{} > . 0 >\n")
+    assert run(capsys, "bisim", str(spec), f"{p} + {q}", f"{q} + {p}")[0] == 0
+    assert run(capsys, "bisim", str(spec), f"{p} + {q}", p) == (1, "false\n", "")
+
+
+def test_intern_tables_do_not_grow_with_commands(tmp_path, capsys, monkeypatch):
+    """Each command's canonical nodes die with its Spec, and library calls
+    that use the default theory leave no node in its table that nobody holds."""
+    from sosforge import cli
+    from sosforge.commform import cc_equal
+    from sosforge.terms import EMPTY_THEORY, canon_term, summands
+
+    theories = []
+    read_spec = cli._read_spec
+
+    def recorded(path):
+        spec = read_spec(path)
+        theories.append(weakref.ref(spec.theory))
+        return spec
+
+    monkeypatch.setattr(cli, "_read_spec", recorded)
+    two = tmp_path / "two.sos"
+    two.write_text(TWO_SPEC, encoding="utf-8")
+    commands = [
+        ("simulate", PAR, "| . 0 + b . 0 || c . 0 + | . 0"),
+        ("bisim", PAR, "a . 0 || b . 0", "a . b . 0 + b . a . 0"),
+        ("normalize", LINDA, "ask(u) ; tell(d) ; get(d)"),
+        ("eq", REC, "p1", "q1"),
+        ("bisim", str(two), "< a1, -, ea > . 0", "< a1, -, eb > . 0"),
+        ("comm", FULL),
+        ("axioms", G),
+        ("validate", FULL),
+    ]
+    for i in range(200):
+        run(capsys, *commands[i % len(commands)])
+    gc.collect()
+    assert len(theories) == 200 and all(ref() is None for ref in theories)
+
+    par = parse_spec(open(PAR, encoding="utf-8").read())
+    sizes = []
+    for i in range(200):
+        bits = " . ".join("ab"[(i >> k) & 1] for k in range(8))
+        t = parse_term(f"{bits} . 0 + c . 0 + {bits} . 0", par)
+        u = parse_term(f"c . 0 + {bits} . 0", par)
+        assert len(summands(t)) == 2
+        assert cc_equal(canon_term(t), u, {"+"})
+        del t, u
+        if i % 50 == 49:
+            gc.collect()
+            sizes.append(len(EMPTY_THEORY._nodes))
+    assert sizes[-1] <= sizes[0], sizes

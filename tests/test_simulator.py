@@ -9,7 +9,20 @@ from sosforge.axioms import normalize
 from sosforge.bisim import build_lts
 from sosforge.errors import BudgetExceeded, InvalidSpec
 from sosforge.simulator import solve_rule, step
-from sosforge.tss import BOUND, FRESH, GENERAL, GROUND, TRIPLE
+from sosforge.tss import (
+    APP,
+    BOUND,
+    CHOICE,
+    FIXED,
+    FRESH,
+    GENERAL,
+    GROUND,
+    LABEL,
+    LABEL_VAR,
+    PREFIX,
+    TRIPLE,
+    VAR,
+)
 from sosforge.terms import (
     NIL,
     ActConst,
@@ -25,12 +38,14 @@ from sosforge.terms import (
     canon_label,
     canon_term,
     free_vars,
+    is_canonical,
     label_sort,
     match,
     render_label,
     render_term,
     sort_accepts,
     substitute_label,
+    substitute_term,
 )
 from termgen import random_bccsp_term, random_full_term
 
@@ -497,6 +512,63 @@ def test_solve_rule_matches_reference_on_every_plan_kind(against_reference):
     assert fired > 200 and len(against_reference) > 2 * fired
 
 
+TARGETS = """spec TARGETS
+actions a b ;
+predicates | ;
+datasort Data [assoc comm id: none] ;
+dataconst d u : Data ;
+labelop mix : Label Label -> Label [comm] ;
+op g : 1 ;  op f : 2 ;  op t : 1 ;  op s : 1 ;  op r : 1 ;
+var x x' y : Proc ;
+var k : Label ;
+var xD xD' : Data ;
+rule x -(k)-> x' ==> g(x) -(k)-> k . x' ;
+rule x -(k)-> x' ==> f(x, y) -(k)-> x' + mix(b, a) . y ;
+rule x -(k)-> x' ==> t(x) -(k)-> f(mix(k, a) . 0, | . 0) ;
+rule x -(< xD, -, xD' >)-> x' ==> s(x) -(|)-> f(s(x'), < xD, -, none > . 0) ;
+rule x -(k)-> x' ==> r(x) -(k)-> r(x') ;
+"""
+
+
+def test_target_plans_build_what_substitution_builds():
+    """A compiled target builds a term equal to the target with the bindings
+    substituted, and one canonical node when an application or a prefix
+    is built from canonical nodes only."""
+    spec = parse_spec(TARGETS)
+    th = spec.theory
+    plans = [spec.plan(r).target for r in spec.rules]
+
+    def kinds(p):
+        return (p.kind, [kinds(q) for q in p.parts]) if p.parts else p.kind
+
+    assert [kinds(p) for p in plans] == [
+        (PREFIX, [LABEL_VAR, VAR]),
+        (CHOICE, [VAR, (PREFIX, [FIXED, VAR])]),
+        (APP, [(PREFIX, [LABEL, FIXED]), FIXED]),
+        (APP, [(APP, [VAR]), (PREFIX, [LABEL, FIXED])]),
+        (APP, [VAR]),
+    ]
+    written = plans[1].parts[1].parts[0].term  # mix(b, a): its canonical form differs
+    assert str(written) == "mix(b,a)" and not is_canonical(written, th)
+    assert is_canonical(plans[2].parts[1].term, th)  # | . 0
+    built = 0
+    for text in ["g(a . b . 0 + b . 0)", "f(a . 0 + mix(a, b) . 0, b . 0)", "t(a . 0 + b . 0)",
+                 "s(< d, -, u > . 0 + < {d, u}, -, u > . b . 0)", "r(a . (b . 0 + a . 0))"]:
+        term = parse_term(text, spec)
+        for args in (term.args, tuple(canon_term(a, th) for a in term.args)):
+            for _, rule in spec.rules_for(term.op):
+                plan = spec.plan(rule)
+                moves = [[(s.label, s.target) for s in step(spec, a)] for a in args]
+                for sub in solve_rule(spec, rule, args, moves.__getitem__):
+                    got = plan.target.under(sub, th)
+                    assert got == substitute_term(rule.conclusion.target, sub), text
+                    canonical = all(is_canonical(v, th) for v in [*sub.terms.values(), *sub.labels.values()])
+                    if canonical and plan.target.kind in (PREFIX, APP) and term.op in "gr":
+                        assert got is canon_term(got, th)
+                    built += 1
+    assert built >= 10
+
+
 def test_store_slots_keep_their_sort(against_reference):
     """A store slot reads its sort as `match` does, though `{}` prints the
     same in every data sort."""
@@ -510,7 +582,9 @@ rule x -(< xD, -, xD' >)-> x' ==> r(x) -(< xD', -, xD >)-> r(x') ;
 rule x -(< xD, -, none >)-> x' ==> s(x) -(< xD, -, xD >)-> s(x') ;
 rule x -(< xD, -, xD >)-> x' ==> t(x) -(< xD, -, none >)-> t(x') ;
 """)
-    # `< d, -, none >` and `< d, -, nokey >` print alike, so each is offered alone
+    # `< d, -, none >` and `< d, -, nokey >` print alike.  Each is offered
+    # alone here, as the reference compares negative premises by string;
+    # `test_step_keeps_summands_that_print_alike` offers them together.
     cases = [
         ("r(< d, -, d > . 0 + < k, -, k > . 0 + < d, -, k > . 0)", "< {d},-,{d} >", "r"),
         ("s(< d, -, nokey > . 0)", None, "s"),
@@ -526,8 +600,9 @@ rule x -(< xD, -, xD >)-> x' ==> t(x) -(< xD, -, none >)-> t(x') ;
 
 def test_bound_premise_label_keeps_its_sort():
     """A bound label variable meets only an offered label of its own sort,
-    though `{}` prints the same in every data sort.  (`step` keys the terms
-    it steps by their strings, so the two empty stores are offered by hand.)"""
+    though `{}` prints the same in every data sort: through `solve_rule`
+    with the offers built by hand, and through `step`, whose cache keeps the
+    two arguments apart."""
     spec = parse_spec("""spec BOUND
 datasort A [assoc comm id: ea] ;  datasort B [assoc comm id: eb] ;
 dataconst a1 : A ;
@@ -544,6 +619,32 @@ rule x -(k)-> x2 , y -(k)-> y2 ==> f(x, y) -(k)-> 0 ;
     for offered, fires in [((a, a), True), ((a, b), False), ((b, a), False)]:
         subs = solve_rule(spec, rule, (NIL, NIL), lambda k: [(offered[k], NIL)])
         assert bool(subs) == fires, offered
+    for e1, e2, fires in [("ea", "ea", True), ("ea", "eb", False), ("eb", "ea", False)]:
+        t = parse_term(f"f(< a1, -, {e1} > . 0, < a1, -, {e2} > . 0)", spec)
+        assert len(step(spec, t)) == fires, (e1, e2)
+        assert len(build_lts(spec, [t]).states) == 1 + fires
+
+
+def test_step_keeps_summands_that_print_alike():
+    """Two summands whose labels print alike but differ in a data sort are
+    two steps, and each meets only the premises of its own sort."""
+    spec = parse_spec("""spec SORTS
+datasort Data [assoc comm id: none] ;  datasort Key [assoc comm id: nokey] ;
+dataconst d : Data ;
+op s : 1 ;
+var x x' : Proc ;
+var xD : Data ;
+rule x -(< xD, -, none >)-> x' ==> s(x) -(< xD, -, xD >)-> s(x') ;
+""")
+    th = spec.theory
+    both = parse_term("< d, -, none > . 0 + < d, -, nokey > . 0", spec)
+    steps = step(spec, both)
+    assert [str(s) for s in steps] == ["< < {d},-,{} > # 0 >"] * 2
+    assert steps[0].label != steps[1].label
+    assert render_term(canon_term(both, th)) == "< {d},-,{} > . 0 + < {d},-,{} > . 0"
+    for text in ("s(< d, -, nokey > . 0 + < d, -, none > . 0)",
+                 "s(< d, -, none > . 0 + < d, -, nokey > . 0)"):
+        assert [str(s) for s in step(spec, parse_term(text, spec))] == ["< < {d},-,{d} > # s(0) >"]
 
 
 # -- work counts --------------------------------------------------------------
