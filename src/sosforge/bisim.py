@@ -209,7 +209,8 @@ class BisimWitness:
 
 
 def _product_pairs(lts: Lts, blocks: list[int], r0: int, r1: int) -> list[tuple[int, int]]:
-    trans = lts.transitions
+    # labels by identity, once per transition rather than once per visit
+    trans = [[(id(l), t) for l, t in moves] for moves in lts.transitions]
     seen = {(r0, r1)}
     queue = [(r0, r1)]
     # Moves by (label, target block), kept for the states with several moves.
@@ -220,11 +221,11 @@ def _product_pairs(lts: Lts, blocks: list[int], r0: int, r1: int) -> list[tuple[
         if moves is None:
             moves = {}
             for l, tj in trans[j]:
-                moves.setdefault((id(l), blocks[tj]), []).append(tj)
+                moves.setdefault((l, blocks[tj]), []).append(tj)
             if len(trans[j]) > 1:
                 index[j] = moves
         for l, ti in trans[i]:
-            for tj in moves.get((id(l), blocks[ti]), ()):
+            for tj in moves.get((l, blocks[ti]), ()):
                 if (ti, tj) not in seen:
                     seen.add((ti, tj))
                     queue.append((ti, tj))

@@ -251,7 +251,7 @@ class EquationalTheory:
     data_identity: dict[str, str | None] = field(default_factory=dict)
 
     def __post_init__(self):
-        # the canonical nodes, by intern key (see `_node`); not a field
+        # the canonical nodes, by intern key (see `_store`); not a field
         self._nodes: dict[tuple, Term | LabelTerm] = {}
 
     def op_attrs(self, op: str) -> OpAttrs:
@@ -595,7 +595,7 @@ def canon_label(l: LabelTerm, th: EquationalTheory = EMPTY_THEORY) -> LabelTerm:
     else:
         raise TypeError(f"not a label term: {l!r}")
     l._cth = th
-    l._c = None if out is l else out
+    l._c = None if out is l else out  # l is th's own node, last cached under another theory
     return out
 
 
@@ -666,7 +666,7 @@ def canon_term(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
     else:
         raise TypeError(f"not a process term: {t!r}")
     t._cth = th
-    t._c = None if out is t else out
+    t._c = None if out is t else out  # as in canon_label
     return out
 
 

@@ -200,10 +200,7 @@ def plan_target(t: Term | LabelTerm, th: EquationalTheory) -> TargetPlan:
     if cls is LVar:
         return TargetPlan(LABEL_VAR, t, t.name)
     parts = tuple([plan_target(c, th) for c in _parts(t)])
-    for p in parts:
-        if p.kind != FIXED:
-            break
-    else:
+    if all(p.kind == FIXED for p in parts):
         canon = canon_label(t, th) if isinstance(t, LabelTerm) else canon_term(t, th)
         return TargetPlan(FIXED, canon if canon == t else t)
     if cls is App:

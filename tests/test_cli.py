@@ -63,6 +63,26 @@ def test_bisim_true_transcript(capsys):
     )
 
 
+def test_bisim_witness_is_one_write(monkeypatch):
+    """The witness block reaches stdout in one write, the same bytes as one
+    line per pair."""
+    writes = []
+
+    class Out:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Out())
+    assert main(["bisim", PAR, "a . 0 || b . 0", "a . b . 0 + b . a . 0"]) == 0
+    assert writes == [
+        "true\n"
+        " < 0 || 0 ; 0 >\n"
+        " < 0 || b . 0 ; b . 0 >\n"
+        " < a . 0 || 0 ; a . 0 >\n"
+        " < a . 0 || b . 0 ; a . b . 0 + b . a . 0 >\n"
+    ]
+
+
 def test_bisim_false(capsys):
     code, out, _ = run(capsys, "bisim", PAR, "a . 0", "b . 0")
     assert code == 1

@@ -121,6 +121,26 @@ def test_canon_cache_is_per_theory(linda):
             assert render_term(canon_term(term, th)) == want + " . 0"
 
 
+def test_canonical_nodes_are_shared_per_theory(linda):
+    """Equal canonical forms are one node per theory, whatever the shape or
+    the theory a node was last canonicalized under; `{}` of two sorts is
+    two nodes."""
+    th = linda.theory
+    p = parse_term("< u, -, empty > . 0 + ask(d) + 0", linda)
+    q = parse_term("ask(d) + < {u}, -, {} > . (0 + 0)", linda)
+    c = canon_term(p, th)
+    assert canon_term(q, th) is c and terms.is_canonical(c, th)
+    assert canon_term(c, th) is c and canon_term(uncached(c), th) is c
+    plain = canon_term(c, EMPTY_THEORY)
+    assert plain is not c and plain == c and canon_term(q, EMPTY_THEORY) is plain
+    assert canon_term(c, th) is c and terms.is_canonical(c, th)
+    assert canon_term(NIL, th) is canon_term(parse_term("0 + 0", linda), th)
+    assert NIL._cth is None
+    a, b = (MSet((), sort) for sort in ("A", "B"))
+    assert canon_label(a, th) is not canon_label(b, th)
+    assert canon_label(a, th) is canon_label(MSet((), "A"), th)
+
+
 # -- canonical terms ----------------------------------------------------------
 
 
