@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from sosforge import parse_label, parse_spec, parse_term
+from sosforge import load_corpus, parse_label, parse_spec, parse_term
 from sosforge.cli import main
 from sosforge.terms import render_term
 
@@ -465,7 +465,8 @@ def test_bisim_tells_empty_stores_of_two_sorts_apart(tmp_path, capsys):
     spec.write_text(TWO_SPEC, encoding="utf-8")
     p, q = "< a1, -, ea > . 0", "< a1, -, eb > . 0"
     assert run(capsys, "bisim", str(spec), p, q) == (1, "false\n", "")
-    assert run(capsys, "bisim", str(spec), p, p)[:2] == (0, "true\n < 0 ; 0 >\n < < {a1},-,{} > . 0 ; < {a1},-,{} > . 0 >\n")
+    assert run(capsys, "bisim", str(spec), p, p)[:2] == (
+        0, "true\n < 0 ; 0 >\n < < {a1},-,{} > . 0 ; < {a1},-,{} > . 0 >\n")
     assert run(capsys, "bisim", str(spec), f"{p} + {q}", f"{q} + {p}")[0] == 0
     assert run(capsys, "bisim", str(spec), f"{p} + {q}", p) == (1, "false\n", "")
 
@@ -499,11 +500,11 @@ def test_intern_tables_do_not_grow_with_commands(tmp_path, capsys, monkeypatch):
         ("validate", FULL),
     ]
     for i in range(200):
-        run(capsys, *commands[i % len(commands)])
+        assert run(capsys, *commands[i % len(commands)])[0] in (0, 1)
     gc.collect()
     assert len(theories) == 200 and all(ref() is None for ref in theories)
 
-    par = parse_spec(open(PAR, encoding="utf-8").read())
+    par = load_corpus("bccsp_par")
     sizes = []
     for i in range(200):
         bits = " . ".join("ab"[(i >> k) & 1] for k in range(8))
