@@ -29,8 +29,8 @@ from .terms import (
     Term,
     Var,
     _match_label,
+    _ordered,
     canon_label,
-    render_label,
     render_term,
     substitute_label,
     substitute_term,
@@ -42,14 +42,15 @@ CHOICE_OP = "+"
 
 
 def _cc_canon(t: Term, comm_set: set[str], th: EquationalTheory) -> Term:
+    """t with canonical labels and the sides of each known-commutative
+    operator (choice too) in canonical order; not interned, as not ACI-canonical."""
     if isinstance(t, Prefix):
         return Prefix(canon_label(t.label, th), _cc_canon(t.body, comm_set, th))
     if isinstance(t, Choice):
-        left = _cc_canon(t.left, comm_set, th)
-        right = _cc_canon(t.right, comm_set, th)
-        if CHOICE_OP in comm_set and render_term(left) > render_term(right):
-            left, right = right, left
-        return Choice(left, right)
+        pair = [_cc_canon(t.left, comm_set, th), _cc_canon(t.right, comm_set, th)]
+        if CHOICE_OP in comm_set:
+            _ordered(pair, render_term)
+        return Choice(*pair)
     if isinstance(t, App):
         args = [
             canon_label(a, th) if isinstance(a, LabelTerm) else _cc_canon(a, comm_set, th)
@@ -58,8 +59,7 @@ def _cc_canon(t: Term, comm_set: set[str], th: EquationalTheory) -> Term:
         if t.op in comm_set and len(args) == 2 and not any(
             isinstance(a, LabelTerm) for a in args
         ):
-            if render_term(args[0]) > render_term(args[1]):  # type: ignore[arg-type]
-                args.reverse()
+            _ordered(args, render_term)
         return App(t.op, tuple(args))
     return t
 
@@ -73,16 +73,11 @@ def _applied_ops(t: Term) -> set[str]:
     return _applied_ops(t.left) | _applied_ops(t.right) if isinstance(t, Choice) else set()
 
 
-def _cc_key(t: Term, comm_set: set[str], th: EquationalTheory) -> str:
-    """The string two terms share when they are equal up to commutative swaps."""
-    return render_term(_cc_canon(t, comm_set, th))
-
-
 def cc_equal(
     t1: Term, t2: Term, comm_set: set[str], th: EquationalTheory = EMPTY_THEORY
 ) -> bool:
     """Equality up to swapping arguments of known-commutative operators."""
-    return _cc_key(t1, comm_set, th) == _cc_key(t2, comm_set, th)
+    return _cc_canon(t1, comm_set, th) == _cc_canon(t2, comm_set, th)
 
 
 # ---------------------------------------------------------------------------
@@ -161,32 +156,28 @@ def find_mirror(
 
     found: list[dict[str, str]] = []
     seen_keys: set[tuple] = set()
-    # rule_a's side: its negative premises, conclusion label and target
-    # keys, and both rules' variables, computed when first needed
-    neg_index: set[tuple[str, str]] | None = None
-    label_a = target_a = ""
+    # rule_a's side: its negative premises and conclusion label as canonical
+    # nodes, its target form, and both rules' variables, made when first needed
+    neg_index: set[tuple[str, int]] | None = None
+    label_a = target_a = None
     names: list[str] = []
 
     def check_negatives_and_conclusion(hm: dict[str, str]) -> None:
         nonlocal neg_index, label_a, target_a, names
         if neg_index is None:
-            neg_index = {
-                (render_term(n.source), render_label(canon_label(n.label, th)))
-                for n in rule_a.negatives
-            }
-            label_a = render_label(canon_label(rule_a.conclusion.label, th))
+            neg_index = {(n.source.name, id(canon_label(n.label, th))) for n in rule_a.negatives}
+            label_a = canon_label(rule_a.conclusion.label, th)
         sub = _mapping_substitution(spec, hm)
         for n in rule_b.negatives:
-            img_src = substitute_term(n.source, sub)
             img_lbl = canon_label(substitute_label(n.label, sub), th)
-            if (render_term(img_src), render_label(img_lbl)) not in neg_index:
+            if (hm[n.source.name], id(img_lbl)) not in neg_index:
                 return
-        if render_label(canon_label(substitute_label(rule_b.conclusion.label, sub), th)) != label_a:
+        if canon_label(substitute_label(rule_b.conclusion.label, sub), th) is not label_a:
             return
-        if not target_a:
-            target_a = _cc_key(rule_a.conclusion.target, comm_set, th)
+        if target_a is None:
+            target_a = _cc_canon(rule_a.conclusion.target, comm_set, th)
             names = sorted(_variables(spec, rule_a) | _variables(spec, rule_b))
-        if _cc_key(substitute_term(rule_b.conclusion.target, sub), comm_set, th) != target_a:
+        if _cc_canon(substitute_term(rule_b.conclusion.target, sub), comm_set, th) != target_a:
             return
         full = _complete_mapping(names, hm)
         key = tuple(sorted(full.items()))

@@ -69,7 +69,7 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
     So is each slot of a store triple whose slots are each a variable or a
     constant store (`_read_slots`).  Only the other labels, multisets over
     variables and label-operator applications over variables, go through
-    `match`.  Every label the substitutions bind is a canonical node.
+    `match`.  Every label the substitutions bind, `match`'s too, is a canonical node.
     """
     plan = spec.plan(rule)
     th = spec.theory
@@ -122,8 +122,7 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
                 for lbl, cont in offered:
                     for m in match(pat, lbl, th):
                         merged = s.copy()
-                        for name, value in m.labels.items():
-                            merged.labels[name] = canon_label(value, th)
+                        merged.labels.update(m.labels)
                         merged.terms[target] = cont
                         nxt.append(merged)
         subs = nxt

@@ -393,12 +393,6 @@ class Substitution:
     def copy(self) -> "Substitution":
         return Substitution(dict(self.terms), dict(self.labels))
 
-    def key(self) -> tuple:
-        return (
-            tuple(sorted((n, render_term(t)) for n, t in self.terms.items())),
-            tuple(sorted((n, render_label(l)) for n, l in self.labels.items())),
-        )
-
     def __str__(self) -> str:
         parts = [f"{n} <- {render_term(t)}" for n, t in sorted(self.terms.items())]
         parts += [f"{n} <- {render_label(l)}" for n, l in sorted(self.labels.items())]
@@ -700,20 +694,18 @@ def match(pattern: LabelTerm, subject: LabelTerm,
     arguments pair up in any order.  Data multisets match modulo ACU, in
     time exponential in the pattern's variables, as AC matching is.  Operators
     declared `assoc` do not: a pattern argument claims one subject argument.
+    Each label a result binds is a canonical node of th, and no two results
+    bind every variable to the same nodes.
     """
     pat = canon_label(pattern, th)
     subj = canon_label(subject, th)
     results: list[Substitution] = []
-    seen: set | None = None  # keys of the results, built once a second one arrives
+    seen: set[frozenset] = set()
     for sub in _match_label(pat, subj, Substitution(), th, _bind_label):
-        if results:
-            if seen is None:
-                seen = {results[0].key()}
-            k = sub.key()
-            if k in seen:
-                continue
+        k = frozenset((n, id(l)) for n, l in sub.labels.items())
+        if k not in seen:
             seen.add(k)
-        results.append(sub)
+            results.append(sub)
     return results
 
 
@@ -722,7 +714,7 @@ def _bind_label(sub: Substitution, var: LVar, value: LabelTerm):
         return
     old = sub.labels.get(var.name)
     if old is not None:
-        if render_label(old) == render_label(value):
+        if old is value:
             yield sub
         return
     nxt = sub.copy()
@@ -731,7 +723,8 @@ def _bind_label(sub: Substitution, var: LVar, value: LabelTerm):
 
 
 def _match_label(pat: LabelTerm, subj: LabelTerm, state, th, bind):
-    """Match canonical labels; bind(state, var, value) yields the extended states.
+    """Match canonical labels of th, equal when they are one node;
+    bind(state, var, value) yields the extended states, each value a node of th.
 
     `match` binds into a Substitution with `_bind_label`; the mirror search
     passes a binder whose state is a variable renaming.
@@ -740,7 +733,7 @@ def _match_label(pat: LabelTerm, subj: LabelTerm, state, th, bind):
         yield from bind(state, pat, subj)
         return
     if isinstance(pat, (ActConst, PredConst, DataConst)):
-        if render_label(pat) == render_label(subj):
+        if pat is subj:
             yield state
         return
     if isinstance(pat, LApp):
@@ -791,7 +784,7 @@ def _match_mset(pats, subjs, state, th, bind, sort):
     the variables (last in pats) share the rest, each taking any sub-multiset.
 
     A share of one element binds that element, an empty share `{}` and a
-    larger one the multiset of its elements, in canonical order.
+    larger one th's canonical multiset of its elements.
     """
     if not pats:
         if not subjs:
@@ -804,7 +797,7 @@ def _match_mset(pats, subjs, state, th, bind, sort):
                 yield from _match_mset(rest, subjs[:i] + subjs[i + 1:], s1, th, bind, sort)
         return
     for share, left in _splits(subjs) if rest else [(subjs, ())]:
-        value = share[0] if len(share) == 1 else MSet(share, sort)
+        value = share[0] if len(share) == 1 else _mset(share, sort, th)
         for s1 in bind(state, pat, value):
             yield from _match_mset(rest, left, s1, th, bind, sort)
 

@@ -471,6 +471,27 @@ def test_bisim_tells_empty_stores_of_two_sorts_apart(tmp_path, capsys):
     assert run(capsys, "bisim", str(spec), f"{p} + {q}", p) == (1, "false\n", "")
 
 
+PR_SPEC = (
+    f"spec PR {SORTS_DECLS}labelop pr : Label Label -> Label ; var x x2 : Proc ; var k : Label ; "
+    "rule x -(pr(k, k))-> x2 ==> g(x) -(k)-> x2 ;\n"
+)
+
+
+def test_repeated_label_variable_keeps_its_sort(tmp_path, capsys):
+    """`pr(k, k)` meets only a pair of one label, and two store triples
+    that print alike but differ in a data sort are two labels."""
+    spec = tmp_path / "pr.sos"
+    spec.write_text(PR_SPEC, encoding="utf-8")
+    t = "g(pr(< a1, -, ea >, < a1, -, eb >) . 0)"
+    assert run(capsys, "simulate", str(spec), t) == (0, "Possible steps:\n", "")
+    assert run(capsys, "normalize", str(spec), t) == (0, "0\n", "")
+    code, out, err = run(capsys, "bisim", str(spec), t, "0")
+    assert (code, out.splitlines()[0], err) == (0, "true", "")
+    same = "g(pr(< a1, -, ea >, < a1, -, ea >) . 0)"
+    assert run(capsys, "simulate", str(spec), same) == (
+        0, "Possible steps:\n < < {a1},-,{} > # 0 >\n", "")
+
+
 def test_intern_tables_do_not_grow_with_commands(tmp_path, capsys, monkeypatch):
     """Each command's canonical nodes die with its Spec, and library calls
     that use the default theory leave no node in its table that nobody holds."""

@@ -67,6 +67,38 @@ def test_cc_equal_choice_swap_no_assoc(par):
     assert not cc_equal(left, right, {"+"}, th)
 
 
+# Two data sorts whose empty multisets both print `{}`, and a binary operator.
+SORTS_HEADER = (
+    "actions a ; datasort A [assoc comm id: ea] ; datasort B [assoc comm id: eb] ; "
+    "dataconst a1 : A ; dataconst b1 : B ; op p : 2 ; var x y x' y' : Proc ;\n"
+)
+# Each pair of rules mirrors only up to the sort of one empty store.
+SORTS_RULES = {
+    "neg": ("x -(a)-> x' , y -(< a1, -, ea >)/> ==> p(x,y) -(a)-> x'",
+            "y -(a)-> y' , x -(< a1, -, eb >)/> ==> p(x,y) -(a)-> y'"),
+    "conc": ("x -(a)-> x' ==> p(x,y) -(< a1, -, ea >)-> x'",
+             "y -(a)-> y' ==> p(x,y) -(< a1, -, eb >)-> y'"),
+    "tgt": ("x -(a)-> x' ==> p(x,y) -(a)-> < a1, -, ea > . x'",
+            "y -(a)-> y' ==> p(x,y) -(a)-> < a1, -, eb > . y'"),
+}
+
+
+def sorts_spec_text(key, same_sort=False):
+    rules = SORTS_RULES[key]
+    if same_sort:
+        rules = tuple(r.replace("eb", "ea") for r in rules)
+    return f"spec {key.upper()} {SORTS_HEADER}" + "".join(f"rule {r} ;\n" for r in rules)
+
+
+def test_cc_equal_keeps_label_sorts():
+    spec = parse_spec(sorts_spec_text("tgt"))
+    ea, eb = (parse_term(f"< a1, -, {e} > . x", spec, closed=False) for e in ("ea", "eb"))
+    assert not cc_equal(ea, eb, {"+"}, spec.theory)
+    assert cc_equal(ea, parse_term("< a1, -, ea > . x", spec, closed=False), {"+"}, spec.theory)
+    assert not cc_equal(Choice(ea, Var("y")), Choice(Var("y"), eb), {"+"}, spec.theory)
+    assert cc_equal(Choice(ea, eb), Choice(eb, ea), {"+"}, spec.theory)
+
+
 # -- mirror search ----------------------------------------------------------------
 
 
@@ -112,6 +144,21 @@ def test_sequencing_has_no_mirror(linda):
 
 
 # -- the fixed point -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", sorted(SORTS_RULES))
+def test_mirror_keeps_label_sorts(capsys, tmp_path, key):
+    """Negative premise labels, conclusion labels and targets that print
+    alike but differ in a data sort do not mirror each other."""
+    path = tmp_path / f"{key}.sos"
+    path.write_text(sorts_spec_text(key), encoding="utf-8")
+    assert main(["comm", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("Could not prove commutativity for: p\n")
+    assert check_comm(parse_spec(sorts_spec_text(key, same_sort=True))).proven.keys() == {"p"}
+    if key == "conc":
+        spec = parse_spec(sorts_spec_text(key))
+        p, q = (parse_term(t, spec) for t in ("p(a . 0, 0)", "p(0, a . 0)"))
+        assert not bisimilar(spec, p, q)[0]
 
 
 def test_check_comm_parallel(par):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from sosforge import parse_label, parse_term, terms
+from sosforge import parse_label, parse_spec, parse_term, terms
 from sosforge.errors import NonBccspTerm, OpenTerm, SortError
 from sosforge.terms import (
     EMPTY_THEORY,
@@ -388,13 +388,12 @@ def test_match_mset_shares(linda):
 
 
 def _match_keying_every_result(pattern, subject, th):
-    """`match` as it deduplicated before: a key built for every result."""
+    """`match` as a reference: a result is dropped when an earlier one binds
+    every variable to an equal value (value equality tells sorts apart)."""
     pat, subj = canon_label(pattern, th), canon_label(subject, th)
-    results, seen = [], set()
+    results = []
     for sub in terms._match_label(pat, subj, Substitution(), th, terms._bind_label):
-        k = sub.key()
-        if k not in seen:
-            seen.add(k)
+        if sub not in results:
             results.append(sub)
     return results
 
@@ -402,7 +401,9 @@ def _match_keying_every_result(pattern, subject, th):
 def _check_same_matches(pattern, subject, th) -> int:
     got = match(pattern, subject, th)
     want = _match_keying_every_result(pattern, subject, th)
-    assert [s.key() for s in got] == [s.key() for s in want], (pattern, subject)
+    assert got == want, (pattern, subject)
+    for sub in got:
+        assert all(terms.is_canonical(v, th) for v in sub.labels.values()), str(sub)
     return len(got)
 
 
@@ -420,7 +421,7 @@ def _random_instance(rng, pattern, spec):
 
 
 def test_match_dedup_same_results_linda_labels(linda):
-    """Results and their order do not depend on when keys are built."""
+    """`match` returns what the matcher yields, in order, less repeats by value."""
     rng = random.Random(19)
     th = linda.theory
     patterns = _rule_labels(linda)
@@ -445,3 +446,42 @@ def test_match_dedup_same_results_random_full_labels(full):
             counts.append(_check_same_matches(pat, _random_instance(rng, pat, full), th))
             counts.append(_check_same_matches(pat, random_label(rng), th))
     assert max(counts) >= 2 and min(counts) == 0
+
+
+# Two data sorts whose empty multisets both print `{}`.
+TWO_SORTS = (
+    "spec TWO predicates | ; datasort A [assoc comm id: ea] ; datasort B [assoc comm id: eb] ; "
+    "dataconst a1 : A ; dataconst b1 : B ; "
+    "labelop pr : Label Label -> Label ; labelop mix : Label Label -> Label [comm] ; "
+    "var k l : Label ; var xA : A ; var xB : B ;\n"
+)
+
+
+@pytest.mark.parametrize("pattern, subject, count", [
+    ("pr(k, k)", "pr(< a1, -, ea >, < a1, -, eb >)", 0),
+    ("pr(k, k)", "pr(< a1, -, eb >, < a1, -, eb >)", 1),
+    ("pr(k, l)", "pr(< a1, -, ea >, < a1, -, eb >)", 1),
+    ("mix(k, l)", "mix(< a1, -, ea >, < a1, -, eb >)", 2),
+    ("mix(k, k)", "mix(< a1, -, ea >, < a1, -, eb >)", 0),
+    ("mix(< {a1, xA}, -, xB >, l)", "mix(< a1, -, eb >, < a1, -, ea >)", 1),
+    ("mix(< {a1, xA}, -, xA >, l)", "mix(< a1, -, eb >, < a1, -, ea >)", 1),
+])
+def test_match_dedup_same_results_empty_stores_of_two_sorts(pattern, subject, count):
+    """Bindings that print alike but differ in a data sort are two results,
+    and a variable bound twice must get one node both times."""
+    spec = parse_spec(TWO_SORTS)
+    th = spec.theory
+    pat, subj = parse_label(pattern, spec), parse_label(subject, spec)
+    assert _check_same_matches(pat, subj, th) == count
+
+
+@pytest.mark.parametrize("spec_of", ["linda", "default"])
+def test_match_binds_canonical_nodes(linda, spec_of):
+    """Every label `match` binds is a canonical node of the theory, a
+    share of two or more elements too."""
+    th = linda.theory if spec_of == "linda" else EMPTY_THEORY
+    pat, subj = parse_label("{xD, xD'}", linda), parse_label("{u, v, d}", linda)
+    got = match(pat, subj, th)
+    values = [v for sub in got for v in sub.labels.values()]
+    assert len(got) == 8 and all(terms.is_canonical(v, th) for v in values)
+    assert canon_label(MSet((DataConst("u", "Data"), DataConst("v", "Data")), "Data"), th) in values
