@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import field
 
 from .errors import SosError, StateCapExceeded
-from .simulator import Step, step
+from .simulator import moves
 from .terms import DefConst, LabelTerm, Term, canon_term, render_term, valueclass
 from .tss import Spec
 
@@ -148,16 +148,16 @@ def build_lts(
     """Explore everything reachable from the roots, up to the state cap.
 
     States are the spec's canonical nodes, indexed by identity, and
-    transition labels are canonical label nodes.  One step cache serves the
-    whole exploration, so each canonical subterm of the reachable states is
-    stepped once.  With `decide`, the exploration stops at the first layer
-    that separates the two roots (see `explore`).
+    transition labels are canonical label nodes.  `simulator.moves` steps
+    the states through one shared cache, so each canonical subterm of the
+    reachable states is stepped once, and builds no `Step`.  With `decide`,
+    the exploration stops at the first layer that separates the two roots.
     """
     cap = default_state_cap() if state_cap is None else state_cap
     th = spec.theory
     lts = Lts()
     index: dict[int, int] = {}  # id of a canonical node: the theory keeps it alive
-    step_cache: dict[int, list[Step]] = {}
+    cache: dict[int, list[tuple[LabelTerm, Term]]] = {}
 
     def intern(t: Term) -> int:
         c = canon_term(t, th)
@@ -169,11 +169,11 @@ def build_lts(
             lts.states.append(c)
         return i
 
-    def moves(i: int) -> list[tuple[LabelTerm, int]]:
-        return [(s.label, intern(s.target)) for s in step(spec, lts.states[i], cache=step_cache)]
+    def successors(i: int) -> list[tuple[LabelTerm, int]]:
+        return [(label, intern(target)) for label, target in moves(spec, lts.states[i], cache)]
 
     lts.roots = [intern(r) for r in roots]
-    return explore(lts, moves, decide)
+    return explore(lts, successors, decide)
 
 
 def refine(lts: Lts) -> list[int]:

@@ -11,7 +11,7 @@ from pathlib import Path
 from .axioms import NormalizeBudget, axiom_report_json, axiom_report_text, normalize
 from .bisim import are_equal, bisimilar
 from .commform import check_comm, comm_report_json, comm_report_text, formats_spec
-from .errors import BudgetExceeded, InvalidSpec, SosError, StateCapExceeded
+from .errors import BudgetExceeded, SosError, StateCapExceeded
 from .parser import parse_spec, parse_term
 from .simulator import step, steps_to_json
 from .terms import render_term
@@ -45,9 +45,7 @@ def _read_spec(path: str):
 def _load_spec(path: str):
     """Parse a spec file and refuse it unless it meets the rule format."""
     spec = _read_spec(path)
-    violations = check_all(spec)
-    if violations:
-        raise InvalidSpec(violations)
+    spec.check()
     return spec
 
 

@@ -135,12 +135,15 @@ def _variables(spec: Spec, rule: Rule) -> set[str]:
 
 def find_mirror(
     spec: Spec, rule_a: Rule, rule_b: Rule, comm_set: set[str]
-) -> list[dict[str, str]]:
-    """All mirror mappings sending rule_b onto rule_a with arguments swapped.
+) -> dict[str, str] | None:
+    """The first mirror mapping sending rule_b onto rule_a with arguments
+    swapped, or None.
 
     Both rules are rules of the spec for one binary operator, so their
-    sources are that operator over two distinct variables.  What depends on
-    rule_a alone is computed once per call, when a mapping first needs it.
+    sources are that operator over two distinct variables.  The search
+    assigns rule_b's positive premises to rule_a's, both in order, and stops
+    at the first assignment under which the negative premises, conclusion
+    label and target mirror rule_a's.
     """
     spec.check()
     th = spec.theory
@@ -150,44 +153,12 @@ def find_mirror(
     sort_of = spec.variables.get
     if sort_of(b0, SORT_PROC) != sort_of(a1, SORT_PROC) or \
             sort_of(b1, SORT_PROC) != sort_of(a0, SORT_PROC):
-        return []
-    hmap = {b0: a1, b1: a0}
-    used = {a0, a1}
+        return None
 
-    found: list[dict[str, str]] = []
-    seen_keys: set[tuple] = set()
-    # rule_a's side: its negative premises and conclusion label as canonical
-    # nodes, its target form, and both rules' variables, made when first needed
-    neg_index: set[tuple[str, int]] | None = None
-    label_a = target_a = None
-    names: list[str] = []
-
-    def check_negatives_and_conclusion(hm: dict[str, str]) -> None:
-        nonlocal neg_index, label_a, target_a, names
-        if neg_index is None:
-            neg_index = {(n.source.name, id(canon_label(n.label, th))) for n in rule_a.negatives}
-            label_a = canon_label(rule_a.conclusion.label, th)
-        sub = _mapping_substitution(spec, hm)
-        for n in rule_b.negatives:
-            img_lbl = canon_label(substitute_label(n.label, sub), th)
-            if (hm[n.source.name], id(img_lbl)) not in neg_index:
-                return
-        if canon_label(substitute_label(rule_b.conclusion.label, sub), th) is not label_a:
-            return
-        if target_a is None:
-            target_a = _cc_canon(rule_a.conclusion.target, comm_set, th)
-            names = sorted(_variables(spec, rule_a) | _variables(spec, rule_b))
-        if _cc_canon(substitute_term(rule_b.conclusion.target, sub), comm_set, th) != target_a:
-            return
-        full = _complete_mapping(names, hm)
-        key = tuple(sorted(full.items()))
-        if key not in seen_keys:
-            seen_keys.add(key)
-            found.append(full)
-
-    def assign_positives(i: int, hm: dict[str, str], us: set[str]) -> None:
+    def assignments(i: int, hm: dict[str, str], us: set[str]):
+        """The renamings sending rule_b's premises from the i-th on into rule_a's."""
         if i == len(rule_b.positives):
-            check_negatives_and_conclusion(hm)
+            yield hm
             return
         p = rule_b.positives[i]
         want_src = hm.get(p.source.name)
@@ -195,13 +166,28 @@ def find_mirror(
         for q in rule_a.positives:
             if q.source.name != want_src:
                 continue
-            subj = canon_label(q.label, th)
-            for state in _match_label(pat, subj, (hm, us), th, _bind_renaming):
+            for state in _match_label(pat, canon_label(q.label, th), (hm, us), th, _bind_renaming):
                 for hm2, us2 in _bind_renaming(state, p.target, q.target):
-                    assign_positives(i + 1, hm2, us2)
+                    yield from assignments(i + 1, hm2, us2)
 
-    assign_positives(0, hmap, used)
-    return found
+    # rule_a's side: its negative premises and conclusion label as canonical
+    # nodes and its target form, made once, when a mapping first needs them
+    neg_index = label_a = target_a = None
+    for hm in assignments(0, {b0: a1, b1: a0}, {a0, a1}):
+        if neg_index is None:
+            neg_index = {(n.source.name, id(canon_label(n.label, th))) for n in rule_a.negatives}
+            label_a = canon_label(rule_a.conclusion.label, th)
+        sub = _mapping_substitution(spec, hm)
+        if any((hm[n.source.name], id(canon_label(substitute_label(n.label, sub), th))) not in neg_index
+               for n in rule_b.negatives):
+            continue
+        if canon_label(substitute_label(rule_b.conclusion.label, sub), th) is not label_a:
+            continue
+        if target_a is None:
+            target_a = _cc_canon(rule_a.conclusion.target, comm_set, th)
+        if _cc_canon(substitute_term(rule_b.conclusion.target, sub), comm_set, th) == target_a:
+            return _complete_mapping(sorted(_variables(spec, rule_a) | _variables(spec, rule_b)), hm)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +224,7 @@ def check_comm(spec: Spec) -> CommReport:
 
     def first_mirror(name: str, rule: Rule) -> tuple[int, dict[str, str]] | None:
         found = ((ib, find_mirror(spec, rule, rb, comm_set)) for ib, rb in spec.rules_for(name))
-        return next(((ib, mirrors[0]) for ib, mirrors in found if mirrors), None)
+        return next(((ib, m) for ib, m in found if m is not None), None)
 
     def row(name: str) -> list[tuple[int, tuple[int, dict[str, str]] | None]]:
         return [(ia, first_mirror(name, ra)) for ia, ra in spec.rules_for(name)]

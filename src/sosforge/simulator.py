@@ -59,8 +59,8 @@ def solve_rule(spec: Spec, rule: Rule, args: tuple, moves: Moves) -> list[Substi
 
     `moves(k)` supplies the (label, continuation) pairs the k-th argument
     offers, labels in canonical form; callers build each list once and
-    serve it to every rule (`step` once per node, `normalize` once per
-    rewrite).  The rule is read through its plan, compiled once per Spec
+    serve it to every rule (`simulator.moves` from its cache, `normalize`
+    once per rewrite).  The rule is read through its plan, compiled once per Spec
     on the rule's first call (`Spec.plan`), which raises InvalidSpec unless
     the spec meets the rule format: source slots are distinct variables,
     premises test them and premise targets are fresh.  A premise label
@@ -161,35 +161,24 @@ def _read_slots(slots: tuple[LabelPlan, ...], triple: Triple, labels: dict[str, 
     return True
 
 
-def step(spec: Spec, term: Term, *, cache: dict[int, list[Step]] | None = None) -> list[Step]:
-    """All one-step transitions of a closed term, deduplicated; sorted unless
-    a cache is passed.
+def moves(spec: Spec, term: Term, cache: dict[int, list[tuple[LabelTerm, Term]]]
+          ) -> list[tuple[LabelTerm, Term]]:
+    """The one-step transitions of a closed term: (label, target) pairs in
+    the order the rules find them, labels canonical nodes; `step` and
+    `bisim.build_lts` call it.
 
-    An operator's rules fire through their plans, compiled once per Spec
-    (`Spec.plan`), and read each argument's moves from one list per node,
-    made when the first rule tests that argument.  A rule's target is built
-    from the bindings by its plan, and is a canonical node when they are.
-
-    Two steps are the same when their labels and their targets' canonical
-    forms are the same nodes; the first one found is kept, with its target
-    in the shape it was built in.  Every subterm is stepped once per cache,
-    keyed by its canonical node, and a hit returns the steps of the first
-    subterm stepped under that key, with targets in that subterm's shape.
-    A hit skips the caps: they held when the entry was made.
-
-    A call without a cache makes its own, and orders each node's steps by
-    their labels' and targets' canonical strings, so the answer (and which
-    of two equal steps is kept) is the same whatever order the rules find
-    them in.  `build_lts`, whose states are canonical and whose targets it
-    canonicalizes, passes one cache to every call of its exploration and
-    reads the steps in the order they were found.
+    An operator's rules fire through their plans (`Spec.plan`) and read
+    each argument's moves from the cache.  A plan builds an application
+    target over canonical bindings as one canonical node.  Two moves are
+    the same when their labels and their targets' canonical forms are the
+    same nodes; the first one found is kept, its target in the shape it was
+    built in.  Every subterm is stepped once per cache, keyed by its
+    canonical node; a hit returns the moves of the first subterm stepped
+    under that key, and skips the caps, which held when the entry was made.
     """
     th = spec.theory
-    ordered = cache is None
-    if cache is None:
-        cache = {}
 
-    def go(t: Term, depth: int) -> list[Step]:
+    def go(t: Term, depth: int) -> list[tuple[LabelTerm, Term]]:
         if depth > DEFAULT_DEPTH_CAP:
             raise BudgetExceeded(f"step recursion exceeded {DEFAULT_DEPTH_CAP} levels")
         if isinstance(t, Var):
@@ -199,45 +188,46 @@ def step(spec: Spec, term: Term, *, cache: dict[int, list[Step]] | None = None) 
         if hit is not None:
             return hit
         if isinstance(t, Nil):
-            steps: list[Step] = []
+            found: list[tuple[LabelTerm, Term]] = []
         elif isinstance(t, Prefix):
-            steps = [Step(canon_label(t.label, th), t.body)]
+            found = [(canon_label(t.label, th), t.body)]
         elif isinstance(t, Choice):
-            steps = go(t.left, depth + 1) + go(t.right, depth + 1)
+            found = go(t.left, depth + 1) + go(t.right, depth + 1)
         elif isinstance(t, DefConst):
-            steps = go(spec.definition(t.name), depth + 1)
+            found = go(spec.definition(t.name), depth + 1)
         else:
             assert isinstance(t, App)
             args = t.args
-
-            offers: dict[int, list[tuple[LabelTerm, Term]]] = {}
-
-            def moves(k: int) -> list[tuple[LabelTerm, Term]]:
-                offered = offers.get(k)
-                if offered is None:
-                    offered = offers[k] = [(s.label, s.target) for s in go(args[k], depth + 1)]
-                return offered
-
-            steps = []
+            found = []
             for _, rule in spec.rules_for(t.op):
-                subs = solve_rule(spec, rule, args, moves)
+                subs = solve_rule(spec, rule, args, lambda k: go(args[k], depth + 1))
                 if subs:
                     plan = spec.plan(rule)
                     for s in subs:
-                        steps.append(Step(plan.conclusion.under(s, th), plan.target.under(s, th)))
+                        found.append((plan.conclusion.under(s, th), plan.target.under(s, th)))
 
-        uniq: dict[tuple[int, int], Step] = {}
-        for s in steps:
-            uniq.setdefault((id(s.label), id(canon_term(s.target, th))), s)
+        uniq: dict[tuple[int, int], tuple[LabelTerm, Term]] = {}
+        for move in found:
+            uniq.setdefault((id(move[0]), id(canon_term(move[1], th))), move)
         if len(uniq) > DEFAULT_SET_CAP:
             raise BudgetExceeded(f"step set exceeded {DEFAULT_SET_CAP} transitions")
-        out = list(uniq.values())
-        if ordered:
-            out.sort(key=lambda s: (render_label(s.label), render_term(canon_term(s.target, th))))
-        cache[key] = out
+        out = cache[key] = list(uniq.values())
         return out
 
     return go(term, 0)
+
+
+def step(spec: Spec, term: Term) -> list[Step]:
+    """All one-step transitions of a closed term, deduplicated as `moves`
+    does and sorted by their labels' and targets' canonical strings.
+
+    Each call steps with a cache of its own, so a term stepped earlier
+    lends no target its shape.
+    """
+    th = spec.theory
+    steps = [Step(label, target) for label, target in moves(spec, term, {})]
+    steps.sort(key=lambda s: (render_label(s.label), render_term(canon_term(s.target, th))))
+    return steps
 
 
 def steps_to_json(steps: list[Step]) -> list[dict]:

@@ -714,12 +714,21 @@ def _bind_label(sub: Substitution, var: LVar, value: LabelTerm):
         return
     old = sub.labels.get(var.name)
     if old is not None:
-        if old is value:
+        if _one_value(old, value):
             yield sub
         return
     nxt = sub.copy()
     nxt.labels[var.name] = value
     yield nxt
+
+
+def _one_value(a: LabelTerm, b: LabelTerm) -> bool:
+    """Whether two canonical labels are one value modulo ACU: one node, or a
+    data constant and its singleton multiset (as a store slot holds it)."""
+    if type(a) is DataConst:
+        a, b = b, a
+    return a is b or (type(a) is MSet and type(b) is DataConst and a.sort == b.sort
+                      and len(a.elements) == 1 and a.elements[0] is b)
 
 
 def _match_label(pat: LabelTerm, subj: LabelTerm, state, th, bind):

@@ -38,13 +38,12 @@ from .terms import (
     _slot_form,
     canon_app,
     canon_label,
-    canon_prefix,
     canon_term,
     infix_symbol,
-    is_canonical,
     render_label,
     render_term,
     substitute_label,
+    substitute_term,
     valueclass,
 )
 
@@ -140,12 +139,9 @@ class LabelPlan(NamedTuple):
 
 # How a target plan builds a part of a conclusion target.
 VAR = "var"          # a process variable: its binding
-LABEL_VAR = "lvar"   # a label variable: its binding
 FIXED = "fixed"      # a ground part: itself, a canonical node when written canonically
 APP = "app"          # an operator application: built from its arguments' parts
-PREFIX = "prefix"    # a prefix: built from its label's and body's parts
-CHOICE = "choice"    # a choice: built from its two sides' parts
-LABEL = "label"      # a label over variables, not a bare one: substituted
+SUBST = "subst"      # anything else: the part as written, substituted
 
 
 class TargetPlan(NamedTuple):
@@ -153,12 +149,13 @@ class TargetPlan(NamedTuple):
 
     `under` builds the part from a rule's bindings, equal to what
     substituting the bindings into the part as written gives.  An
-    application or a prefix whose parts come out as canonical nodes comes
-    out as one too, with one intern lookup, so a target over canonical
-    bindings needs no canonicalizing walk.  A choice comes out as written,
-    and is canonicalized by whoever needs its canonical form.  `key` is a
-    variable's name and an application's operator; `term` is a FIXED
-    part's node and the part as written otherwise.
+    application whose arguments come out as canonical nodes comes out as
+    one too, with one intern lookup, so a target over canonical bindings
+    needs no canonicalizing walk.  Any other part with variables (a label,
+    a prefix, a choice) is substituted as written, and canonicalized by
+    whoever needs its canonical form.  `key` is a variable's name and an
+    application's operator; `term` is a FIXED part's node and the part as
+    written otherwise.
     """
 
     kind: str
@@ -179,37 +176,26 @@ class TargetPlan(NamedTuple):
             return canon_app(self.key, args, th)
         if kind == FIXED:
             return self.term
-        if kind == LABEL_VAR:
-            return sub.labels[self.key]
-        if kind == PREFIX:
-            label, body = (p.under(sub, th) for p in self.parts)
-            if is_canonical(label, th) and is_canonical(body, th):
-                return canon_prefix(label, body, th)
-            return Prefix(label, body)
-        if kind == CHOICE:
-            left, right = (p.under(sub, th) for p in self.parts)
-            return Choice(left, right)
-        return substitute_label(self.term, sub)
+        if isinstance(self.term, LabelTerm):
+            return substitute_label(self.term, sub)
+        return substitute_term(self.term, sub)
 
 
 def plan_target(t: Term | LabelTerm, th: EquationalTheory) -> TargetPlan:
-    """Compile a conclusion target, or a part of one, for building."""
+    """Compile a conclusion target, or a part of one, for building: any part
+    but a variable, a ground part and an application is SUBST."""
     cls = type(t)  # node classes have no subclasses
     if cls is Var:
         return TargetPlan(VAR, t, t.name)
     if cls is LVar:
-        return TargetPlan(LABEL_VAR, t, t.name)
+        return TargetPlan(SUBST, t)
     parts = tuple([plan_target(c, th) for c in _parts(t)])
     if all(p.kind == FIXED for p in parts):
         canon = canon_label(t, th) if isinstance(t, LabelTerm) else canon_term(t, th)
         return TargetPlan(FIXED, canon if canon == t else t)
     if cls is App:
         return TargetPlan(APP, t, t.op, parts)
-    if cls is Prefix:
-        return TargetPlan(PREFIX, t, parts=parts)
-    if cls is Choice:
-        return TargetPlan(CHOICE, t, parts=parts)
-    return TargetPlan(LABEL, t)
+    return TargetPlan(SUBST, t)
 
 
 def _parts(t: Term | LabelTerm) -> tuple:

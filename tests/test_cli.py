@@ -492,6 +492,29 @@ def test_repeated_label_variable_keeps_its_sort(tmp_path, capsys):
         0, "Possible steps:\n < < {a1},-,{} > # 0 >\n", "")
 
 
+SLOT_SPEC = """spec SLOT
+actions a ;
+datasort Data [assoc comm id: empty] ;
+dataconst d u : Data ;
+op f : 1 ;
+var x x2 : Proc ;
+var xD : Data ;
+rule x -(< xD, -, {xD, u} >)-> x2 ==> f(x) -(a)-> x2 ;
+"""
+
+
+def test_lone_constant_meets_its_slot_form(tmp_path, capsys):
+    """`xD` bound to a slot holding the lone constant `d`, which the slot
+    keeps as `{d}`, meets the one-element share `d` of a multiset."""
+    spec = tmp_path / "slot.sos"
+    spec.write_text(SLOT_SPEC, encoding="utf-8")
+    fires = (0, "Possible steps:\n < a # 0 >\n", "")
+    assert run(capsys, "simulate", str(spec), "f(< d, -, {d, u} > . 0)") == fires
+    assert run(capsys, "simulate", str(spec), "f(< {d, u}, -, {d, u, u} > . 0)") == fires
+    assert run(capsys, "simulate", str(spec), "f(< u, -, {d, u} > . 0)") == (0, "Possible steps:\n", "")
+    assert run(capsys, "normalize", str(spec), "f(< d, -, {d, u} > . 0)") == (0, "a . 0\n", "")
+
+
 def test_intern_tables_do_not_grow_with_commands(tmp_path, capsys, monkeypatch):
     """Each command's canonical nodes die with its Spec, and library calls
     that use the default theory leave no node in its table that nobody holds."""

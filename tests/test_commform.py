@@ -105,23 +105,42 @@ def test_cc_equal_keeps_label_sorts():
 def test_interleaving_rules_mirror_each_other(par):
     comm = {"_||_", "+"}
     got = find_mirror(par, par.rules[0], par.rules[1], comm)
-    assert got == [
-        {"alpha": "alpha", "x": "y", "x'": "y'", "y": "x", "y'": "x'"}
-    ]
+    assert got == {"alpha": "alpha", "x": "y", "x'": "y'", "y": "x", "y'": "x'"}
     # an interleaving rule is not its own mirror
-    assert find_mirror(par, par.rules[0], par.rules[0], comm) == []
+    assert find_mirror(par, par.rules[0], par.rules[0], comm) is None
 
 
 def test_sync_rule_is_self_mirror(par):
     got = find_mirror(par, par.rules[2], par.rules[2], {"_||_", "+"})
-    assert got == [{"x": "y", "x'": "y'", "y": "x", "y'": "x'"}]
+    assert got == {"x": "y", "x'": "y'", "y": "x", "y'": "x'"}
 
 
 def test_mixer_mirror_swaps_labels(gspec):
     got = find_mirror(gspec, gspec.rules[0], gspec.rules[0], {"g", "+"})
-    assert got == [
-        {"k": "l", "l": "k", "x": "y", "x'": "y'", "y": "x", "y'": "x'"}
-    ]
+    assert got == {"k": "l", "l": "k", "x": "y", "x'": "y'", "y": "x", "y'": "x'"}
+
+
+TWO_MIRRORS = """spec TWO
+actions a ;
+op f : 2 ;
+var x x1 x2 y y1 y2 : Proc ;
+var k l : Action ;
+rule x -(k)-> x1 , x -(l)-> x2 , y -(k)-> y1 , y -(l)-> y2 ==> f(x, y) -(a)-> 0 ;
+"""
+
+
+def test_mirror_search_returns_the_first_mirror(capsys, tmp_path):
+    """The rule mirrors itself under two mappings; the search returns the
+    one it finds first in premise order, `k <- k`, and `comm` prints it."""
+    spec = parse_spec(TWO_MIRRORS)
+    rule = spec.rules[0]
+    first = {"k": "k", "l": "l", "x": "y", "x1": "y1", "x2": "y2", "y": "x", "y1": "x1", "y2": "x2"}
+    assert find_mirror(spec, rule, rule, {"f", "+"}) == first
+    path = tmp_path / "two.sos"
+    path.write_text(TWO_MIRRORS, encoding="utf-8")
+    assert main(["comm", str(path)]) == 0
+    assert "  with: k <- k  l <- l  x <- y  x1 <- y1  x2 <- y2  y <- x  y1 <- x1  y2 <- x2\n" \
+        in capsys.readouterr().out
 
 
 def test_mirror_mapping_is_injective():
@@ -132,7 +151,7 @@ def test_mirror_mapping_is_injective():
         "rule x -(alpha)-> x' , y -(alpha)-> y' ==> f(x,y) -(alpha)-> f(x',y') ;\n"
         "rule x -(alpha)-> x' , y -(beta)-> y' ==> f(x,y) -(alpha)-> f(x',y') ;\n"
     )
-    assert find_mirror(spec, spec.rules[0], spec.rules[1], {"f", "+"}) == []
+    assert find_mirror(spec, spec.rules[0], spec.rules[1], {"f", "+"}) is None
 
 
 def test_sequencing_has_no_mirror(linda):
@@ -140,7 +159,7 @@ def test_sequencing_has_no_mirror(linda):
     seq_rules = [r for i, r in linda.rules_for("_;_")]
     for a in seq_rules:
         for b in seq_rules:
-            assert find_mirror(linda, a, b, comm) == []
+            assert find_mirror(linda, a, b, comm) is None
 
 
 # -- the fixed point -------------------------------------------------------------
@@ -369,7 +388,7 @@ def reference_check_comm(spec):
     comm_set = {CHOICE_OP} | {op.name for op in binaries}
 
     def rule_has_mirror(name, rule):
-        return any(find_mirror(spec, rule, rb, comm_set) for _, rb in spec.rules_for(name))
+        return any(find_mirror(spec, rule, rb, comm_set) is not None for _, rb in spec.rules_for(name))
 
     changed = True
     while changed:
@@ -392,14 +411,14 @@ def reference_check_comm(spec):
             covered = set()
             for ia, ra in spec.rules_for(name):
                 for ib, rb in spec.rules_for(name):
-                    mirrors = find_mirror(spec, ra, rb, comm_set)
-                    if not mirrors:
+                    m = find_mirror(spec, ra, rb, comm_set)
+                    if m is None:
                         continue
                     pair = (min(ia, ib), max(ia, ib))
                     if pair not in covered:
                         covered.add(pair)
                         witnesses.append(
-                            MirrorWitness(name, ia, ib, tuple(sorted(mirrors[0].items())))
+                            MirrorWitness(name, ia, ib, tuple(sorted(m.items())))
                         )
                     break
             proven[name] = witnesses
@@ -419,7 +438,7 @@ def removal_rounds(spec):
         failing = {
             op.name for op in binaries
             if op.name in comm_set and not op.comm and not all(
-                any(find_mirror(spec, ra, rb, comm_set) for _, rb in spec.rules_for(op.name))
+                any(find_mirror(spec, ra, rb, comm_set) is not None for _, rb in spec.rules_for(op.name))
                 for _, ra in spec.rules_for(op.name)
             )
         }

@@ -12,14 +12,11 @@ from sosforge.simulator import solve_rule, step
 from sosforge.tss import (
     APP,
     BOUND,
-    CHOICE,
     FIXED,
     FRESH,
     GENERAL,
     GROUND,
-    LABEL,
-    LABEL_VAR,
-    PREFIX,
+    SUBST,
     TRIPLE,
     VAR,
 )
@@ -532,8 +529,9 @@ rule x -(k)-> x' ==> r(x) -(k)-> r(x') ;
 
 def test_target_plans_build_what_substitution_builds():
     """A compiled target builds a term equal to the target with the bindings
-    substituted, and one canonical node when an application or a prefix
-    is built from canonical nodes only."""
+    substituted, and one canonical node when an application is built from
+    canonical nodes only; a part that is neither a variable, nor ground,
+    nor an application is substituted as written."""
     spec = parse_spec(TARGETS)
     th = spec.theory
     plans = [spec.plan(r).target for r in spec.rules]
@@ -542,13 +540,13 @@ def test_target_plans_build_what_substitution_builds():
         return (p.kind, [kinds(q) for q in p.parts]) if p.parts else p.kind
 
     assert [kinds(p) for p in plans] == [
-        (PREFIX, [LABEL_VAR, VAR]),
-        (CHOICE, [VAR, (PREFIX, [FIXED, VAR])]),
-        (APP, [(PREFIX, [LABEL, FIXED]), FIXED]),
-        (APP, [(APP, [VAR]), (PREFIX, [LABEL, FIXED])]),
+        SUBST,
+        SUBST,
+        (APP, [SUBST, FIXED]),
+        (APP, [(APP, [VAR]), SUBST]),
         (APP, [VAR]),
     ]
-    written = plans[1].parts[1].parts[0].term  # mix(b, a): its canonical form differs
+    written = plans[1].term.right.label  # mix(b, a): its canonical form differs
     assert str(written) == "mix(b,a)" and not is_canonical(written, th)
     assert is_canonical(plans[2].parts[1].term, th)  # | . 0
     built = 0
@@ -563,7 +561,7 @@ def test_target_plans_build_what_substitution_builds():
                     got = plan.target.under(sub, th)
                     assert got == substitute_term(rule.conclusion.target, sub), text
                     canonical = all(is_canonical(v, th) for v in [*sub.terms.values(), *sub.labels.values()])
-                    if canonical and plan.target.kind in (PREFIX, APP) and term.op in "gr":
+                    if canonical and term.op == "r":
                         assert got is canon_term(got, th)
                     built += 1
     assert built >= 10

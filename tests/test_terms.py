@@ -485,3 +485,15 @@ def test_match_binds_canonical_nodes(linda, spec_of):
     values = [v for sub in got for v in sub.labels.values()]
     assert len(got) == 8 and all(terms.is_canonical(v, th) for v in values)
     assert canon_label(MSet((DataConst("u", "Data"), DataConst("v", "Data")), "Data"), th) in values
+
+
+def test_match_binds_a_lone_constant_and_its_slot_as_one_value(linda):
+    """A store slot holds a lone constant `d` as `{d}`, and a one-element
+    share of a multiset binds `d`: a variable bound both ways is bound to
+    one value, and to the first binding's node."""
+    th = linda.theory
+    pat = parse_label("< xD, -, {xD, u} >", linda)
+    got = match(pat, parse_label("< d, -, {d, u} >", linda), th)
+    assert len(got) == 1 and render_label(got[0].labels["xD"]) == "{d}"
+    assert match(pat, parse_label("< u, -, {d, u} >", linda), th) == []
+    assert match(pat, parse_label("< d, -, {d, d, u} >", linda), th) == []
