@@ -34,7 +34,7 @@ from .terms import (
     summands,
     valueclass,
 )
-from .tss import Rule, Spec
+from .tss import VAR, Rule, Spec
 
 
 @valueclass
@@ -66,15 +66,27 @@ def satisfies(spec: Spec, args: tuple, rule: Rule) -> list[Substitution]:
 
     Positive premises are witnessed by summands of the tested argument;
     negative premises demand the absence of any summand with that label.
+    A library wrapper around `solve_rule`: it names the bindings of the
+    rule's plan.
     """
-    return solve_rule(spec, rule, tuple(args), _offers(args, spec.theory).__getitem__)
+    plan = next((p for p in spec.plans_for(rule.conclusion.source.op) if p.rule is rule), None)
+    if plan is None:
+        raise ValueError(f"not a rule of spec {spec.name}: {rule}")
+    th = spec.theory
+    rows = solve_rule(plan, tuple(args), _offers(args, th).__getitem__, th)
+    return [plan.substitution(b) for b in rows]
 
 
 def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> Term:
     """Rewrite a closed, definition-free term to its canonical normal form.
 
     A rewrite reads each process argument's summands once and fires the
-    operator's rules on them through their plans (`Spec.plan`).  Normal
+    operator's rules on them through their plans (`Spec.plans_for`).  A
+    firing's summand is built from its bindings: the conclusion label by
+    its plan, and the target by its plan's shape.  A variable is its
+    binding, a normal form; an application over variables is rewritten
+    straight from their normal forms; any other target is walked as
+    written, its variables substituted by their normal forms.  Normal
     forms are the spec's canonical nodes, so a rewrite is memoized by its
     operator and the identities of its arguments' normal forms.
     """
@@ -82,16 +94,19 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     budget = budget or DEFAULT_BUDGET
     memo: dict[tuple, Term] = {}  # the theory keeps every normal form alive, so no id is reused
     spent = 0
+    unbound = Substitution()
+
+    def too_deep() -> BudgetExceeded:
+        return BudgetExceeded(
+            f"normalization depth exceeded {MAX_DEPTH}; "
+            "term not semantically well-founded within budget"
+        )
 
     def norm(t: Term, sub: Substitution, depth: int) -> Term:
-        # Returns a canonical node.  sub binds a rule's process variables to
-        # normal forms: they are not walked again.
-        nonlocal spent
+        # Returns a canonical node.  sub binds the variables of a rule
+        # target walked as written to normal forms: they are not walked again.
         if depth > MAX_DEPTH:
-            raise BudgetExceeded(
-                f"normalization depth exceeded {MAX_DEPTH}; "
-                "term not semantically well-founded within budget"
-            )
+            raise too_deep()
         if isinstance(t, Var):
             bound = sub.terms.get(t.name)
             if bound is None:
@@ -108,17 +123,24 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
             parts = [norm(a, sub, depth + 1) for a in (t.left, t.right)]
             return canon_term(Choice(parts[0], parts[1]), th)
         assert isinstance(t, App)
-        normed_args = tuple(
+        return rewrite(t.op, tuple(
             canon_label(substitute_label(a, sub), th) if isinstance(a, LabelTerm)
             else norm(a, sub, depth + 1)
             for a in t.args
-        )
-        key = (t.op, *map(id, normed_args))
+        ), depth)
+
+    def rewrite(op: str, args: tuple, depth: int) -> Term:
+        # The normal form of op applied to normal forms, at the depth of the
+        # application: its process arguments count one level deeper.
+        nonlocal spent
+        if depth >= MAX_DEPTH and (depth > MAX_DEPTH or any(isinstance(a, Term) for a in args)):
+            raise too_deep()
+        key = (op, *map(id, args))
         hit = memo.get(key)
         if hit is not None:
             return hit
         # a hit was measured when it was made
-        if app_width(t.op, normed_args) > MAX_NF_CHARS:
+        if app_width(op, args) > MAX_NF_CHARS:
             raise BudgetExceeded(f"normalization met a term of more than {MAX_NF_CHARS} characters")
         spent += 1
         if spent > budget.max_rewrites:
@@ -127,21 +149,28 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
                 "term not semantically well-founded within budget"
             )
         parts = []
-        rules = spec.rules_for(t.op)
-        if rules:
-            moves = _offers(normed_args, th).__getitem__  # summands once per rewrite
-            for _, rule in rules:
-                subs = solve_rule(spec, rule, normed_args, moves)
-                if subs:
-                    concl = spec.plan(rule).conclusion
-                    for s in subs:
-                        parts.append(Prefix(concl.under(s, th),
-                                            norm(rule.conclusion.target, s, depth + 1)))
+        plans = spec.plans_for(op)
+        if plans:
+            moves = _offers(args, th).__getitem__  # summands once per rewrite
+            for plan in plans:
+                rows = solve_rule(plan, args, moves, th)
+                if rows:
+                    concl, target = plan.conclusion, plan.target
+                    kind, slots = target.kind, target.slots
+                    for b in rows:
+                        if kind == VAR:
+                            cont = b[target.slot]
+                        elif slots is not None:
+                            cont = rewrite(target.op, tuple([b[i] for i in slots]), depth + 1)
+                        else:  # walked as written, its variables bound to normal forms
+                            sub = plan.substitution(b) if target.reads else unbound
+                            cont = norm(target.term, sub, depth + 1)
+                        parts.append(Prefix(concl.under(b, th), cont))
         result = canon_term(fold_choice(parts), th)
         memo[key] = result
         return result
 
-    return norm(term, Substitution(), 0)
+    return norm(term, unbound, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ A `Rule` is a plain value.  The rule-format check (`validator.check_rules`)
 is the only code that reads a rule's structure: it runs once per `Spec`
 and records, for each rule that meets the format, the label variables of
 its premises and conclusion (`RuleVars`).  Firing plans (`plan_rule`,
-compiled on a rule's first firing) and the mirror search read that record.
+compiled per operator on its first firing) and the mirror search read
+that record.
 """
 
 from __future__ import annotations
@@ -105,40 +106,64 @@ GROUND = "ground"    # no variables: compare with its canonical node
 TRIPLE = "triple"    # a store triple of variable or constant-store slots: read slot by slot
 GENERAL = "general"  # anything else: the matcher
 
+# A variable a plan hands to a `Substitution`: its name, its slot, and
+# whether it is a label variable.
+Read = tuple[str, int, bool]
+
+
+def _substitution(reads: tuple[Read, ...], bindings: list) -> Substitution:
+    """The substitution binding each variable of `reads` to its slot's value."""
+    sub = Substitution()
+    for name, slot, is_label in reads:
+        (sub.labels if is_label else sub.terms)[name] = bindings[slot]
+    return sub
+
 
 class LabelPlan(NamedTuple):
     """One label of a rule, or one slot of a TRIPLE label, classified once.
 
     `label` is the canonical node of a GROUND label (of a GROUND slot, its
     form as a slot holds it: a lone data constant is its singleton
-    multiset) and the label as written otherwise; `key` is the variable's
-    name for FRESH and BOUND; `sort` is a FRESH variable's sort;
-    `substitute` tells whether a GENERAL label names a bound variable;
-    `slots` holds the plans of a TRIPLE label's two slots.
+    multiset) and the label as written otherwise.  `key` is the slot of a
+    FRESH or BOUND variable and, in a positive premise's TRIPLE or GENERAL
+    plan, the slot that keeps the label node the premise met.  `sort` is a
+    FRESH variable's sort.  A GENERAL label substitutes the bound variables
+    of `reads` and `match` binds the fresh ones of `binds`, by name and
+    slot.  `slots` holds the plans of a TRIPLE label's two slots.
     """
 
     kind: str
     label: LabelTerm
-    key: str = ""
+    key: int = -1
     sort: str = ""
-    substitute: bool = False
+    reads: tuple[Read, ...] = ()
+    binds: tuple[tuple[str, int], ...] = ()
     slots: tuple[LabelPlan, ...] = ()
 
-    def under(self, sub: Substitution, th: EquationalTheory) -> LabelTerm:
-        """The label's canonical node under a substitution that binds its
-        variables to canonical nodes."""
-        if self.kind == GROUND:
+    def under(self, bindings: list, th: EquationalTheory) -> LabelTerm:
+        """The label's canonical node under a rule's bindings: a list,
+        indexed by slot, that binds every variable of the label to a
+        canonical node."""
+        kind = self.kind
+        if kind == BOUND:
+            return bindings[self.key]
+        if kind == GROUND:
             return self.label
-        if self.kind == BOUND:
-            return sub.labels[self.key]
-        if self.kind == TRIPLE:
+        if kind == TRIPLE:
             pre, post = self.slots
-            return _canon_triple(pre.under(sub, th), post.under(sub, th), th)
-        return canon_label(substitute_label(self.label, sub), th)
+            return _canon_triple(pre.under(bindings, th), post.under(bindings, th), th)
+        return canon_label(substitute_label(self.label, _substitution(self.reads, bindings)), th)
+
+    def pattern(self, bindings: list) -> LabelTerm:
+        """A GENERAL premise label as `match` takes it: its bound variables
+        substituted."""
+        if not self.reads:
+            return self.label
+        return substitute_label(self.label, _substitution(self.reads, bindings))
 
 
 # How a target plan builds a part of a conclusion target.
-VAR = "var"          # a process variable: its binding
+VAR = "var"          # a variable: its slot's value
 FIXED = "fixed"      # a ground part: itself, a canonical node when written canonically
 APP = "app"          # an operator application: built from its arguments' parts
 SUBST = "subst"      # anything else: the part as written, substituted
@@ -148,54 +173,65 @@ class TargetPlan(NamedTuple):
     """A rule's conclusion target, or one part of it, compiled for building.
 
     `under` builds the part from a rule's bindings, equal to what
-    substituting the bindings into the part as written gives.  An
-    application whose arguments come out as canonical nodes comes out as
-    one too, with one intern lookup, so a target over canonical bindings
-    needs no canonicalizing walk.  Any other part with variables (a label,
-    a prefix, a choice) is substituted as written, and canonicalized by
-    whoever needs its canonical form.  `key` is a variable's name and an
-    application's operator; `term` is a FIXED part's node and the part as
-    written otherwise.
+    substituting them into the part as written gives.  An application
+    whose arguments come out as canonical nodes comes out as one too, with
+    one intern lookup, so a target over canonical bindings needs no
+    canonicalizing walk.  Any other part with variables (a label but a
+    bare variable, a prefix, a choice) is substituted as written, and
+    canonicalized by whoever needs its canonical form.  `term` is a FIXED
+    part's node and the part as written otherwise; `slot` is a variable's
+    slot; `op` is an application's operator, and `slots` the slots of its
+    arguments when every one is a variable (None otherwise); `reads` names
+    the variables of the part, which a SUBST part substitutes.
     """
 
     kind: str
     term: Term | LabelTerm
-    key: str = ""
+    slot: int = -1
+    op: str = ""
     parts: tuple[TargetPlan, ...] = ()
+    slots: tuple[int, ...] | None = None
+    reads: tuple[Read, ...] = ()
 
-    def under(self, sub: Substitution, th: EquationalTheory) -> Term | LabelTerm:
+    def under(self, bindings: list, th: EquationalTheory) -> Term | LabelTerm:
         kind = self.kind
         if kind == VAR:
-            return sub.terms[self.key]
+            return bindings[self.slot]
         if kind == APP:
-            terms = sub.terms
-            args = tuple([terms[p.key] if p.kind == VAR else p.under(sub, th) for p in self.parts])
+            slots = self.slots
+            if slots is not None:
+                args = tuple([bindings[i] for i in slots])
+            else:
+                args = tuple([p.under(bindings, th) for p in self.parts])
             for a in args:
                 if a._cth is not th or a._c is not None:  # not canonical
-                    return App(self.key, args)
-            return canon_app(self.key, args, th)
+                    return App(self.op, args)
+            return canon_app(self.op, args, th)
         if kind == FIXED:
             return self.term
+        sub = _substitution(self.reads, bindings)
         if isinstance(self.term, LabelTerm):
             return substitute_label(self.term, sub)
         return substitute_term(self.term, sub)
 
 
-def plan_target(t: Term | LabelTerm, th: EquationalTheory) -> TargetPlan:
-    """Compile a conclusion target, or a part of one, for building: any part
-    but a variable, a ground part and an application is SUBST."""
+def plan_target(t: Term | LabelTerm, slot_of: dict[str, int], th: EquationalTheory) -> TargetPlan:
+    """Compile a conclusion target, or a part of one, for building, given
+    the slot of each variable: any part but a variable, a ground part and
+    an application is SUBST."""
     cls = type(t)  # node classes have no subclasses
-    if cls is Var:
-        return TargetPlan(VAR, t, t.name)
-    if cls is LVar:
-        return TargetPlan(SUBST, t)
-    parts = tuple([plan_target(c, th) for c in _parts(t)])
+    if cls is Var or cls is LVar:
+        slot = slot_of[t.name]
+        return TargetPlan(VAR, t, slot, reads=((t.name, slot, cls is LVar),))
+    parts = tuple([plan_target(c, slot_of, th) for c in _parts(t)])
     if all(p.kind == FIXED for p in parts):
         canon = canon_label(t, th) if isinstance(t, LabelTerm) else canon_term(t, th)
         return TargetPlan(FIXED, canon if canon == t else t)
+    reads = tuple(sorted({r for p in parts for r in p.reads}))
     if cls is App:
-        return TargetPlan(APP, t, t.op, parts)
-    return TargetPlan(SUBST, t)
+        slots = tuple([p.slot for p in parts]) if all(p.kind == VAR for p in parts) else None
+        return TargetPlan(APP, t, op=t.op, parts=parts, slots=slots, reads=reads)
+    return TargetPlan(SUBST, t, reads=reads)
 
 
 def _parts(t: Term | LabelTerm) -> tuple:
@@ -214,86 +250,127 @@ def _parts(t: Term | LabelTerm) -> tuple:
     return ()
 
 
-class RulePlan(NamedTuple):
-    """A rule compiled for firing.
+class _Slots:
+    """The slots of a rule being planned: the conclusion source's
+    arguments first, in order, then each slot as it is asked for."""
 
-    `slots` holds, per conclusion source argument, the variable's name and
-    its sort (None for a process variable). `positives` holds, per positive
-    premise in order, the tested argument's position, the target variable
-    and the label's plan; `negatives` the tested position and the label's
-    plan; `conclusion` and `target` the plans that build the conclusion's
-    label and target.
+    def __init__(self, source: tuple) -> None:
+        self.of = {v.name: k for k, v in enumerate(source)}
+        self.reads = [(v.name, k, isinstance(v, LVar)) for k, v in enumerate(source)]
+        self.size = len(source)
+
+    def new(self, name: str | None = None, is_label: bool = True) -> int:
+        """A new slot, for the named variable or, unnamed, for a label node."""
+        slot = self.size
+        self.size += 1
+        if name is not None:
+            self.of[name] = slot
+            self.reads.append((name, slot, is_label))
+        return slot
+
+
+class RulePlan:
+    """A rule compiled for firing over numbered slots.
+
+    Firing fills a list of bindings, indexed by slot: the conclusion
+    source's arguments first, in order; then, per positive premise in
+    order, its fresh label variables, its target and, for a TRIPLE or
+    GENERAL label, the label node it met.  A conclusion label written as a
+    positive premise's TRIPLE or GENERAL label is that node: it is
+    canonical, and `canon_label` of the label under the bindings.
+
+    `sources` holds each source argument's sort (None for a process
+    variable) and `blank` the unbound slots after them.  `positives`
+    holds, per positive premise, the tested argument's position (its slot),
+    the target's slot and the label's plan; `negatives` the tested position
+    and the label's plan; `conclusion` the conclusion label's plan.
+    `target` builds the conclusion target; it is compiled when first read,
+    which firing does when the rule first yields bindings.  `reads` names
+    the slot of every variable, for `substitution`.
     """
 
-    slots: tuple[tuple[str, str | None], ...]
-    positives: tuple[tuple[int, str, LabelPlan], ...]
-    negatives: tuple[tuple[int, LabelPlan], ...]
-    conclusion: LabelPlan
-    target: TargetPlan
+    def __init__(self, rule: Rule, slots: _Slots, positives: tuple, negatives: tuple,
+                 conclusion: LabelPlan, th: EquationalTheory) -> None:
+        source = rule.conclusion.source.args
+        self.rule = rule
+        self.sources = tuple([v.sort if isinstance(v, LVar) else None for v in source])
+        self.blank = (None,) * (slots.size - len(source))
+        self.positives = positives
+        self.negatives = negatives
+        self.conclusion = conclusion
+        self.reads = tuple(slots.reads)
+        self._slot_of = slots.of
+        self._th = th
+
+    @cached_property
+    def target(self) -> TargetPlan:
+        return plan_target(self.rule.conclusion.target, self._slot_of, self._th)
+
+    def substitution(self, bindings: list) -> Substitution:
+        """The rule's variables bound as the bindings bind them, by name."""
+        return _substitution(self.reads, bindings)
 
 
-def _label_plan(label: LabelTerm, names: tuple[str, ...], bound: set[str],
+def _label_plan(label: LabelTerm, names: tuple[str, ...], slots: _Slots,
                 th: EquationalTheory) -> LabelPlan:
-    """Classify a label, whose variables are `names`, by those bound in
-    `bound` and those fresh; add the fresh ones."""
+    """Classify a label, whose variables are `names`, by those already in
+    a slot and those fresh; give the fresh ones slots."""
     if isinstance(label, LVar):
-        kind = BOUND if label.name in bound else FRESH
-        bound.add(label.name)
-        return LabelPlan(kind, label, label.name, label.sort)
+        slot = slots.of.get(label.name)
+        if slot is not None:
+            return LabelPlan(BOUND, label, slot)
+        return LabelPlan(FRESH, label, slots.new(label.name), label.sort)
     if not names:
         return LabelPlan(GROUND, canon_label(label, th))
     if isinstance(label, Triple):
-        slots = _slot_plans(label, bound, th)
-        if slots is not None:
-            bound.update(names)
-            return LabelPlan(TRIPLE, label, slots=slots)
-    substitute = not bound.isdisjoint(names)
-    bound.update(names)
-    return LabelPlan(GENERAL, label, substitute=substitute)
+        slot_plans = _slot_plans(label, slots, th)
+        if slot_plans is not None:
+            return LabelPlan(TRIPLE, label, slots=slot_plans)
+    reads = tuple([(n, slots.of[n], True) for n in sorted(names) if n in slots.of])
+    fresh = [n for n in sorted(names) if n not in slots.of]
+    binds = tuple([(n, slots.new(n)) for n in fresh])
+    return LabelPlan(GENERAL, label, reads=reads, binds=binds)
 
 
-def _slot_plans(label: Triple, bound: set[str],
+def _slot_plans(label: Triple, slots: _Slots,
                 th: EquationalTheory) -> tuple[LabelPlan, LabelPlan] | None:
-    """Classify a store triple's slots: a variable as `_label_plan` does, a
-    variable repeated in the second slot as BOUND, and a constant store (a
+    """Classify a store triple's slots: a variable as `_label_plan` does
+    (one repeated in the second slot is BOUND), and a constant store (a
     data constant or a multiset of them) as GROUND.  None if a slot is
     anything else."""
-    seen = set(bound)
-    plans = []
-    for slot in (label.pre, label.post):
-        if isinstance(slot, LVar):
-            plans.append(LabelPlan(BOUND if slot.name in seen else FRESH, slot, slot.name, slot.sort))
-            seen.add(slot.name)
-            continue
-        canon = _slot_form(canon_label(slot, th), th)
-        if not (isinstance(canon, MSet) and all(isinstance(e, DataConst) for e in canon.elements)):
+    parts = (label.pre, label.post)
+    stores = [None if isinstance(p, LVar) else _slot_form(canon_label(p, th), th) for p in parts]
+    for store in stores:
+        if store is not None and not (
+                isinstance(store, MSet) and all(isinstance(e, DataConst) for e in store.elements)):
             return None
-        plans.append(LabelPlan(GROUND, canon))
-    return plans[0], plans[1]
+    pre, post = (_label_plan(p, (p.name,), slots, th) if store is None else LabelPlan(GROUND, store)
+                 for p, store in zip(parts, stores))
+    return pre, post
 
 
 def plan_rule(rule: Rule, vs: RuleVars, th: EquationalTheory) -> RulePlan:
     """Compile a rule that meets the rule format, given what the format
     check recorded of it: its source arguments are distinct variables, its
     premises test them and its premise targets are fresh variables."""
-    slots = []
-    pos_of: dict[str, int] = {}
-    bound: set[str] = set()
-    for k, slot in enumerate(rule.conclusion.source.args):
-        if isinstance(slot, LVar):
-            slots.append((slot.name, slot.sort))
-            bound.add(slot.name)
-        else:
-            slots.append((slot.name, None))
-            pos_of[slot.name] = k
-    positives = tuple((pos_of[p.source.name], p.target.name, _label_plan(p.label, names, bound, th))
-                      for p, names in zip(rule.positives, vs.positives))
-    # negative and conclusion labels bind nothing: every variable is bound by now
-    negatives = tuple((pos_of[n.source.name], _label_plan(n.label, names, bound, th))
-                      for n, names in zip(rule.negatives, vs.negatives))
-    return RulePlan(tuple(slots), positives, negatives,
-                    _label_plan(rule.conclusion.label, vs.label, bound, th),
-                    plan_target(rule.conclusion.target, th))
+    concl = rule.conclusion
+    slots = _Slots(concl.source.args)
+    positives = []
+    conclusion = None
+    for p, names in zip(rule.positives, vs.positives):
+        lp = _label_plan(p.label, names, slots, th)
+        target = slots.new(p.target.name, is_label=False)
+        if lp.kind == TRIPLE or lp.kind == GENERAL:
+            lp = lp._replace(key=slots.new())
+            if conclusion is None and p.label == concl.label:
+                conclusion = LabelPlan(BOUND, concl.label, lp.key)
+        positives.append((slots.of[p.source.name], target, lp))
+    # negative and conclusion labels bind nothing: every variable has a slot by now
+    negatives = tuple([(slots.of[n.source.name], _label_plan(n.label, names, slots, th))
+                       for n, names in zip(rule.negatives, vs.negatives)])
+    if conclusion is None:
+        conclusion = _label_plan(concl.label, vs.label, slots, th)
+    return RulePlan(rule, slots, tuple(positives), negatives, conclusion, th)
 
 
 @valueclass
@@ -333,12 +410,12 @@ class Spec:
 
     A Spec is not mutated after `parse_spec` returns it: its equational
     theory, its rule-format check, its rule index, its parse context and
-    the plan of each rule the engine fires are computed once, on first
-    use.  `parse_spec` checks syntax only; the rule index reads the
+    the plans of each operator the engine fires are computed once, on
+    first use.  `parse_spec` checks syntax only; the rule index reads the
     check's violations (`validator.check_all`) and raises `InvalidSpec` on
     one, so every rule and definition the engine reads comes from a spec
     that passed.  Plans are compiled from what the check recorded of each
-    rule, and only for rules that fire.
+    rule, and only for operators that fire.
     """
 
     name: str
@@ -379,8 +456,8 @@ class Spec:
         return index
 
     @cached_property
-    def _plans(self) -> dict[int, RulePlan]:
-        return {}  # by id(rule); `rules` keeps every rule alive, so no id is reused
+    def _plans(self) -> dict[str, list[RulePlan]]:
+        return {}  # by operator
 
     @cached_property
     def parse_context(self):
@@ -402,16 +479,18 @@ class Spec:
         self.check()
         return self._format[1][id(rule)]
 
-    def plan(self, rule: Rule) -> RulePlan:
-        """The firing plan of a rule of this spec, compiled when first asked for.
+    def plans_for(self, op: str) -> list[RulePlan]:
+        """The firing plans of an operator's rules, in rule order (a shared
+        list), compiled on the first call for the operator.
 
         Raises InvalidSpec unless the spec meets the rule format.
         """
-        plans = self._plans
-        compiled = plans.get(id(rule))
-        if compiled is None:
-            compiled = plans[id(rule)] = plan_rule(rule, self.rule_vars(rule), self.theory)
-        return compiled
+        plans = self._plans.get(op)
+        if plans is None:
+            th = self.theory
+            plans = self._plans[op] = [plan_rule(r, self.rule_vars(r), th)
+                                       for _, r in self.rules_for(op)]
+        return plans
 
     def definition(self, name: str) -> Term:
         self.check()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sosforge import axioms, parse_spec, parse_term, terms
+from sosforge import axioms, load_corpus, parse_spec, parse_term, terms
 from sosforge.axioms import (
     DEFAULT_BUDGET,
     MAX_DEPTH,
@@ -82,6 +82,16 @@ def test_satisfies_takes_any_continuation(par):
     got = satisfies(par, args, par.rules[0])
     assert [str(s) for s in got] == ["{x <- a . (b . 0 || c . 0), x' <- b . 0 || c . 0, "
                                      "y <- 0, alpha <- a}"]
+
+
+def test_satisfies_refuses_a_rule_of_another_spec(par):
+    """Plans belong to a spec: an equal rule parsed into another spec is
+    not one of its rules."""
+    other = load_corpus("bccsp_par")
+    assert other.rules[0] == par.rules[0]
+    args = (parse_term("a . 0", par), parse_term("b . 0", par))
+    with pytest.raises(ValueError, match="not a rule of spec BCCSP_PAR"):
+        satisfies(par, args, other.rules[0])
 
 
 # -- normalization ----------------------------------------------------------------
@@ -214,9 +224,9 @@ def test_normalize_reads_summands_once_per_argument_and_rewrite(linda, monkeypat
         summands_calls += 1
         return terms.summands(*args)
 
-    def recorded_solve_rule(spec, rule, args, moves):
+    def recorded_solve_rule(plan, args, moves, th):
         rewrites[id(args)] = args
-        return solve_rule(spec, rule, args, moves)
+        return solve_rule(plan, args, moves, th)
 
     monkeypatch.setattr(axioms, "summands", counted_summands)
     monkeypatch.setattr(axioms, "solve_rule", recorded_solve_rule)
@@ -287,7 +297,7 @@ def _reference_summands(t, th):
     return out
 
 
-def _reference_satisfies(spec, args, rule):
+def _reference_satisfies(spec, args, plan):
     th = spec.theory
     offers = {}
     for k, a in enumerate(args):
@@ -296,7 +306,7 @@ def _reference_satisfies(spec, args, rule):
                 offers[k] = _reference_summands(a, th)
             except NonBccspTerm as e:
                 raise NonHnfArgument(f"argument {render_term(a)}: {e}") from None
-    return solve_rule(spec, rule, tuple(args), lambda k: offers[k])
+    return [plan.substitution(b) for b in solve_rule(plan, tuple(args), lambda k: offers[k], th)]
 
 
 def reference_normalize(spec, term, budget=None):
@@ -340,8 +350,9 @@ def reference_normalize(spec, term, budget=None):
                 "term not semantically well-founded within budget"
             )
         parts = []
-        for _, rule in spec.rules_for(t.op):
-            for s in _reference_satisfies(spec, normed_args, rule):
+        for plan in spec.plans_for(t.op):
+            rule = plan.rule
+            for s in _reference_satisfies(spec, normed_args, plan):
                 lbl = canon_label(substitute_label(rule.conclusion.label, s), th)
                 cont = norm(substitute_term(rule.conclusion.target, s), depth + 1)
                 parts.append(Prefix(lbl, cont))

@@ -2,13 +2,16 @@
 
 import gc
 import json
+import os
 import subprocess
 import sys
 import weakref
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import sosforge
 from sosforge import load_corpus, parse_label, parse_spec, parse_term
 from sosforge.cli import main
 from sosforge.terms import render_term
@@ -286,6 +289,21 @@ def test_long_prefix_chain_within_recursion_limit(capsys, command):
         assert out == f"Possible steps:\n < a # {term[4:]} >\n"
     else:
         assert out == term + "\n"
+
+
+def test_long_linda_chain_normalizes_in_a_fresh_interpreter():
+    """A 480-long `tell(d) ; …` chain normalizes at the default recursion
+    limit: each rewrite of the chain, and of each conclusion target built
+    from it, takes one frame.  It runs in a fresh interpreter, since what
+    ran before in the same process can change the depth a command reaches."""
+    n = 480
+    chain = " ; ".join(["tell(d)"] * n)
+    src = str(Path(sosforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "sosforge.cli", "normalize", LINDA, chain],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count("< {d},-,{d, d} > . ") == n and proc.stdout.endswith(" . | . 0\n")
 
 
 # -- machine-readable mode -------------------------------------------------------------

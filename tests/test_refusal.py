@@ -123,7 +123,8 @@ def _calls():
     return {
         "step": lambda s: step(s, term(s, "f(a . 0)")),
         "step_definition": lambda s: step(s, DefConst("p")),
-        "solve_rule": lambda s: solve_rule(s, s.rules[1], (term(s, "a . 0"),) * 2, lambda k: []),
+        "solve_rule": lambda s: solve_rule(s.plans_for("h")[0], (term(s, "a . 0"),) * 2,
+                                           lambda k: [], s.theory),
         "satisfies": lambda s: satisfies(s, (term(s, "a . 0"),) * 2, s.rules[1]),
         "normalize": lambda s: normalize(s, term(s, "f(a . 0)")),
         "build_lts": lambda s: build_lts(s, [term(s, "h(a . 0, 0)")]),

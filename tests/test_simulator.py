@@ -1,5 +1,6 @@
 """One-step semantics: rule solving, caching, caps, determinism."""
 
+import collections
 import random
 
 import pytest
@@ -245,10 +246,9 @@ def _reference_bind_term(sub, name, value):
     yield nxt
 
 
-def reference_solve_rule(spec, rule, args, moves):
+def reference_solve_rule(rule, args, moves, th):
     """`solve_rule` as it was before specs were checked at load: it guarded
     every rule shape itself and matched repeated source variables."""
-    th = spec.theory
     src = rule.conclusion.source
     if not isinstance(src, App) or len(src.args) != len(args):
         return []
@@ -316,15 +316,16 @@ def reference_solve_rule(spec, rule, args, moves):
 
 @pytest.fixture
 def against_reference(monkeypatch):
-    """Route every solve_rule call of step and satisfies through a check
-    that the reference returns the same substitutions in the same order.
-    Yields the list of result counts, one per call."""
+    """Route every solve_rule call of step and normalize through a check
+    that the reference returns the same substitutions in the same order as
+    the plan names the bindings. Yields the list of result counts, one per
+    call."""
     counts = []
 
-    def checked(spec, rule, args, moves):
-        got = solve_rule(spec, rule, args, moves)
-        want = reference_solve_rule(spec, rule, args, moves)
-        assert [str(s) for s in got] == [str(s) for s in want], str(rule)
+    def checked(plan, args, moves, th):
+        got = solve_rule(plan, args, moves, th)
+        want = reference_solve_rule(plan.rule, args, moves, th)
+        assert [str(plan.substitution(b)) for b in got] == [str(s) for s in want], str(plan.rule)
         counts.append(len(got))
         return got
 
@@ -454,29 +455,35 @@ def _kinds_text(rng, depth):
     return f"{op}({_kinds_text(rng, depth - 1)})"
 
 
+def _rule_plans(spec):
+    """The firing plan of each rule of a spec, in rule order."""
+    by_rule = {id(p.rule): p for op in spec.proc_ops for p in spec.plans_for(op)}
+    return [by_rule[id(r)] for r in spec.rules]
+
+
 def test_solve_rule_matches_reference_on_every_plan_kind(against_reference):
     spec = parse_spec(KINDS)
-    plans = [spec.plan(r) for r in spec.rules]
+    plans = _rule_plans(spec)
     assert [[lp.kind for _, _, lp in p.positives] for p in plans] == [
         [FRESH], [GROUND], [GENERAL], [TRIPLE], [FRESH, BOUND], [FRESH, GENERAL],
         [TRIPLE], [TRIPLE], [TRIPLE], [TRIPLE], [GENERAL, TRIPLE]]
     assert [[lp.kind for _, lp in p.negatives] for p in plans] == [
         [GROUND], [], [], [], [GENERAL], [BOUND], [], [], [TRIPLE], [], []]
+    # a conclusion label written as a premise's TRIPLE or GENERAL label
+    # (rules 3, 7, 9, 11) reads the node that premise met
     assert [p.conclusion.kind for p in plans] == [
-        BOUND, GROUND, GENERAL, TRIPLE, BOUND, GENERAL, TRIPLE, TRIPLE, TRIPLE, TRIPLE, TRIPLE]
-    slot_kinds = [[[sp.kind for sp in lp.slots] for lp in (p.positives[-1][2], p.conclusion)]
-                  for p in [plans[3], *plans[6:]]]
+        BOUND, GROUND, BOUND, TRIPLE, BOUND, GENERAL, BOUND, TRIPLE, BOUND, TRIPLE, BOUND]
+    for i in (2, 6, 8, 10):
+        assert plans[i].conclusion.key == plans[i].positives[-1][2].key >= 0
+    slot_kinds = [[sp.kind for sp in p.positives[-1][2].slots] for p in [plans[3], *plans[6:]]]
     assert slot_kinds == [
-        [[FRESH, FRESH], [BOUND, BOUND]],
-        [[FRESH, BOUND], [BOUND, BOUND]],
-        [[GROUND, FRESH], [GROUND, BOUND]],
-        [[FRESH, FRESH], [BOUND, BOUND]],
-        [[BOUND, FRESH], [BOUND, BOUND]],
-        [[BOUND, BOUND], [BOUND, BOUND]]]
+        [FRESH, FRESH], [FRESH, BOUND], [GROUND, FRESH], [FRESH, FRESH], [BOUND, FRESH], [BOUND, BOUND]]
+    assert [[sp.kind for sp in plans[i].conclusion.slots] for i in (3, 7, 9)] == [
+        [BOUND, BOUND], [GROUND, BOUND], [BOUND, BOUND]]
     assert [sp.kind for sp in plans[8].negatives[0][1].slots] == [BOUND, BOUND]
     assert plans[7].positives[0][2].slots[0].label == parse_label("{d}", spec)
-    assert plans[2].positives[0][2].substitute and plans[5].positives[1][2].substitute
-    assert not plans[10].positives[0][2].substitute
+    assert plans[2].positives[0][2].reads and plans[5].positives[1][2].reads
+    assert not plans[10].positives[0][2].reads
 
     assert [str(s) for s in step(spec, parse_term("n(| . 0 + b . 0)", spec))] == [
         "< b # 0 >", "< | # 0 >"]
@@ -509,6 +516,96 @@ def test_solve_rule_matches_reference_on_every_plan_kind(against_reference):
     assert fired > 200 and len(against_reference) > 2 * fired
 
 
+# -- the kernel against the substitution its plan names --
+
+
+def _reads_met_label(plan):
+    """Whether a plan's conclusion label is the label node a premise met."""
+    return plan.conclusion.kind == BOUND and any(
+        lp.key == plan.conclusion.key for _, _, lp in plan.positives if lp.kind in (TRIPLE, GENERAL))
+
+
+@pytest.fixture
+def against_substitution(monkeypatch):
+    """Route every solve_rule call of step and normalize through a check
+    that each firing's conclusion label and target, as the plan builds them
+    from the bindings, are the canonical forms of the conclusion under the
+    substitution `plan.substitution` names. Yields counts of the calls, of
+    the firings and of the firings whose conclusion label is a premise's."""
+    counts = collections.Counter()
+
+    def checked(plan, args, moves, th):
+        rows = solve_rule(plan, args, moves, th)
+        concl = plan.rule.conclusion
+        for b in rows:
+            sub = plan.substitution(b)
+            label = canon_label(substitute_label(concl.label, sub), th)
+            target = canon_term(substitute_term(concl.target, sub), th)
+            assert plan.conclusion.under(b, th) is label, str(plan.rule)
+            assert canon_term(plan.target.under(b, th), th) is target, str(plan.rule)
+        counts["calls"] += 1
+        counts["fired"] += len(rows)
+        counts["reused"] += len(rows) if _reads_met_label(plan) else 0
+        return rows
+
+    monkeypatch.setattr(simulator, "solve_rule", checked)
+    monkeypatch.setattr(axioms, "solve_rule", checked)
+    return counts
+
+
+# A GENERAL premise label repeated in the conclusion (rule 2) and one that is
+# not (rule 1), over a commutative label operator.
+GEN = """spec GEN
+actions a b ;
+labelop mix : Label Label -> Label [comm] ;
+op g : 1 ;  op h : 2 ;
+var x y x2 y2 : Proc ;
+var k l : Label ;
+rule x -(mix(k, l))-> x2 ==> g(x) -(mix(l, k))-> x2 ;
+rule x -(mix(k, l))-> x2 , y -(k)-> y2 , y -(l)/> ==> h(x, y) -(mix(k, l))-> x2 + y2 ;
+"""
+GEN_LABELS = ("a", "b", "mix(a, b)", "mix(b, a)", "mix(a, a)", "mix(mix(a, b), b)")
+
+
+def _gen_text(rng, depth):
+    """A closed GEN term: a sum of one to three prefixes, or an operator."""
+    if depth <= 0:
+        return "0"
+    if rng.random() < 0.5:
+        return " + ".join(f"{rng.choice(GEN_LABELS)} . {_gen_text(rng, depth - 1)}"
+                          for _ in range(rng.randint(1, 3)))
+    if rng.random() < 0.5:
+        return f"g({_gen_text(rng, depth - 1)})"
+    return f"h({_gen_text(rng, depth - 1)}, {_gen_text(rng, depth - 1)})"
+
+
+def _kernel_terms(name, spec, rng):
+    if name == "full":
+        return [random_full_term(rng, 3) for _ in range(80)]
+    if name == "linda":
+        texts = [_linda_chain(rng, n) for n in (4, 8, 16, 24)]
+        texts += [f"({_linda_chain(rng, 2)}) || ({_linda_chain(rng, 3)})" for _ in range(10)]
+        return [parse_term(t, spec) for t in texts]
+    if name == "kinds":
+        return [parse_term(_kinds_text(rng, 4), spec) for _ in range(200)]
+    return [parse_term(_gen_text(rng, 4), spec) for _ in range(200)]
+
+
+@pytest.mark.parametrize("name", ["full", "linda", "gen", "kinds"])
+def test_kernel_builds_what_the_named_substitution_builds(name, against_substitution):
+    written = {"gen": GEN, "kinds": KINDS}
+    spec = parse_spec(written[name]) if name in written else load_corpus(name)
+    rng = random.Random(f"kernel:{name}")
+    for t in _kernel_terms(name, spec, rng):
+        normalize(spec, t)
+        for _ in range(4):  # the term and a few steps down from it
+            steps = step(spec, t)
+            if not steps:
+                break
+            t = rng.choice(steps).target
+    assert against_substitution["fired"] > 100 and against_substitution["reused"] > 20
+
+
 TARGETS = """spec TARGETS
 actions a b ;
 predicates | ;
@@ -534,7 +631,7 @@ def test_target_plans_build_what_substitution_builds():
     nor an application is substituted as written."""
     spec = parse_spec(TARGETS)
     th = spec.theory
-    plans = [spec.plan(r).target for r in spec.rules]
+    plans = [p.target for p in _rule_plans(spec)]
 
     def kinds(p):
         return (p.kind, [kinds(q) for q in p.parts]) if p.parts else p.kind
@@ -554,12 +651,12 @@ def test_target_plans_build_what_substitution_builds():
                  "s(< d, -, u > . 0 + < {d, u}, -, u > . b . 0)", "r(a . (b . 0 + a . 0))"]:
         term = parse_term(text, spec)
         for args in (term.args, tuple(canon_term(a, th) for a in term.args)):
-            for _, rule in spec.rules_for(term.op):
-                plan = spec.plan(rule)
+            for plan in spec.plans_for(term.op):
                 moves = [[(s.label, s.target) for s in step(spec, a)] for a in args]
-                for sub in solve_rule(spec, rule, args, moves.__getitem__):
-                    got = plan.target.under(sub, th)
-                    assert got == substitute_term(rule.conclusion.target, sub), text
+                for b in solve_rule(plan, args, moves.__getitem__, th):
+                    sub = plan.substitution(b)
+                    got = plan.target.under(b, th)
+                    assert got == substitute_term(plan.rule.conclusion.target, sub), text
                     canonical = all(is_canonical(v, th) for v in [*sub.terms.values(), *sub.labels.values()])
                     if canonical and term.op == "r":
                         assert got is canon_term(got, th)
@@ -609,14 +706,14 @@ var x x2 y y2 : Proc ;
 var k : Label ;
 rule x -(k)-> x2 , y -(k)-> y2 ==> f(x, y) -(k)-> 0 ;
 """)
-    rule = spec.rules[0]
-    assert spec.plan(rule).positives[1][2].kind == BOUND
+    plan = spec.plans_for("f")[0]
+    assert plan.positives[1][2].kind == BOUND
     th = spec.theory
     a, b = (canon_label(parse_label(f"< a1, -, {e} >", spec), th) for e in ("ea", "eb"))
     assert render_label(a) == render_label(b) and a != b
     for offered, fires in [((a, a), True), ((a, b), False), ((b, a), False)]:
-        subs = solve_rule(spec, rule, (NIL, NIL), lambda k: [(offered[k], NIL)])
-        assert bool(subs) == fires, offered
+        rows = solve_rule(plan, (NIL, NIL), lambda k: [(offered[k], NIL)], th)
+        assert bool(rows) == fires, offered
     for e1, e2, fires in [("ea", "ea", True), ("ea", "eb", False), ("eb", "ea", False)]:
         t = parse_term(f"f(< a1, -, {e1} > . 0, < a1, -, {e2} > . 0)", spec)
         assert len(step(spec, t)) == fires, (e1, e2)
