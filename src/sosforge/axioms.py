@@ -34,7 +34,7 @@ from .terms import (
     summands,
     valueclass,
 )
-from .tss import VAR, Rule, Spec
+from .tss import APP, VAR, Rule, Spec
 
 
 @valueclass
@@ -156,12 +156,12 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
                 rows = solve_rule(plan, args, moves, th)
                 if rows:
                     concl, target = plan.conclusion, plan.target
-                    kind, slots = target.kind, target.slots
+                    kind = target.kind
                     for b in rows:
                         if kind == VAR:
                             cont = b[target.slot]
-                        elif slots is not None:
-                            cont = rewrite(target.op, tuple([b[i] for i in slots]), depth + 1)
+                        elif kind == APP:
+                            cont = rewrite(target.op, tuple([b[i] for i in target.slots]), depth + 1)
                         else:  # walked as written, its variables bound to normal forms
                             sub = plan.substitution(b) if target.reads else unbound
                             cont = norm(target.term, sub, depth + 1)

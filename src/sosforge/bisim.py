@@ -9,9 +9,9 @@ built.  A comparison runs only once the explored states have doubled since
 the last one, and keeps each state's classes for the next, so on a pair that
 turns out bisimilar the comparisons cost less than the refinement.
 
-Once the exploration closes, blocks are split on transition signatures
-(label, successor block) until stable; two states are bisimilar exactly when
-they end in the same block.  A positive answer comes with the
+Once the exploration closes, the same classes are refined over every state
+until a level splits nothing; two states are bisimilar exactly when they end
+in the same block.  A positive answer comes with the
 product-reachable set of same-block pairs, whose symmetric closure is a
 bisimulation containing the queried pair.
 """
@@ -177,22 +177,16 @@ def build_lts(
 
 
 def refine(lts: Lts) -> list[int]:
-    """Coarsest signature-stable partition; block ids per state."""
+    """Coarsest signature-stable partition of a closed LTS; block ids per
+    state, numbered in order of first occurrence.
+
+    The first stable level of `StepClasses` with every state at depth 0:
+    a partition splits at most n - 1 times, so n levels reach it.
+    """
     n = len(lts.states)
-    blocks = [0] * n
-    count = 1
-    while True:
-        mapping: dict[tuple, int] = {}
-        nxt = [0] * n
-        for i in range(n):
-            sig = (blocks[i], frozenset((id(l), blocks[j]) for l, j in lts.transitions[i]))
-            if sig not in mapping:
-                mapping[sig] = len(mapping)
-            nxt[i] = mapping[sig]
-        if len(mapping) == count:
-            return nxt
-        blocks = nxt
-        count = len(mapping)
+    classes = StepClasses(lts, [n] * (n + 1))
+    classes.separates(n, 0, 0)  # state 0 is never separated from itself: runs to the stable level
+    return classes.levels[-1][1]
 
 
 @valueclass(hashable=False)

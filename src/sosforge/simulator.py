@@ -23,7 +23,6 @@ from .terms import (
     Term,
     Triple,
     Var,
-    _slot_form,
     canon_label,
     canon_term,
     label_sort,
@@ -67,11 +66,11 @@ def solve_rule(plan: RulePlan, args: tuple, moves: Moves, th: EquationalTheory) 
     serve it to every rule (`simulator.moves` from its cache, `normalize`
     once per rewrite).  A premise label that is a bare variable or ground
     is checked by a sort check or by comparing canonical nodes, which are
-    one object per canonical form.  So is each slot of a store triple
-    whose slots are each a variable or a constant store (`_read_slots`).
-    Only the other labels, multisets over variables and label-operator
-    applications over variables, go through `match`.  Every label the
-    bindings hold, `match`'s too, is a canonical node.
+    one object per canonical form.  A store triple of two distinct fresh
+    slot variables (a TRIPLE plan) binds the offered triple's slots after
+    a sort check each (`_read_slots`).  Every other premise label goes
+    through `match`.  Every label the bindings hold, `match`'s too, is a
+    canonical node.
     """
     base = list(args)
     for k, sort in enumerate(plan.sources):
@@ -116,7 +115,7 @@ def solve_rule(plan: RulePlan, args: tuple, moves: Moves, th: EquationalTheory) 
                 for lbl, cont in offered:
                     if type(lbl) is Triple:
                         row = r.copy()
-                        if _read_slots(slots, lbl, row, th):
+                        if _read_slots(slots, lbl, row):
                             row[key] = lbl
                             row[target] = cont
                             nxt.append(row)
@@ -149,23 +148,15 @@ def solve_rule(plan: RulePlan, args: tuple, moves: Moves, th: EquationalTheory) 
     return rows
 
 
-def _read_slots(slots: tuple[LabelPlan, ...], triple: Triple, row: list,
-                th: EquationalTheory) -> bool:
-    """Whether a canonical store triple meets a TRIPLE plan's slots; binds
-    the fresh slot variables into `row`.
-
-    A bound slot compares its value as a slot holds it, a lone data
-    constant as its singleton multiset.
-    """
-    for sp, value in zip(slots, (triple.pre, triple.post)):
-        if sp.kind == FRESH:
-            if not sort_accepts(sp.sort, label_sort(value)):
-                return False
-            row[sp.key] = value
-            continue
-        want = sp.label if sp.kind == GROUND else _slot_form(row[sp.key], th)
-        if value is not want:
-            return False
+def _read_slots(slots: tuple[LabelPlan, ...], triple: Triple, row: list) -> bool:
+    """Whether each slot of a canonical store triple has the sort of a
+    TRIPLE plan's slot variable; binds both variables into `row` if so."""
+    pre, post = slots
+    if not (sort_accepts(pre.sort, label_sort(triple.pre))
+            and sort_accepts(post.sort, label_sort(triple.post))):
+        return False
+    row[pre.key] = triple.pre
+    row[post.key] = triple.post
     return True
 
 

@@ -489,11 +489,6 @@ def _ids(head: tuple, children: tuple | list) -> tuple:
     return (*head, *map(id, children))
 
 
-def is_canonical(t: Term | LabelTerm, th: EquationalTheory) -> bool:
-    """Whether a node is one of th's canonical nodes."""
-    return t._cth is th and t._c is None
-
-
 def canon_prefix(label: LabelTerm, body: Term, th: EquationalTheory) -> Prefix:
     """The canonical prefix over a canonical label and a canonical body."""
     key = (Prefix, id(label), id(body))

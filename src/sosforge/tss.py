@@ -8,9 +8,16 @@ choice are built into the engine and never appear as declared operators.
 A `Rule` is a plain value.  The rule-format check (`validator.check_rules`)
 is the only code that reads a rule's structure: it runs once per `Spec`
 and records, for each rule that meets the format, the label variables of
-its premises and conclusion (`RuleVars`).  Firing plans (`plan_rule`,
-compiled per operator on its first firing) and the mirror search read
-that record.
+its premises and conclusion label and the variables of its conclusion
+target (`RuleVars`).  Firing plans (`plan_rule`, compiled per operator on
+its first firing) and the mirror search read that record.
+
+A plan compiles only the shapes rules are written in: a premise label
+that is a bare variable, ground, or a store triple of two fresh slot
+variables; a conclusion label that repeats a premise's; and a target
+that is a variable, ground, or an operator applied to variables.  Every
+other label goes through `match` or is substituted and canonicalized,
+and every other target is substituted as written.
 """
 
 from __future__ import annotations
@@ -22,21 +29,14 @@ from typing import NamedTuple
 from .errors import InvalidSpec, UnknownDefConst
 from .terms import (
     App,
-    Choice,
-    DataConst,
     EquationalTheory,
     LabelTerm,
-    LApp,
     LVar,
-    MSet,
     OpAttrs,
-    Prefix,
     Substitution,
     Term,
     Triple,
     Var,
-    _canon_triple,
-    _slot_form,
     canon_app,
     canon_label,
     canon_term,
@@ -75,11 +75,14 @@ class NegPremise:
 class RuleVars(NamedTuple):
     """What the rule-format check records of a rule that meets the format:
     the label variables of each positive premise's label, of each negative
-    premise's label, in order, and of the conclusion label."""
+    premise's label, in order, and of the conclusion label; and the
+    process and the label variables of the conclusion target, as
+    `free_vars` finds them."""
 
     positives: tuple[tuple[str, ...], ...]
     negatives: tuple[tuple[str, ...], ...]
     label: tuple[str, ...]
+    target: tuple[set[str], set[str]]
 
 
 @valueclass
@@ -103,8 +106,8 @@ class Rule:
 FRESH = "fresh"      # a bare variable not bound yet: bind it after a sort check
 BOUND = "bound"      # a bare bound variable: compare canonical nodes
 GROUND = "ground"    # no variables: compare with its canonical node
-TRIPLE = "triple"    # a store triple of variable or constant-store slots: read slot by slot
-GENERAL = "general"  # anything else: the matcher
+TRIPLE = "triple"    # a store triple of two distinct fresh slot variables: bind both
+GENERAL = "general"  # anything else: the matcher, or substituted and canonicalized
 
 # A variable a plan hands to a `Substitution`: its name, its slot, and
 # whether it is a label variable.
@@ -120,16 +123,20 @@ def _substitution(reads: tuple[Read, ...], bindings: list) -> Substitution:
 
 
 class LabelPlan(NamedTuple):
-    """One label of a rule, or one slot of a TRIPLE label, classified once.
+    """One label of a rule, classified once.
 
-    `label` is the canonical node of a GROUND label (of a GROUND slot, its
-    form as a slot holds it: a lone data constant is its singleton
-    multiset) and the label as written otherwise.  `key` is the slot of a
-    FRESH or BOUND variable and, in a positive premise's TRIPLE or GENERAL
-    plan, the slot that keeps the label node the premise met.  `sort` is a
-    FRESH variable's sort.  A GENERAL label substitutes the bound variables
-    of `reads` and `match` binds the fresh ones of `binds`, by name and
-    slot.  `slots` holds the plans of a TRIPLE label's two slots.
+    `label` is the canonical node of a GROUND label and the label as
+    written otherwise.  `key` is the slot of a FRESH or BOUND variable and,
+    in a positive premise's TRIPLE or GENERAL plan, the slot that keeps the
+    label node the premise met.  `sort` is a FRESH variable's sort.  A
+    GENERAL label substitutes the bound variables of `reads` and `match`
+    binds the fresh ones of `binds`, by name and slot.  `slots` holds the
+    FRESH plans of a TRIPLE label's two slot variables.
+
+    Only a positive premise's label is TRIPLE, and only when it is a store
+    triple of two distinct slot variables that no earlier part of the rule
+    binds, as Linda's `< xD, -, xD' >`.  Every other store triple, one with
+    a constant store, a bound or a repeated slot variable, is GENERAL.
     """
 
     kind: str
@@ -141,17 +148,14 @@ class LabelPlan(NamedTuple):
     slots: tuple[LabelPlan, ...] = ()
 
     def under(self, bindings: list, th: EquationalTheory) -> LabelTerm:
-        """The label's canonical node under a rule's bindings: a list,
-        indexed by slot, that binds every variable of the label to a
-        canonical node."""
+        """The canonical node of a negative premise's or the conclusion's
+        label under a rule's bindings: a list, indexed by slot, that binds
+        every variable of the label to a canonical node."""
         kind = self.kind
         if kind == BOUND:
             return bindings[self.key]
         if kind == GROUND:
             return self.label
-        if kind == TRIPLE:
-            pre, post = self.slots
-            return _canon_triple(pre.under(bindings, th), post.under(bindings, th), th)
         return canon_label(substitute_label(self.label, _substitution(self.reads, bindings)), th)
 
     def pattern(self, bindings: list) -> LabelTerm:
@@ -162,92 +166,69 @@ class LabelPlan(NamedTuple):
         return substitute_label(self.label, _substitution(self.reads, bindings))
 
 
-# How a target plan builds a part of a conclusion target.
+# How a target plan builds a conclusion target.
 VAR = "var"          # a variable: its slot's value
-FIXED = "fixed"      # a ground part: itself, a canonical node when written canonically
-APP = "app"          # an operator application: built from its arguments' parts
-SUBST = "subst"      # anything else: the part as written, substituted
+FIXED = "fixed"      # ground: itself, a canonical node when written canonically
+APP = "app"          # an operator applied to variables: built from their slots
+SUBST = "subst"      # anything else: the target as written, substituted
 
 
 class TargetPlan(NamedTuple):
-    """A rule's conclusion target, or one part of it, compiled for building.
+    """A rule's conclusion target, compiled for building.
 
-    `under` builds the part from a rule's bindings, equal to what
-    substituting them into the part as written gives.  An application
-    whose arguments come out as canonical nodes comes out as one too, with
-    one intern lookup, so a target over canonical bindings needs no
-    canonicalizing walk.  Any other part with variables (a label but a
-    bare variable, a prefix, a choice) is substituted as written, and
+    `under` builds the target from a rule's bindings, equal to what
+    substituting them into the target as written gives.  An application
+    whose arguments are all variables comes out as one canonical node, with
+    one intern lookup, when their bindings are canonical nodes.  Any other
+    target with variables (a prefix, a choice, an application with an
+    argument that is not a variable) is substituted as written, and
     canonicalized by whoever needs its canonical form.  `term` is a FIXED
-    part's node and the part as written otherwise; `slot` is a variable's
-    slot; `op` is an application's operator, and `slots` the slots of its
-    arguments when every one is a variable (None otherwise); `reads` names
-    the variables of the part, which a SUBST part substitutes.
+    target's node and the target as written otherwise; `slot` is a
+    variable's slot; `op` is an application's operator and `slots` the
+    slots of its arguments; `reads` names the variables a SUBST target
+    substitutes.
     """
 
     kind: str
-    term: Term | LabelTerm
+    term: Term
     slot: int = -1
     op: str = ""
-    parts: tuple[TargetPlan, ...] = ()
-    slots: tuple[int, ...] | None = None
+    slots: tuple[int, ...] = ()
     reads: tuple[Read, ...] = ()
 
-    def under(self, bindings: list, th: EquationalTheory) -> Term | LabelTerm:
+    def under(self, bindings: list, th: EquationalTheory) -> Term:
         kind = self.kind
         if kind == VAR:
             return bindings[self.slot]
         if kind == APP:
-            slots = self.slots
-            if slots is not None:
-                args = tuple([bindings[i] for i in slots])
-            else:
-                args = tuple([p.under(bindings, th) for p in self.parts])
+            args = tuple([bindings[i] for i in self.slots])
             for a in args:
                 if a._cth is not th or a._c is not None:  # not canonical
                     return App(self.op, args)
             return canon_app(self.op, args, th)
         if kind == FIXED:
             return self.term
-        sub = _substitution(self.reads, bindings)
-        if isinstance(self.term, LabelTerm):
-            return substitute_label(self.term, sub)
-        return substitute_term(self.term, sub)
+        return substitute_term(self.term, _substitution(self.reads, bindings))
 
 
-def plan_target(t: Term | LabelTerm, slot_of: dict[str, int], th: EquationalTheory) -> TargetPlan:
-    """Compile a conclusion target, or a part of one, for building, given
-    the slot of each variable: any part but a variable, a ground part and
-    an application is SUBST."""
+def plan_target(t: Term, names: tuple[set[str], set[str]], slot_of: dict[str, int],
+                th: EquationalTheory) -> TargetPlan:
+    """Compile a conclusion target for building, given its process and
+    label variables as the format check recorded them (`RuleVars.target`)
+    and the slot of each: a variable is VAR, a ground target FIXED, an
+    application whose arguments are all variables APP, and anything else
+    SUBST."""
     cls = type(t)  # node classes have no subclasses
-    if cls is Var or cls is LVar:
-        slot = slot_of[t.name]
-        return TargetPlan(VAR, t, slot, reads=((t.name, slot, cls is LVar),))
-    parts = tuple([plan_target(c, slot_of, th) for c in _parts(t)])
-    if all(p.kind == FIXED for p in parts):
-        canon = canon_label(t, th) if isinstance(t, LabelTerm) else canon_term(t, th)
+    if cls is Var:
+        return TargetPlan(VAR, t, slot_of[t.name])
+    procs, labels = names
+    if not procs and not labels:
+        canon = canon_term(t, th)
         return TargetPlan(FIXED, canon if canon == t else t)
-    reads = tuple(sorted({r for p in parts for r in p.reads}))
-    if cls is App:
-        slots = tuple([p.slot for p in parts]) if all(p.kind == VAR for p in parts) else None
-        return TargetPlan(APP, t, op=t.op, parts=parts, slots=slots, reads=reads)
-    return TargetPlan(SUBST, t, reads=reads)
-
-
-def _parts(t: Term | LabelTerm) -> tuple:
-    """The children of a node."""
-    cls = type(t)
-    if cls is App or cls is LApp:
-        return t.args
-    if cls is Prefix:
-        return t.label, t.body
-    if cls is Choice:
-        return t.left, t.right
-    if cls is MSet:
-        return t.elements
-    if cls is Triple:
-        return t.pre, t.post
-    return ()
+    if cls is App and all(type(a) is Var or type(a) is LVar for a in t.args):
+        return TargetPlan(APP, t, op=t.op, slots=tuple([slot_of[a.name] for a in t.args]))
+    reads = [(n, slot_of[n], False) for n in procs] + [(n, slot_of[n], True) for n in labels]
+    return TargetPlan(SUBST, t, reads=tuple(sorted(reads)))
 
 
 class _Slots:
@@ -289,8 +270,8 @@ class RulePlan:
     the slot of every variable, for `substitution`.
     """
 
-    def __init__(self, rule: Rule, slots: _Slots, positives: tuple, negatives: tuple,
-                 conclusion: LabelPlan, th: EquationalTheory) -> None:
+    def __init__(self, rule: Rule, vs: RuleVars, slots: _Slots, positives: tuple,
+                 negatives: tuple, conclusion: LabelPlan, th: EquationalTheory) -> None:
         source = rule.conclusion.source.args
         self.rule = rule
         self.sources = tuple([v.sort if isinstance(v, LVar) else None for v in source])
@@ -299,12 +280,13 @@ class RulePlan:
         self.negatives = negatives
         self.conclusion = conclusion
         self.reads = tuple(slots.reads)
+        self._target_vars = vs.target
         self._slot_of = slots.of
         self._th = th
 
     @cached_property
     def target(self) -> TargetPlan:
-        return plan_target(self.rule.conclusion.target, self._slot_of, self._th)
+        return plan_target(self.rule.conclusion.target, self._target_vars, self._slot_of, self._th)
 
     def substitution(self, bindings: list) -> Substitution:
         """The rule's variables bound as the bindings bind them, by name."""
@@ -322,31 +304,21 @@ def _label_plan(label: LabelTerm, names: tuple[str, ...], slots: _Slots,
         return LabelPlan(FRESH, label, slots.new(label.name), label.sort)
     if not names:
         return LabelPlan(GROUND, canon_label(label, th))
-    if isinstance(label, Triple):
-        slot_plans = _slot_plans(label, slots, th)
-        if slot_plans is not None:
-            return LabelPlan(TRIPLE, label, slots=slot_plans)
+    if isinstance(label, Triple) and _fresh_slots(label, slots):
+        return LabelPlan(TRIPLE, label, slots=(_label_plan(label.pre, names, slots, th),
+                                               _label_plan(label.post, names, slots, th)))
     reads = tuple([(n, slots.of[n], True) for n in sorted(names) if n in slots.of])
     fresh = [n for n in sorted(names) if n not in slots.of]
     binds = tuple([(n, slots.new(n)) for n in fresh])
     return LabelPlan(GENERAL, label, reads=reads, binds=binds)
 
 
-def _slot_plans(label: Triple, slots: _Slots,
-                th: EquationalTheory) -> tuple[LabelPlan, LabelPlan] | None:
-    """Classify a store triple's slots: a variable as `_label_plan` does
-    (one repeated in the second slot is BOUND), and a constant store (a
-    data constant or a multiset of them) as GROUND.  None if a slot is
-    anything else."""
-    parts = (label.pre, label.post)
-    stores = [None if isinstance(p, LVar) else _slot_form(canon_label(p, th), th) for p in parts]
-    for store in stores:
-        if store is not None and not (
-                isinstance(store, MSet) and all(isinstance(e, DataConst) for e in store.elements)):
-            return None
-    pre, post = (_label_plan(p, (p.name,), slots, th) if store is None else LabelPlan(GROUND, store)
-                 for p, store in zip(parts, stores))
-    return pre, post
+def _fresh_slots(label: Triple, slots: _Slots) -> bool:
+    """Whether a store triple's slots are two distinct variables, neither
+    in a slot yet."""
+    pre, post = label.pre, label.post
+    return (type(pre) is LVar and type(post) is LVar and pre.name != post.name
+            and pre.name not in slots.of and post.name not in slots.of)
 
 
 def plan_rule(rule: Rule, vs: RuleVars, th: EquationalTheory) -> RulePlan:
@@ -370,7 +342,7 @@ def plan_rule(rule: Rule, vs: RuleVars, th: EquationalTheory) -> RulePlan:
                        for n, names in zip(rule.negatives, vs.negatives)])
     if conclusion is None:
         conclusion = _label_plan(concl.label, vs.label, slots, th)
-    return RulePlan(rule, slots, tuple(positives), negatives, conclusion, th)
+    return RulePlan(rule, vs, slots, tuple(positives), negatives, conclusion, th)
 
 
 @valueclass

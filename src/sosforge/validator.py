@@ -8,8 +8,9 @@ positively.  Definitions must stay in the base fragment and be guarded.
 
 `check_rules` walks each rule once.  Besides the violations it records,
 for each rule that meets the format, the label variables of its premises
-and conclusion label (`tss.RuleVars`), which is all the firing plans and
-the mirror search need beyond the rule itself.  A `Spec` runs the check
+and conclusion label and the variables of its conclusion target
+(`tss.RuleVars`), which is all the firing plans and the mirror search need
+beyond the rule itself.  A `Spec` runs the check
 once, on first use, and `check_all` returns the violations of that run.
 """
 
@@ -72,7 +73,8 @@ def check_rules(spec: Spec) -> tuple[list[Violation], dict[int, RuleVars]]:
 
     Returns the violations in rule order, by condition within a rule, and
     for each rule that meets the format the label variables of its
-    premises and conclusion label, by id(rule).
+    premises and conclusion label and the variables of its conclusion
+    target, by id(rule).
     """
     out: list[Violation] = []
     records: dict[int, RuleVars] = {}
@@ -81,6 +83,7 @@ def check_rules(spec: Spec) -> tuple[list[Violation], dict[int, RuleVars]]:
         positives = tuple([tuple(free_vars(p.label)[1]) for p in rule.positives])
         negatives = tuple([tuple(free_vars(n.label)[1]) for n in rule.negatives])
         label = tuple(free_vars(rule.conclusion.label)[1])
+        procs, labels = free_vars(rule.conclusion.target)
 
         # the conclusion source: an operator over distinct variables
         src = rule.conclusion.source
@@ -126,7 +129,6 @@ def check_rules(spec: Spec) -> tuple[list[Violation], dict[int, RuleVars]]:
                 if tgt.name in proc_args or tgt.name in target_vars:
                     bad.append((TARGET_VAR_REUSE, f"premise target {tgt.name} is not fresh"))
                 target_vars.add(tgt.name)
-            procs, labels = free_vars(rule.conclusion.target)
             for name in sorted(procs - proc_args - target_vars | labels - bound_labels):
                 bad.append((CONCL_VAR_ESCAPE, f"conclusion target uses unbound variable {name}"))
             for name in sorted(set(label) - bound_labels):
@@ -146,7 +148,7 @@ def check_rules(spec: Spec) -> tuple[list[Violation], dict[int, RuleVars]]:
             span = str(rule)
             out += [Violation(kind, idx, message, span) for kind, message in bad]
         else:
-            records[id(rule)] = RuleVars(positives, negatives, label)
+            records[id(rule)] = RuleVars(positives, negatives, label, (procs, labels))
     return out, records
 
 

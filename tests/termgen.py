@@ -1,4 +1,5 @@
-"""Seeded random generators for terms, labels, and transition systems.
+"""Seeded random generators for terms, labels, and transition systems, and
+a check that a node is canonical.
 
 Everything here is deterministic given the caller's random.Random instance,
 so failures reproduce from the seed alone.
@@ -28,6 +29,11 @@ from sosforge.terms import (
 
 DATA_NAMES = ("d", "u", "v")
 ACTION_NAMES = ("a", "b", "c")
+
+
+def is_canonical(t: Term | LabelTerm, th) -> bool:
+    """Whether a node is one of the theory th's canonical nodes."""
+    return t._cth is th and t._c is None
 
 
 def mset(names) -> MSet:

@@ -36,7 +36,6 @@ from sosforge.terms import (
     canon_label,
     canon_term,
     free_vars,
-    is_canonical,
     label_sort,
     match,
     render_label,
@@ -45,7 +44,7 @@ from sosforge.terms import (
     substitute_label,
     substitute_term,
 )
-from termgen import random_bccsp_term, random_full_term
+from termgen import is_canonical, random_bccsp_term, random_full_term
 
 # -- transcript pins -----------------------------------------------------------
 
@@ -404,12 +403,14 @@ def test_solve_rule_matches_reference_on_linda_chains(linda, against_reference):
 # `alpha : Action` offered `|` (rule 1), a ground negative (1), a ground
 # premise and conclusion (2), a label source slot reused in a premise (3),
 # a general triple pattern (3, 11), a store triple of two fresh slots with
-# one of two bound slots in the conclusion (4), a bound variable in a
-# second premise with a general negative (5), a general pattern over a
-# bound and a fresh variable with a bound negative (6), and store triples
-# with a repeated slot variable (7), a ground slot (8), a negative of bound
-# slots (9), a source slot variable in a slot (10) and a slot variable
-# bound to a lone data constant by a one-element multiset share (11).
+# its slots swapped in the conclusion (4), a bound variable in a second
+# premise with a general negative (5), a general pattern over a bound and a
+# fresh variable with a bound negative (6), a store triple of two fresh
+# slots with a negative of its slots swapped (9), and the store triples
+# that go through the matcher: a repeated slot variable (7), a constant
+# store slot with a constant store in the conclusion (8), a source slot
+# variable in a slot (10) and two bound slots, one bound to a lone data
+# constant by a one-element multiset share (11).
 KINDS = """spec KINDS
 actions a b ;
 predicates | ;
@@ -466,22 +467,22 @@ def test_solve_rule_matches_reference_on_every_plan_kind(against_reference):
     plans = _rule_plans(spec)
     assert [[lp.kind for _, _, lp in p.positives] for p in plans] == [
         [FRESH], [GROUND], [GENERAL], [TRIPLE], [FRESH, BOUND], [FRESH, GENERAL],
-        [TRIPLE], [TRIPLE], [TRIPLE], [TRIPLE], [GENERAL, TRIPLE]]
+        [GENERAL], [GENERAL], [TRIPLE], [GENERAL], [GENERAL, GENERAL]]
     assert [[lp.kind for _, lp in p.negatives] for p in plans] == [
-        [GROUND], [], [], [], [GENERAL], [BOUND], [], [], [TRIPLE], [], []]
+        [GROUND], [], [], [], [GENERAL], [BOUND], [], [], [GENERAL], [], []]
     # a conclusion label written as a premise's TRIPLE or GENERAL label
     # (rules 3, 7, 9, 11) reads the node that premise met
     assert [p.conclusion.kind for p in plans] == [
-        BOUND, GROUND, BOUND, TRIPLE, BOUND, GENERAL, BOUND, TRIPLE, BOUND, TRIPLE, BOUND]
+        BOUND, GROUND, BOUND, GENERAL, BOUND, GENERAL, BOUND, GENERAL, BOUND, GENERAL, BOUND]
     for i in (2, 6, 8, 10):
         assert plans[i].conclusion.key == plans[i].positives[-1][2].key >= 0
-    slot_kinds = [[sp.kind for sp in p.positives[-1][2].slots] for p in [plans[3], *plans[6:]]]
-    assert slot_kinds == [
-        [FRESH, FRESH], [FRESH, BOUND], [GROUND, FRESH], [FRESH, FRESH], [BOUND, FRESH], [BOUND, BOUND]]
-    assert [[sp.kind for sp in plans[i].conclusion.slots] for i in (3, 7, 9)] == [
-        [BOUND, BOUND], [GROUND, BOUND], [BOUND, BOUND]]
-    assert [sp.kind for sp in plans[8].negatives[0][1].slots] == [BOUND, BOUND]
-    assert plans[7].positives[0][2].slots[0].label == parse_label("{d}", spec)
+    for i in (3, 8):  # both slots fresh: bound after a sort check each
+        assert [sp.kind for sp in plans[i].positives[0][2].slots] == [FRESH, FRESH]
+    # the other store triples: what `match` substitutes and what it binds
+    general = [plans[6].positives[0][2], plans[7].positives[0][2], plans[9].positives[0][2],
+               plans[10].positives[1][2], plans[8].negatives[0][1]]
+    assert [([r[0] for r in lp.reads], [n for n, _ in lp.binds]) for lp in general] == [
+        ([], ["xD"]), ([], ["xD'"]), (["mu"], ["xD'"]), (["xD", "xD'"], []), (["xD", "xD'"], [])]
     assert plans[2].positives[0][2].reads and plans[5].positives[1][2].reads
     assert not plans[10].positives[0][2].reads
 
@@ -491,6 +492,8 @@ def test_solve_rule_matches_reference_on_every_plan_kind(against_reference):
     assert [str(s) for s in step(spec, parse_term("h(u, < {u, d}, -, {d, u} > . 0)", spec))] == [
         "< < {d, u},-,{d, u} > # h(u,0) >"]
     assert step(spec, parse_term("h(d, < {u, d}, -, {d, u} > . 0)", spec)) == []
+    assert [str(s) for s in step(spec, parse_term("r(< d, -, u > . 0 + a . 0)", spec))] == [
+        "< < {u},-,{d} > # r(0) >"]
     assert [str(s) for s in step(spec, parse_term("q(a . 0 + b . 0, a . 0)", spec))] == [
         "< a # q(0,0) >"]
     assert [str(s) for s in step(spec, parse_term("q(a . 0, mix(a, b) . 0)", spec))] == [
@@ -612,7 +615,7 @@ predicates | ;
 datasort Data [assoc comm id: none] ;
 dataconst d u : Data ;
 labelop mix : Label Label -> Label [comm] ;
-op g : 1 ;  op f : 2 ;  op t : 1 ;  op s : 1 ;  op r : 1 ;
+op g : 1 ;  op f : 2 ;  op t : 1 ;  op s : 1 ;  op r : 1 ;  op v : 1 ;  op c : 1 ;
 var x x' y : Proc ;
 var k : Label ;
 var xD xD' : Data ;
@@ -621,34 +624,29 @@ rule x -(k)-> x' ==> f(x, y) -(k)-> x' + mix(b, a) . y ;
 rule x -(k)-> x' ==> t(x) -(k)-> f(mix(k, a) . 0, | . 0) ;
 rule x -(< xD, -, xD' >)-> x' ==> s(x) -(|)-> f(s(x'), < xD, -, none > . 0) ;
 rule x -(k)-> x' ==> r(x) -(k)-> r(x') ;
+rule x -(k)-> x' ==> v(x) -(k)-> x' ;
+rule x -(k)-> x' ==> c(x) -(k)-> | . 0 ;
 """
 
 
 def test_target_plans_build_what_substitution_builds():
     """A compiled target builds a term equal to the target with the bindings
-    substituted, and one canonical node when an application is built from
-    canonical nodes only; a part that is neither a variable, nor ground,
-    nor an application is substituted as written."""
+    substituted, and one canonical node when an application over variables
+    is built from canonical nodes only; a target that is neither a
+    variable, nor ground, nor an application over variables is substituted
+    as written."""
     spec = parse_spec(TARGETS)
     th = spec.theory
     plans = [p.target for p in _rule_plans(spec)]
-
-    def kinds(p):
-        return (p.kind, [kinds(q) for q in p.parts]) if p.parts else p.kind
-
-    assert [kinds(p) for p in plans] == [
-        SUBST,
-        SUBST,
-        (APP, [SUBST, FIXED]),
-        (APP, [(APP, [VAR]), SUBST]),
-        (APP, [VAR]),
-    ]
+    assert [p.kind for p in plans] == [SUBST, SUBST, SUBST, SUBST, APP, VAR, FIXED]
     written = plans[1].term.right.label  # mix(b, a): its canonical form differs
     assert str(written) == "mix(b,a)" and not is_canonical(written, th)
-    assert is_canonical(plans[2].parts[1].term, th)  # | . 0
+    assert is_canonical(plans[6].term, th)  # | . 0
+    assert plans[4].slots == (2,) and plans[5].slot == 2  # x' comes after x and k
     built = 0
     for text in ["g(a . b . 0 + b . 0)", "f(a . 0 + mix(a, b) . 0, b . 0)", "t(a . 0 + b . 0)",
-                 "s(< d, -, u > . 0 + < {d, u}, -, u > . b . 0)", "r(a . (b . 0 + a . 0))"]:
+                 "s(< d, -, u > . 0 + < {d, u}, -, u > . b . 0)", "r(a . (b . 0 + a . 0))",
+                 "v(a . b . 0 + b . 0)", "c(a . 0 + b . 0)"]:
         term = parse_term(text, spec)
         for args in (term.args, tuple(canon_term(a, th) for a in term.args)):
             for plan in spec.plans_for(term.op):

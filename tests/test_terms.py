@@ -32,7 +32,7 @@ from sosforge.terms import (
     substitute_term,
     summands,
 )
-from termgen import mset, random_full_term, random_label, random_mset
+from termgen import is_canonical, mset, random_full_term, random_label, random_mset
 
 # -- rendering ---------------------------------------------------------------
 
@@ -129,11 +129,11 @@ def test_canonical_nodes_are_shared_per_theory(linda):
     p = parse_term("< u, -, empty > . 0 + ask(d) + 0", linda)
     q = parse_term("ask(d) + < {u}, -, {} > . (0 + 0)", linda)
     c = canon_term(p, th)
-    assert canon_term(q, th) is c and terms.is_canonical(c, th)
+    assert canon_term(q, th) is c and is_canonical(c, th)
     assert canon_term(c, th) is c and canon_term(uncached(c), th) is c
     plain = canon_term(c, EMPTY_THEORY)
     assert plain is not c and plain == c and canon_term(q, EMPTY_THEORY) is plain
-    assert canon_term(c, th) is c and terms.is_canonical(c, th)
+    assert canon_term(c, th) is c and is_canonical(c, th)
     assert canon_term(NIL, th) is canon_term(parse_term("0 + 0", linda), th)
     assert NIL._cth is None
     a, b = (MSet((), sort) for sort in ("A", "B"))
@@ -403,7 +403,7 @@ def _check_same_matches(pattern, subject, th) -> int:
     want = _match_keying_every_result(pattern, subject, th)
     assert got == want, (pattern, subject)
     for sub in got:
-        assert all(terms.is_canonical(v, th) for v in sub.labels.values()), str(sub)
+        assert all(is_canonical(v, th) for v in sub.labels.values()), str(sub)
     return len(got)
 
 
@@ -483,7 +483,7 @@ def test_match_binds_canonical_nodes(linda, spec_of):
     pat, subj = parse_label("{xD, xD'}", linda), parse_label("{u, v, d}", linda)
     got = match(pat, subj, th)
     values = [v for sub in got for v in sub.labels.values()]
-    assert len(got) == 8 and all(terms.is_canonical(v, th) for v in values)
+    assert len(got) == 8 and all(is_canonical(v, th) for v in values)
     assert canon_label(MSet((DataConst("u", "Data"), DataConst("v", "Data")), "Data"), th) in values
 
 
