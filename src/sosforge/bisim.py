@@ -14,6 +14,14 @@ until a level splits nothing; two states are bisimilar exactly when they end
 in the same block.  A positive answer comes with the
 product-reachable set of same-block pairs, whose symmetric closure is a
 bisimulation containing the queried pair.
+
+The witness is found by growing each state's set of partners: when a state
+gains partners, its moves to one (label, target block) group take the union
+of the same group's targets over the new partners.  A label that leads to k
+same-block targets on each side costs a union of k targets per new
+partner, not k * k tests of candidate pairs, so symmetric systems, such as
+parallel copies of one component, are not quadratic in k; time and memory
+grow with the pairs and the transitions.
 """
 
 from __future__ import annotations
@@ -203,28 +211,58 @@ class BisimWitness:
 
 
 def _product_pairs(lts: Lts, blocks: list[int], r0: int, r1: int) -> list[tuple[int, int]]:
-    # labels by identity, once per transition rather than once per visit
-    trans = [[(id(l), t) for l, t in moves] for moves in lts.transitions]
-    seen = {(r0, r1)}
-    queue = [(r0, r1)]
-    # Moves by (label, target block), kept for the states with several moves.
-    index: dict[int, dict[tuple[int, int], list[int]]] = {}
-    while queue:
-        i, j = queue.pop()
-        moves = index.get(j)
-        if moves is None:
-            moves = {}
-            for l, tj in trans[j]:
-                moves.setdefault((l, blocks[tj]), []).append(tj)
-            if len(trans[j]) > 1:
-                index[j] = moves
-        for l, ti in trans[i]:
-            for tj in moves.get((l, blocks[ti]), ()):
-                if (ti, tj) not in seen:
-                    seen.add((ti, tj))
-                    queue.append((ti, tj))
+    """Same-block pairs reachable in the product from the same-block roots
+    r0 and r1, sorted by the two states' rendered strings, ties broken by
+    state index.
+
+    Each left state keeps the set of its partners, and a worklist maps a
+    state to the partners it gained since it was last processed.  A state's
+    moves are grouped once by (label, target block); states of one block
+    have the same groups.  Processing state i with gained partners D takes,
+    per group of i, the union of the same group's targets over j in D, and
+    each target of i's group gains what of that union it lacks.  Partners
+    are sets, not bit masks: an int mask is as large as the highest index
+    it holds, so memory would grow with the square of the states instead
+    of with the pairs.  The states are sorted once; each left state's
+    partners are listed in that order.
+    """
+    groups: list[dict[tuple[int, int], list[int]]] = []
+    for moves in lts.transitions:
+        group: dict[tuple[int, int], list[int]] = {}
+        for l, t in moves:
+            group.setdefault((id(l), blocks[t]), []).append(t)
+        groups.append(group)
+    partners: dict[int, set[int]] = {r0: {r1}}
+    pending = {r0: {r1}}
+    while pending:
+        i, gained = pending.popitem()
+        for key, targets in groups[i].items():
+            reach: set[int] = set()
+            for j in gained:
+                reach.update(groups[j][key])
+            for ti in targets:
+                have = partners.get(ti)
+                if have is None:
+                    have = partners[ti] = set()
+                new = reach - have
+                if new:
+                    have |= new
+                    todo = pending.get(ti)
+                    if todo is None:
+                        pending[ti] = new
+                    else:
+                        todo |= new
     keys = [render_term(t) for t in lts.states]
-    return sorted(seen, key=lambda ij: (keys[ij[0]], keys[ij[1]]))
+    order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties keep index order
+    rank = [0] * len(keys)
+    for r, s in enumerate(order):
+        rank[s] = r
+    return [
+        (i, order[r])
+        for i in order
+        if i in partners
+        for r in sorted(map(rank.__getitem__, partners[i]))
+    ]
 
 
 def bisimilar(

@@ -1,6 +1,8 @@
 """Transition system construction, partition refinement, equivalence queries."""
 
+import hashlib
 import random
+from importlib import resources
 
 import pytest
 
@@ -16,6 +18,7 @@ from sosforge.bisim import (
     explore,
     refine,
 )
+from sosforge.cli import main
 from sosforge.errors import InvalidSpec, StateCapExceeded
 from sosforge.simulator import step
 from sosforge.terms import (
@@ -34,6 +37,7 @@ from termgen import (
     random_full_term,
     random_lts,
 )
+from witness import check_witness
 
 # -- an independent stepper for the parallel fragment ---------------------------
 
@@ -282,7 +286,8 @@ def test_exploration_stops_only_on_separated_roots():
 
 
 def _naive_product_pairs(lts, blocks, r0, r1):
-    """Same-block pairs reachable in the product, comparing every pair of moves."""
+    """Same-block pairs reachable in the product, comparing every pair of moves,
+    sorted by the states' rendered strings and then by their indices."""
     seen = {(r0, r1)}
     queue = [(r0, r1)]
     while queue:
@@ -292,7 +297,15 @@ def _naive_product_pairs(lts, blocks, r0, r1):
                 if l2 == l and blocks[ti] == blocks[tj] and (ti, tj) not in seen:
                     seen.add((ti, tj))
                     queue.append((ti, tj))
-    return sorted(seen, key=lambda ij: (render_term(lts.states[ij[0]]), render_term(lts.states[ij[1]])))
+    keys = [render_term(t) for t in lts.states]
+    return sorted(seen, key=lambda ij: (keys[ij[0]], ij[0], keys[ij[1]], ij[1]))
+
+
+def _check_node_witness(lts, w):
+    """check_witness on a BisimWitness of the roots of lts, built apart: its
+    nodes are lts's states, canonical nodes of the same theory."""
+    index = {id(s): i for i, s in enumerate(lts.states)}
+    check_witness(lts, [(index[id(a)], index[id(b)]) for a, b in w.pairs], tuple(lts.roots))
 
 
 def _verdicts_match_full_exploration(spec, pairs):
@@ -311,6 +324,7 @@ def _verdicts_match_full_exploration(spec, pairs):
             assert [(render_term(a), render_term(b)) for a, b in w.pairs] == [
                 (render_term(full.states[i]), render_term(full.states[j])) for i, j in want
             ]
+            _check_node_witness(full, w)
         else:
             assert w is None
     assert verdicts == {True, False}
@@ -332,6 +346,97 @@ def test_early_verdicts_match_full_exploration_parallel(par):
         t = App("_||_", (random_bccsp_term(rng, 3), random_bccsp_term(rng, 3)))
         pairs += [(t, equivalent_variant(rng, t)), (t, mutate_action(rng, t))]
     _verdicts_match_full_exploration(par, pairs)
+
+
+def test_product_pairs_match_naive_on_cyclic_systems():
+    """Random systems have cycles and nondeterminism, so states often gain
+    partners after they were first processed, which the acyclic state
+    spaces of random terms over the bundled specs rarely make happen."""
+    rng = random.Random(107)
+    roots = 0
+    for _ in range(300):
+        lts = random_lts(rng, max_states=20)
+        blocks = refine(lts)
+        n = len(lts.states)
+        for r0 in range(n):
+            for r1 in range(n):
+                if blocks[r0] == blocks[r1]:
+                    pairs = _product_pairs(lts, blocks, r0, r1)
+                    assert pairs == _naive_product_pairs(lts, blocks, r0, r1), (r0, r1)
+                    check_witness(lts, pairs, (r0, r1))
+                    roots += 1
+    assert roots > 300
+
+
+def _family(comps):
+    """Flat and right-nested parallel compositions of the components."""
+    nested = comps[-1]
+    for c in reversed(comps[:-1]):
+        nested = f"{c} || ({nested})" if " || " in nested else f"{c} || {nested}"
+    return " || ".join(comps), nested
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("odd", [None, "a . c . | . 0"])
+def test_product_pairs_match_naive_on_symmetric_families(par, n, odd):
+    """Equal components can be permuted into each other, so a label leads to
+    several same-block targets on each side of a pair."""
+    comps = ["a . b . | . 0"] * n
+    if odd is not None:
+        comps[-1] = odd
+    flat, nested = _family(comps)
+    lts = build_lts(par, [parse_term(flat, par), parse_term(nested, par)])
+    blocks = refine(lts)
+    r0, r1 = lts.roots
+    assert blocks[r0] == blocks[r1]
+    pairs = _product_pairs(lts, blocks, r0, r1)
+    assert pairs == _naive_product_pairs(lts, blocks, r0, r1)
+    check_witness(lts, pairs, (r0, r1))
+
+
+def _stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_symmetric_witness_transcript(capsys):
+    flat, nested = _family(["a . b . | . 0"] * 5)
+    par = str(resources.files("sosforge") / "corpus" / "bccsp_par.sos")
+    out = _stdout(capsys, "bisim", par, flat, nested)
+    assert out.count("\n") == 4655
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e9d8428c05f929a746eaabd6b06154876dbd17592c6c81b018fa6caabad1aa77"
+    )
+
+
+def test_recursive_witness_transcripts(capsys):
+    rec = str(resources.files("sosforge") / "corpus" / "recursion.sos")
+    assert _stdout(capsys, "bisim", rec, "p1", "q1") == (
+        "true\n < p1 ; q1 >\n < p1 ; q4 >\n < p2 ; q2 >\n < p3 ; q3 >\n"
+    )
+    assert _stdout(capsys, "eq", rec, "p1", "q1", "--json") == (
+        "{\n"
+        '  "bisimilar": true,\n'
+        '  "witness": [\n'
+        "    [\n"
+        '      "p1",\n'
+        '      "q1"\n'
+        "    ],\n"
+        "    [\n"
+        '      "p1",\n'
+        '      "q4"\n'
+        "    ],\n"
+        "    [\n"
+        '      "p2",\n'
+        '      "q2"\n'
+        "    ],\n"
+        "    [\n"
+        '      "p3",\n'
+        '      "q3"\n'
+        "    ]\n"
+        "  ]\n"
+        "}\n"
+    )
 
 
 def _check_work(monkeypatch, decide):
@@ -416,6 +521,7 @@ def test_witness_pairs_satisfy_transfer(par):
             for l, ta in sa:
                 assert any(l2 == l and (ta, tb) in rel for l2, tb in sb), (a, b, l)
             checked += 1
+        _check_node_witness(build_lts(par, [p, q]), w)
     assert checked > 0
 
 

@@ -86,6 +86,16 @@ def test_bisim_witness_is_one_write(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("flag, golden", [((), "bisim_par3.txt"), (("--json",), "bisim_par3_json.json")])
+def test_bisim_symmetric_golden(capsys, flag, golden):
+    """Three equal components, flat against right-nested: the transcript
+    the console-script check diffs as well."""
+    c = "a . b . | . 0"
+    code, out, _ = run(capsys, "bisim", PAR, f"{c} || {c} || {c}", f"{c} || ({c} || {c})", *flag)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+
+
 def test_bisim_false(capsys):
     code, out, _ = run(capsys, "bisim", PAR, "a . 0", "b . 0")
     assert code == 1
