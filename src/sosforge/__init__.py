@@ -4,52 +4,57 @@ Parse a specification, simulate closed terms, decide strong bisimilarity
 (including guarded recursion), normalize terms through the derived
 equation schema, and check binary operators for commutativity by rule
 mirroring.  Bundled example specifications live under `corpus/`.
+
+Importing the package loads none of its modules; each export loads on use.
 """
 
-from importlib import resources
+import importlib
+from typing import TYPE_CHECKING
 
-from .axioms import NormalizeBudget, axiom_report, normalize, satisfies
-from .bisim import Lts, are_equal, bisimilar, build_lts, refine
-from .commform import CommReport, cc_equal, check_comm, find_mirror, formats_spec
-from .errors import InvalidSpec, SosError
-from .parser import parse_label, parse_spec, parse_term
-from .simulator import Step, solve_rule, step
-from .terms import (
-    canon_label,
-    canon_term,
-    match,
-    render_label,
-    render_term,
-    substitute_label,
-    substitute_term,
-    summands,
-)
-from .tss import Rule, Spec, render_spec
-from .validator import check_all
+if TYPE_CHECKING:
+    from .tss import Spec
 
-__all__ = [
-    "NormalizeBudget", "axiom_report", "normalize", "satisfies",
-    "Lts", "are_equal", "bisimilar", "build_lts", "refine",
-    "CommReport", "cc_equal", "check_comm", "find_mirror", "formats_spec",
-    "InvalidSpec", "SosError",
-    "parse_label", "parse_spec", "parse_term",
-    "Step", "solve_rule", "step",
-    "canon_label", "canon_term", "match",
-    "render_label", "render_term", "substitute_label", "substitute_term",
-    "summands",
-    "Rule", "Spec", "render_spec",
-    "check_all",
-    "corpus_text", "load_corpus",
-]
+# The exported names, by the module that defines them.
+_EXPORTS = {
+    "axioms": ("NormalizeBudget", "axiom_report", "normalize", "satisfies"),
+    "bisim": ("Lts", "are_equal", "bisimilar", "build_lts", "refine"),
+    "commform": ("CommReport", "cc_equal", "check_comm", "find_mirror", "formats_spec"),
+    "errors": ("InvalidSpec", "SosError"),
+    "parser": ("parse_label", "parse_spec", "parse_term"),
+    "simulator": ("Step", "solve_rule", "step"),
+    "terms": ("canon_label", "canon_term", "match", "render_label", "render_term",
+              "substitute_label", "substitute_term", "summands"),
+    "tss": ("Rule", "Spec", "render_spec"),
+    "validator": ("check_all",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "corpus_text", "load_corpus"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 def corpus_text(name: str) -> str:
     """The source text of a bundled specification, by name ('linda' or 'linda.sos')."""
+    from importlib import resources
+
     if not name.endswith(".sos"):
         name += ".sos"
     return (resources.files(__name__) / "corpus" / name).read_text(encoding="utf-8")
 
 
-def load_corpus(name: str) -> Spec:
+def load_corpus(name: str) -> "Spec":
     """Parse a bundled specification by bare name, e.g. 'linda'."""
+    from .parser import parse_spec
+
     return parse_spec(corpus_text(name))

@@ -1,21 +1,15 @@
-"""Command line entry point."""
+"""Command line entry point. Each command imports the engine modules it runs."""
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
-from .axioms import NormalizeBudget, axiom_report_json, axiom_report_text, normalize
-from .bisim import are_equal, bisimilar
-from .commform import check_comm, comm_report_json, comm_report_text, formats_spec
 from .errors import BudgetExceeded, SosError, StateCapExceeded
 from .parser import parse_spec, parse_term
-from .simulator import step, steps_to_json
 from .terms import render_term
-from .tss import render_spec
 from .validator import check_all, violations_to_json
 
 EXIT_OK = 0
@@ -50,6 +44,8 @@ def _load_spec(path: str):
 
 
 def _emit(data) -> None:
+    import json
+
     print(json.dumps(data, indent=2))
 
 
@@ -67,11 +63,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulator
+
     spec = _load_spec(args.spec)
     term = parse_term(args.term, spec)
-    steps = step(spec, term)
+    steps = simulator.step(spec, term)
     if args.json:
-        _emit(steps_to_json(steps))
+        _emit(simulator.steps_to_json(steps))
         return EXIT_OK
     print("Possible steps:")
     for s in steps:
@@ -80,10 +78,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bisim(args) -> int:
+    from . import bisim
+
     spec = _load_spec(args.spec)
     p = parse_term(args.term1, spec)
     q = parse_term(args.term2, spec)
-    ok, witness = bisimilar(spec, p, q, args.state_cap)
+    ok, witness = bisim.bisimilar(spec, p, q, args.state_cap)
     if args.json:
         _emit({"bisimilar": ok, "witness": witness.to_json() if witness else None})
     elif ok:
@@ -97,8 +97,10 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_eq(args) -> int:
+    from . import bisim
+
     spec = _load_spec(args.spec)
-    ok, witness = are_equal(spec, args.const1, args.const2, args.state_cap)
+    ok, witness = bisim.are_equal(spec, args.const1, args.const2, args.state_cap)
     if args.json:
         _emit({"bisimilar": ok, "witness": witness.to_json() if witness else None})
     elif ok:
@@ -110,10 +112,12 @@ def cmd_eq(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from . import axioms
+
     spec = _load_spec(args.spec)
     term = parse_term(args.term, spec)
-    budget = NormalizeBudget(max_rewrites=args.budget) if args.budget is not None else None
-    result = normalize(spec, term, budget)
+    budget = axioms.NormalizeBudget(max_rewrites=args.budget) if args.budget is not None else None
+    result = axioms.normalize(spec, term, budget)
     if args.json:
         _emit({"term": render_term(result)})
     else:
@@ -122,24 +126,28 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from . import axioms
+
     spec = _load_spec(args.spec)
     if args.json:
-        _emit(axiom_report_json(spec))
+        _emit(axioms.axiom_report_json(spec))
     else:
-        print(axiom_report_text(spec), end="")
+        print(axioms.axiom_report_text(spec), end="")
     return EXIT_OK
 
 
 def cmd_comm(args) -> int:
+    from . import commform, tss
+
     spec = _load_spec(args.spec)
-    report = check_comm(spec)
+    report = commform.check_comm(spec)
     if args.emit_formats:
-        derived = formats_spec(spec, report)
-        Path(args.emit_formats).write_text(render_spec(derived), encoding="utf-8")
+        derived = commform.formats_spec(spec, report)
+        Path(args.emit_formats).write_text(tss.render_spec(derived), encoding="utf-8")
     if args.json:
-        _emit(comm_report_json(report))
+        _emit(commform.comm_report_json(report))
     else:
-        print(comm_report_text(spec, report), end="")
+        print(commform.comm_report_text(spec, report), end="")
     return EXIT_OK if not report.failed else EXIT_FALSE
 
 

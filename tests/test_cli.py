@@ -387,10 +387,14 @@ def test_emit_formats(tmp_path, capsys):
 
 
 def test_all_exports_resolve():
-    import sosforge
-
+    namespace = {}
+    exec("from sosforge import *", namespace)
+    assert set(sosforge.__all__) <= namespace.keys()
     for name in sosforge.__all__:
         assert hasattr(sosforge, name), name
+    assert set(sosforge.__all__) <= set(dir(sosforge))
+    with pytest.raises(AttributeError, match=r"^module 'sosforge' has no attribute 'no_such'$"):
+        sosforge.no_such
 
 
 # -- installed entry point ----------------------------------------------------------------
