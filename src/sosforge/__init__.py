@@ -16,7 +16,7 @@ if TYPE_CHECKING:
 
 # The exported names, by the module that defines them.
 _EXPORTS = {
-    "axioms": ("NormalizeBudget", "axiom_report", "normalize", "satisfies"),
+    "axioms": ("NormalizeBudget", "axiom_report", "normalize"),
     "bisim": ("Lts", "are_equal", "bisimilar", "build_lts", "refine"),
     "commform": ("CommReport", "cc_equal", "check_comm", "find_mirror", "formats_spec"),
     "errors": ("InvalidSpec", "SosError"),

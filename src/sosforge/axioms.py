@@ -10,13 +10,12 @@ ground terms.
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded, NonBccspTerm, NonHnfArgument, OpenTerm
+from .errors import BudgetExceeded, NonBccspTerm, OpenTerm
 from .simulator import solve_rule
 from .terms import (
     App,
     Choice,
     DefConst,
-    EquationalTheory,
     LabelTerm,
     Nil,
     Prefix,
@@ -34,7 +33,7 @@ from .terms import (
     summands,
     valueclass,
 )
-from .tss import APP, VAR, Rule, Spec
+from .tss import APP, VAR, Spec
 
 
 @valueclass
@@ -47,34 +46,6 @@ class NormalizeBudget:
 MAX_DEPTH = 500  # nesting depth at which normalization gives up
 MAX_NF_CHARS = 10_000_000  # longest rewritten term, normal-form arguments rendered
 DEFAULT_BUDGET = NormalizeBudget()
-
-
-def _offers(args: tuple, th: EquationalTheory) -> dict[int, list[tuple[LabelTerm, Term]]]:
-    """The summands of each process argument, by position."""
-    offers = {}
-    for k, a in enumerate(args):
-        if isinstance(a, Term):
-            try:
-                offers[k] = summands(a, th)
-            except NonBccspTerm as e:
-                raise NonHnfArgument(f"argument {render_term(a)}: {e}") from None
-    return offers
-
-
-def satisfies(spec: Spec, args: tuple, rule: Rule) -> list[Substitution]:
-    """Substitutions under which a rule's premises hold of head-normal arguments.
-
-    Positive premises are witnessed by summands of the tested argument;
-    negative premises demand the absence of any summand with that label.
-    A library wrapper around `solve_rule`: it names the bindings of the
-    rule's plan.
-    """
-    plan = next((p for p in spec.plans_for(rule.conclusion.source.op) if p.rule is rule), None)
-    if plan is None:
-        raise ValueError(f"not a rule of spec {spec.name}: {rule}")
-    th = spec.theory
-    rows = solve_rule(plan, tuple(args), _offers(args, th).__getitem__, th)
-    return [plan.substitution(b) for b in rows]
 
 
 def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> Term:
@@ -151,7 +122,9 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
         parts = []
         plans = spec.plans_for(op)
         if plans:
-            moves = _offers(args, th).__getitem__  # summands once per rewrite
+            # each process argument's summands, by position, once per rewrite
+            offers = {k: summands(a, th) for k, a in enumerate(args) if isinstance(a, Term)}
+            moves = offers.__getitem__
             for plan in plans:
                 rows = solve_rule(plan, args, moves, th)
                 if rows:

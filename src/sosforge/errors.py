@@ -56,10 +56,6 @@ class InvalidSpec(SosError):
         super().__init__("\n".join(["invalid specification", *map(str, self.violations)]))
 
 
-class NonHnfArgument(SosError):
-    """An axiom-schema argument is not a head normal form."""
-
-
 class StateCapExceeded(SosError):
     """Transition-system exploration hit the state cap."""
 

@@ -156,6 +156,11 @@ class MSet(LabelTerm):
     elements: tuple[LabelTerm, ...]
     sort: str
 
+    @property
+    def args(self) -> tuple[LabelTerm, ...]:
+        """The arguments of the union, as an `LApp`'s: the elements."""
+        return self.elements
+
 
 @valueclass
 class Triple(LabelTerm):
@@ -450,7 +455,7 @@ def free_vars(t: Term | LabelTerm) -> tuple[set[str], set[str]]:
             procs.add(x.name)
         elif cls is LVar:
             labels.add(x.name)
-        elif cls is App or cls is LApp:
+        elif cls is App or cls is LApp or cls is MSet:
             todo.extend(x.args)
         elif cls is Prefix:
             todo.append(x.label)
@@ -458,8 +463,6 @@ def free_vars(t: Term | LabelTerm) -> tuple[set[str], set[str]]:
         elif cls is Choice:
             todo.append(x.left)
             todo.append(x.right)
-        elif cls is MSet:
-            todo.extend(x.elements)
         elif cls is Triple:
             todo.append(x.pre)
             todo.append(x.post)
@@ -530,6 +533,30 @@ def _ordered(nodes: list, render) -> list:
     return nodes
 
 
+def _equations(node: LApp | MSet, th: EquationalTheory) -> tuple[bool, bool, LabelTerm | None]:
+    """(comm, assoc, identity) of a flat node's operator: a label operator's
+    declared attributes, or a multiset's union, ACU with `{}` of its sort."""
+    if type(node) is MSet:
+        return True, True, _mset((), node.sort, th)
+    attrs = th.op_attrs(node.op)
+    ident = attrs.identity
+    return attrs.comm, attrs.assoc, None if ident is None else canon_label(ident, th)
+
+
+def _same_op(a: LApp | MSet, b: LApp | MSet) -> bool:
+    """Whether two flat nodes of one class apply one operator: one label
+    operator, or the union of one data sort."""
+    return a.op == b.op if type(a) is LApp else a.sort == b.sort
+
+
+def _flat_node(node: LApp | MSet, args: list | tuple, th: EquationalTheory) -> LApp | MSet:
+    """th's node of node's operator over canonical arguments in canonical order."""
+    if type(node) is MSet:
+        return _mset(args, node.sort, th)
+    key = _ids((LApp, node.op, node.sort), args)
+    return th._nodes.get(key) or _store(th, key, LApp(node.op, tuple(args), node.sort))
+
+
 def canon_label(l: LabelTerm, th: EquationalTheory = EMPTY_THEORY) -> LabelTerm:
     """Canonical form of a label modulo the declared attribute equations:
     th's one node for it."""
@@ -546,39 +573,19 @@ def canon_label(l: LabelTerm, th: EquationalTheory = EMPTY_THEORY) -> LabelTerm:
         else:
             key = (cls, l.name, l.sort)
             out = th._nodes.get(key) or _store(th, key, cls(l.name, l.sort))
-    elif cls is LApp:
-        attrs = th.op_attrs(l.op)
-        args = [canon_label(a, th) for a in l.args]
-        if attrs.assoc:
-            flat: list[LabelTerm] = []
-            for a in args:
-                if type(a) is LApp and a.op == l.op:
-                    flat.extend(a.args)
-                else:
-                    flat.append(a)
-            args = flat
-        out = None
-        if attrs.identity is not None:
-            ident = canon_label(attrs.identity, th)
-            args = [a for a in args if a is not ident]
-            if not args:
-                out = ident
-            elif len(args) == 1:
-                out = args[0]
-        if out is None:
-            if attrs.comm:
-                _ordered(args, render_label)
-            key = _ids((LApp, l.op, l.sort), args)
-            out = th._nodes.get(key) or _store(th, key, LApp(l.op, tuple(args), l.sort))
-    elif cls is MSet:
-        flat = []
-        for e in l.elements:
-            ce = canon_label(e, th)
-            if type(ce) is MSet and ce.sort == l.sort:
-                flat.extend(ce.elements)
-            else:
-                flat.append(ce)
-        out = _mset(_ordered(flat, render_label), l.sort, th)
+    elif cls is LApp or cls is MSet:
+        comm, assoc, ident = _equations(l, th)
+        args = []
+        for a in l.args:
+            ca = canon_label(a, th)
+            if assoc and type(ca) is cls and _same_op(ca, l):
+                args.extend(ca.args)
+            elif ca is not ident:
+                args.append(ca)
+        if cls is LApp and ident is not None and len(args) < 2:
+            out = args[0] if args else ident
+        else:
+            out = _flat_node(l, _ordered(args, render_label) if comm else args, th)
     elif cls is Triple:
         out = _canon_triple(canon_label(l.pre, th), canon_label(l.post, th), th)
     else:
@@ -685,10 +692,9 @@ def match(pattern: LabelTerm, subject: LabelTerm,
           th: EquationalTheory = EMPTY_THEORY) -> list[Substitution]:
     """All substitutions s with canon(substitute(pattern, s)) == canon(subject).
 
-    Labels match modulo the label equations; a commutative operator's
-    arguments pair up in any order.  Data multisets match modulo ACU, in
-    time exponential in the pattern's variables, as AC matching is.  Operators
-    declared `assoc` do not: a pattern argument claims one subject argument.
+    Labels match modulo the label equations (C, A, AU, CU, AC and ACU; a
+    data multiset is its sort's union, ACU with `{}`; see `_match_args`),
+    in time exponential in the pattern's variables, as AC matching is.
     Each label a result binds is a canonical node of th, and no two results
     bind every variable to the same nodes.
     """
@@ -740,19 +746,18 @@ def _match_label(pat: LabelTerm, subj: LabelTerm, state, th, bind):
         if pat is subj:
             yield state
         return
-    if isinstance(pat, LApp):
-        if not (isinstance(subj, LApp) and subj.op == pat.op and len(subj.args) == len(pat.args)):
-            return
-        if th.op_attrs(pat.op).comm:
-            # commutative arguments pair up in any order
-            yield from _match_assignment(list(pat.args), list(subj.args), state, th, bind)
-        else:
-            yield from _match_seq(list(pat.args), list(subj.args), state, th, bind)
-        return
-    if isinstance(pat, MSet):
-        if isinstance(subj, MSet) and subj.sort == pat.sort:
-            parts = sorted(pat.elements, key=lambda e: isinstance(e, LVar))  # variables last
-            yield from _match_mset(parts, subj.elements, state, th, bind, pat.sort)
+    if isinstance(pat, (LApp, MSet)):
+        cls = type(pat)
+        comm, assoc, ident = eqs = _equations(pat, th)
+        # in any order, variables last: the last one takes what is left
+        pats = sorted(pat.args, key=lambda a: type(a) is LVar) if comm else pat.args
+        same = type(subj) is cls and _same_op(subj, pat)
+        if same:
+            yield from _match_args(pats, subj.args, state, pat, eqs, th, bind)
+        if cls is LApp and ident is not None and not (same and assoc):
+            # subj as op(subj, identity), the identity as op(identity, identity)
+            subjs = () if subj is ident else (subj,)
+            yield from _match_args(pats, subjs, state, pat, eqs, th, bind)
         return
     if isinstance(pat, Triple):
         if isinstance(subj, Triple):
@@ -762,48 +767,41 @@ def _match_label(pat: LabelTerm, subj: LabelTerm, state, th, bind):
     raise TypeError(f"not a label pattern: {pat!r}")
 
 
-def _match_seq(pats, subjs, state, th, bind):
-    if not pats:
-        yield state
-        return
-    for s1 in _match_label(pats[0], subjs[0], state, th, bind):
-        yield from _match_seq(pats[1:], subjs[1:], s1, th, bind)
+def _match_args(pats, subjs, state, node, eqs, th, bind):
+    """Match a flat pattern's arguments against a subject's under the
+    pattern operator's equations eqs, (comm, assoc, identity).
 
-
-def _match_assignment(pats, subjs, state, th, bind):
-    """Bijective element assignment between two multisets of parts."""
-    if len(pats) != len(subjs):
-        return
-    if not pats:
-        yield state
-        return
-    pat, rest = pats[0], pats[1:]
-    for i, cand in enumerate(subjs):
-        for s1 in _match_label(pat, cand, state, th, bind):
-            yield from _match_assignment(rest, subjs[:i] + subjs[i + 1:], s1, th, bind)
-
-
-def _match_mset(pats, subjs, state, th, bind, sort):
-    """ACU matching: each non-variable part claims one subject element, then
-    the variables (last in pats) share the rest, each taking any sub-multiset.
-
-    A share of one element binds that element, an empty share `{}` and a
-    larger one th's canonical multiset of its elements.
+    Under an `assoc` operator a variable, or an application of an operator
+    with an identity (it may collapse to several arguments), claims a share:
+    any sub-multiset of what is left if `comm`, else the next segment; the
+    last pattern argument claims all that is left.  Any other argument
+    claims one (any one if `comm`, else the next) or none.  A share of one
+    argument is that argument, none the identity, more th's node over them.
+    A subject of an operator with an identity also reads as that operator
+    applied to the subject and the identity (`_match_label`).
     """
     if not pats:
         if not subjs:
             yield state
         return
+    comm, assoc, ident = eqs
     pat, rest = pats[0], pats[1:]
-    if not isinstance(pat, LVar):
-        for i, cand in enumerate(subjs):
-            for s1 in _match_label(pat, cand, state, th, bind):
-                yield from _match_mset(rest, subjs[:i] + subjs[i + 1:], s1, th, bind, sort)
-        return
-    for share, left in _splits(subjs) if rest else [(subjs, ())]:
-        value = share[0] if len(share) == 1 else _mset(share, sort, th)
-        for s1 in bind(state, pat, value):
-            yield from _match_mset(rest, left, s1, th, bind, sort)
+    if assoc and (type(pat) is LVar or type(pat) is LApp and th.op_attrs(pat.op).identity is not None):
+        if not rest:
+            shares = [(subjs, ())]
+        elif comm:
+            shares = _splits(subjs)
+        else:
+            shares = [(subjs[:k], subjs[k:]) for k in range(len(subjs) + 1)]
+    else:
+        picks = range(len(subjs)) if comm else range(min(1, len(subjs)))
+        shares = [(subjs[i:i + 1], subjs[:i] + subjs[i + 1:]) for i in picks] + [((), subjs)]
+    for share, left in shares:
+        if not share and ident is None:
+            continue
+        value = share[0] if len(share) == 1 else _flat_node(node, share, th) if share else ident
+        for s1 in _match_label(pat, value, state, th, bind):
+            yield from _match_args(rest, left, s1, node, eqs, th, bind)
 
 
 def _splits(elems: tuple):

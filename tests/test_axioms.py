@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sosforge import axioms, load_corpus, parse_spec, parse_term, terms
+from sosforge import axioms, parse_spec, parse_term, terms
 from sosforge.axioms import (
     DEFAULT_BUDGET,
     MAX_DEPTH,
@@ -14,13 +14,11 @@ from sosforge.axioms import (
     axiom_report_json,
     axiom_report_text,
     normalize,
-    satisfies,
 )
 from sosforge.bisim import bisimilar
 from sosforge.errors import (
     BudgetExceeded,
     NonBccspTerm,
-    NonHnfArgument,
     OpenTerm,
     SosError,
 )
@@ -50,48 +48,40 @@ from termgen import random_full_term
 # -- premise satisfaction ---------------------------------------------------------
 
 
-def test_satisfies_interleave_rule(par):
-    rule = par.rules[0]
-    got = satisfies(par, (parse_term("a . 0", par), parse_term("b . 0", par)), rule)
+def _fire(spec, args, i):
+    """The substitutions under which spec.rules[i] fires on head-normal
+    arguments, through its plan: positive premises are witnessed by summands
+    of the tested argument, negative ones by the absence of any summand with
+    that label."""
+    rule = spec.rules[i]
+    plan = next(p for p in spec.plans_for(rule.conclusion.source.op) if p.rule is rule)
+    offers = {k: terms.summands(a, spec.theory) for k, a in enumerate(args)}
+    return [plan.substitution(b) for b in solve_rule(plan, args, offers.__getitem__, spec.theory)]
+
+
+def test_premises_of_interleave_rule(par):
+    got = _fire(par, (parse_term("a . 0", par), parse_term("b . 0", par)), 0)
     assert len(got) == 1
     assert render_label(got[0].labels["alpha"]) == "a"
     assert render_term(got[0].terms["x'"]) == "0"
 
 
-def test_satisfies_blocked_by_negative(gspec):
-    rule = gspec.rules[0]
+def test_premises_blocked_by_negative(gspec):
     a_a = (parse_term("a . 0", gspec), parse_term("a . 0", gspec))
-    assert satisfies(gspec, a_a, rule) == []
+    assert _fire(gspec, a_a, 0) == []
     a_b = (parse_term("a . 0", gspec), parse_term("b . 0", gspec))
-    got = satisfies(gspec, a_b, rule)
+    got = _fire(gspec, a_b, 0)
     assert len(got) == 1
     assert render_label(got[0].labels["k"]) == "a"
     assert render_label(got[0].labels["l"]) == "b"
 
 
-def test_satisfies_needs_head_normal_arguments(par):
-    rule = par.rules[0]
-    args = (parse_term("a . 0 || 0", par), parse_term("0", par))
-    with pytest.raises(NonHnfArgument):
-        satisfies(par, args, rule)
-
-
-def test_satisfies_takes_any_continuation(par):
+def test_premises_take_any_continuation(par):
     """Head normal arguments are checked on their choice spine only."""
     args = (parse_term("a . (b . 0 || c . 0)", par), parse_term("0", par))
-    got = satisfies(par, args, par.rules[0])
+    got = _fire(par, args, 0)
     assert [str(s) for s in got] == ["{x <- a . (b . 0 || c . 0), x' <- b . 0 || c . 0, "
                                      "y <- 0, alpha <- a}"]
-
-
-def test_satisfies_refuses_a_rule_of_another_spec(par):
-    """Plans belong to a spec: an equal rule parsed into another spec is
-    not one of its rules."""
-    other = load_corpus("bccsp_par")
-    assert other.rules[0] == par.rules[0]
-    args = (parse_term("a . 0", par), parse_term("b . 0", par))
-    with pytest.raises(ValueError, match="not a rule of spec BCCSP_PAR"):
-        satisfies(par, args, other.rules[0])
 
 
 # -- normalization ----------------------------------------------------------------
@@ -299,13 +289,7 @@ def _reference_summands(t, th):
 
 def _reference_satisfies(spec, args, plan):
     th = spec.theory
-    offers = {}
-    for k, a in enumerate(args):
-        if isinstance(a, Term):
-            try:
-                offers[k] = _reference_summands(a, th)
-            except NonBccspTerm as e:
-                raise NonHnfArgument(f"argument {render_term(a)}: {e}") from None
+    offers = {k: _reference_summands(a, th) for k, a in enumerate(args) if isinstance(a, Term)}
     return [plan.substitution(b) for b in solve_rule(plan, tuple(args), lambda k: offers[k], th)]
 
 

@@ -547,6 +547,55 @@ def test_lone_constant_meets_its_slot_form(tmp_path, capsys):
     assert run(capsys, "normalize", str(spec), "f(< d, -, {d, u} > . 0)") == (0, "a . 0\n", "")
 
 
+# -- label operators declared assoc and id: ---------------------------------------
+
+LID_SPEC = """spec LID
+actions a b c e ;
+labelop cat : Label Label -> Label [assoc id: e] ;
+labelop mix : Label Label -> Label [comm id: e] ;
+op f : 1 ;  op g : 1 ;  op h : 1 ;
+var x x' : Proc ;  var k l : Label ;
+rule x -(k)-> x' ==> f(x) -(cat(k, a))-> x' ;
+rule x -(mix(k, l))-> x' ==> g(x) -(k)-> x' ;
+rule x -(cat(a, k))-> x' ==> h(x) -(k)-> x' ;
+"""
+
+
+@pytest.fixture
+def lid(tmp_path):
+    """A spec whose premise labels match modulo A, AU and CU."""
+    spec = tmp_path / "lid.sos"
+    spec.write_text(LID_SPEC, encoding="utf-8")
+    return str(spec)
+
+
+# term, and the labels of its steps, each to 0
+LID_ROWS = [
+    ("h(cat(a,b,c) . 0)", ["cat(b,c)"]),  # k takes the segment b, c
+    ("h(cat(a, cat(b, c)) . 0)", ["cat(b,c)"]),
+    ("g(mix(a, e) . 0)", ["a", "e"]),  # mix(a, e) is a, read as mix(a, e) and mix(e, a)
+    ("h(a . 0)", ["e"]),  # a is cat(a, e): k takes the empty segment
+]
+
+
+@pytest.mark.parametrize("term, labels", LID_ROWS, ids=[term for term, _ in LID_ROWS])
+def test_assoc_and_identity_labels_match(lid, capsys, term, labels):
+    steps = "".join(f" < {label} # 0 >\n" for label in labels)
+    assert run(capsys, "simulate", lid, term) == (0, "Possible steps:\n" + steps, "")
+    code, out, err = run(capsys, "simulate", lid, term, "--json")
+    assert (code, json.loads(out), err) == (
+        0, [{"label": label, "target": "0"} for label in labels], "")
+
+
+def test_assoc_label_step_is_seen_by_bisim_and_normalize(lid, capsys):
+    t = "h(cat(a,b,c) . 0)"
+    assert run(capsys, "bisim", lid, t, "0") == (1, "false\n", "")
+    code, out, err = run(capsys, "bisim", lid, t, "0", "--json")
+    assert (code, json.loads(out), err) == (1, {"bisimilar": False, "witness": None}, "")
+    assert run(capsys, "normalize", lid, t) == (0, "cat(b,c) . 0\n", "")
+    assert run(capsys, "normalize", lid, "g(mix(a, e) . 0)") == (0, "a . 0 + e . 0\n", "")
+
+
 def test_intern_tables_do_not_grow_with_commands(tmp_path, capsys, monkeypatch):
     """Each command's canonical nodes die with its Spec, and library calls
     that use the default theory leave no node in its table that nobody holds."""

@@ -32,6 +32,7 @@ from sosforge.terms import (
     Substitution,
     Var,
     canon_label,
+    match,
     render_label,
     render_term,
     substitute_label,
@@ -152,6 +153,32 @@ def test_mirror_mapping_is_injective():
         "rule x -(alpha)-> x' , y -(beta)-> y' ==> f(x,y) -(alpha)-> f(x',y') ;\n"
     )
     assert find_mirror(spec, spec.rules[0], spec.rules[1], {"f", "+"}) is None
+
+
+SEGMENT_SPEC = (
+    "spec SEG\nactions a e ;\nlabelop cat : Label Label -> Label [assoc id: e] ;\nop f : 2 ;\n"
+    "var x y x' y' : Proc ;\nvar k l m : Label ;\n"
+    "rule x -(cat(k, l))-> x' ==> f(x, y) -(k)-> x' ;\n"
+    "rule y -(cat(k, l, m))-> y' ==> f(x, y) -(k)-> y' ;\n"
+)
+
+
+def test_mirror_maps_no_variable_to_an_identity_or_a_segment(capsys, tmp_path):
+    """`cat(k, l, m)` matches `cat(k, l)` with m the identity, and `cat(k, l)`
+    matches `cat(k, l, m)` with l the segment `cat(l, m)`; a renaming takes
+    neither value, so no mirror is found and f stays unproven."""
+    spec = parse_spec(SEGMENT_SPEC)
+    th = spec.theory
+    two, three = (canon_label(r.positives[0].label, th) for r in spec.rules)
+    assert "e" in [render_label(s.labels["m"]) for s in match(three, two, th)]
+    assert "cat(l,m)" in [render_label(s.labels["l"]) for s in match(two, three, th)]
+    for a, b in ((0, 1), (1, 0)):
+        assert find_mirror(spec, spec.rules[a], spec.rules[b], {"f", "+"}) is None
+    assert check_comm(spec).failed == {"f": [1, 2]}
+    path = tmp_path / "seg.sos"
+    path.write_text(SEGMENT_SPEC, encoding="utf-8")
+    assert main(["comm", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("Could not prove commutativity for: f\n")
 
 
 def test_sequencing_has_no_mirror(linda):

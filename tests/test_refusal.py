@@ -16,7 +16,6 @@ from sosforge import (
     normalize,
     parse_spec,
     parse_term,
-    satisfies,
     solve_rule,
     step,
 )
@@ -125,7 +124,6 @@ def _calls():
         "step_definition": lambda s: step(s, DefConst("p")),
         "solve_rule": lambda s: solve_rule(s.plans_for("h")[0], (term(s, "a . 0"),) * 2,
                                            lambda k: [], s.theory),
-        "satisfies": lambda s: satisfies(s, (term(s, "a . 0"),) * 2, s.rules[1]),
         "normalize": lambda s: normalize(s, term(s, "f(a . 0)")),
         "build_lts": lambda s: build_lts(s, [term(s, "h(a . 0, 0)")]),
         "bisimilar": lambda s: bisimilar(s, term(s, "f(a . 0)"), term(s, "a . 0")),

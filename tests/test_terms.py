@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,10 +17,12 @@ from sosforge.terms import (
     Choice,
     DataConst,
     DefConst,
+    LApp,
     LVar,
     MSet,
     Prefix,
     Substitution,
+    Triple,
     Var,
     canon_label,
     canon_term,
@@ -497,3 +500,200 @@ def test_match_binds_a_lone_constant_and_its_slot_as_one_value(linda):
     assert len(got) == 1 and render_label(got[0].labels["xD"]) == "{d}"
     assert match(pat, parse_label("< u, -, {d, u} >", linda), th) == []
     assert match(pat, parse_label("< d, -, {d, d, u} >", linda), th) == []
+
+
+# -- matching against a brute-force oracle -------------------------------------
+
+ORACLE_SPEC = """spec ORACLE
+actions a b c e ;
+datasort Data [assoc comm id: empty] ;
+dataconst d u : Data ;
+labelop cat : Label Label -> Label [assoc id: e] ;
+labelop mix : Label Label -> Label [comm id: e] ;
+labelop cc : Label Label -> Label [assoc comm] ;
+labelop ca : Label Label -> Label [assoc] ;
+labelop pr : Label Label -> Label ;
+var k l m : Label ;
+var xD yD : Data ;
+"""
+ORACLE_OPS = ("cat", "mix", "cc", "ca", "pr")
+ORACLE_ASSOC = ("cat", "cc", "ca")
+ORACLE_MAX = 5  # nodes of the largest subject
+# An argument of an operator with an identity collapses into a segment of an
+# `assoc` operator above it: `mix(k, l)` with l bound to e is k, so under
+# `cat` it meets a segment.  Random patterns seldom do this, so these do.
+ORACLE_COLLAPSES = [
+    ("cat(mix(k, l), c)", "cat(a, b, c)"),
+    ("cat(a, mix(k, l))", "cat(a, b, c)"),
+    ("ca(mix(k, l), c)", "ca(a, b, c)"),
+    ("cc(cat(l, m), l)", "cc(b, b, b, b)"),
+    ("cc(l, mix(l, m))", "cc(b, c, c, e)"),
+]
+
+
+def _kids(t):
+    if isinstance(t, MSet):
+        return t.elements
+    if isinstance(t, LApp):
+        return t.args
+    return (t.pre, t.post) if isinstance(t, Triple) else ()
+
+
+def _size(t) -> int:
+    return 1 + sum(_size(a) for a in _kids(t))
+
+
+def _constants(t) -> Counter:
+    if isinstance(t, (ActConst, DataConst)):
+        return Counter([t.name])
+    return sum((_constants(a) for a in _kids(t)), Counter())
+
+
+def _variables(t) -> list:
+    return [t] if isinstance(t, LVar) else [v for a in _kids(t) for v in _variables(a)]
+
+
+def _oracle_universe(th):
+    """Every canonical Label value and Data multiset of at most ORACLE_MAX
+    nodes over the spec's constants, by sort, with its size, its count of
+    e and its other constants."""
+    msets = {canon_label(MSet(elems, "Data"), th)
+             for j in range(ORACLE_MAX)
+             for elems in itertools.combinations_with_replacement(
+                 (DataConst("d", "Data"), DataConst("u", "Data")), j)}
+    by_size = {1: {canon_label(ActConst(n), th) for n in "abce"}}
+    for s in range(2, ORACLE_MAX + 1):
+        found = {canon_label(Triple(p, q), th) for p in msets for q in msets
+                 if _size(p) + _size(q) == s - 1}
+        for op in ORACLE_OPS:
+            for arity in range(2, (s - 1 if op in ORACLE_ASSOC else 2) + 1):
+                for sizes in itertools.product(range(1, s - 1), repeat=arity):
+                    if sum(sizes) != s - 1:
+                        continue
+                    for args in itertools.product(*(by_size[n] for n in sizes)):
+                        found.add(canon_label(LApp(op, args), th))
+        by_size[s] = {v for v in found if _size(v) == s}
+    out = {}
+    for sort, values in ("Label", set().union(*by_size.values())), ("Data", msets):
+        out[sort] = []
+        for v in values:
+            cs = _constants(v)
+            out[sort].append((v, _size(v), cs.pop("e", 0), cs))
+    return out
+
+
+def _brute_matches(pat, subj, universe, th):
+    """Every substitution over the universe's labels no larger than the
+    subject under which the pattern canonicalizes to the subject.
+
+    Canonical forms keep every constant but the identity e, and a value
+    other than e keeps its own e's too (in canonical form they sit under
+    `cc`, `ca` or `pr`), so the constants the variables take are counted
+    against the subject's before anything is canonicalized.
+    """
+    s = canon_label(subj, th)
+    have, need = _constants(s), _constants(pat)
+    e_left = have.pop("e", 0)
+    need.pop("e", None)
+    if need - have:
+        return set()
+    budget, most = have - need, _size(s)
+    occurs = Counter(v.name for v in _variables(pat))
+    names = sorted({v.name: v.sort for v in _variables(pat)}.items())
+    ident = canon_label(ActConst("e"), th)
+    pools = []
+    for _, sort in names:
+        pool = []
+        for x, size, es, cs in universe[sort]:
+            es *= x is not ident
+            if size <= most and es <= e_left and not cs - budget:
+                pool.append((x, cs, es))
+        pools.append(pool)
+    found = set()
+
+    def walk(i, left, e_left, chosen):
+        if i == len(names):
+            sub = Substitution(labels={n: x for (n, _), x in zip(names, chosen)})
+            if not +left and canon_label(substitute_label(pat, sub), th) is s:
+                found.add(frozenset((n, id(x)) for (n, _), x in zip(names, chosen)))
+            return
+        k = occurs[names[i][0]]
+        for x, cs, es in pools[i]:
+            use = Counter({c: k * n for c, n in cs.items()})
+            if k * es <= e_left and not use - left:
+                walk(i + 1, left - use, e_left - k * es, chosen + [x])
+
+    walk(0, budget, e_left, [])
+    return found
+
+
+def _oracle_label(rng, depth, variables, top=False):
+    r = 0.5 if top else rng.random()
+    if depth == 0 or r < 0.35:
+        if variables and rng.random() < 0.5:
+            return LVar(rng.choice("klm"), "Label")
+        return ActConst(rng.choice("abce"))
+    if r < 0.45:
+        return Triple(_oracle_mset(rng, variables, 2), _oracle_mset(rng, variables, 2))
+    op = rng.choice(ORACLE_OPS)
+    arity = rng.choice((2, 2, 3)) if op in ORACLE_ASSOC else 2
+    return LApp(op, tuple(_oracle_label(rng, depth - 1, variables) for _ in range(arity)))
+
+
+def _oracle_mset(rng, variables, most):
+    return MSet(tuple(
+        LVar(rng.choice(("xD", "yD")), "Data") if variables and rng.random() < 0.5
+        else DataConst(rng.choice("du"), "Data")
+        for _ in range(rng.randint(0, most))), "Data")
+
+
+def test_match_agrees_with_brute_force_over_every_label_theory():
+    """`match` returns exactly the substitutions, each once, under which
+    the pattern canonicalizes to the subject, for free, C, A, AU, CU and AC
+    label operators, nested in one another (ORACLE_COLLAPSES too), and ACU
+    data multisets.
+
+    A data variable bound to `d` and one bound to `{d}` are one value (as
+    a store slot holds it), so results compare with `d` read as `{d}`.
+    """
+    spec = parse_spec(ORACLE_SPEC)
+    th = spec.theory
+    universe = _oracle_universe(th)
+
+    def value(v):
+        return canon_label(MSet((v,), "Data"), th) if isinstance(v, DataConst) else v
+
+    def check(pat, subj):
+        got = [frozenset((n, id(value(v))) for n, v in s.labels.items())
+               for s in match(pat, subj, th)]
+        want = _brute_matches(pat, subj, universe, th)
+        assert len(set(got)) == len(got) and set(got) == want, (
+            render_label(canon_label(pat, th)), render_label(canon_label(subj, th)))
+        return want
+
+    for pat, subj in ORACLE_COLLAPSES:
+        assert check(parse_label(pat, spec), parse_label(subj, spec)), pat
+    rng = random.Random(22)
+    cases = solved = 0
+    theories = Counter()
+    while cases < 150:
+        if rng.random() < 0.85:
+            pat = _oracle_label(rng, 2, True, top=True)
+        else:
+            pat = _oracle_mset(rng, True, 3)
+        if rng.random() < 0.6:  # an instance of the pattern, so that it matches
+            sub = Substitution(labels={n: _oracle_label(rng, 1, False) for n in "klm"})
+            sub.labels.update((n, _oracle_mset(rng, False, 2)) for n in ("xD", "yD"))
+            subj = substitute_label(pat, sub)
+        elif isinstance(pat, MSet):
+            subj = _oracle_mset(rng, False, 4)
+        else:
+            subj = _oracle_label(rng, 2, False)
+        if _size(canon_label(subj, th)) > ORACLE_MAX:
+            continue
+        cases += 1
+        want = check(pat, subj)
+        solved += bool(want)
+        top = canon_label(pat, th)
+        theories[top.op if isinstance(top, LApp) else type(top).__name__] += bool(want)
+    assert solved >= 50 and all(theories[op] >= 3 for op in (*ORACLE_OPS, "MSet"))
