@@ -1,39 +1,55 @@
 """Commutativity checking of binary operators by rule mirroring.
 
 A binary operator is syntactically commutative when every one of its
-rules has a mirror rule: a bijective variable-for-variable mapping that
-swaps the two source arguments, sends every premise into the premise set
-of the candidate, may swap the two sides of commutative label operators,
-and reproduces the conclusion label up to the label equations and the
-conclusion target up to swapping arguments of operators already known
-commutative.  The known set starts with choice plus every binary
-operator and shrinks to a greatest fixed point in rounds: each finds the
-first mirror of every rule under the current set and drops all operators
-with an unmirrored rule.  The report is the last round, which drops none.
+rules has a mirror among its rules: a candidate rule and an injective
+variable-for-variable renaming of it that swaps the two source arguments,
+sends each of the candidate's positive and negative premises to one of
+the rule's (so the rule may have premises its mirror lacks), may swap the
+two sides of commutative label operators, and reproduces the rule's
+conclusion label up to the label equations and its conclusion target up to
+swapping arguments of operators already known commutative (the format of
+Mousavi, Reniers and Groote, IPL 93, 2005).  The known set starts with
+choice plus every binary operator and shrinks to a greatest fixed point in
+rounds: each finds the first mirror of every rule under the current set
+and drops all operators with an unmirrored rule.  The report is the last
+round, which drops none.
+
+A rule's first mirror is the candidate of smallest rule index, and its
+mapping is the first renaming the search meets: the search sends the
+candidate's positive premises, in order, each to the rule's premises in
+order through the label matcher, backtracking from the last.
+
+The search reads a rule through a record compiled each time its row is
+computed (`_Mirrored`): its negative premises, conclusion label and
+conclusion target as forms, nested tuples that name variables, so that a
+candidate mapping is checked by renaming and comparing tuples; no term is
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple
 
 from .terms import (
     SORT_PROC,
     EMPTY_THEORY,
     App,
     Choice,
+    DefConst,
     EquationalTheory,
     LabelTerm,
+    LApp,
     LVar,
+    MSet,
+    Nil,
     Prefix,
-    Substitution,
     Term,
+    Triple,
     Var,
+    _equations,
     _match_label,
-    _ordered,
     canon_label,
-    render_term,
-    substitute_label,
-    substitute_term,
     valueclass,
 )
 from .tss import Rule, Spec
@@ -41,27 +57,84 @@ from .tss import Rule, Spec
 CHOICE_OP = "+"
 
 
-def _cc_canon(t: Term, comm_set: set[str], th: EquationalTheory) -> Term:
-    """t with canonical labels and the sides of each known-commutative
-    operator (choice too) in canonical order; not interned, as not ACI-canonical."""
-    if isinstance(t, Prefix):
-        return Prefix(canon_label(t.label, th), _cc_canon(t.body, comm_set, th))
-    if isinstance(t, Choice):
-        pair = [_cc_canon(t.left, comm_set, th), _cc_canon(t.right, comm_set, th)]
-        if CHOICE_OP in comm_set:
-            _ordered(pair, render_term)
-        return Choice(*pair)
-    if isinstance(t, App):
-        args = [
-            canon_label(a, th) if isinstance(a, LabelTerm) else _cc_canon(a, comm_set, th)
-            for a in t.args
-        ]
-        if t.op in comm_set and len(args) == 2 and not any(
-            isinstance(a, LabelTerm) for a in args
-        ):
-            _ordered(args, render_term)
-        return App(t.op, tuple(args))
-    return t
+# ---------------------------------------------------------------------------
+# forms
+#
+# A form is a tuple (tag, key, *children).  A variable is (_VAR, name) and a
+# ground label is (_GROUND, id of its canonical node); `0` and recursion
+# constants are (_CONST, name).  Every other node is _SEQ, or _BAG when its
+# children commute, then its operator (choice is `+`, a prefix `.`, a store
+# triple `<`, a multiset's union `{` and its sort; label and process
+# operators never share a name) and its children's forms, a _BAG's sorted.
+# Within one tag the key and the children have one type each, so forms
+# compare as plain tuples, in one total order.
+
+_GROUND, _VAR, _CONST, _SEQ, _BAG = range(5)
+
+
+def _node(tag: int, key: str, children: list) -> tuple:
+    if tag == _BAG:
+        children.sort()
+    return (tag, key, *children)
+
+
+def _label_form(l: LabelTerm, th: EquationalTheory) -> tuple:
+    """The form of a canonical label of th; the arguments of commutative
+    operators and multiset elements are sorted."""
+    cls = type(l)
+    if cls is LVar:
+        return (_VAR, l.name)
+    if cls is Triple:
+        tag, key, children = _SEQ, "<", (l.pre, l.post)
+    elif cls is LApp or cls is MSet:
+        tag = _BAG if _equations(l, th)[0] else _SEQ
+        key, children = (l.op if cls is LApp else "{" + l.sort), l.args
+    else:
+        return (_GROUND, id(l))
+    forms = [_label_form(c, th) for c in children]
+    if all(f[0] == _GROUND for f in forms):
+        return (_GROUND, id(l))
+    return _node(tag, key, forms)
+
+
+def _term_form(t: Term, comm_set: set[str], th: EquationalTheory) -> tuple:
+    """The form of a process term with canonical labels, the two process
+    arguments of each known-commutative operator (choice too) sorted."""
+    cls = type(t)
+    if cls is Var:
+        return (_VAR, t.name)
+    if cls is Nil:
+        return (_CONST, "0")
+    if cls is DefConst:
+        return (_CONST, t.name)
+    if cls is Prefix:
+        return (_SEQ, ".", _label_form(canon_label(t.label, th), th), _term_form(t.body, comm_set, th))
+    op, args = (CHOICE_OP, (t.left, t.right)) if cls is Choice else (t.op, t.args)
+    labels = [isinstance(a, LabelTerm) for a in args]
+    forms = [_label_form(canon_label(a, th), th) if is_label else _term_form(a, comm_set, th)
+             for a, is_label in zip(args, labels)]
+    swap = op in comm_set and len(args) == 2 and not any(labels)
+    return _node(_BAG if swap else _SEQ, op, forms)
+
+
+def _renamed(form: tuple, hmap: dict[str, str]) -> tuple:
+    """The form of the term renamed through hmap; unmapped variables stay."""
+    tag = form[0]
+    if tag == _VAR:
+        return (_VAR, hmap.get(form[1], form[1]))
+    if tag == _GROUND or tag == _CONST:
+        return form
+    return _node(tag, form[1], [_renamed(f, hmap) for f in form[2:]])
+
+
+def _shape(form: tuple) -> tuple:
+    """The form with every variable name erased, which no renaming changes."""
+    tag = form[0]
+    if tag == _VAR:
+        return (_VAR, "")
+    if tag == _GROUND or tag == _CONST:
+        return form
+    return _node(tag, form[1], [_shape(f) for f in form[2:]])
 
 
 def _applied_ops(t: Term) -> set[str]:
@@ -77,11 +150,45 @@ def cc_equal(
     t1: Term, t2: Term, comm_set: set[str], th: EquationalTheory = EMPTY_THEORY
 ) -> bool:
     """Equality up to swapping arguments of known-commutative operators."""
-    return _cc_canon(t1, comm_set, th) == _cc_canon(t2, comm_set, th)
+    return _term_form(t1, comm_set, th) == _term_form(t2, comm_set, th)
 
 
 # ---------------------------------------------------------------------------
 # mirror search
+
+
+class _Mirrored(NamedTuple):
+    """What the mirror search reads of one rule of a binary operator: its
+    source variables and their sorts, its positive premises as (source,
+    canonical label, target variable), its negative premises as a set of
+    (source, label form), its conclusion label's form, its conclusion
+    target's form under a known-commutative set, and the shapes of those
+    two forms."""
+
+    sources: tuple[str, str]
+    sorts: tuple[str, str]
+    positives: tuple[tuple[str, LabelTerm, Var], ...]
+    negatives: frozenset[tuple[str, tuple]]
+    label: tuple
+    target: tuple
+    shape: tuple[tuple, tuple]
+
+
+def _compile(spec: Spec, rule: Rule, comm_set: set[str]) -> _Mirrored:
+    th = spec.theory
+    s0, s1 = (a.name for a in rule.conclusion.source.args)
+    sort_of = spec.variables.get
+    label = _label_form(canon_label(rule.conclusion.label, th), th)
+    target = _term_form(rule.conclusion.target, comm_set, th)
+    return _Mirrored(
+        (s0, s1),
+        (sort_of(s0, SORT_PROC), sort_of(s1, SORT_PROC)),
+        tuple([(p.source.name, canon_label(p.label, th), p.target) for p in rule.positives]),
+        frozenset([(n.source.name, _label_form(canon_label(n.label, th), th)) for n in rule.negatives]),
+        label,
+        target,
+        (_shape(label), _shape(target)),
+    )
 
 
 def _bind_renaming(state, var: Var | LVar, value):
@@ -103,20 +210,10 @@ def _bind_renaming(state, var: Var | LVar, value):
         yield {**hmap, var.name: value.name}, used | {value.name}
 
 
-def _mapping_substitution(spec: Spec, hmap: dict[str, str]) -> Substitution:
-    sub = Substitution()
-    for src, dst in hmap.items():
-        sort = spec.variables.get(src, SORT_PROC)
-        if sort == SORT_PROC:
-            sub.terms[src] = Var(dst)
-        else:
-            sub.labels[src] = LVar(dst, spec.variables.get(dst, sort))
-    return sub
-
-
-def _complete_mapping(names: list[str], hmap: dict[str, str]) -> dict[str, str]:
+def _complete_mapping(spec: Spec, rule_a: Rule, rule_b: Rule, hmap: dict[str, str]) -> dict[str, str]:
     """Extend the mapping to an involution-style display over the sorted
     variables of both rules."""
+    names = sorted(_variables(spec, rule_a) | _variables(spec, rule_b))
     out = dict(hmap)
     image = {v: k for k, v in hmap.items()}
     for v in names:
@@ -133,6 +230,37 @@ def _variables(spec: Spec, rule: Rule) -> set[str]:
     return names.union(*spec.rule_vars(rule).positives)
 
 
+def _mirror(a: _Mirrored, b: _Mirrored, th: EquationalTheory) -> dict[str, str] | None:
+    """The first renaming of rule b's variables under which it mirrors
+    rule a, or None (see find_mirror)."""
+    # a renaming keeps shapes and a mirror swaps the sources' sorts
+    if b.shape != a.shape or b.sorts != a.sorts[::-1]:
+        return None
+    (a0, a1), (b0, b1) = a.sources, b.sources
+    positives_a, positives_b = a.positives, b.positives
+
+    def assignments(i: int, hm: dict[str, str], us: set[str]):
+        """The renamings sending b's premises from the i-th on into a's."""
+        if i == len(positives_b):
+            yield hm
+            return
+        source, pat, target = positives_b[i]
+        want = hm.get(source)
+        for source_a, label_a, target_a in positives_a:
+            if source_a != want:
+                continue
+            for state in _match_label(pat, label_a, (hm, us), th, _bind_renaming):
+                for hm2, us2 in _bind_renaming(state, target, target_a):
+                    yield from assignments(i + 1, hm2, us2)
+
+    negatives_a = a.negatives
+    for hm in assignments(0, {b0: a1, b1: a0}, {a0, a1}):
+        if all((hm[v], _renamed(f, hm)) in negatives_a for v, f in b.negatives) \
+                and _renamed(b.label, hm) == a.label and _renamed(b.target, hm) == a.target:
+            return hm
+    return None
+
+
 def find_mirror(
     spec: Spec, rule_a: Rule, rule_b: Rule, comm_set: set[str]
 ) -> dict[str, str] | None:
@@ -142,52 +270,12 @@ def find_mirror(
     Both rules are rules of the spec for one binary operator, so their
     sources are that operator over two distinct variables.  The search
     assigns rule_b's positive premises to rule_a's, both in order, and stops
-    at the first assignment under which the negative premises, conclusion
-    label and target mirror rule_a's.
+    at the first assignment under which rule_b's negative premises fall
+    among rule_a's and its conclusion label and target mirror rule_a's.
     """
     spec.check()
-    th = spec.theory
-    args_a = rule_a.conclusion.source.args
-    args_b = rule_b.conclusion.source.args
-    a0, a1, b0, b1 = args_a[0].name, args_a[1].name, args_b[0].name, args_b[1].name
-    sort_of = spec.variables.get
-    if sort_of(b0, SORT_PROC) != sort_of(a1, SORT_PROC) or \
-            sort_of(b1, SORT_PROC) != sort_of(a0, SORT_PROC):
-        return None
-
-    def assignments(i: int, hm: dict[str, str], us: set[str]):
-        """The renamings sending rule_b's premises from the i-th on into rule_a's."""
-        if i == len(rule_b.positives):
-            yield hm
-            return
-        p = rule_b.positives[i]
-        want_src = hm.get(p.source.name)
-        pat = canon_label(p.label, th)
-        for q in rule_a.positives:
-            if q.source.name != want_src:
-                continue
-            for state in _match_label(pat, canon_label(q.label, th), (hm, us), th, _bind_renaming):
-                for hm2, us2 in _bind_renaming(state, p.target, q.target):
-                    yield from assignments(i + 1, hm2, us2)
-
-    # rule_a's side: its negative premises and conclusion label as canonical
-    # nodes and its target form, made once, when a mapping first needs them
-    neg_index = label_a = target_a = None
-    for hm in assignments(0, {b0: a1, b1: a0}, {a0, a1}):
-        if neg_index is None:
-            neg_index = {(n.source.name, id(canon_label(n.label, th))) for n in rule_a.negatives}
-            label_a = canon_label(rule_a.conclusion.label, th)
-        sub = _mapping_substitution(spec, hm)
-        if any((hm[n.source.name], id(canon_label(substitute_label(n.label, sub), th))) not in neg_index
-               for n in rule_b.negatives):
-            continue
-        if canon_label(substitute_label(rule_b.conclusion.label, sub), th) is not label_a:
-            continue
-        if target_a is None:
-            target_a = _cc_canon(rule_a.conclusion.target, comm_set, th)
-        if _cc_canon(substitute_term(rule_b.conclusion.target, sub), comm_set, th) == target_a:
-            return _complete_mapping(sorted(_variables(spec, rule_a) | _variables(spec, rule_b)), hm)
-    return None
+    hm = _mirror(_compile(spec, rule_a, comm_set), _compile(spec, rule_b, comm_set), spec.theory)
+    return None if hm is None else _complete_mapping(spec, rule_a, rule_b, hm)
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +309,18 @@ def check_comm(spec: Spec) -> CommReport:
     binaries = [op for op in spec.proc_ops.values() if op.arity == 2]
     checked = [op.name for op in binaries if not op.comm]
     comm_set = {CHOICE_OP} | {op.name for op in binaries}
+    th = spec.theory
 
-    def first_mirror(name: str, rule: Rule) -> tuple[int, dict[str, str]] | None:
-        found = ((ib, find_mirror(spec, rule, rb, comm_set)) for ib, rb in spec.rules_for(name))
+    def first_mirror(a: _Mirrored, candidates) -> tuple[int, dict[str, str]] | None:
+        found = ((ib, _mirror(a, b, th)) for ib, b in candidates)
         return next(((ib, m) for ib, m in found if m is not None), None)
 
     def row(name: str) -> list[tuple[int, tuple[int, dict[str, str]] | None]]:
-        return [(ia, first_mirror(name, ra)) for ia, ra in spec.rules_for(name)]
+        rules = [(i, _compile(spec, r, comm_set)) for i, r in spec.rules_for(name)]
+        return [(ia, first_mirror(a, rules)) for ia, a in rules]
 
-    # A row reads the known set only through cc_equal on its rules' conclusion
-    # targets, so a round recomputes the rows whose targets apply an operator
+    # A row reads the known set only through its rules' conclusion target
+    # forms, so a round recomputes the rows whose targets apply an operator
     # the round before dropped.  Dropped operators keep their rows, so that
     # the last round lists their unmirrored rules under the final set.
     reads = {name: set().union(*(_applied_ops(r.conclusion.target) for _, r in spec.rules_for(name)))
@@ -258,10 +348,11 @@ def check_comm(spec: Spec) -> CommReport:
             continue
         witnesses = []
         covered: set[tuple[int, int]] = set()
-        for ia, (ib, mapping) in row:  # type: ignore[misc]
+        for ia, (ib, hm) in row:  # type: ignore[misc]
             pair = (min(ia, ib), max(ia, ib))
             if pair not in covered:
                 covered.add(pair)
+                mapping = _complete_mapping(spec, spec.rules[ia - 1], spec.rules[ib - 1], hm)
                 witnesses.append(MirrorWitness(name, ia, ib, tuple(sorted(mapping.items()))))
         proven[name] = witnesses
     return CommReport(proven, sorted(op.name for op in binaries if op.comm), failed)

@@ -795,7 +795,9 @@ def _match_args(pats, subjs, state, node, eqs, th, bind):
             shares = [(subjs[:k], subjs[k:]) for k in range(len(subjs) + 1)]
     else:
         picks = range(len(subjs)) if comm else range(min(1, len(subjs)))
-        shares = [(subjs[i:i + 1], subjs[:i] + subjs[i + 1:]) for i in picks] + [((), subjs)]
+        # equal arguments sit side by side in canonical order: claim each value once
+        shares = [(subjs[i:i + 1], subjs[:i] + subjs[i + 1:]) for i in picks
+                  if not i or subjs[i] is not subjs[i - 1]] + [((), subjs)]
     for share, left in shares:
         if not share and ident is None:
             continue

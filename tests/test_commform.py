@@ -39,6 +39,7 @@ from sosforge.terms import (
     substitute_term,
 )
 from sosforge.tss import ProcOp, render_spec
+from mirror_oracle import oracle_mirrors
 from termgen import front_spec_text, random_bccsp_term
 
 # -- equality up to commutative swaps ------------------------------------------
@@ -179,6 +180,66 @@ def test_mirror_maps_no_variable_to_an_identity_or_a_segment(capsys, tmp_path):
     path.write_text(SEGMENT_SPEC, encoding="utf-8")
     assert main(["comm", str(path)]) == 1
     assert capsys.readouterr().out.startswith("Could not prove commutativity for: f\n")
+
+
+# Rule 1 has a premise on each side, its candidate rule 2 one: a mirror only
+# needs the candidate's premises to land among rule 1's, as in the format of
+# Mousavi, Reniers & Groote.  An index that pairs rules only when their
+# mirror forms are equal would lose this proof.
+SUBSET_SPEC = """spec SUBSET
+actions a b ;
+op f : 2 ;
+var x y x' y' : Proc ;
+rule x -(a)-> x' , y -(b)-> y' ==> f(x,y) -(a)-> x' ;
+rule y -(a)-> y' ==> f(x,y) -(a)-> y' ;
+rule x -(a)-> x' ==> f(x,y) -(a)-> x' ;
+"""
+# The same with a negative premise on rule 1 that its candidate lacks.
+NEG_SUBSET_SPEC = SUBSET_SPEC.replace("SUBSET", "NEGSUBSET").replace("y -(b)-> y'", "y -(b)/>")
+SUBSET_MAPPING = {"x": "y", "x'": "y'", "y": "x", "y'": "x'"}
+SUBSET_TAIL = (
+    "  with: x <- y  x' <- y'  y <- x  y' <- x'\n"
+    "  rule 2 mirrors rule 3:\n"
+    "    y -(a)-> y'        |   x -(a)-> x'\n"
+    "    ===                |   ===\n"
+    "    f(x,y) -(a)-> y'   |   f(x,y) -(a)-> x'\n"
+    "  with: x <- y  x' <- y'  y <- x  y' <- x'\n"
+)
+SUBSET_TEXT = (
+    "f is commutative\n"
+    "  rule 1 mirrors rule 2:\n"
+    "    x -(a)-> x' , y -(b)-> y'   |   y -(a)-> y'\n"
+    "    ===                         |   ===\n"
+    "    f(x,y) -(a)-> x'            |   f(x,y) -(a)-> y'\n"
+) + SUBSET_TAIL
+NEG_SUBSET_TEXT = (
+    "f is commutative\n"
+    "  rule 1 mirrors rule 2:\n"
+    "    x -(a)-> x' , y -(b)/>   |   y -(a)-> y'\n"
+    "    ===                      |   ===\n"
+    "    f(x,y) -(a)-> x'         |   f(x,y) -(a)-> y'\n"
+) + SUBSET_TAIL
+
+
+@pytest.mark.parametrize("text, report", [(SUBSET_SPEC, SUBSET_TEXT), (NEG_SUBSET_SPEC, NEG_SUBSET_TEXT)],
+                         ids=["positive", "negative"])
+def test_mirror_premises_land_among_the_candidates(capsys, tmp_path, text, report):
+    """Rule 2 mirrors rule 1 though rule 1 has one premise more, positive or
+    negative; the converse fails, so rule 2's first mirror is rule 3."""
+    spec = parse_spec(text)
+    r1, r2, r3 = spec.rules
+    comm = {"f", "+"}
+    assert find_mirror(spec, r1, r2, comm) == SUBSET_MAPPING
+    assert find_mirror(spec, r2, r1, comm) is None
+    assert find_mirror(spec, r2, r3, comm) == SUBSET_MAPPING
+    path = tmp_path / "subset.sos"
+    path.write_text(text, encoding="utf-8")
+    assert main(["comm", str(path)]) == 0
+    assert capsys.readouterr().out == report
+    assert main(["comm", "--json", str(path)]) == 0
+    witness = lambda a, b: {"rule_a": a, "rule_b": b, "mapping": SUBSET_MAPPING}  # noqa: E731
+    assert json.loads(capsys.readouterr().out) == {
+        "proven": {"f": [witness(1, 2), witness(2, 3)]}, "assumed": [], "failed": {}}
 
 
 def test_sequencing_has_no_mirror(linda):
@@ -553,6 +614,86 @@ def test_drawn_specs_reach_cascades():
         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
     )
     assert removal_rounds(found) >= 2
+
+
+# -- against an oracle that enumerates renamings ----------------------------------------
+
+# Rules that no renaming mirrors, each for one reason: a conclusion label
+# that names the other variable, or another constant; data arguments of a
+# known-commutative operator in swapped order (only process arguments may
+# swap); sources of two sorts, which a mirror would have to swap.
+NO_MIRROR_HEADER = (
+    "actions a b ; datasort Data [assoc comm id: empty] ; dataconst d : Data ; op f : 2 ; op put : 2 ; "
+    "var x y x' y' : Proc ; var k l : Action ; var mu xD xD' : Data ;\n"
+)
+NO_MIRROR_RULES = {
+    "label_names": ("x -(k)-> x' , y -(l)-> y' ==> f(x,y) -(k)-> x' + y'",),
+    "label_constants": ("x -(a)-> x' ==> f(x,y) -(a)-> x'", "y -(a)-> y' ==> f(x,y) -(b)-> y'"),
+    "data_arguments": ("x -(< xD, -, xD' >)-> x' ==> f(x,y) -(a)-> put(xD, xD')",
+                       "y -(< xD, -, xD' >)-> y' ==> f(x,y) -(a)-> put(xD', xD)"),
+    "source_sorts": ("==> put(mu, x) -(a)-> 0",),
+}
+
+
+def no_mirror_spec_text(key):
+    return f"spec {key.upper()} {NO_MIRROR_HEADER}" + "".join(f"rule {r} ;\n" for r in NO_MIRROR_RULES[key])
+
+
+@pytest.mark.parametrize("key", sorted(NO_MIRROR_RULES))
+def test_rules_without_a_mirror(key):
+    report = check_comm(parse_spec(no_mirror_spec_text(key)))
+    op = "put" if key == "source_sorts" else "f"
+    assert report.failed == {op: list(range(1, len(NO_MIRROR_RULES[key]) + 1))}
+
+
+ORACLE_SPECS = {
+    **{name: corpus_text(name) for name in CORPUS},
+    **{f"no_mirror_{key}": no_mirror_spec_text(key) for key in NO_MIRROR_RULES},
+    "two": TWO_MIRRORS, "segment": SEGMENT_SPEC, "subset": SUBSET_SPEC, "neg_subset": NEG_SUBSET_SPEC,
+    **{f"sorts_{key}": sorts_spec_text(key) for key in SORTS_RULES},
+    **{f"cascade_{key}": text for key, text in CASCADE_SPECS.items()},
+}
+
+
+def _check_against_oracle(spec) -> collections.Counter:
+    """find_mirror against `oracle_mirrors` on every ordered pair of rules of
+    each binary operator, with every binary operator known commutative and
+    with none: both find nothing, or find_mirror's mapping is one the oracle
+    finds.  Counts the pairs by how many mappings the oracle finds."""
+    binaries = [op.name for op in spec.proc_ops.values() if op.arity == 2]
+    seen = collections.Counter()
+    for comm in ({CHOICE_OP, *binaries}, {CHOICE_OP}):
+        for name in binaries:
+            for ia, ra in spec.rules_for(name):
+                for ib, rb in spec.rules_for(name):
+                    want = oracle_mirrors(spec, ra, rb, comm)
+                    got = find_mirror(spec, ra, rb, comm)
+                    assert (got is None) == (not want), (name, ia, ib, sorted(comm), got, want)
+                    assert got is None or got in want, (name, ia, ib, sorted(comm), got, want)
+                    seen[min(len(want), 2)] += 1
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_mirror_search_agrees_with_the_oracle(name):
+    _check_against_oracle(parse_spec(ORACLE_SPECS[name]))
+
+
+def test_oracle_sees_every_kind_of_pair():
+    """The specs above give the oracle pairs with no mirror, with one and
+    with several mappings (TWO_MIRRORS has two)."""
+    seen = sum((_check_against_oracle(parse_spec(text)) for text in ORACLE_SPECS.values()),
+               collections.Counter())
+    assert all(seen[n] >= 5 for n in (0, 1)) and seen[2] >= 1
+    spec = parse_spec(TWO_MIRRORS)
+    rule = spec.rules[0]
+    assert len(oracle_mirrors(spec, rule, rule, {"f", "+"})) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_specs())
+def test_mirror_search_agrees_with_the_oracle_on_drawn_specs(spec):
+    _check_against_oracle(spec)
 
 
 # -- the mirror search's cost and full output -------------------------------------

@@ -697,3 +697,20 @@ def test_match_agrees_with_brute_force_over_every_label_theory():
         top = canon_label(pat, th)
         theories[top.op if isinstance(top, LApp) else type(top).__name__] += bool(want)
     assert solved >= 50 and all(theories[op] >= 3 for op in (*ORACLE_OPS, "MSet"))
+
+
+@pytest.mark.parametrize("pattern, subject, results", [
+    ("{d, xD}", "{d, d, d, u}", 1),
+    ("cc(a, k)", "cc(a, a, a, b)", 1),
+    # k = l = a, and mix(a, a) read as mix(mix(a, a), e) in both orders
+    ("mix(k, l)", "mix(a, a)", 3),
+])
+def test_match_claims_equal_arguments_once(pattern, subject, results):
+    """An argument that claims one of several equal subject arguments
+    yields one raw result, not one per copy: the matcher itself makes no
+    result twice, before `match` drops repeats."""
+    spec = parse_spec(ORACLE_SPEC)
+    th = spec.theory
+    pat, subj = (canon_label(parse_label(t, spec), th) for t in (pattern, subject))
+    raw = list(terms._match_label(pat, subj, Substitution(), th, terms._bind_label))
+    assert len(raw) == len(match(pat, subj, th)) == results
