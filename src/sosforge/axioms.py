@@ -59,11 +59,14 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     straight from their normal forms; any other target is walked as
     written, its variables substituted by their normal forms.  Normal
     forms are the spec's canonical nodes, so a rewrite is memoized by its
-    operator and the identities of its arguments' normal forms.
+    operator and the identities of its arguments' normal forms.  A rewrite
+    asked for while it is under way would never end, so it fails at once.
     """
     th = spec.theory
     budget = budget or DEFAULT_BUDGET
-    memo: dict[tuple, Term] = {}  # the theory keeps every normal form alive, so no id is reused
+    # None marks a rewrite under way; the theory keeps every normal form
+    # alive, so no id is reused
+    memo: dict[tuple, Term | None] = {}
     spent = 0
     unbound = Substitution()
 
@@ -110,6 +113,11 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
         hit = memo.get(key)
         if hit is not None:
             return hit
+        if key in memo:  # under way: its normal form needs itself
+            raise BudgetExceeded(
+                f"normalization of {render_term(App(op, args))} needs its own normal form; "
+                "term not semantically well-founded within budget"
+            )
         # a hit was measured when it was made
         if app_width(op, args) > MAX_NF_CHARS:
             raise BudgetExceeded(f"normalization met a term of more than {MAX_NF_CHARS} characters")
@@ -119,6 +127,7 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
                 f"normalization exceeded {budget.max_rewrites} rewrites; "
                 "term not semantically well-founded within budget"
             )
+        memo[key] = None
         parts = []
         plans = spec.plans_for(op)
         if plans:

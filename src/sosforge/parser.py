@@ -20,13 +20,19 @@ for an ASCII letter comes before the one for any letter.  ASCII text is
 not scanned for other characters; a text with odd digits or numerals gets
 a pattern of its own.
 
-The term parser decides from the current token whether a label can start
-there, so valid input is parsed without backtracking on exceptions.  The
-name tables it reads are built once per Spec (`Spec.parse_context`).  A
-leaf (a process variable, a recursion constant or `0`) is one lookup in
-the table of leaves, which hands out one shared node per name; a leaf
-label, such as an action or a label variable, is one lookup as well, and
-the table tells whether a label's sort is a data sort.
+The term parser resolves names through one set of tables, a
+ParseContext built once per Spec (`Spec.parse_context`).  Every unit of a
+term, what choices and infix operators combine, is read by `parse_prefix`
+in one lookup order: a leaf (a process variable, a recursion constant or
+`0`), which hands out one shared node per name; a process operator
+applied to its arguments; a label followed by `.`, the prefix; and last
+an atom: a parenthesised term, a data term or the error for what stands
+there.  The tables are disjoint, a name that is a label being neither a
+leaf nor an operator, so the order changes no parse.  A leaf label, such
+as an action, a data constant or a label variable, is one lookup as well,
+and the table tells whether a label's sort is a data sort.  The parser
+decides from the current token whether a label can start there, so valid
+input is parsed without backtracking on exceptions.
 """
 
 from __future__ import annotations
@@ -226,8 +232,12 @@ def _expect_punct(src: Tokens, i: int, ch: str) -> int:
     return i + 1
 
 
-def _parse_attrs(src: Tokens, i: int):
-    """Parse an optional [comm assoc id: name] attribute block."""
+_ATTRS = ("comm", "assoc", "id")
+
+
+def _parse_attrs(src: Tokens, i: int, kw: str, accepted: tuple[str, ...] = _ATTRS):
+    """Parse an optional [comm assoc id: name] attribute block of a `kw`
+    declaration, which takes the attributes in `accepted`."""
     toks = src.toks
     comm = assoc = False
     identity: str | None = None
@@ -236,20 +246,22 @@ def _parse_attrs(src: Tokens, i: int):
     i += 1
     while toks[i] != "]":
         t = toks[i]
+        if t not in accepted:
+            if t in _ATTRS:
+                raise src.error(f"{kw} does not take attribute {t!r}", i)
+            raise src.error(f"unknown attribute {t!r}", i)
         if t == "comm":
             comm = True
             i += 1
         elif t == "assoc":
             assoc = True
             i += 1
-        elif t == "id":
+        else:
             i = _expect_punct(src, i + 1, ":")
             if not _is_name(toks[i]):
                 raise src.error("expected identity constant", i)
             identity = toks[i]
             i += 1
-        else:
-            raise src.error(f"unknown attribute {t!r}", i)
     return comm, assoc, identity, i + 1
 
 
@@ -279,7 +291,7 @@ def _pass_one(src: Tokens) -> _Decls:
                 raise src.error("expected sort name", i)
             if name in RESERVED_SORTS or name in d.data_sorts:
                 raise src.error(f"sort {name} already exists", i, DuplicateDeclaration)
-            _, _, identity, i = _parse_attrs(src, i + 1)
+            _, _, identity, i = _parse_attrs(src, i + 1, kw)
             i = _expect_punct(src, i, ";")
             d.data_sorts[name] = identity
         elif kw in ("dataconst", "var"):
@@ -311,7 +323,7 @@ def _pass_one(src: Tokens) -> _Decls:
             result = toks[i]
             if not result[:1].isalpha():
                 raise src.error("expected result sort", i)
-            comm, assoc, identity, i = _parse_attrs(src, i + 1)
+            comm, assoc, identity, i = _parse_attrs(src, i + 1, kw)
             i = _expect_punct(src, i, ";")
             d.label_ops[name] = (arg_sorts, result, comm, assoc, identity)
         elif kw == "op":
@@ -325,7 +337,7 @@ def _pass_one(src: Tokens) -> _Decls:
             arity = toks[i]
             if not arity.isdecimal():
                 raise src.error("expected arity", i)
-            comm, _, _, i = _parse_attrs(src, i + 1)
+            comm, _, _, i = _parse_attrs(src, i + 1, kw, ("comm",))
             i = _expect_punct(src, i, ";")
             d.proc_ops[name] = (int(arity), comm)
         elif kw == "rule":
@@ -353,10 +365,10 @@ def _finalize_signature(d: _Decls) -> Spec:
     """
     valid_sorts = RESERVED_SORTS | set(d.data_sorts)
     for sort, identity in d.data_sorts.items():
-        if identity is not None and identity not in d.data_consts:
-            d.data_consts[identity] = sort
-            d.registry.setdefault(identity, "a data constant")
-        if identity is not None and d.data_consts[identity] != sort:
+        # an undeclared identity is declared here; a name of another kind is no constant
+        if identity is not None and (
+                d.registry.setdefault(identity, "a data constant") != "a data constant"
+                or d.data_consts.setdefault(identity, sort) != sort):
             raise ParseError(f"identity {identity} is not a {sort} constant")
     for name, sort in d.data_consts.items():
         if sort not in d.data_sorts:
@@ -456,8 +468,6 @@ def _can_start_term(t: str) -> bool:
     return c.isdigit() or c in _SYM_CHARS or t in ("(", "{", "<")
 
 
-# tokens that cannot continue a term: a leaf before one is the whole term
-_TERM_ENDS = frozenset({",", ")", "-", "=", ""})
 # punctuation runs of a premise and a store triple
 _OPEN_LABEL = ["-", "("]
 _ARROW_TAIL = [")", "-", ">"]
@@ -519,24 +529,11 @@ class _TermParser:
 
     def parse_term(self, allow_data: bool = False) -> Term | LabelTerm:
         """Infix applications, nested to the left, over choices, nested to the
-        right, over prefixes and atoms; a leaf is one table lookup."""
+        right, over the units that `parse_prefix` reads."""
         toks = self.toks
-        leaves = self.leaves
-        i = self.i
-        t = leaves.get(toks[i])
-        if t is not None and toks[i + 1] in _TERM_ENDS:
-            self.i = i + 1
-            return t
         op = None
         while True:
-            tok = toks[self.i]
-            unit = leaves.get(tok)
-            if unit is not None:
-                self.i += 1
-            elif tok in self.apps:
-                unit = self.parse_app(self.apps[tok])
-            else:
-                unit = self.parse_prefix(allow_data)
+            unit = self.parse_prefix(allow_data)
             if toks[self.i] == "+":
                 units = [unit]
                 while toks[self.i] == "+":
@@ -554,17 +551,26 @@ class _TermParser:
             self.i += 1
 
     def parse_prefix(self, allow_data: bool) -> Term | LabelTerm:
-        """`label . body`, where the label may sit in parentheses, or an atom.
+        """One unit of a term: a leaf, an operator application, `label . body`,
+        where the label may sit in parentheses, or an atom, tried in this order.
 
         The body is read by a nested call: one frame per prefix, so that
         the nesting a command handles stays bounded by the recursion limit.
         """
         toks = self.toks
         start = self.i
+        first = toks[start]
+        leaf = self.leaves.get(first)
+        if leaf is not None:
+            self.i = start + 1
+            return leaf
+        op = self.apps.get(first)
+        if op is not None:
+            return self.parse_app(op)
         depth = 0
-        while toks[start + depth] == "(":
+        while first == "(":
             depth += 1
-        first = toks[start + depth]
+            first = toks[start + depth]
         if first in self.label_starts:
             self.i = start + depth
             label: LabelTerm | None = self.leaf_labels.get(first)
@@ -586,10 +592,6 @@ class _TermParser:
                 self.i = end + 1
                 return Prefix(label, self.parse_prefix(False))  # type: ignore[arg-type]
             self.i = start
-        leaf = self.leaves.get(toks[self.i])
-        if leaf is not None:
-            self.i += 1
-            return leaf
         return self.parse_atom(allow_data)
 
     def parse_app(self, op: ProcOp) -> App:
@@ -612,14 +614,12 @@ class _TermParser:
         return App(op.name, tuple(args))
 
     def parse_atom(self, allow_data: bool) -> Term | LabelTerm:
+        """A parenthesised term, a data term, or the error for what stands here."""
         i = self.i
         t = self.toks[i]
         c = t[:1]
         if c.isdigit():
-            if t != "0":
-                self.err("the only numeric process is 0", i)
-            self.i = i + 1
-            return NIL
+            self.err("the only numeric process is 0", i)
         if t == "(":
             self.i = i + 1
             inner = self.parse_term(allow_data)
@@ -633,29 +633,17 @@ class _TermParser:
             self.err(f"label constant {t} cannot stand alone as a process", i)
         if not c.isalpha() or t in KEYWORDS:
             self.err("expected a term", i)
-        spec = self.spec
-        sort = spec.variables.get(t)
-        if sort is not None:
+        label = self.leaf_labels.get(t)
+        if label is None:
+            self.err(f"undeclared identifier {t}", i, UnknownSymbol)
+        if allow_data and t in self.data_starts:  # a data variable or constant
             self.i = i + 1
-            if sort == SORT_PROC:
-                return Var(t)
-            if is_data_sort(sort) and allow_data:
-                return LVar(t, sort)
-            self.err(f"variable {t} : {sort} cannot appear here", i)
-        if t in spec.data_consts:
-            self.i = i + 1
-            if allow_data:
-                return DataConst(t, spec.data_consts[t])
+            return label  # type: ignore[return-value]
+        if type(label) is LVar:
+            self.err(f"variable {t} : {label.sort} cannot appear here", i)
+        if type(label) is DataConst:
             self.err("data term in process position", i)
-        if t in spec.defs:
-            self.i = i + 1
-            return DefConst(t)
-        op = spec.proc_ops.get(t)
-        if op is not None:
-            return self.parse_app(op)
-        if t in spec.actions or t in spec.predicates:
-            self.err(f"label constant {t} cannot stand alone as a process", i)
-        self.err(f"undeclared identifier {t}", i, UnknownSymbol)
+        self.err(f"label constant {t} cannot stand alone as a process", i)
         raise AssertionError  # unreachable
 
     # -- labels -----------------------------------------------------------

@@ -295,10 +295,12 @@ def _reference_satisfies(spec, args, plan):
 
 def reference_normalize(spec, term, budget=None):
     """`normalize` as it was before rule variables were bound: it substituted
-    normal forms into each rule target and normalized the result again."""
+    normal forms into each rule target and normalized the result again.  A
+    rewrite that needs its own normal form fails at once, as in `normalize`."""
     th = spec.theory
     budget = budget or DEFAULT_BUDGET
     memo = {}
+    pending = set()
     spent = 0
 
     def norm(t, depth):
@@ -327,6 +329,12 @@ def reference_normalize(spec, term, budget=None):
         hit = memo.get(key)
         if hit is not None:
             return hit
+        if key in pending:
+            raise BudgetExceeded(
+                f"normalization of {key} needs its own normal form; "
+                "term not semantically well-founded within budget"
+            )
+        pending.add(key)
         spent += 1
         if spent > budget.max_rewrites:
             raise BudgetExceeded(
@@ -341,6 +349,7 @@ def reference_normalize(spec, term, budget=None):
                 cont = norm(substitute_term(rule.conclusion.target, s), depth + 1)
                 parts.append(Prefix(lbl, cont))
         result = canon_term(fold_choice(parts), th)
+        pending.discard(key)
         memo[key] = result
         return result
 

@@ -316,6 +316,61 @@ def test_long_linda_chain_normalizes_in_a_fresh_interpreter():
     assert proc.stdout.count("< {d},-,{d, d} > . ") == n and proc.stdout.endswith(" . | . 0\n")
 
 
+SELF = "spec S\nactions a ;\nop f : 0 ;\nop g : 0 ;\nop h : 1 ;\nvar x x2 : Proc ;\n" \
+    "rule ==> f() -(a)-> f() ;\nrule ==> g() -(a)-> a . g() ;\n" \
+    "rule x -(a)-> x2 ==> h(x) -(a)-> h(x) ;\n"
+
+
+@pytest.mark.parametrize("term, named", [("f()", "f()"), ("a . f()", "f()"), ("g()", "g()"),
+                                         ("h(a . 0)", "h(a . 0)")])
+def test_normalize_self_reproducing_rule_is_budget_error(tmp_path, capsys, term, named):
+    """A rewrite that needs its own normal form stops at once, naming its term."""
+    spec = tmp_path / "self.sos"
+    spec.write_text(SELF, encoding="utf-8")
+    code, out, err = run(capsys, "normalize", str(spec), term)
+    assert (code, out) == (3, "")
+    assert err == (f"error: normalization of {named} needs its own normal form; "
+                   "term not semantically well-founded within budget\n")
+
+
+def test_op_takes_only_comm(tmp_path, capsys):
+    spec = tmp_path / "attrs.sos"
+    spec.write_text("spec A\nactions a ;\nop f : 1 [assoc id: zz] ;\n", encoding="utf-8")
+    code, out, err = run(capsys, "comm", str(spec), "--emit-formats", str(tmp_path / "f.sos"))
+    assert (code, out) == (2, "")
+    assert err == "error: 3:11: op does not take attribute 'assoc'\n"
+    assert not (tmp_path / "f.sos").exists()
+
+
+DECLARED = """spec C
+actions a e ;
+labelop cat : Label Label -> Label [assoc id: e] ;
+op f : 2 [comm] ;
+op _||_ : 2 ;
+var x y x2 : Proc ;
+rule x -(a)-> x2 ==> f(x, y) -(cat(a, e))-> x2 ;
+"""
+
+
+def test_comm_declared_operator_and_emitted_label_attributes(tmp_path, capsys):
+    spec = tmp_path / "declared.sos"
+    spec.write_text(DECLARED, encoding="utf-8")
+    formats = tmp_path / "formats.sos"
+    code, out, err = run(capsys, "comm", str(spec), "--emit-formats", str(formats))
+    assert (code, out, err) == (0, "f is commutative (declared)\n\n_||_ is commutative\n", "")
+    emitted = formats.read_text(encoding="utf-8")
+    assert "labelop cat : Label Label -> Label [assoc id: e] ;\n" in emitted
+    assert "op f : 2 [comm] ;\n" in emitted
+
+
+def test_axioms_of_an_infix_operator_without_rules(tmp_path, capsys):
+    spec = tmp_path / "declared.sos"
+    spec.write_text(DECLARED, encoding="utf-8")
+    code, out, err = run(capsys, "axioms", str(spec))
+    assert (code, err) == (0, "")
+    assert out.endswith("\n\naxioms for _||_\n  x1 || x2 = 0\n")
+
+
 # -- machine-readable mode -------------------------------------------------------------
 
 

@@ -370,7 +370,8 @@ def test_tokenizer_matches_reference_on_corpus(name):
 ERR_HEAD = "spec E\nactions a b ;\nop f : 1 ;\nvar x x' : Proc ;\n"
 
 # (what is parsed, input, exception type, str(exception)); recorded from the
-# character-by-character tokenizer and the backtracking term parser
+# character-by-character tokenizer and the backtracking term parser, and rows
+# added since from the parser of their day
 ERROR_TABLE = [
     # tokenizer
     ("spec", "spec X\nactions a $ ;\n", "ParseError", "2:11: unexpected character '$'"),
@@ -399,6 +400,28 @@ ERROR_TABLE = [
      "DuplicateDeclaration", "3:9: a already declared as an action"),
     ("spec", "spec X\nop f : ١ ;\nop g : x ;\n", "ParseError", "3:8: expected arity"),
     ("spec", "spec X\nop f : ١ ;\nop g : ² ;\n", "ParseError", "3:8: expected arity"),
+    ("spec", "spec X\nactions a ;\nspec Y\n", "ParseError", "3:1: only one spec header is allowed"),
+    ("spec", "spec X\nop _+_ : 2 ;\n", "DuplicateDeclaration", "2:4: + is built in"),
+    ("spec", "spec X\ndatasort Proc ;\n", "DuplicateDeclaration", "2:10: sort Proc already exists"),
+    ("spec", "spec X\ndatasort D ;\ndatasort D ;\n",
+     "DuplicateDeclaration", "3:10: sort D already exists"),
+    ("spec", "spec X\ndataconst c : Zed ;\n", "ParseError", "unknown data sort Zed for constant c"),
+    ("spec", "spec X\nvar v : Zed ;\n", "ParseError", "unknown sort Zed for variable v"),
+    ("spec", "spec X\ndatasort A [id: e] ;\ndatasort B [id: e] ;\n",
+     "ParseError", "identity e is not a B constant"),
+    ("spec", "spec X\nactions a ;\nlabelop m : Label Label -> Label [id: zz] ;\n",
+     "UnknownSymbol", "unknown identity constant zz"),
+    ("spec", "spec X\nlabelop m : Proc -> Label ;\n",
+     "ParseError", "invalid sort Proc in label operator m"),
+    ("spec", "spec X\nop f : 1 [comm zap] ;\n", "ParseError", "2:16: unknown attribute 'zap'"),
+    # `op` takes only `comm`; an identity names a data constant, not a name of another kind
+    ("spec", "spec X\nop f : 1 [assoc id: zz] ;\n",
+     "ParseError", "2:11: op does not take attribute 'assoc'"),
+    ("spec", "spec X\nop f : 1 [comm id: zz] ;\n", "ParseError", "2:16: op does not take attribute 'id'"),
+    ("spec", "spec X\nactions a ;\ndatasort D [id: a] ;\n",
+     "ParseError", "identity a is not a D constant"),
+    ("spec", "spec X\ndatasort D [id: x] ;\nvar x : Proc ;\n",
+     "ParseError", "identity x is not a D constant"),
     # rules and definitions
     ("spec", ERR_HEAD + "rule x -(a)-> z ==> f(x) -(a)-> z ;\n",
      "UnknownSymbol", "5:15: undeclared identifier z"),
@@ -413,6 +436,13 @@ ERROR_TABLE = [
     ("spec", ERR_HEAD + "rule ==> f(x) -(a)/> ;\n",
      "ParseError", "5:22: a conclusion cannot be negative"),
     ("spec", ERR_HEAD + "rule x -(a)-> x' f(x) -(a)-> x' ;\n", "ParseError", "5:18: expected ==>"),
+    ("spec", ERR_HEAD + "datasort A ;\ndataconst p : A ;\nrule x -(p)-> x' ==> f(x) -(a)-> x' ;\n",
+     "ParseError", "7:10: data term cannot be a transition label"),
+    ("spec", ERR_HEAD + "datasort A ;\ndatasort B ;\ndataconst p : A ;\ndataconst q : B ;\n"
+     "rule x -(< {p, q}, -, p >)-> x' ==> f(x) -(a)-> x' ;\n",
+     "ParseError", "9:12: multiset elements must share one sort"),
+    ("spec", ERR_HEAD + "datasort A ;\ndatasort B ;\nrule x -(< {}, -, {} >)-> x' ==> f(x) -(a)-> x' ;\n",
+     "ParseError", "7:12: cannot infer the sort of an empty multiset"),
     # terms
     ("term", "zap . 0", "UnknownSymbol", "1:1: undeclared identifier zap"),
     ("term", "zap(0)", "UnknownSymbol", "1:1: undeclared identifier zap"),
@@ -445,6 +475,8 @@ ERROR_TABLE = [
     ("term", "g(x, 0)", "UnboundVariable", "term is not closed: x"),
     ("term", "ask(a)", "ParseError", "1:5: label constant a cannot stand alone as a process"),
     ("term", "w1 . 0", "ParseError", "1:4: unexpected '.' after term"),
+    ("term", "ask(d + 0)", "ParseError", "1:10: choice combines process terms"),
+    ("term", "ask(0 + d)", "ParseError", "1:10: choice combines process terms"),
     # labels
     ("label", "mix(a)", "ArityMismatch", "1:1: mix expects 2 arguments, got 1"),
     ("label", "mix(a, d)", "ParseError", "1:1: mix argument d is not of sort Label"),
@@ -455,6 +487,8 @@ ERROR_TABLE = [
     ("label", "a b", "ParseError", "1:3: unexpected 'b' after term"),
     ("label", "0", "ParseError", "1:1: expected a label"),
     ("label", "(a", "ParseError", "1:3: expected ')'"),
+    ("label", "< a, -, d >", "ParseError", "1:3: store slots hold data terms"),
+    ("label", "< d, -, mix(a, b) >", "ParseError", "1:9: store slots hold data terms"),
 ]
 
 
@@ -477,16 +511,22 @@ def test_prefix_labels_in_parentheses(full):
     t = parse_term("(< {d}, -, {d} > . 0 + a . 0) || (b . 0)", full)
     assert t.op == "_||_" and render_term(t.args[0]) == "< {d},-,{d} > . 0 + a . 0"
     assert parse_term("ask(< {d}, -, {d} >)", full) == parse_term("ask(< {d},-,{d} >)", full)
+    assert parse_label("mix((a), b)", full) == parse_label("mix(a, b)", full)
+    assert parse_term("mix((a), (b)) . 0", full) == parse_term("mix(a, b) . 0", full)
 
 
 def test_leaves_are_shared_nodes(full):
-    """A process variable, a recursion constant and 0 are one node per spec."""
+    """A process variable, a recursion constant and 0 are one node per spec,
+    and so is a data variable or constant, as an argument or as a label."""
     t = parse_term("g(x, x) || (w1 + 0)", full, closed=False)
     assert t.args[0].args[0] is t.args[0].args[1]
     again = parse_term("x || a . w1 + 0", full, closed=False)
     assert again.args[0] is t.args[0].args[0]
     assert again.args[1].left.body is t.args[1].left
     assert again.args[1].right is t.args[1].right
+    data = parse_term("ask(mu) || tell(d)", full, closed=False)
+    leaf = full.parse_context.leaf_labels
+    assert data.args[0].args[0] is leaf["mu"] and data.args[1].args[0] is leaf["d"]
 
 
 # -- label operators declared assoc ----------------------------------------------
