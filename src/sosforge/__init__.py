@@ -9,8 +9,8 @@ Importing the package loads none of its modules; each export loads on use.
 """
 
 import importlib
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # true only for static type checkers
 if TYPE_CHECKING:
     from .tss import Spec
 

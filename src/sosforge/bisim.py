@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import field
 
 from .errors import SosError, StateCapExceeded
 from .simulator import moves
-from .terms import DefConst, LabelTerm, Term, canon_term, render_term, valueclass
+from .terms import DefConst, LabelTerm, Term, canon_term, field, render_term, valueclass
 from .tss import Spec
 
 DEFAULT_STATE_CAP = 100000

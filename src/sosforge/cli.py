@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .errors import BudgetExceeded, SosError, StateCapExceeded
 from .parser import parse_spec, parse_term
@@ -30,7 +29,8 @@ def _positive_int(text: str) -> int:
 
 def _read_spec(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as e:
         raise OSError(f"cannot decode {path!r} as UTF-8: {e.reason} at byte {e.start}") from None
     return parse_spec(text)
@@ -143,7 +143,8 @@ def cmd_comm(args) -> int:
     report = commform.check_comm(spec)
     if args.emit_formats:
         derived = commform.formats_spec(spec, report)
-        Path(args.emit_formats).write_text(tss.render_spec(derived), encoding="utf-8")
+        with open(args.emit_formats, "w", encoding="utf-8") as f:
+            f.write(tss.render_spec(derived))
     if args.json:
         _emit(commform.comm_report_json(report))
     else:

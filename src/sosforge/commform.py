@@ -28,8 +28,7 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import NamedTuple
+from collections import namedtuple
 
 from .terms import (
     SORT_PROC,
@@ -50,6 +49,7 @@ from .terms import (
     _equations,
     _match_label,
     canon_label,
+    replace,
     valueclass,
 )
 from .tss import Rule, Spec
@@ -157,7 +157,7 @@ def cc_equal(
 # mirror search
 
 
-class _Mirrored(NamedTuple):
+class _Mirrored(namedtuple("_Mirrored", "sources sorts positives negatives label target shape")):
     """What the mirror search reads of one rule of a binary operator: its
     source variables and their sorts, its positive premises as (source,
     canonical label, target variable), its negative premises as a set of
@@ -165,13 +165,7 @@ class _Mirrored(NamedTuple):
     target's form under a known-commutative set, and the shapes of those
     two forms."""
 
-    sources: tuple[str, str]
-    sorts: tuple[str, str]
-    positives: tuple[tuple[str, LabelTerm, Var], ...]
-    negatives: frozenset[tuple[str, tuple]]
-    label: tuple
-    target: tuple
-    shape: tuple[tuple, tuple]
+    __slots__ = ()
 
 
 def _compile(spec: Spec, rule: Rule, comm_set: set[str]) -> _Mirrored:
@@ -371,17 +365,21 @@ def formats_spec(spec: Spec, report: CommReport) -> Spec:
 # reporting
 
 
-def _rule_lines(rule: Rule) -> list[str]:
-    prem = rule.premises_str()
-    return [prem, "===", str(rule.conclusion)]
-
-
 def _side_by_side(left: list[str], right: list[str], gap: str = "   |   ") -> list[str]:
     width = max(len(l) for l in left)
     return [f"{l.ljust(width)}{gap}{r}".rstrip() for l, r in zip(left, right)]
 
 
 def comm_report_text(spec: Spec, report: CommReport) -> str:
+    rendered: dict[int, list[str]] = {}
+
+    def rule_lines(idx: int) -> list[str]:
+        """Rule idx as premises, a bar and the conclusion, rendered once per report."""
+        if idx not in rendered:
+            rule = spec.rules[idx - 1]
+            rendered[idx] = [rule.premises_str(), "===", str(rule.conclusion)]
+        return rendered[idx]
+
     lines: list[str] = []
     for name in report.assumed:
         lines.append(f"{name} is commutative (declared)")
@@ -389,18 +387,16 @@ def comm_report_text(spec: Spec, report: CommReport) -> str:
     for name, witnesses in report.proven.items():
         lines.append(f"{name} is commutative")
         for w in witnesses:
-            ra, rb = spec.rules[w.rule_a - 1], spec.rules[w.rule_b - 1]
             lines.append(f"  rule {w.rule_a} mirrors rule {w.rule_b}:")
-            for row in _side_by_side(_rule_lines(ra), _rule_lines(rb)):
+            for row in _side_by_side(rule_lines(w.rule_a), rule_lines(w.rule_b)):
                 lines.append(f"    {row}")
             lines.append(f"  with: {w.mapping_str()}")
         lines.append("")
     for name, unmatched in report.failed.items():
         lines.append(f"Could not prove commutativity for: {name}")
         for idx in unmatched:
-            rule = spec.rules[idx - 1]
             lines.append(f"  rule {idx} has no mirror:")
-            for row in _rule_lines(rule):
+            for row in rule_lines(idx):
                 lines.append(f"    {row}")
         lines.append("")
     if not lines:

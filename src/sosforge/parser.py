@@ -237,7 +237,9 @@ _ATTRS = ("comm", "assoc", "id")
 
 def _parse_attrs(src: Tokens, i: int, kw: str, accepted: tuple[str, ...] = _ATTRS):
     """Parse an optional [comm assoc id: name] attribute block of a `kw`
-    declaration, which takes the attributes in `accepted`."""
+    declaration, which takes the attributes in `accepted`.  A block ends
+    at `]`; punctuation, a keyword or the end of the text before it leaves
+    the block unclosed."""
     toks = src.toks
     comm = assoc = False
     identity: str | None = None
@@ -249,6 +251,8 @@ def _parse_attrs(src: Tokens, i: int, kw: str, accepted: tuple[str, ...] = _ATTR
         if t not in accepted:
             if t in _ATTRS:
                 raise src.error(f"{kw} does not take attribute {t!r}", i)
+            if not _is_name(t) or t in KEYWORDS:
+                raise src.error("expected ']'", i)
             raise src.error(f"unknown attribute {t!r}", i)
         if t == "comm":
             comm = True
@@ -258,7 +262,7 @@ def _parse_attrs(src: Tokens, i: int, kw: str, accepted: tuple[str, ...] = _ATTR
             i += 1
         else:
             i = _expect_punct(src, i + 1, ":")
-            if not _is_name(toks[i]):
+            if not _is_name(toks[i]) or toks[i] in KEYWORDS:
                 raise src.error("expected identity constant", i)
             identity = toks[i]
             i += 1

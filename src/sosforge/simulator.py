@@ -9,7 +9,7 @@ negative premises to be unmet.  The same solver drives both simulation
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import BudgetExceeded, OpenTerm
 from .terms import (

@@ -7,12 +7,16 @@ applications, data multisets, and store-transition triples.  Only labels
 are matched: a rule's premise labels against the labels a term offers, and
 one rule's labels against another's in the mirror search.
 
-Nodes, like every record the package builds, are value classes
-(`valueclass`): immutable by convention, compared and hashed by their
-fields.  Canonical forms are hash-consed per `EquationalTheory`, and so
-per `Spec`: the theory's table holds one node per distinct canonical term,
-keyed by the node's class, its plain fields (a multiset's sort among them)
-and its children's identities.  So two terms have equal canonical forms
+Nodes, like the specs, rules and reports the package builds, are value
+classes (`valueclass`): immutable by convention, compared and hashed by
+their fields, and copied with changes by `replace`.  `valueclass` writes
+each class's `__init__` itself, so loading the package imports no
+`dataclasses` (nor the `inspect` and `ast` that it pulls in).
+
+Canonical forms are hash-consed per `EquationalTheory`, and so per `Spec`:
+the theory's table holds one node per distinct canonical term, keyed by
+the node's class, its plain fields (a multiset's sort among them) and its
+children's identities.  So two terms have equal canonical forms
 exactly when `canon_term` returns the same object for both, and the engine
 keys states, step caches and memo tables by `id` of that node; the table
 keeps each node alive for as long as the theory lives.  The default theory
@@ -29,7 +33,6 @@ part in equality, hashing or repr.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from reprlib import recursive_repr
 from weakref import WeakValueDictionary
@@ -47,20 +50,50 @@ SORT_LABEL = "Label"
 
 
 def valueclass(cls=None, /, *, hashable=True):
-    """Make a class a dataclass whose only generated method is `__init__`.
+    """Give a class an `__init__` over its fields, and value semantics.
+
+    The fields are the names the class body annotates, in order.
+    `__init__` takes them in that order, each defaulting to its class
+    attribute if it has one; a `field(default_factory=f)` default calls `f`
+    for each instance not given the field.  `__init__` assigns the fields,
+    then calls `__post_init__` if the class has one.  `__match_args__` and
+    `_value_names` name the fields, and `replace` copies a value with some
+    of them changed.
 
     Every value class shares one `__eq__`, one `__repr__` and, unless
     `hashable` is false, one `__hash__`; they behave and print exactly as a
     frozen dataclass's generated methods do, over all fields (no field
     opts out of comparison, hashing or repr).  Instances are immutable by
     convention: nothing assigns a field after construction, so a node may
-    cache what it derives as plain attributes.  `dataclasses.fields`,
-    `replace` and `is_dataclass` work as on any dataclass.
+    cache what it derives as plain attributes.  Value classes are not
+    dataclasses: `dataclasses.fields`, `replace` and `is_dataclass` do not
+    apply to them.
     """
     if cls is None:
         return lambda c: valueclass(c, hashable=hashable)
-    cls = dataclass(cls, eq=False, repr=False)
-    names = tuple(f.name for f in fields(cls))
+    names = tuple(vars(cls).get("__annotations__", ()))
+    env, body, defaults = {}, [], []
+    for name in names:
+        value = name
+        if name in vars(cls):
+            default = vars(cls)[name]
+            if isinstance(default, field):
+                env[f"_{name}"], env[f"_new_{name}"] = default, default.default_factory
+                value = f"_new_{name}() if {name} is _{name} else {name}"
+                delattr(cls, name)
+            defaults.append(default)
+        elif defaults:
+            raise TypeError(f"non-default argument {name!r} follows default argument")
+        body.append(f"self.{name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(names)}):\n " + "\n ".join(body or ["pass"]), env)
+    init = env["__init__"]
+    init.__defaults__ = tuple(defaults) or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    cls.__match_args__ = names
     if len(names) > 1:
         key = attrgetter(*names)
     elif names:
@@ -74,6 +107,25 @@ def valueclass(cls=None, /, *, hashable=True):
     cls.__repr__ = _value_repr
     cls.__hash__ = _value_hash if hashable else None
     return cls
+
+
+class field:
+    """A field default that `valueclass` makes afresh for each instance:
+    `default_factory()`, called with no arguments."""
+
+    def __init__(self, *, default_factory):
+        self.default_factory = default_factory
+
+    def __repr__(self):
+        return "<factory>"
+
+
+def replace(value, /, **changes):
+    """A copy of a value-class instance with the named fields changed."""
+    for name in value._value_names:
+        if name not in changes:
+            changes[name] = getattr(value, name)
+    return value.__class__(**changes)
 
 
 def _value_eq(self, other):

@@ -22,9 +22,8 @@ and every other target is substituted as written.
 
 from __future__ import annotations
 
-from dataclasses import field
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import InvalidSpec, UnknownDefConst
 from .terms import (
@@ -40,6 +39,7 @@ from .terms import (
     canon_app,
     canon_label,
     canon_term,
+    field,
     infix_symbol,
     render_label,
     render_term,
@@ -72,17 +72,14 @@ class NegPremise:
         return f"{render_term(self.source)} -({render_label(self.label)})/>"
 
 
-class RuleVars(NamedTuple):
+class RuleVars(namedtuple("RuleVars", "positives negatives label target")):
     """What the rule-format check records of a rule that meets the format:
     the label variables of each positive premise's label, of each negative
     premise's label, in order, and of the conclusion label; and the
     process and the label variables of the conclusion target, as
     `free_vars` finds them."""
 
-    positives: tuple[tuple[str, ...], ...]
-    negatives: tuple[tuple[str, ...], ...]
-    label: tuple[str, ...]
-    target: tuple[set[str], set[str]]
+    __slots__ = ()
 
 
 @valueclass
@@ -122,7 +119,8 @@ def _substitution(reads: tuple[Read, ...], bindings: list) -> Substitution:
     return sub
 
 
-class LabelPlan(NamedTuple):
+class LabelPlan(namedtuple("LabelPlan", "kind label key sort reads binds slots",
+                           defaults=(-1, "", (), (), ()))):
     """One label of a rule, classified once.
 
     `label` is the canonical node of a GROUND label and the label as
@@ -139,13 +137,7 @@ class LabelPlan(NamedTuple):
     a constant store, a bound or a repeated slot variable, is GENERAL.
     """
 
-    kind: str
-    label: LabelTerm
-    key: int = -1
-    sort: str = ""
-    reads: tuple[Read, ...] = ()
-    binds: tuple[tuple[str, int], ...] = ()
-    slots: tuple[LabelPlan, ...] = ()
+    __slots__ = ()
 
     def under(self, bindings: list, th: EquationalTheory) -> LabelTerm:
         """The canonical node of a negative premise's or the conclusion's
@@ -173,7 +165,8 @@ APP = "app"          # an operator applied to variables: built from their slots
 SUBST = "subst"      # anything else: the target as written, substituted
 
 
-class TargetPlan(NamedTuple):
+class TargetPlan(namedtuple("TargetPlan", "kind term slot op slots reads",
+                            defaults=(-1, "", (), ()))):
     """A rule's conclusion target, compiled for building.
 
     `under` builds the target from a rule's bindings, equal to what
@@ -189,12 +182,7 @@ class TargetPlan(NamedTuple):
     substitutes.
     """
 
-    kind: str
-    term: Term
-    slot: int = -1
-    op: str = ""
-    slots: tuple[int, ...] = ()
-    reads: tuple[Read, ...] = ()
+    __slots__ = ()
 
     def under(self, bindings: list, th: EquationalTheory) -> Term:
         kind = self.kind

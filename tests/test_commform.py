@@ -3,7 +3,6 @@
 import collections
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,10 +34,11 @@ from sosforge.terms import (
     match,
     render_label,
     render_term,
+    replace,
     substitute_label,
     substitute_term,
 )
-from sosforge.tss import ProcOp, render_spec
+from sosforge.tss import ProcOp, Rule, render_spec
 from mirror_oracle import oracle_mirrors
 from termgen import front_spec_text, random_bccsp_term
 
@@ -435,6 +435,21 @@ def test_comm_report_text_golden(par):
         "    x || y -(|)-> 0             |   x || y -(|)-> 0\n"
         "  with: x <- y  x' <- y'  y <- x  y' <- x'\n"
     )
+
+
+def test_comm_report_text_renders_each_rule_once(par, linda, monkeypatch):
+    """A rule that mirrors itself, or stands in two witnesses, is rendered once."""
+    reports = [(spec, check_comm(spec)) for spec in (par, linda)]
+    want = [comm_report_text(spec, report) for spec, report in reports]
+    rendered = []
+    premises_str = Rule.premises_str
+    monkeypatch.setattr(Rule, "premises_str", lambda r: rendered.append(r) or premises_str(r))
+    for (spec, report), text in zip(reports, want):
+        rendered.clear()
+        assert comm_report_text(spec, report) == text
+        shown = {i for ws in report.proven.values() for w in ws for i in (w.rule_a, w.rule_b)}
+        shown |= {i for idxs in report.failed.values() for i in idxs}
+        assert sorted(map(id, rendered)) == sorted(id(spec.rules[i - 1]) for i in shown)
 
 
 def test_comm_report_text_failures(linda):

@@ -1,10 +1,14 @@
 """What importing sosforge and running one command loads, each in a fresh interpreter."""
 
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
+
+import sosforge
 
 ENGINE = ("axioms", "bisim", "commform", "simulator")
 
@@ -39,6 +43,20 @@ def corpus_path(name: str) -> str:
 
 def test_import_sosforge_loads_no_submodule():
     assert {m for m in loaded("import sosforge") if m.startswith("sosforge.")} == set()
+
+
+def test_import_cli_loads_no_slow_stdlib_module():
+    """Start-up imports none of these. `-S` keeps `site`, and whatever its
+    path configuration files import, out of the interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sosforge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, sosforge.cli; print(*sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    mods = set(proc.stdout.split())
+    assert "sosforge.cli" in mods
+    assert mods.isdisjoint({"dataclasses", "inspect", "typing", "pathlib"}), sorted(mods)
 
 
 def test_import_cli_loads_no_engine_module_and_no_json():

@@ -422,6 +422,15 @@ ERROR_TABLE = [
      "ParseError", "identity a is not a D constant"),
     ("spec", "spec X\ndatasort D [id: x] ;\nvar x : Proc ;\n",
      "ParseError", "identity x is not a D constant"),
+    # an attribute block left open; an identity that is a keyword
+    ("spec", "spec X\nop f : 1 [comm ;\n", "ParseError", "2:16: expected ']'"),
+    ("spec", "spec X\nop f : 1 [comm", "ParseError", "2:15: expected ']'"),
+    ("spec", "spec X\nactions e ;\nlabelop m : Label Label -> Label [comm id: e ;\n",
+     "ParseError", "3:46: expected ']'"),
+    ("spec", "spec X\ndatasort D [id: e\nop f : 1 ;\n", "ParseError", "3:1: expected ']'"),
+    ("spec", "spec X\ndatasort D [id: op] ;\n", "ParseError", "2:17: expected identity constant"),
+    ("spec", "spec X\nactions e ;\nlabelop m : Label Label -> Label [assoc id: var] ;\n",
+     "ParseError", "3:45: expected identity constant"),
     # rules and definitions
     ("spec", ERR_HEAD + "rule x -(a)-> z ==> f(x) -(a)-> z ;\n",
      "UnknownSymbol", "5:15: undeclared identifier z"),

@@ -1,6 +1,5 @@
 """Term and label algebra: rendering, canonical forms, matching."""
 
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -95,8 +94,9 @@ def test_canon_label_mix_commutes(full):
 
 def uncached(x):
     """A structurally equal copy of a node with no cached render or canonical form."""
-    if dataclasses.is_dataclass(x):
-        return type(x)(**{f.name: uncached(getattr(x, f.name)) for f in dataclasses.fields(x)})
+    names = getattr(type(x), "_value_names", None)
+    if names is not None:
+        return type(x)(**{name: uncached(getattr(x, name)) for name in names})
     if isinstance(x, tuple):
         return tuple(uncached(e) for e in x)
     return x
@@ -134,6 +134,8 @@ def test_canonical_nodes_are_shared_per_theory(linda):
     c = canon_term(p, th)
     assert canon_term(q, th) is c and is_canonical(c, th)
     assert canon_term(c, th) is c and canon_term(uncached(c), th) is c
+    fresh = uncached(c)
+    assert fresh == c and fresh is not c and fresh._s is None and fresh._cth is None
     plain = canon_term(c, EMPTY_THEORY)
     assert plain is not c and plain == c and canon_term(q, EMPTY_THEORY) is plain
     assert canon_term(c, th) is c and is_canonical(c, th)

@@ -1,7 +1,9 @@
-"""Value classes: equality, hashing and repr as a frozen dataclass's, with
-`__init__` the only generated method."""
+"""Value classes: equality, hashing, repr and `replace` as a frozen
+dataclass's, with `__init__` the only generated method."""
 
 import dataclasses
+import functools
+import inspect
 
 import pytest
 
@@ -115,19 +117,95 @@ VALUES = [
 
 
 def _classes():
-    """Every dataclass the package defines."""
+    """Every value class the package defines, and any stray dataclass."""
     out = set()
     for mod in (terms, simulator, axioms, tss, commform, bisim, validator):
         for obj in vars(mod).values():
             if isinstance(obj, type) and obj.__module__ == mod.__name__ \
-                    and dataclasses.is_dataclass(obj):
+                    and ("_value_names" in vars(obj) or dataclasses.is_dataclass(obj)):
                 out.add(obj)
     return out
 
 
+@functools.cache
+def twin_class(cls):
+    """A frozen dataclass of the same name and fields."""
+    return dataclasses.make_dataclass(cls.__qualname__, cls._value_names, frozen=True)
+
+
+def frozen_twin(value):
+    """The value as an instance of its class's `twin_class`."""
+    names = type(value)._value_names
+    return twin_class(type(value))(*[getattr(value, name) for name in names])
+
+
+# Each value class's constructor parameters, in order, as the dataclass
+# version of the package declared them: (name,) when required, (name,
+# default) otherwise, and (name, "<factory>", type) for a default made
+# afresh for each instance.  `__match_args__` names the same parameters.
+SIGNATURES = {
+    AxiomEntry: (("rule",), ("head",), ("summand",), ("conditions",)),
+    NormalizeBudget: (("max_rewrites", 10000),),
+    BisimWitness: (("pairs",),),
+    Lts: (("states", "<factory>", list), ("transitions", "<factory>", list),
+          ("roots", "<factory>", list), ("closed", True)),
+    CommReport: (("proven",), ("assumed",), ("failed",)),
+    MirrorWitness: (("op",), ("rule_a",), ("rule_b",), ("mapping",)),
+    Step: (("label",), ("target",)),
+    ActConst: (("name",),),
+    App: (("op",), ("args",)),
+    Choice: (("left",), ("right",)),
+    DataConst: (("name",), ("sort",)),
+    DefConst: (("name",),),
+    EquationalTheory: (("label_ops", "<factory>", dict), ("data_identity", "<factory>", dict)),
+    LApp: (("op",), ("args",), ("sort", "Label")),
+    LVar: (("name",), ("sort",)),
+    MSet: (("elements",), ("sort",)),
+    Nil: (),
+    OpAttrs: (("comm", False), ("assoc", False), ("identity", None)),
+    PredConst: (("name",),),
+    Prefix: (("label",), ("body",)),
+    Substitution: (("terms", "<factory>", dict), ("labels", "<factory>", dict)),
+    Triple: (("pre",), ("post",)),
+    Var: (("name",),),
+    DataSortDecl: (("name",), ("identity", None)),
+    LabelOp: (("name",), ("arg_sorts",), ("result_sort",), ("attrs", OpAttrs())),
+    NegPremise: (("source",), ("label",)),
+    ProcOp: (("name",), ("arity",), ("comm", False)),
+    Rule: (("positives",), ("negatives",), ("conclusion",)),
+    Spec: (("name",), ("actions", ()), ("predicates", ()), ("data_sorts", "<factory>", dict),
+           ("data_consts", "<factory>", dict), ("label_ops", "<factory>", dict),
+           ("proc_ops", "<factory>", dict), ("variables", "<factory>", dict), ("rules", ()),
+           ("defs", "<factory>", dict)),
+    Transition: (("source",), ("label",), ("target",)),
+    Violation: (("kind",), ("rule",), ("message",), ("span",)),
+}
+
+
 def test_every_value_class_is_covered():
     assert len(VALUES) == 31
-    assert {type(make()) for make, _, _ in VALUES} == _classes()
+    assert {type(make()) for make, _, _ in VALUES} == _classes() == set(SIGNATURES)
+
+
+@pytest.mark.parametrize("cls", SIGNATURES, ids=lambda c: c.__name__)
+def test_constructors_keep_their_parameters(cls):
+    params = list(inspect.signature(cls).parameters.values())
+    want = SIGNATURES[cls]
+    assert [p.name for p in params] == [w[0] for w in want]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert cls.__match_args__ == cls._value_names == tuple(w[0] for w in want)
+    required = [w[0] for w in want if len(w) == 1]
+    made = [cls(*[None] * len(required)) for _ in range(2)]
+    for p, w in zip(params, want):
+        if len(w) == 1:
+            assert p.default is p.empty, p
+        elif len(w) == 2:
+            assert p.default == w[1] and type(p.default) is type(w[1]), p
+            assert getattr(made[0], p.name) is p.default
+        else:
+            assert repr(p.default) == w[1], p
+            first, second = (getattr(x, p.name) for x in made)
+            assert type(first) is w[2] and first == w[2]() and first is not second, p
 
 
 def test_value_classes_share_their_methods():
@@ -140,6 +218,7 @@ def test_value_classes_share_their_methods():
         assert cls.__hash__ is (None if key is None else terms._value_hash), cls
         generated = {"__init__", "__setattr__", "__delattr__"} & set(vars(cls))
         assert generated == {"__init__"}, cls
+        assert not dataclasses.is_dataclass(cls), cls
 
 
 @pytest.mark.parametrize("make, text, key", VALUES, ids=[t.split("(")[0] for _, t, _ in VALUES])
@@ -161,6 +240,30 @@ def test_value_semantics_match_frozen_dataclasses(make, text, key):
         assert hash(x) == hash(y) == want
 
 
+@pytest.mark.parametrize("make, text, key", VALUES, ids=[t.split("(")[0] for _, t, _ in VALUES])
+def test_value_semantics_match_a_real_frozen_dataclass(make, text, key):
+    """Repr, equality, hashing and `replace`, side by side with a frozen
+    dataclass of the same name and fields made by `dataclasses`."""
+    x, y = make(), make()
+    tx, ty = frozen_twin(x), frozen_twin(y)
+    assert repr(x) == repr(tx) == text
+    assert (x == y) == (tx == ty) is True
+    try:
+        want = hash(tx)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == want
+    copy = terms.replace(x)
+    assert type(copy) is type(x) and copy == x and copy is not x
+    for name in type(x)._value_names:
+        changed = terms.replace(x, **{name: "changed"})
+        assert repr(changed) == repr(dataclasses.replace(tx, **{name: "changed"}))
+        assert (changed == x) == (dataclasses.replace(tx, **{name: "changed"}) == tx) is False
+        assert repr(x) == text
+
+
 def test_equality_needs_the_same_class_and_fields():
     assert ActConst("a") != PredConst("a")
     assert DataConst("d", "A") != DataConst("d", "B")
@@ -179,14 +282,37 @@ def test_unhashable_values_stay_unhashable():
 
 def test_replace_builds_a_new_value():
     rule = Rule((TRANS,), (), TRANS)
-    assert dataclasses.replace(rule, negatives=(NEG,)) == Rule((TRANS,), (NEG,), TRANS)
+    assert terms.replace(rule, negatives=(NEG,)) == Rule((TRANS,), (NEG,), TRANS)
     op = ProcOp("_||_", 2)
-    assert dataclasses.replace(op, comm=True) == ProcOp("_||_", 2, True)
+    assert terms.replace(op, comm=True) == ProcOp("_||_", 2, True)
     assert op.comm is False
     spec = Spec("S", proc_ops={"_||_": op})
-    copy = dataclasses.replace(spec, name="T")
+    copy = terms.replace(spec, name="T")
     assert (copy.name, copy.proc_ops) == ("T", {"_||_": op})
-    assert [f.name for f in dataclasses.fields(ProcOp)] == ["name", "arity", "comm"]
+    assert list(ProcOp._value_names) == ["name", "arity", "comm"]
+    with pytest.raises(TypeError):
+        terms.replace(op, sort="Proc")
+
+
+def test_replace_keeps_no_derived_state():
+    """A copy computes its own caches: a changed `Spec` its own theory, a
+    changed node its own rendering."""
+    spec = Spec("S", data_sorts={"D": DataSortDecl("D", "e")})
+    assert spec.theory.data_identity == {"D": "e"}
+    copy = terms.replace(spec, data_sorts={"D": DataSortDecl("D")})
+    assert copy.theory.data_identity == {"D": None} and copy.theory is not spec.theory
+    p = Prefix(A, NIL)
+    terms.render_term(p)
+    q = terms.replace(p, body=Var("x"))
+    assert q._s is None and terms.render_term(q) == "a . x"
+
+
+def test_fields_match_by_position():
+    match Prefix(A, Choice(Var("x"), NIL)):
+        case Prefix(ActConst(name), Choice(left, right)):
+            assert (name, left, right) == ("a", Var("x"), NIL)
+        case _:
+            pytest.fail("no case matched")
 
 
 def test_caches_are_not_fields():
@@ -197,3 +323,15 @@ def test_caches_are_not_fields():
     terms.canon_term(p)
     assert p._s is not None and q._s is None
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+
+
+def test_plan_records_are_plain_tuples():
+    """Plan and search records are named tuples with no instance dict."""
+    records = [tss.RuleVars((), (), (), (set(), set())), tss.LabelPlan(tss.GROUND, A),
+               tss.TargetPlan(tss.FIXED, NIL),
+               commform._Mirrored(*[()] * len(commform._Mirrored._fields))]
+    for r in records:
+        assert isinstance(r, tuple) and not hasattr(r, "__dict__"), type(r)
+        assert repr(r).startswith(type(r).__name__ + "(")
+    assert tss.LabelPlan(tss.GROUND, A) == (tss.GROUND, A, -1, "", (), (), ())
+    assert tss.TargetPlan(tss.FIXED, NIL)._replace(slot=2).slot == 2
