@@ -9,6 +9,7 @@ Importing the package loads none of its modules; each export loads on use.
 """
 
 import importlib
+import os
 
 TYPE_CHECKING = False  # true only for static type checkers
 if TYPE_CHECKING:
@@ -18,13 +19,15 @@ if TYPE_CHECKING:
 _EXPORTS = {
     "axioms": ("NormalizeBudget", "axiom_report", "normalize"),
     "bisim": ("Lts", "are_equal", "bisimilar", "build_lts", "refine"),
-    "commform": ("CommReport", "cc_equal", "check_comm", "find_mirror", "formats_spec"),
+    "commform": ("CommReport", "cc_equal", "check_comm", "find_mirror", "formats_spec",
+                 "render_spec"),
     "errors": ("InvalidSpec", "SosError"),
+    "matching": ("match",),
     "parser": ("parse_label", "parse_spec", "parse_term"),
     "simulator": ("Step", "solve_rule", "step"),
-    "terms": ("canon_label", "canon_term", "match", "render_label", "render_term",
+    "terms": ("canon_label", "canon_term", "render_label", "render_term",
               "substitute_label", "substitute_term", "summands"),
-    "tss": ("Rule", "Spec", "render_spec"),
+    "tss": ("Rule", "Spec"),
     "validator": ("check_all",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -45,12 +48,14 @@ def __dir__() -> list[str]:
 
 
 def corpus_text(name: str) -> str:
-    """The source text of a bundled specification, by name ('linda' or 'linda.sos')."""
-    from importlib import resources
+    """The source text of a bundled specification, by name ('linda' or 'linda.sos').
 
+    Raises FileNotFoundError for a name that is not bundled.
+    """
     if not name.endswith(".sos"):
         name += ".sos"
-    return (resources.files(__name__) / "corpus" / name).read_text(encoding="utf-8")
+    with open(os.path.join(os.path.dirname(__file__), "corpus", name), encoding="utf-8") as f:
+        return f.read()
 
 
 def load_corpus(name: str) -> "Spec":

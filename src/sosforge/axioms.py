@@ -11,7 +11,6 @@ ground terms.
 from __future__ import annotations
 
 from .errors import BudgetExceeded, NonBccspTerm, OpenTerm
-from .simulator import solve_rule
 from .terms import (
     App,
     Choice,
@@ -33,7 +32,7 @@ from .terms import (
     summands,
     valueclass,
 )
-from .tss import APP, VAR, Spec
+from .tss import Spec
 
 
 @valueclass
@@ -62,6 +61,8 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     operator and the identities of its arguments' normal forms.  A rewrite
     asked for while it is under way would never end, so it fails at once.
     """
+    from .simulator import APP, VAR, solve_rule  # the axiom report needs no solver
+
     th = spec.theory
     budget = budget or DEFAULT_BUDGET
     # None marks a rewrite under way; the theory keeps every normal form

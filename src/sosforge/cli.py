@@ -137,14 +137,14 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_comm(args) -> int:
-    from . import commform, tss
+    from . import commform
 
     spec = _load_spec(args.spec)
     report = commform.check_comm(spec)
     if args.emit_formats:
         derived = commform.formats_spec(spec, report)
         with open(args.emit_formats, "w", encoding="utf-8") as f:
-            f.write(tss.render_spec(derived))
+            f.write(commform.render_spec(derived))
     if args.json:
         _emit(commform.comm_report_json(report))
     else:

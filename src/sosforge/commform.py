@@ -17,7 +17,8 @@ round, which drops none.
 A rule's first mirror is the candidate of smallest rule index, and its
 mapping is the first renaming the search meets: the search sends the
 candidate's positive premises, in order, each to the rule's premises in
-order through the label matcher, backtracking from the last.
+order through the label matcher (`matching._match_label`), backtracking
+from the last.
 
 The search reads a rule through a record compiled each time its row is
 computed (`_Mirrored`): its negative premises, conclusion label and
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .matching import _match_label
 from .terms import (
     SORT_PROC,
     EMPTY_THEORY,
@@ -47,8 +49,9 @@ from .terms import (
     Triple,
     Var,
     _equations,
-    _match_label,
     canon_label,
+    render_label,
+    render_term,
     replace,
     valueclass,
 )
@@ -359,6 +362,48 @@ def formats_spec(spec: Spec, report: CommReport) -> Spec:
         for name, op in spec.proc_ops.items()
     }
     return replace(spec, proc_ops=new_ops)
+
+
+def render_spec(spec: Spec) -> str:
+    """Serialize a specification back to its declaration syntax, as
+    `comm --emit-formats` writes `formats_spec`'s result."""
+    lines = [f"spec {spec.name}"]
+    if spec.actions:
+        lines.append("actions " + " ".join(spec.actions) + " ;")
+    if spec.predicates:
+        lines.append("predicates " + " ".join(spec.predicates) + " ;")
+    for d in spec.data_sorts.values():
+        attrs = "assoc comm" + (f" id: {d.identity}" if d.identity else "")
+        lines.append(f"datasort {d.name} [{attrs}] ;")
+    by_sort: dict[str, list[str]] = {}
+    for name, sort in spec.data_consts.items():
+        by_sort.setdefault(sort, []).append(name)
+    for sort, names in by_sort.items():
+        lines.append("dataconst " + " ".join(names) + f" : {sort} ;")
+    for op in spec.label_ops.values():
+        sig = " ".join(op.arg_sorts) + " -> " + op.result_sort
+        attrs = []
+        if op.attrs.comm:
+            attrs.append("comm")
+        if op.attrs.assoc:
+            attrs.append("assoc")
+        if op.attrs.identity is not None:
+            attrs.append(f"id: {render_label(op.attrs.identity)}")
+        tail = f" [{' '.join(attrs)}]" if attrs else ""
+        lines.append(f"labelop {op.name} : {sig}{tail} ;")
+    for op in spec.proc_ops.values():
+        tail = " [comm]" if op.comm else ""
+        lines.append(f"op {op.name} : {op.arity}{tail} ;")
+    var_groups: dict[str, list[str]] = {}
+    for name, sort in spec.variables.items():
+        var_groups.setdefault(sort, []).append(name)
+    for sort, names in var_groups.items():
+        lines.append("var " + " ".join(names) + f" : {sort} ;")
+    for r in spec.rules:
+        lines.append(f"rule {r} ;")
+    for name, body in spec.defs.items():
+        lines.append(f"def {name} = {render_term(body)} ;")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

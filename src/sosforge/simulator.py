@@ -5,11 +5,25 @@ step by their rules: bind the source arguments, witness each positive
 premise against the moves of the tested argument, then require the
 negative premises to be unmet.  The same solver drives both simulation
 (moves = one-step successors) and the axiom schema (moves = summands).
+
+Rules fire through plans (`plan_rule`), compiled per operator on its first
+firing by `Spec.plans_for`.  A plan compiles only the shapes rules are
+written in: a premise label that is a bare variable, ground, or a store
+triple of two fresh slot variables; a conclusion label that repeats a
+premise's; and a target that is a variable, ground, or an operator applied
+to variables.  Every other positive premise label goes through the label
+matcher (`matching.match`), which `solve_rule` imports on meeting one; every
+other negative premise or conclusion label is substituted and
+canonicalized, and every other target is substituted as written.  The
+commands that fire rules (simulate, bisim, eq and normalize) load this
+module; the others do not.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
+from functools import cached_property
 
 from .errors import BudgetExceeded, OpenTerm
 from .terms import (
@@ -18,26 +32,272 @@ from .terms import (
     DefConst,
     EquationalTheory,
     LabelTerm,
+    LVar,
     Nil,
     Prefix,
+    Substitution,
     Term,
     Triple,
     Var,
+    canon_app,
     canon_label,
     canon_term,
     label_sort,
-    match,
     render_label,
     render_term,
     sort_accepts,
+    substitute_label,
+    substitute_term,
     valueclass,
 )
-from .tss import BOUND, FRESH, GROUND, TRIPLE, LabelPlan, RulePlan, Spec
+from .tss import Rule, RuleVars, Spec
 
 DEFAULT_DEPTH_CAP = 500
 DEFAULT_SET_CAP = 10000
 
 Moves = Callable[[int], list[tuple[LabelTerm, Term]]]
+
+
+# ---------------------------------------------------------------------------
+# firing plans
+
+
+# How a rule plan reads a label, given the variables bound before it.
+FRESH = "fresh"      # a bare variable not bound yet: bind it after a sort check
+BOUND = "bound"      # a bare bound variable: compare canonical nodes
+GROUND = "ground"    # no variables: compare with its canonical node
+TRIPLE = "triple"    # a store triple of two distinct fresh slot variables: bind both
+GENERAL = "general"  # anything else: the matcher, or substituted and canonicalized
+
+# A variable a plan hands to a `Substitution`: its name, its slot, and
+# whether it is a label variable.
+Read = tuple[str, int, bool]
+
+
+def _substitution(reads: tuple[Read, ...], bindings: list) -> Substitution:
+    """The substitution binding each variable of `reads` to its slot's value."""
+    sub = Substitution()
+    for name, slot, is_label in reads:
+        (sub.labels if is_label else sub.terms)[name] = bindings[slot]
+    return sub
+
+
+class LabelPlan(namedtuple("LabelPlan", "kind label key sort reads binds slots",
+                           defaults=(-1, "", (), (), ()))):
+    """One label of a rule, classified once.
+
+    `label` is the canonical node of a GROUND label and the label as
+    written otherwise.  `key` is the slot of a FRESH or BOUND variable and,
+    in a positive premise's TRIPLE or GENERAL plan, the slot that keeps the
+    label node the premise met.  `sort` is a FRESH variable's sort.  A
+    GENERAL label substitutes the bound variables of `reads` and `match`
+    binds the fresh ones of `binds`, by name and slot.  `slots` holds the
+    FRESH plans of a TRIPLE label's two slot variables.
+
+    Only a positive premise's label is TRIPLE, and only when it is a store
+    triple of two distinct slot variables that no earlier part of the rule
+    binds, as Linda's `< xD, -, xD' >`.  Every other store triple, one with
+    a constant store, a bound or a repeated slot variable, is GENERAL.
+    """
+
+    __slots__ = ()
+
+    def under(self, bindings: list, th: EquationalTheory) -> LabelTerm:
+        """The canonical node of a negative premise's or the conclusion's
+        label under a rule's bindings: a list, indexed by slot, that binds
+        every variable of the label to a canonical node."""
+        kind = self.kind
+        if kind == BOUND:
+            return bindings[self.key]
+        if kind == GROUND:
+            return self.label
+        return canon_label(substitute_label(self.label, _substitution(self.reads, bindings)), th)
+
+    def pattern(self, bindings: list) -> LabelTerm:
+        """A GENERAL premise label as `match` takes it: its bound variables
+        substituted."""
+        if not self.reads:
+            return self.label
+        return substitute_label(self.label, _substitution(self.reads, bindings))
+
+
+# How a target plan builds a conclusion target.
+VAR = "var"          # a variable: its slot's value
+FIXED = "fixed"      # ground: itself, a canonical node when written canonically
+APP = "app"          # an operator applied to variables: built from their slots
+SUBST = "subst"      # anything else: the target as written, substituted
+
+
+class TargetPlan(namedtuple("TargetPlan", "kind term slot op slots reads",
+                            defaults=(-1, "", (), ()))):
+    """A rule's conclusion target, compiled for building.
+
+    `under` builds the target from a rule's bindings, equal to what
+    substituting them into the target as written gives.  An application
+    whose arguments are all variables comes out as one canonical node, with
+    one intern lookup, when their bindings are canonical nodes.  Any other
+    target with variables (a prefix, a choice, an application with an
+    argument that is not a variable) is substituted as written, and
+    canonicalized by whoever needs its canonical form.  `term` is a FIXED
+    target's node and the target as written otherwise; `slot` is a
+    variable's slot; `op` is an application's operator and `slots` the
+    slots of its arguments; `reads` names the variables a SUBST target
+    substitutes.
+    """
+
+    __slots__ = ()
+
+    def under(self, bindings: list, th: EquationalTheory) -> Term:
+        kind = self.kind
+        if kind == VAR:
+            return bindings[self.slot]
+        if kind == APP:
+            args = tuple([bindings[i] for i in self.slots])
+            for a in args:
+                if a._cth is not th or a._c is not None:  # not canonical
+                    return App(self.op, args)
+            return canon_app(self.op, args, th)
+        if kind == FIXED:
+            return self.term
+        return substitute_term(self.term, _substitution(self.reads, bindings))
+
+
+def plan_target(t: Term, names: tuple[set[str], set[str]], slot_of: dict[str, int],
+                th: EquationalTheory) -> TargetPlan:
+    """Compile a conclusion target for building, given its process and
+    label variables as the format check recorded them (`RuleVars.target`)
+    and the slot of each: a variable is VAR, a ground target FIXED, an
+    application whose arguments are all variables APP, and anything else
+    SUBST."""
+    cls = type(t)  # node classes have no subclasses
+    if cls is Var:
+        return TargetPlan(VAR, t, slot_of[t.name])
+    procs, labels = names
+    if not procs and not labels:
+        canon = canon_term(t, th)
+        return TargetPlan(FIXED, canon if canon == t else t)
+    if cls is App and all(type(a) is Var or type(a) is LVar for a in t.args):
+        return TargetPlan(APP, t, op=t.op, slots=tuple([slot_of[a.name] for a in t.args]))
+    reads = [(n, slot_of[n], False) for n in procs] + [(n, slot_of[n], True) for n in labels]
+    return TargetPlan(SUBST, t, reads=tuple(sorted(reads)))
+
+
+class _Slots:
+    """The slots of a rule being planned: the conclusion source's
+    arguments first, in order, then each slot as it is asked for."""
+
+    def __init__(self, source: tuple) -> None:
+        self.of = {v.name: k for k, v in enumerate(source)}
+        self.reads = [(v.name, k, isinstance(v, LVar)) for k, v in enumerate(source)]
+        self.size = len(source)
+
+    def new(self, name: str | None = None, is_label: bool = True) -> int:
+        """A new slot, for the named variable or, unnamed, for a label node."""
+        slot = self.size
+        self.size += 1
+        if name is not None:
+            self.of[name] = slot
+            self.reads.append((name, slot, is_label))
+        return slot
+
+
+class RulePlan:
+    """A rule compiled for firing over numbered slots.
+
+    Firing fills a list of bindings, indexed by slot: the conclusion
+    source's arguments first, in order; then, per positive premise in
+    order, its fresh label variables, its target and, for a TRIPLE or
+    GENERAL label, the label node it met.  A conclusion label written as a
+    positive premise's TRIPLE or GENERAL label is that node: it is
+    canonical, and `canon_label` of the label under the bindings.
+
+    `sources` holds each source argument's sort (None for a process
+    variable) and `blank` the unbound slots after them.  `positives`
+    holds, per positive premise, the tested argument's position (its slot),
+    the target's slot and the label's plan; `negatives` the tested position
+    and the label's plan; `conclusion` the conclusion label's plan.
+    `target` builds the conclusion target; it is compiled when first read,
+    which firing does when the rule first yields bindings.  `reads` names
+    the slot of every variable, for `substitution`.
+    """
+
+    def __init__(self, rule: Rule, vs: RuleVars, slots: _Slots, positives: tuple,
+                 negatives: tuple, conclusion: LabelPlan, th: EquationalTheory) -> None:
+        source = rule.conclusion.source.args
+        self.rule = rule
+        self.sources = tuple([v.sort if isinstance(v, LVar) else None for v in source])
+        self.blank = (None,) * (slots.size - len(source))
+        self.positives = positives
+        self.negatives = negatives
+        self.conclusion = conclusion
+        self.reads = tuple(slots.reads)
+        self._target_vars = vs.target
+        self._slot_of = slots.of
+        self._th = th
+
+    @cached_property
+    def target(self) -> TargetPlan:
+        return plan_target(self.rule.conclusion.target, self._target_vars, self._slot_of, self._th)
+
+    def substitution(self, bindings: list) -> Substitution:
+        """The rule's variables bound as the bindings bind them, by name."""
+        return _substitution(self.reads, bindings)
+
+
+def _label_plan(label: LabelTerm, names: tuple[str, ...], slots: _Slots,
+                th: EquationalTheory) -> LabelPlan:
+    """Classify a label, whose variables are `names`, by those already in
+    a slot and those fresh; give the fresh ones slots."""
+    if isinstance(label, LVar):
+        slot = slots.of.get(label.name)
+        if slot is not None:
+            return LabelPlan(BOUND, label, slot)
+        return LabelPlan(FRESH, label, slots.new(label.name), label.sort)
+    if not names:
+        return LabelPlan(GROUND, canon_label(label, th))
+    if isinstance(label, Triple) and _fresh_slots(label, slots):
+        return LabelPlan(TRIPLE, label, slots=(_label_plan(label.pre, names, slots, th),
+                                               _label_plan(label.post, names, slots, th)))
+    reads = tuple([(n, slots.of[n], True) for n in sorted(names) if n in slots.of])
+    fresh = [n for n in sorted(names) if n not in slots.of]
+    binds = tuple([(n, slots.new(n)) for n in fresh])
+    return LabelPlan(GENERAL, label, reads=reads, binds=binds)
+
+
+def _fresh_slots(label: Triple, slots: _Slots) -> bool:
+    """Whether a store triple's slots are two distinct variables, neither
+    in a slot yet."""
+    pre, post = label.pre, label.post
+    return (type(pre) is LVar and type(post) is LVar and pre.name != post.name
+            and pre.name not in slots.of and post.name not in slots.of)
+
+
+def plan_rule(rule: Rule, vs: RuleVars, th: EquationalTheory) -> RulePlan:
+    """Compile a rule that meets the rule format, given what the format
+    check recorded of it: its source arguments are distinct variables, its
+    premises test them and its premise targets are fresh variables."""
+    concl = rule.conclusion
+    slots = _Slots(concl.source.args)
+    positives = []
+    conclusion = None
+    for p, names in zip(rule.positives, vs.positives):
+        lp = _label_plan(p.label, names, slots, th)
+        target = slots.new(p.target.name, is_label=False)
+        if lp.kind == TRIPLE or lp.kind == GENERAL:
+            lp = lp._replace(key=slots.new())
+            if conclusion is None and p.label == concl.label:
+                conclusion = LabelPlan(BOUND, concl.label, lp.key)
+        positives.append((slots.of[p.source.name], target, lp))
+    # negative and conclusion labels bind nothing: every variable has a slot by now
+    negatives = tuple([(slots.of[n.source.name], _label_plan(n.label, names, slots, th))
+                       for n, names in zip(rule.negatives, vs.negatives)])
+    if conclusion is None:
+        conclusion = _label_plan(concl.label, vs.label, slots, th)
+    return RulePlan(rule, vs, slots, tuple(positives), negatives, conclusion, th)
+
+
+# ---------------------------------------------------------------------------
+# firing
 
 
 @valueclass
@@ -69,7 +329,7 @@ def solve_rule(plan: RulePlan, args: tuple, moves: Moves, th: EquationalTheory) 
     one object per canonical form.  A store triple of two distinct fresh
     slot variables (a TRIPLE plan) binds the offered triple's slots after
     a sort check each (`_read_slots`).  Every other premise label goes
-    through `match`.  Every label the bindings hold, `match`'s too, is a
+    through `matching.match`.  Every label the bindings hold, `match`'s too, is a
     canonical node.
     """
     base = list(args)
@@ -120,6 +380,8 @@ def solve_rule(plan: RulePlan, args: tuple, moves: Moves, th: EquationalTheory) 
                             row[target] = cont
                             nxt.append(row)
         else:
+            from .matching import match  # loaded only by specs with a GENERAL premise
+
             key, binds = lp.key, lp.binds
             for r in rows:
                 pat = lp.pattern(r)

@@ -23,7 +23,9 @@ from sosforge.commform import (
     comm_report_text,
     find_mirror,
     formats_spec,
+    render_spec,
 )
+from sosforge.matching import match
 from sosforge.terms import (
     App,
     Choice,
@@ -31,14 +33,13 @@ from sosforge.terms import (
     Substitution,
     Var,
     canon_label,
-    match,
     render_label,
     render_term,
     replace,
     substitute_label,
     substitute_term,
 )
-from sosforge.tss import ProcOp, Rule, render_spec
+from sosforge.tss import ProcOp, Rule
 from mirror_oracle import oracle_mirrors
 from termgen import front_spec_text, random_bccsp_term
 

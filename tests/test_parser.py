@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosforge import corpus_text, load_corpus, parse_label, parse_spec, parse_term
+from sosforge.commform import render_spec
 from sosforge.errors import (
     ArityMismatch,
     DuplicateDeclaration,
@@ -16,7 +17,6 @@ from sosforge.errors import (
     UnknownSymbol,
 )
 from sosforge.parser import Tokens
-from sosforge.tss import render_spec
 from sosforge.terms import ActConst, LApp, LVar, canon_label, render_label, render_term
 from termgen import front_spec_text, random_bccsp_term, random_full_term
 

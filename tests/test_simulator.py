@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from sosforge import axioms, load_corpus, parse_label, parse_spec, parse_term, simulator
+from sosforge import load_corpus, matching, parse_label, parse_spec, parse_term, simulator
 from sosforge.axioms import normalize
 from sosforge.bisim import build_lts
 from sosforge.errors import BudgetExceeded, InvalidSpec
-from sosforge.simulator import solve_rule, step
-from sosforge.tss import (
+from sosforge.matching import match
+from sosforge.simulator import (
     APP,
     BOUND,
     FIXED,
@@ -20,6 +20,8 @@ from sosforge.tss import (
     SUBST,
     TRIPLE,
     VAR,
+    solve_rule,
+    step,
 )
 from sosforge.terms import (
     NIL,
@@ -37,7 +39,6 @@ from sosforge.terms import (
     canon_term,
     free_vars,
     label_sort,
-    match,
     render_label,
     render_term,
     sort_accepts,
@@ -328,8 +329,7 @@ def against_reference(monkeypatch):
         counts.append(len(got))
         return got
 
-    monkeypatch.setattr(simulator, "solve_rule", checked)
-    monkeypatch.setattr(axioms, "solve_rule", checked)
+    monkeypatch.setattr(simulator, "solve_rule", checked)  # normalize imports it from there
     return counts
 
 
@@ -551,8 +551,7 @@ def against_substitution(monkeypatch):
         counts["reused"] += len(rows) if _reads_met_label(plan) else 0
         return rows
 
-    monkeypatch.setattr(simulator, "solve_rule", checked)
-    monkeypatch.setattr(axioms, "solve_rule", checked)
+    monkeypatch.setattr(simulator, "solve_rule", checked)  # normalize imports it from there
     return counts
 
 
@@ -752,7 +751,7 @@ def test_bccsp_par_exploration_makes_no_match_call(par, monkeypatch):
         calls.append(args)
         return match(*args)
 
-    monkeypatch.setattr(simulator, "match", counted)
+    monkeypatch.setattr(matching, "match", counted)
     lts = build_lts(par, [parse_term(" || ".join(["a . b . | . 0"] * 6), par)])
     assert len(lts.states) == 3 ** 6 + 1 and calls == []
 
@@ -767,7 +766,7 @@ def test_store_triples_make_no_match_call(linda, full, monkeypatch):
         calls.append(args)
         return match(*args)
 
-    monkeypatch.setattr(simulator, "match", counted)
+    monkeypatch.setattr(matching, "match", counted)
     rng = random.Random(34)
     normalize(linda, parse_term(_linda_chain(rng, 24), linda))
     pair = parse_term(f"({_linda_chain(rng, 3)}) || ({_linda_chain(rng, 3)})", linda)

@@ -6,8 +6,9 @@ from collections import Counter
 
 import pytest
 
-from sosforge import parse_label, parse_spec, parse_term, terms
+from sosforge import matching, parse_label, parse_spec, parse_term
 from sosforge.errors import NonBccspTerm, OpenTerm, SortError
+from sosforge.matching import match
 from sosforge.terms import (
     EMPTY_THEORY,
     NIL,
@@ -26,7 +27,6 @@ from sosforge.terms import (
     canon_label,
     canon_term,
     free_vars,
-    match,
     render_label,
     render_term,
     sort_accepts,
@@ -389,7 +389,7 @@ def test_match_mset_shares(linda):
     assert shares("{d, d, xD}", "{d, u}") == []
     # each share is tried once, though u occurs twice: {}, u and {u, u}
     pat, subj = (canon_label(parse_label(t, linda), th) for t in ("{xD, xD'}", "{u, u}"))
-    assert len(list(terms._match_label(pat, subj, Substitution(), th, terms._bind_label))) == 3
+    assert len(list(matching._match_label(pat, subj, Substitution(), th, matching._bind_label))) == 3
 
 
 def _match_keying_every_result(pattern, subject, th):
@@ -397,7 +397,7 @@ def _match_keying_every_result(pattern, subject, th):
     every variable to an equal value (value equality tells sorts apart)."""
     pat, subj = canon_label(pattern, th), canon_label(subject, th)
     results = []
-    for sub in terms._match_label(pat, subj, Substitution(), th, terms._bind_label):
+    for sub in matching._match_label(pat, subj, Substitution(), th, matching._bind_label):
         if sub not in results:
             results.append(sub)
     return results
@@ -714,5 +714,5 @@ def test_match_claims_equal_arguments_once(pattern, subject, results):
     spec = parse_spec(ORACLE_SPEC)
     th = spec.theory
     pat, subj = (canon_label(parse_label(t, spec), th) for t in (pattern, subject))
-    raw = list(terms._match_label(pat, subj, Substitution(), th, terms._bind_label))
+    raw = list(matching._match_label(pat, subj, Substitution(), th, matching._bind_label))
     assert len(raw) == len(match(pat, subj, th)) == results

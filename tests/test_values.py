@@ -327,11 +327,11 @@ def test_caches_are_not_fields():
 
 def test_plan_records_are_plain_tuples():
     """Plan and search records are named tuples with no instance dict."""
-    records = [tss.RuleVars((), (), (), (set(), set())), tss.LabelPlan(tss.GROUND, A),
-               tss.TargetPlan(tss.FIXED, NIL),
+    records = [tss.RuleVars((), (), (), (set(), set())),
+               simulator.LabelPlan(simulator.GROUND, A), simulator.TargetPlan(simulator.FIXED, NIL),
                commform._Mirrored(*[()] * len(commform._Mirrored._fields))]
     for r in records:
         assert isinstance(r, tuple) and not hasattr(r, "__dict__"), type(r)
         assert repr(r).startswith(type(r).__name__ + "(")
-    assert tss.LabelPlan(tss.GROUND, A) == (tss.GROUND, A, -1, "", (), (), ())
-    assert tss.TargetPlan(tss.FIXED, NIL)._replace(slot=2).slot == 2
+    assert simulator.LabelPlan(simulator.GROUND, A) == (simulator.GROUND, A, -1, "", (), (), ())
+    assert simulator.TargetPlan(simulator.FIXED, NIL)._replace(slot=2).slot == 2
