@@ -22,10 +22,11 @@ from .terms import (
     Term,
     Var,
     app_width,
+    canon_choice,
     canon_label,
     canon_prefix,
     canon_term,
-    fold_choice,
+    choice_atoms,
     render_label,
     render_term,
     substitute_label,
@@ -58,7 +59,10 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     straight from their normal forms; any other target is walked as
     written, its variables substituted by their normal forms.  Normal
     forms are the spec's canonical nodes, so a rewrite is memoized by its
-    operator and the identities of its arguments' normal forms.  A rewrite
+    operator and the identities of its arguments' normal forms.  A choice's
+    normal form is `canon_choice` of its summands' normal forms, each one
+    level deeper, and a rewrite's is `canon_choice` of the prefixes its
+    firings build; no raw choice is built and canonicalized again.  A rewrite
     asked for while it is under way would never end, so it fails at once.
     """
     from .simulator import APP, VAR, solve_rule  # the axiom report needs no solver
@@ -95,8 +99,7 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
             return canon_prefix(canon_label(substitute_label(t.label, sub), th),
                                 norm(t.body, sub, depth + 1), th)
         if isinstance(t, Choice):
-            parts = [norm(a, sub, depth + 1) for a in (t.left, t.right)]
-            return canon_term(Choice(parts[0], parts[1]), th)
+            return canon_choice([norm(a, sub, depth + 1) for a in choice_atoms(t)], th)
         assert isinstance(t, App)
         return rewrite(t.op, tuple(
             canon_label(substitute_label(a, sub), th) if isinstance(a, LabelTerm)
@@ -148,8 +151,8 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
                         else:  # walked as written, its variables bound to normal forms
                             sub = plan.substitution(b) if target.reads else unbound
                             cont = norm(target.term, sub, depth + 1)
-                        parts.append(Prefix(concl.under(b, th), cont))
-        result = canon_term(fold_choice(parts), th)
+                        parts.append(canon_prefix(concl.under(b, th), cont, th))
+        result = canon_choice(parts, th)
         memo[key] = result
         return result
 

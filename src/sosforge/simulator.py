@@ -42,6 +42,7 @@ from .terms import (
     canon_app,
     canon_label,
     canon_term,
+    choice_atoms,
     label_sort,
     render_label,
     render_term,
@@ -434,10 +435,12 @@ def moves(spec: Spec, term: Term, cache: dict[int, list[tuple[LabelTerm, Term]]]
     application target over canonical bindings as one canonical node.  Two
     moves are the same when their labels and their targets' canonical
     forms are the same nodes; the first one found is kept, its target in
-    the shape it was built in.  Every subterm is stepped once per cache,
-    keyed by its canonical node; a hit returns the moves of the first
-    subterm stepped under that key, and skips the caps, which held when the
-    entry was made.
+    the shape it was built in.  A choice's moves are its summands' moves,
+    in order (`choice_atoms`).  Every subterm met is stepped once per
+    cache, keyed by its canonical node: a choice and each of its summands
+    get entries, the sub-chains of its spine none.  A hit returns the moves
+    of the first subterm stepped under that key, and skips the caps, which
+    held when the entry was made.
     """
     th = spec.theory
 
@@ -455,7 +458,7 @@ def moves(spec: Spec, term: Term, cache: dict[int, list[tuple[LabelTerm, Term]]]
         elif isinstance(t, Prefix):
             found = [(canon_label(t.label, th), t.body)]
         elif isinstance(t, Choice):
-            found = go(t.left, depth + 1) + go(t.right, depth + 1)
+            found = [m for a in choice_atoms(t) for m in go(a, depth + 1)]
         elif isinstance(t, DefConst):
             found = go(spec.definition(t.name), depth + 1)
         else:

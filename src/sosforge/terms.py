@@ -24,6 +24,10 @@ keeps each node alive for as long as the theory lives.  The default theory
 no node nobody else holds.  Rendering is for output and for the canonical
 order of choice summands, multiset elements and commutative arguments.
 
+A choice is a binary node that every walk reads as its list of summands
+(`choice_atoms`, a loop down the right spine), so its width costs no
+stack; `canon_choice` is the one builder of a canonical choice.
+
 A node caches its rendered string on itself, and its canonical form
 together with the theory it was computed under (one node, such as a rule
 pattern, can be canonicalized under several theories; the last one is
@@ -368,8 +372,13 @@ def _render(t: Term, min_level: int) -> str:
             return t.name
         if isinstance(t, Prefix):
             s = f"{render_label(t.label)} . {_render(t.body, _LVL_PREFIX)}"
-        elif isinstance(t, Choice):
-            s = f"{_render(t.left, _LVL_PREFIX)} + {_render(t.right, _LVL_CHOICE)}"
+        elif isinstance(t, Choice):  # down the right spine to a suffix with its string
+            spine = [t]
+            while type(spine[-1].right) is Choice and spine[-1].right._s is None:
+                spine.append(spine[-1].right)
+            s = _render(spine[-1].right, _LVL_CHOICE)
+            for c in reversed(spine):
+                s = c._s = f"{_render(c.left, _LVL_PREFIX)} + {s}"
         elif isinstance(t, App):
             sym = infix_symbol(t.op)
             if sym is not None and len(t.args) == 2:
@@ -663,19 +672,24 @@ def _canon_triple(pre: LabelTerm, post: LabelTerm, th: EquationalTheory) -> Trip
 
 
 def choice_atoms(t: Term) -> list[Term]:
-    """Flatten a choice chain into its non-choice parts, in syntactic order."""
-    if isinstance(t, Choice):
-        return choice_atoms(t.left) + choice_atoms(t.right)
-    return [t]
+    """A choice's non-choice parts in syntactic order, read down its right spine."""
+    out = []
+    while type(t) is Choice:
+        out += choice_atoms(t.left) if type(t.left) is Choice else (t.left,)
+        t = t.right
+    out.append(t)
+    return out
 
 
-def fold_choice(atoms: list[Term]) -> Term:
-    """Right-nest a list of summands into a choice chain; empty means deadlock."""
-    if not atoms:
-        return NIL
-    out = atoms[-1]
-    for a in reversed(atoms[:-1]):
-        out = Choice(a, out)
+def canon_choice(terms: list[Term], th: EquationalTheory) -> Term:
+    """th's choice of canonical terms: their summands, `0` dropped, in
+    canonical order, each once, right-nested over canonical links."""
+    unique = {id(a): a for t in terms for a in choice_atoms(t) if type(a) is not Nil}
+    atoms = _ordered(list(unique.values()), render_term)
+    out = atoms.pop() if atoms else _nil(th)
+    for a in reversed(atoms):
+        key = (Choice, id(a), id(out))
+        out = th._nodes.get(key) or _store(th, key, Choice(a, out))
     return out
 
 
@@ -703,14 +717,7 @@ def canon_term(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
             for a in t.args
         ), th)
     elif cls is Choice:
-        atoms = [canon_term(a, th) for a in choice_atoms(t)]
-        atoms = _ordered([a for a in atoms if type(a) is not Nil], render_term)
-        deduped = [a for i, a in enumerate(atoms) if not i or a is not atoms[i - 1]]
-        # as fold_choice, over canonical links
-        out = deduped.pop() if deduped else _nil(th)
-        for a in reversed(deduped):
-            key = (Choice, id(a), id(out))
-            out = th._nodes.get(key) or _store(th, key, Choice(a, out))
+        out = canon_choice([canon_term(a, th) for a in choice_atoms(t)], th)
     else:
         raise TypeError(f"not a process term: {t!r}")
     t._cth = th

@@ -25,6 +25,7 @@ from .terms import (
     Prefix,
     Term,
     Var,
+    choice_atoms,
     free_vars,
     render_term,
     valueclass,
@@ -167,8 +168,8 @@ def check_guarded_defs(spec: Spec) -> list[Violation]:
             elif isinstance(t, Prefix):
                 walk(t.body, True)
             elif isinstance(t, Choice):
-                walk(t.left, guarded)
-                walk(t.right, guarded)
+                for a in choice_atoms(t):
+                    walk(a, guarded)
             elif isinstance(t, App):
                 bad(DEF_OUTSIDE_BCCSP, f"operator {t.op} is not allowed in a definition body")
 

@@ -37,7 +37,6 @@ from sosforge.terms import (
     canon_label,
     canon_term,
     choice_atoms,
-    fold_choice,
     render_label,
     render_term,
     substitute_label,
@@ -293,6 +292,17 @@ def _reference_satisfies(spec, args, plan):
     return [plan.substitution(b) for b in solve_rule(plan, tuple(args), lambda k: offers[k], th)]
 
 
+def _reference_fold_choice(atoms):
+    """Right-nest a list of summands into a choice chain; empty means deadlock.
+    (`terms.fold_choice` as it was before `terms.canon_choice` replaced it.)"""
+    if not atoms:
+        return NIL
+    out = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        out = Choice(a, out)
+    return out
+
+
 def reference_normalize(spec, term, budget=None):
     """`normalize` as it was before rule variables were bound: it substituted
     normal forms into each rule target and normalized the result again.  A
@@ -348,7 +358,7 @@ def reference_normalize(spec, term, budget=None):
                 lbl = canon_label(substitute_label(rule.conclusion.label, s), th)
                 cont = norm(substitute_term(rule.conclusion.target, s), depth + 1)
                 parts.append(Prefix(lbl, cont))
-        result = canon_term(fold_choice(parts), th)
+        result = canon_term(_reference_fold_choice(parts), th)
         pending.discard(key)
         memo[key] = result
         return result

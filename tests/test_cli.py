@@ -1,6 +1,7 @@
 """Command line behaviour: transcripts, exit codes, JSON mode."""
 
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -314,6 +315,42 @@ def test_long_linda_chain_normalizes_in_a_fresh_interpreter():
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.count("< {d},-,{d, d} > . ") == n and proc.stdout.endswith(" . | . 0\n")
+
+
+BCCSP = corpus_path("bccsp")
+THREE = "a . 0 + b . 0 + c . 0"
+FLAT = " + ".join(["a . 0", "b . 0", "c . 0"][i % 3] for i in range(3000))
+
+
+@pytest.mark.parametrize("argv", [("simulate",), ("normalize",), ("bisim", THREE)],
+                         ids=["simulate", "normalize", "bisim"])
+def test_flat_choice_of_any_width_runs(capsys, argv):
+    """A flat choice costs no stack per summand: 3,000 summands print what
+    the three distinct ones print."""
+    command, *rest = argv
+    want = run(capsys, command, BCCSP, THREE, *rest)
+    assert want[0] == 0 and want[2] == ""
+    assert run(capsys, command, BCCSP, FLAT, *rest) == want
+
+
+def test_wide_definition_body_validates_and_runs(tmp_path, capsys):
+    body = " + ".join(["a . p"] * 1500)
+    spec = tmp_path / "wide.sos"
+    spec.write_text(f"spec WIDE\nactions a ;\ndef p = {body} ;\ndef q = a . q ;\n",
+                    encoding="utf-8")
+    assert run(capsys, "validate", str(spec)) == (0, "no violations\n", "")
+    assert run(capsys, "eq", str(spec), "p", "q") == (0, "< true ; < p ; q > >\n", "")
+
+
+def test_wide_canonical_choice_normalizes_and_is_bisimilar_to_itself(capsys):
+    """A canonical choice of 3,000 distinct summands renders, normalizes to
+    itself and is explored, though its string is built down one spine."""
+    chains = [" . ".join(p) + " . 0" for p in itertools.product("abc", repeat=8)][:3000]
+    term = " + ".join(chains)  # in canonical order already
+    assert run(capsys, "normalize", BCCSP, term) == (0, term + "\n", "")
+    code, out, err = run(capsys, "bisim", BCCSP, term, term)
+    assert (code, err) == (0, "")
+    assert out.startswith("true\n") and f" < {term} ; {term} >\n" in out
 
 
 SELF = "spec S\nactions a ;\nop f : 0 ;\nop g : 0 ;\nop h : 1 ;\nvar x x2 : Proc ;\n" \

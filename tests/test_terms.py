@@ -24,8 +24,12 @@ from sosforge.terms import (
     Substitution,
     Triple,
     Var,
+    LabelTerm,
+    Nil,
+    canon_choice,
     canon_label,
     canon_term,
+    choice_atoms,
     free_vars,
     render_label,
     render_term,
@@ -53,6 +57,79 @@ def test_render_pins(par):
     ]
     for text in cases:
         assert render_term(parse_term(text, par)) == text, text
+
+
+def _reference_render(t, level=0):
+    """`render_term` as a plain recursion over both operands of every node."""
+    if isinstance(t, LabelTerm):
+        return render_label(t)
+    if isinstance(t, Nil):
+        return "0"
+    if isinstance(t, (Var, DefConst)):
+        return t.name
+    if isinstance(t, Prefix):
+        return f"{render_label(t.label)} . {_reference_render(t.body, 2)}"
+    if isinstance(t, Choice):
+        s = f"{_reference_render(t.left, 2)} + {_reference_render(t.right, 1)}"
+        return f"({s})" if level > 1 else s
+    sym = t.op[1:-1]
+    s = f"{_reference_render(t.args[0], 0)} {sym} {_reference_render(t.args[1], 1)}"
+    return f"({s})" if level > 0 else s
+
+
+def _random_choice(rng, width, depth=2):
+    """A choice of `width` operands, nested to the right, to the left or
+    both, over prefixes, infix applications and (at depth) choices again."""
+
+    def operand():
+        roll = rng.random()
+        if depth and roll < 0.2:
+            return _random_choice(rng, rng.randint(2, 4), depth - 1)
+        if depth and roll < 0.4:
+            return App("_||_", (_random_choice(rng, rng.randint(1, 3), depth - 1),
+                                _random_choice(rng, rng.randint(1, 3), depth - 1)))
+        body = NIL if rng.random() < 0.5 else operand()
+        return Prefix(ActConst(rng.choice("abc")), body)
+
+    parts = [operand() for _ in range(width)]
+    shape = rng.choice(("right", "left", "mixed"))
+    while len(parts) > 1:
+        i = {"right": len(parts) - 2, "left": 0, "mixed": rng.randrange(len(parts) - 1)}[shape]
+        parts[i:i + 2] = [Choice(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def test_render_walks_the_choice_spine_as_the_recursion_did():
+    rng = random.Random(27)
+    for _ in range(400):
+        t = _random_choice(rng, rng.randint(1, 12))
+        want = _reference_render(t)
+        # render a suffix of the spine first, now and then, so that the
+        # spine's walk stops at a node that already has its string
+        suffix = t
+        while isinstance(suffix, Choice) and rng.random() < 0.7:
+            suffix = suffix.right
+        rendered = suffix is not t and rng.random() < 0.5
+        if rendered:
+            assert render_term(suffix) == _reference_render(suffix)
+        kept = suffix._s
+        assert render_term(t) == want
+        if rendered:
+            assert suffix._s is kept  # not rendered again
+        assert render_term(App("_||_", (t, t))) == _reference_render(App("_||_", (t, t)))
+
+
+def _reference_atoms(t):
+    if isinstance(t, Choice):
+        return _reference_atoms(t.left) + _reference_atoms(t.right)
+    return [t]
+
+
+def test_choice_atoms_keep_syntactic_order():
+    rng = random.Random(28)
+    for _ in range(300):
+        t = _random_choice(rng, rng.randint(1, 12))
+        assert [id(a) for a in choice_atoms(t)] == [id(a) for a in _reference_atoms(t)]
 
 
 def test_render_label_pins(linda, full):
@@ -160,6 +237,17 @@ def test_canon_term_choice_aci(par):
 
 def test_canon_term_zero(par):
     assert render_term(canon_term(parse_term("0 + 0", par), par.theory)) == "0"
+
+
+def test_canon_choice_is_the_canonical_choice(full):
+    rng = random.Random(29)
+    th = full.theory
+    assert canon_choice([], th) is canon_term(NIL, th)
+    for _ in range(500):
+        a, b = random_full_term(rng, 5), random_full_term(rng, 5)
+        got = canon_choice([canon_term(a, th), canon_term(b, th)], th)
+        assert got is canon_term(Choice(a, b), th)
+        assert is_canonical(got, th)
 
 
 def test_canon_idempotent_random(full):
