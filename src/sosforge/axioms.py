@@ -18,7 +18,6 @@ from .terms import (
     LabelTerm,
     Nil,
     Prefix,
-    Substitution,
     Term,
     Var,
     app_width,
@@ -73,7 +72,7 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     # alive, so no id is reused
     memo: dict[tuple, Term | None] = {}
     spent = 0
-    unbound = Substitution()
+    unbound: dict[str, Term | LabelTerm] = {}
 
     def too_deep() -> BudgetExceeded:
         return BudgetExceeded(
@@ -81,13 +80,13 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
             "term not semantically well-founded within budget"
         )
 
-    def norm(t: Term, sub: Substitution, depth: int) -> Term:
+    def norm(t: Term, sub: dict[str, Term | LabelTerm], depth: int) -> Term:
         # Returns a canonical node.  sub binds the variables of a rule
         # target walked as written to normal forms: they are not walked again.
         if depth > MAX_DEPTH:
             raise too_deep()
         if isinstance(t, Var):
-            bound = sub.terms.get(t.name)
+            bound = sub.get(t.name)
             if bound is None:
                 raise OpenTerm(f"cannot normalize open term with variable {t.name}")
             return bound

@@ -28,7 +28,6 @@ from .terms import (
     LVar,
     MSet,
     PredConst,
-    Substitution,
     Triple,
     _equations,
     _flat_node,
@@ -40,8 +39,9 @@ from .terms import (
 
 
 def match(pattern: LabelTerm, subject: LabelTerm,
-          th: EquationalTheory = EMPTY_THEORY) -> list[Substitution]:
-    """All substitutions s with canon(substitute(pattern, s)) == canon(subject).
+          th: EquationalTheory = EMPTY_THEORY) -> list[dict[str, LabelTerm]]:
+    """All substitutions s with canon(substitute(pattern, s)) == canon(subject),
+    each a dict from variable names to labels.
 
     Labels match modulo the label equations (C, A, AU, CU, AC and ACU; a
     data multiset is its sort's union, ACU with `{}`; see `_match_args`),
@@ -51,27 +51,25 @@ def match(pattern: LabelTerm, subject: LabelTerm,
     """
     pat = canon_label(pattern, th)
     subj = canon_label(subject, th)
-    results: list[Substitution] = []
+    results: list[dict[str, LabelTerm]] = []
     seen: set[frozenset] = set()
-    for sub in _match_label(pat, subj, Substitution(), th, _bind_label):
-        k = frozenset((n, id(l)) for n, l in sub.labels.items())
+    for sub in _match_label(pat, subj, {}, th, _bind_label):
+        k = frozenset((n, id(l)) for n, l in sub.items())
         if k not in seen:
             seen.add(k)
             results.append(sub)
     return results
 
 
-def _bind_label(sub: Substitution, var: LVar, value: LabelTerm):
+def _bind_label(sub: dict[str, LabelTerm], var: LVar, value: LabelTerm):
     if not sort_accepts(var.sort, label_sort(value)):
         return
-    old = sub.labels.get(var.name)
+    old = sub.get(var.name)
     if old is not None:
         if _one_value(old, value):
             yield sub
         return
-    nxt = sub.copy()
-    nxt.labels[var.name] = value
-    yield nxt
+    yield {**sub, var.name: value}
 
 
 def _one_value(a: LabelTerm, b: LabelTerm) -> bool:
@@ -87,7 +85,7 @@ def _match_label(pat: LabelTerm, subj: LabelTerm, state, th, bind):
     """Match canonical labels of th, equal when they are one node;
     bind(state, var, value) yields the extended states, each value a node of th.
 
-    `match` binds into a Substitution with `_bind_label`; the mirror search
+    `match` binds into a dict with `_bind_label`; the mirror search
     passes a binder whose state is a variable renaming.
     """
     if isinstance(pat, LVar):

@@ -784,9 +784,9 @@ class _TermParser:
 
 
 def _check_closed(t: Term, what: str) -> None:
-    procs, labels = free_vars(t)
-    if procs or labels:
-        raise UnboundVariable(f"{what} is not closed: {', '.join(sorted(procs | labels))}")
+    names = free_vars(t)
+    if names:
+        raise UnboundVariable(f"{what} is not closed: {', '.join(sorted(names))}")
 
 
 def parse_spec(text: str) -> Spec:

@@ -35,7 +35,6 @@ from .terms import (
     LVar,
     Nil,
     Prefix,
-    Substitution,
     Term,
     Triple,
     Var,
@@ -70,17 +69,13 @@ GROUND = "ground"    # no variables: compare with its canonical node
 TRIPLE = "triple"    # a store triple of two distinct fresh slot variables: bind both
 GENERAL = "general"  # anything else: the matcher, or substituted and canonicalized
 
-# A variable a plan hands to a `Substitution`: its name, its slot, and
-# whether it is a label variable.
-Read = tuple[str, int, bool]
+# A variable a plan hands to a substitution: its name and its slot.
+Read = tuple[str, int]
 
 
-def _substitution(reads: tuple[Read, ...], bindings: list) -> Substitution:
+def _substitution(reads: tuple[Read, ...], bindings: list) -> dict[str, Term | LabelTerm]:
     """The substitution binding each variable of `reads` to its slot's value."""
-    sub = Substitution()
-    for name, slot, is_label in reads:
-        (sub.labels if is_label else sub.terms)[name] = bindings[slot]
-    return sub
+    return {name: bindings[slot] for name, slot in reads}
 
 
 class LabelPlan(namedtuple("LabelPlan", "kind label key sort reads binds slots",
@@ -163,24 +158,21 @@ class TargetPlan(namedtuple("TargetPlan", "kind term slot op slots reads",
         return substitute_term(self.term, _substitution(self.reads, bindings))
 
 
-def plan_target(t: Term, names: tuple[set[str], set[str]], slot_of: dict[str, int],
+def plan_target(t: Term, names: set[str], slot_of: dict[str, int],
                 th: EquationalTheory) -> TargetPlan:
-    """Compile a conclusion target for building, given its process and
-    label variables as the format check recorded them (`RuleVars.target`)
-    and the slot of each: a variable is VAR, a ground target FIXED, an
-    application whose arguments are all variables APP, and anything else
-    SUBST."""
+    """Compile a conclusion target for building, given its variables as
+    the format check recorded them (`RuleVars.target`) and the slot of
+    each: a variable is VAR, a ground target FIXED, an application whose
+    arguments are all variables APP, and anything else SUBST."""
     cls = type(t)  # node classes have no subclasses
     if cls is Var:
         return TargetPlan(VAR, t, slot_of[t.name])
-    procs, labels = names
-    if not procs and not labels:
+    if not names:
         canon = canon_term(t, th)
         return TargetPlan(FIXED, canon if canon == t else t)
     if cls is App and all(type(a) is Var or type(a) is LVar for a in t.args):
         return TargetPlan(APP, t, op=t.op, slots=tuple([slot_of[a.name] for a in t.args]))
-    reads = [(n, slot_of[n], False) for n in procs] + [(n, slot_of[n], True) for n in labels]
-    return TargetPlan(SUBST, t, reads=tuple(sorted(reads)))
+    return TargetPlan(SUBST, t, reads=tuple(sorted([(n, slot_of[n]) for n in names])))
 
 
 class _Slots:
@@ -189,16 +181,14 @@ class _Slots:
 
     def __init__(self, source: tuple) -> None:
         self.of = {v.name: k for k, v in enumerate(source)}
-        self.reads = [(v.name, k, isinstance(v, LVar)) for k, v in enumerate(source)]
         self.size = len(source)
 
-    def new(self, name: str | None = None, is_label: bool = True) -> int:
+    def new(self, name: str | None = None) -> int:
         """A new slot, for the named variable or, unnamed, for a label node."""
         slot = self.size
         self.size += 1
         if name is not None:
             self.of[name] = slot
-            self.reads.append((name, slot, is_label))
         return slot
 
 
@@ -231,7 +221,7 @@ class RulePlan:
         self.positives = positives
         self.negatives = negatives
         self.conclusion = conclusion
-        self.reads = tuple(slots.reads)
+        self.reads = tuple(slots.of.items())  # names get slots in slot order
         self._target_vars = vs.target
         self._slot_of = slots.of
         self._th = th
@@ -240,7 +230,7 @@ class RulePlan:
     def target(self) -> TargetPlan:
         return plan_target(self.rule.conclusion.target, self._target_vars, self._slot_of, self._th)
 
-    def substitution(self, bindings: list) -> Substitution:
+    def substitution(self, bindings: list) -> dict[str, Term | LabelTerm]:
         """The rule's variables bound as the bindings bind them, by name."""
         return _substitution(self.reads, bindings)
 
@@ -259,7 +249,7 @@ def _label_plan(label: LabelTerm, names: tuple[str, ...], slots: _Slots,
     if isinstance(label, Triple) and _fresh_slots(label, slots):
         return LabelPlan(TRIPLE, label, slots=(_label_plan(label.pre, names, slots, th),
                                                _label_plan(label.post, names, slots, th)))
-    reads = tuple([(n, slots.of[n], True) for n in sorted(names) if n in slots.of])
+    reads = tuple([(n, slots.of[n]) for n in sorted(names) if n in slots.of])
     fresh = [n for n in sorted(names) if n not in slots.of]
     binds = tuple([(n, slots.new(n)) for n in fresh])
     return LabelPlan(GENERAL, label, reads=reads, binds=binds)
@@ -283,7 +273,7 @@ def plan_rule(rule: Rule, vs: RuleVars, th: EquationalTheory) -> RulePlan:
     conclusion = None
     for p, names in zip(rule.positives, vs.positives):
         lp = _label_plan(p.label, names, slots, th)
-        target = slots.new(p.target.name, is_label=False)
+        target = slots.new(p.target.name)
         if lp.kind == TRIPLE or lp.kind == GENERAL:
             lp = lp._replace(key=slots.new())
             if conclusion is None and p.label == concl.label:
@@ -389,9 +379,8 @@ def solve_rule(plan: RulePlan, args: tuple, moves: Moves, th: EquationalTheory) 
                 for lbl, cont in offered:
                     for m in match(pat, lbl, th):
                         row = r.copy()
-                        found = m.labels
                         for name, slot in binds:
-                            row[slot] = found[name]
+                            row[slot] = m[name]
                         row[key] = lbl
                         row[target] = cont
                         nxt.append(row)
@@ -401,10 +390,6 @@ def solve_rule(plan: RulePlan, args: tuple, moves: Moves, th: EquationalTheory) 
 
     for k, lp in plan.negatives:
         offered_labels = {id(l) for l, _ in moves(k)}
-        if lp.kind == GROUND:
-            if id(lp.label) in offered_labels:
-                return []
-            continue
         rows = [r for r in rows if id(lp.under(r, th)) not in offered_labels]
         if not rows:
             return []

@@ -449,26 +449,11 @@ def is_data_sort(sort: str) -> bool:
 # substitution
 
 
-@valueclass(hashable=False)
-class Substitution:
-    """A finite mapping from process variables to terms and label variables to labels."""
-
-    terms: dict[str, Term] = field(default_factory=dict)
-    labels: dict[str, LabelTerm] = field(default_factory=dict)
-
-    def copy(self) -> "Substitution":
-        return Substitution(dict(self.terms), dict(self.labels))
-
-    def __str__(self) -> str:
-        parts = [f"{n} <- {render_term(t)}" for n, t in sorted(self.terms.items())]
-        parts += [f"{n} <- {render_label(l)}" for n, l in sorted(self.labels.items())]
-        return "{" + ", ".join(parts) + "}"
-
-
-def substitute_label(l: LabelTerm, sub: Substitution) -> LabelTerm:
-    """Apply a substitution to a label term; unbound variables stay put."""
+def substitute_label(l: LabelTerm, sub: dict[str, Term | LabelTerm]) -> LabelTerm:
+    """Apply a substitution, a dict from variable names to nodes, to a
+    label term; unbound variables stay put."""
     if isinstance(l, LVar):
-        image = sub.labels.get(l.name)
+        image = sub.get(l.name)
         if image is None:
             return l
         if not sort_accepts(l.sort, label_sort(image)):
@@ -485,14 +470,23 @@ def substitute_label(l: LabelTerm, sub: Substitution) -> LabelTerm:
     return l
 
 
-def substitute_term(t: Term, sub: Substitution) -> Term:
-    """Apply a substitution to a process term; unbound variables stay put."""
+def substitute_term(t: Term, sub: dict[str, Term | LabelTerm]) -> Term:
+    """Apply a substitution, a dict from variable names to nodes, to a
+    process term; unbound variables stay put.  A choice is walked down its
+    right spine and rebuilt right-nested, in the shape it was written in."""
     if isinstance(t, Var):
-        return sub.terms.get(t.name, t)
+        return sub.get(t.name, t)
     if isinstance(t, Prefix):
         return Prefix(substitute_label(t.label, sub), substitute_term(t.body, sub))
     if isinstance(t, Choice):
-        return Choice(substitute_term(t.left, sub), substitute_term(t.right, sub))
+        lefts = []
+        while type(t) is Choice:
+            lefts.append(substitute_term(t.left, sub))
+            t = t.right
+        out = substitute_term(t, sub)
+        for left in reversed(lefts):
+            out = Choice(left, out)
+        return out
     if isinstance(t, App):
         return App(
             t.op,
@@ -504,18 +498,15 @@ def substitute_term(t: Term, sub: Substitution) -> Term:
     return t
 
 
-def free_vars(t: Term | LabelTerm) -> tuple[set[str], set[str]]:
-    """Free process-variable and label-variable names of a term."""
-    procs: set[str] = set()
-    labels: set[str] = set()
+def free_vars(t: Term | LabelTerm) -> set[str]:
+    """Free variable names of a term, process and label variables alike."""
+    names: set[str] = set()
     todo = [t]
     while todo:
         x = todo.pop()
         cls = type(x)  # node classes have no subclasses
-        if cls is Var:
-            procs.add(x.name)
-        elif cls is LVar:
-            labels.add(x.name)
+        if cls is Var or cls is LVar:
+            names.add(x.name)
         elif cls is App or cls is LApp or cls is MSet:
             todo.extend(x.args)
         elif cls is Prefix:
@@ -527,7 +518,7 @@ def free_vars(t: Term | LabelTerm) -> tuple[set[str], set[str]]:
         elif cls is Triple:
             todo.append(x.pre)
             todo.append(x.post)
-    return procs, labels
+    return names
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,7 @@ class RuleVars(namedtuple("RuleVars", "positives negatives label target")):
     """What the rule-format check records of a rule that meets the format:
     the label variables of each positive premise's label, of each negative
     premise's label, in order, and of the conclusion label; and the
-    process and the label variables of the conclusion target, as
-    `free_vars` finds them."""
+    variables of the conclusion target, as `free_vars` finds them."""
 
     __slots__ = ()
 

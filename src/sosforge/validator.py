@@ -81,10 +81,10 @@ def check_rules(spec: Spec) -> tuple[list[Violation], dict[int, RuleVars]]:
     records: dict[int, RuleVars] = {}
     for idx, rule in enumerate(spec.rules, start=1):
         bad: list[tuple[str, str]] = []
-        positives = tuple([tuple(free_vars(p.label)[1]) for p in rule.positives])
-        negatives = tuple([tuple(free_vars(n.label)[1]) for n in rule.negatives])
-        label = tuple(free_vars(rule.conclusion.label)[1])
-        procs, labels = free_vars(rule.conclusion.target)
+        positives = tuple([tuple(free_vars(p.label)) for p in rule.positives])
+        negatives = tuple([tuple(free_vars(n.label)) for n in rule.negatives])
+        label = tuple(free_vars(rule.conclusion.label))
+        target = free_vars(rule.conclusion.target)
 
         # the conclusion source: an operator over distinct variables
         src = rule.conclusion.source
@@ -100,24 +100,23 @@ def check_rules(spec: Spec) -> tuple[list[Violation], dict[int, RuleVars]]:
             shapeless = True
             bad.append((NON_VARIABLE_SOURCE,
                         f"conclusion source {render_term(src)} is not an operator over variables"))
-        proc_args: set[str] = set()
-        label_args: set[str] = set()
+        args: set[str] = set()
         for slot in slots:
             if not isinstance(slot, (Var, LVar)):
                 bad.append((NON_VARIABLE_SOURCE, f"source argument {slot} is not a variable"))
                 shapeless = True
                 continue
-            if slot.name in proc_args or slot.name in label_args:
+            if slot.name in args:
                 bad.append((REPEATED_VARIABLE,
                             f"variable {slot.name} occurs twice in the conclusion source"))
-            (proc_args if isinstance(slot, Var) else label_args).add(slot.name)
-        bound_labels = label_args.union(*positives)
+            args.add(slot.name)
+        bound = args.union(*positives)
 
         # premises test source arguments, positive ones into fresh targets,
         # and the conclusion uses only what they bound
         if not shapeless:
             for prem in (*rule.positives, *rule.negatives):
-                if not (isinstance(prem.source, Var) and prem.source.name in proc_args):
+                if not (isinstance(prem.source, Var) and prem.source.name in args):
                     bad.append((PREMISE_ON_NON_ARGUMENT,
                                 f"premise tests {render_term(prem.source)}, not a source argument"))
             target_vars: set[str] = set()
@@ -127,17 +126,17 @@ def check_rules(spec: Spec) -> tuple[list[Violation], dict[int, RuleVars]]:
                     bad.append((TARGET_VAR_REUSE,
                                 f"premise target {render_term(tgt)} is not a fresh variable"))
                     continue
-                if tgt.name in proc_args or tgt.name in target_vars:
+                if tgt.name in args or tgt.name in target_vars:
                     bad.append((TARGET_VAR_REUSE, f"premise target {tgt.name} is not fresh"))
                 target_vars.add(tgt.name)
-            for name in sorted(procs - proc_args - target_vars | labels - bound_labels):
+            for name in sorted(target - target_vars - bound):
                 bad.append((CONCL_VAR_ESCAPE, f"conclusion target uses unbound variable {name}"))
-            for name in sorted(set(label) - bound_labels):
+            for name in sorted(set(label) - bound):
                 bad.append((CONCL_VAR_ESCAPE, f"conclusion label uses unbound variable {name}"))
 
         # negative premise labels use only positively bound variables
         for names in negatives:
-            for name in sorted(set(names) - bound_labels):
+            for name in sorted(set(names) - bound):
                 bad.append((NEG_LABEL_UNBOUND, f"negative premise label uses unbound variable {name}"))
 
         # user rules do not redefine deadlock, prefixing or choice
@@ -149,7 +148,7 @@ def check_rules(spec: Spec) -> tuple[list[Violation], dict[int, RuleVars]]:
             span = str(rule)
             out += [Violation(kind, idx, message, span) for kind, message in bad]
         else:
-            records[id(rule)] = RuleVars(positives, negatives, label, (procs, labels))
+            records[id(rule)] = RuleVars(positives, negatives, label, target)
     return out, records
 
 

@@ -13,7 +13,6 @@ from sosforge.terms import (
     LabelTerm,
     LVar,
     Prefix,
-    Substitution,
     Var,
     canon_label,
     free_vars,
@@ -31,7 +30,7 @@ def rule_variables(rule) -> set[str]:
     names = {a.name for a in rule.conclusion.source.args}
     for p in rule.positives:
         names.add(p.target.name)
-        names |= free_vars(p.label)[1]
+        names |= free_vars(p.label)
     return names
 
 
@@ -53,14 +52,11 @@ def cc_canon(t, comm_set, th):
     return Choice(*out) if op == CHOICE_OP else App(op, tuple(out))
 
 
-def _substitution(spec, renaming: dict[str, str]) -> Substitution:
-    sub = Substitution()
+def _substitution(spec, renaming: dict[str, str]) -> dict:
+    sub = {}
     for v, w in renaming.items():
         sort = spec.variables.get(v, "Proc")
-        if sort == "Proc":
-            sub.terms[v] = Var(w)
-        else:
-            sub.labels[v] = LVar(w, sort)
+        sub[v] = Var(w) if sort == "Proc" else LVar(w, sort)
     return sub
 
 

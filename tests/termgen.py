@@ -1,5 +1,5 @@
-"""Seeded random generators for terms, labels, and transition systems, and
-a check that a node is canonical.
+"""Seeded random generators for terms, labels, and transition systems, a
+check that a node is canonical, and the printed form of a substitution.
 
 Everything here is deterministic given the caller's random.Random instance,
 so failures reproduce from the seed alone.
@@ -25,6 +25,8 @@ from sosforge.terms import (
     Prefix,
     Term,
     Triple,
+    render_label,
+    render_term,
 )
 
 DATA_NAMES = ("d", "u", "v")
@@ -34,6 +36,15 @@ ACTION_NAMES = ("a", "b", "c")
 def is_canonical(t: Term | LabelTerm, th) -> bool:
     """Whether a node is one of the theory th's canonical nodes."""
     return t._cth is th and t._c is None
+
+
+def render_substitution(sub: dict) -> str:
+    """A substitution as the string `{x <- t, ..., k <- l, ...}`: process
+    variables, then label variables, each sorted by name."""
+    items = sorted(sub.items())
+    parts = [f"{n} <- {render_term(v)}" for n, v in items if isinstance(v, Term)]
+    parts += [f"{n} <- {render_label(v)}" for n, v in items if not isinstance(v, Term)]
+    return "{" + ", ".join(parts) + "}"
 
 
 def mset(names) -> MSet:

@@ -42,7 +42,7 @@ from sosforge.terms import (
     substitute_label,
     substitute_term,
 )
-from termgen import random_full_term
+from termgen import random_full_term, render_substitution
 
 # -- premise satisfaction ---------------------------------------------------------
 
@@ -61,8 +61,8 @@ def _fire(spec, args, i):
 def test_premises_of_interleave_rule(par):
     got = _fire(par, (parse_term("a . 0", par), parse_term("b . 0", par)), 0)
     assert len(got) == 1
-    assert render_label(got[0].labels["alpha"]) == "a"
-    assert render_term(got[0].terms["x'"]) == "0"
+    assert render_label(got[0]["alpha"]) == "a"
+    assert render_term(got[0]["x'"]) == "0"
 
 
 def test_premises_blocked_by_negative(gspec):
@@ -71,15 +71,15 @@ def test_premises_blocked_by_negative(gspec):
     a_b = (parse_term("a . 0", gspec), parse_term("b . 0", gspec))
     got = _fire(gspec, a_b, 0)
     assert len(got) == 1
-    assert render_label(got[0].labels["k"]) == "a"
-    assert render_label(got[0].labels["l"]) == "b"
+    assert render_label(got[0]["k"]) == "a"
+    assert render_label(got[0]["l"]) == "b"
 
 
 def test_premises_take_any_continuation(par):
     """Head normal arguments are checked on their choice spine only."""
     args = (parse_term("a . (b . 0 || c . 0)", par), parse_term("0", par))
     got = _fire(par, args, 0)
-    assert [str(s) for s in got] == ["{x <- a . (b . 0 || c . 0), x' <- b . 0 || c . 0, "
+    assert [render_substitution(s) for s in got] == ["{x <- a . (b . 0 || c . 0), x' <- b . 0 || c . 0, "
                                      "y <- 0, alpha <- a}"]
 
 

@@ -353,6 +353,18 @@ def test_wide_canonical_choice_normalizes_and_is_bisimilar_to_itself(capsys):
     assert out.startswith("true\n") and f" < {term} ; {term} >\n" in out
 
 
+def test_wide_choice_in_a_rule_target_runs(tmp_path, capsys):
+    """A rule target that is a choice of 1,500 summands is substituted down
+    its spine, in the shape and order it was written in."""
+    written = " + ".join(f"{'ab'[i % 2]} . x2" for i in range(1500))
+    spec = tmp_path / "w.sos"
+    spec.write_text("spec W\nactions a b ;\nop f : 1 ;\nvar x x2 : Proc ;\n"
+                    f"rule x -(a)-> x2 ==> f(x) -(a)-> {written} ;\n", encoding="utf-8")
+    target = written.replace("x2", "0")
+    assert run(capsys, "simulate", str(spec), "f(a . 0)") == (
+        0, f"Possible steps:\n < a # {target} >\n", "")
+
+
 SELF = "spec S\nactions a ;\nop f : 0 ;\nop g : 0 ;\nop h : 1 ;\nvar x x2 : Proc ;\n" \
     "rule ==> f() -(a)-> f() ;\nrule ==> g() -(a)-> a . g() ;\n" \
     "rule x -(a)-> x2 ==> h(x) -(a)-> h(x) ;\n"

@@ -30,7 +30,6 @@ from sosforge.terms import (
     App,
     Choice,
     LVar,
-    Substitution,
     Var,
     canon_label,
     render_label,
@@ -172,8 +171,8 @@ def test_mirror_maps_no_variable_to_an_identity_or_a_segment(capsys, tmp_path):
     spec = parse_spec(SEGMENT_SPEC)
     th = spec.theory
     two, three = (canon_label(r.positives[0].label, th) for r in spec.rules)
-    assert "e" in [render_label(s.labels["m"]) for s in match(three, two, th)]
-    assert "cat(l,m)" in [render_label(s.labels["l"]) for s in match(two, three, th)]
+    assert "e" in [render_label(s["m"]) for s in match(three, two, th)]
+    assert "cat(l,m)" in [render_label(s["l"]) for s in match(two, three, th)]
     for a, b in ((0, 1), (1, 0)):
         assert find_mirror(spec, spec.rules[a], spec.rules[b], {"f", "+"}) is None
     assert check_comm(spec).failed == {"f": [1, 2]}
@@ -353,13 +352,10 @@ def test_witness_mappings_are_independently_valid(full):
         by_index = dict(full.rules_for(op))
         for w in witnesses:
             rule_a, rule_b = by_index[w.rule_a], by_index[w.rule_b]
-            sub = Substitution()
+            sub = {}
             for v, img in w.mapping:
                 sort = full.variables.get(v, "Proc")
-                if sort == "Proc":
-                    sub.terms[v] = Var(img)
-                else:
-                    sub.labels[v] = LVar(img, full.variables.get(img, sort))
+                sub[v] = Var(img) if sort == "Proc" else LVar(img, full.variables.get(img, sort))
             pos_a = {
                 (
                     render_term(p.source),

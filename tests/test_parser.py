@@ -398,6 +398,11 @@ ERROR_TABLE = [
     ("spec", "actions a ;\n", "ParseError", "1:1: specification must start with 'spec'"),
     ("spec", "spec X\nactions a ;\nactions a ;\n",
      "DuplicateDeclaration", "3:9: a already declared as an action"),
+    # a variable's name is declared once, so its node alone says its kind
+    ("spec", "spec X\nvar x : Proc ;\nvar x : Label ;\n",
+     "DuplicateDeclaration", "3:5: x already declared as a variable"),
+    ("spec", "spec X\nvar x : Proc ;\nactions x ;\n",
+     "DuplicateDeclaration", "3:9: x already declared as a variable"),
     ("spec", "spec X\nop f : ١ ;\nop g : x ;\n", "ParseError", "3:8: expected arity"),
     ("spec", "spec X\nop f : ١ ;\nop g : ² ;\n", "ParseError", "3:8: expected arity"),
     ("spec", "spec X\nactions a ;\nspec Y\n", "ParseError", "3:1: only one spec header is allowed"),

@@ -21,7 +21,6 @@ from sosforge.terms import (
     LVar,
     MSet,
     Prefix,
-    Substitution,
     Triple,
     Var,
     LabelTerm,
@@ -38,7 +37,7 @@ from sosforge.terms import (
     substitute_term,
     summands,
 )
-from termgen import is_canonical, mset, random_full_term, random_label, random_mset
+from termgen import is_canonical, mset, random_full_term, random_label, random_mset, render_substitution
 
 # -- rendering ---------------------------------------------------------------
 
@@ -328,25 +327,81 @@ def test_summands_reports_spine_atoms_in_order(par):
 
 
 def test_substitute_label_sort_check():
-    sub = Substitution()
-    sub.labels["xD"] = ActConst("a")
     with pytest.raises(SortError):
-        substitute_label(LVar("xD", "Data"), sub)
+        substitute_label(LVar("xD", "Data"), {"xD": ActConst("a")})
 
 
 def test_substitute_term_replaces_vars(par):
-    sub = Substitution()
-    sub.terms["x"] = parse_term("a . 0", par)
-    sub.labels["alpha"] = ActConst("b")
+    sub = {"x": parse_term("a . 0", par), "alpha": ActConst("b")}
     t = Prefix(LVar("alpha", "Action"), Choice(Var("x"), NIL))
     assert render_term(substitute_term(t, sub)) == "b . (a . 0 + 0)"
 
 
+def _reference_substitute_term(t, sub):
+    """`substitute_term` as a plain recursion that walks a choice pairwise."""
+    if isinstance(t, Var):
+        return sub.get(t.name, t)
+    if isinstance(t, Prefix):
+        return Prefix(substitute_label(t.label, sub), _reference_substitute_term(t.body, sub))
+    if isinstance(t, Choice):
+        return Choice(_reference_substitute_term(t.left, sub), _reference_substitute_term(t.right, sub))
+    if isinstance(t, App):
+        return App(t.op, tuple(substitute_label(a, sub) if isinstance(a, LabelTerm)
+                               else _reference_substitute_term(a, sub) for a in t.args))
+    return t
+
+
+def _opened(rng, t):
+    """t with some deadlocks made process variables, some prefix labels
+    label variables or operators over one, and some data arguments data
+    variables."""
+    if isinstance(t, Nil):
+        return Var(rng.choice("xy")) if rng.random() < 0.5 else t
+    if isinstance(t, Prefix):
+        roll, label = rng.random(), t.label
+        if roll < 0.2:
+            label = LVar("k", "Label")
+        elif roll < 0.3:
+            label = LApp("mix", (LVar("k", "Label"), label))
+        return Prefix(label, _opened(rng, t.body))
+    if isinstance(t, Choice):
+        return Choice(_opened(rng, t.left), _opened(rng, t.right))
+    if isinstance(t, App):
+        return App(t.op, tuple(
+            _opened(rng, a) if not isinstance(a, LabelTerm)
+            else LVar("xD", "Data") if rng.random() < 0.5 else a
+            for a in t.args))
+    return t
+
+
+def test_substitute_term_agrees_with_a_pairwise_recursion():
+    """`substitute_term` walks a choice down its right spine in a loop, and
+    builds what a pairwise recursion builds: the same nodes in the same
+    shape, left-nested choices and unbound variables included."""
+    rng = random.Random(28)
+    bound = Counter()
+    for _ in range(400):
+        p, q, r = (_opened(rng, random_full_term(rng, 3)) for _ in range(3))
+        t = rng.choice([p, Choice(Choice(p, q), r), Choice(p, Choice(q, r)),
+                        Choice(p, Choice(Choice(q, r), p)), Prefix(ActConst("a"), Choice(Choice(p, q), r))])
+        sub = {}
+        for name in "xy":
+            if rng.random() < 0.8:
+                sub[name] = random_full_term(rng, 2)
+        if rng.random() < 0.8:
+            sub["k"] = random_label(rng)
+        if rng.random() < 0.8:
+            sub["xD"] = random_mset(rng)
+        got, want = substitute_term(t, sub), _reference_substitute_term(t, sub)
+        assert got == want and render_term(got) == render_term(want), render_term(t)
+        bound.update(free_vars(t) & set(sub))
+    assert min(bound[n] for n in ("x", "y", "k", "xD")) >= 50
+
+
 def test_free_vars_and_closed(par):
     t = App("_||_", (Var("x"), Prefix(LVar("alpha", "Action"), NIL)))
-    procs, labels = free_vars(t)
-    assert procs == {"x"} and labels == {"alpha"}
-    assert free_vars(parse_term("a . 0 || b . 0", par)) == (set(), set())
+    assert free_vars(t) == {"x", "alpha"}
+    assert free_vars(parse_term("a . 0 || b . 0", par)) == set()
 
 
 def test_sort_accepts():
@@ -369,7 +424,7 @@ def _rule_labels(spec):
 def _acu_key(sub, spec, th):
     """A substitution's key modulo ACU: a data value `d` and `{d}` are one multiset."""
     out = []
-    for name, value in sorted(sub.labels.items()):
+    for name, value in sorted(sub.items()):
         if spec.variables[name] == "Data":
             value = MSet((value,), "Data")
         out.append((name, render_label(canon_label(value, th))))
@@ -382,15 +437,15 @@ def test_match_soundness_on_rule_labels(full):
     th = full.theory
     for label in _rule_labels(full):
         for _ in range(20):
-            sub = Substitution()
-            for name in sorted(free_vars(label)[1]):
+            sub = {}
+            for name in sorted(free_vars(label)):
                 sort = full.variables[name]
                 if sort == "Data":
-                    sub.labels[name] = mset(["d", "u"][: rng.randint(0, 2)])
+                    sub[name] = mset(["d", "u"][: rng.randint(0, 2)])
                 elif sort == "Action":
-                    sub.labels[name] = ActConst(rng.choice("abc"))
+                    sub[name] = ActConst(rng.choice("abc"))
                 else:
-                    sub.labels[name] = random_label(rng)
+                    sub[name] = random_label(rng)
             instance = substitute_label(label, sub)
             got = match(label, instance, th)
             for s in got:
@@ -447,9 +502,9 @@ def test_match_mset_completeness_bruteforce(linda):
         for s in match(pat, subj, th):
             image = canon_label(substitute_label(pat, s), th)
             assert render_label(image) == render_label(canon_label(subj, th))
-            got.add(frozenset((k, render_label(v)) for k, v in s.labels.items()))
+            got.add(frozenset((k, render_label(v)) for k, v in s.items()))
             sizes.update(len(v.elements) if isinstance(v, MSet) else 1
-                         for v in s.labels.values())
+                         for v in s.values())
         assert got == _brute_shares(pat_elems, subj_elems), (
             render_label(pat), render_label(subj))
     assert {0, 1, 2, 3} <= sizes  # empty, single and larger shares all occur
@@ -459,7 +514,8 @@ def test_match_mset_shares(linda):
     th = linda.theory
 
     def shares(pat, subj):
-        return [str(s) for s in match(parse_label(pat, linda), parse_label(subj, linda), th)]
+        return [render_substitution(s)
+                for s in match(parse_label(pat, linda), parse_label(subj, linda), th)]
 
     assert shares("{d, xD}", "{d}") == ["{xD <- {}}"]
     assert shares("{d, xD}", "{d, u}") == ["{xD <- u}"]
@@ -477,7 +533,7 @@ def test_match_mset_shares(linda):
     assert shares("{d, d, xD}", "{d, u}") == []
     # each share is tried once, though u occurs twice: {}, u and {u, u}
     pat, subj = (canon_label(parse_label(t, linda), th) for t in ("{xD, xD'}", "{u, u}"))
-    assert len(list(matching._match_label(pat, subj, Substitution(), th, matching._bind_label))) == 3
+    assert len(list(matching._match_label(pat, subj, {}, th, matching._bind_label))) == 3
 
 
 def _match_keying_every_result(pattern, subject, th):
@@ -485,7 +541,7 @@ def _match_keying_every_result(pattern, subject, th):
     every variable to an equal value (value equality tells sorts apart)."""
     pat, subj = canon_label(pattern, th), canon_label(subject, th)
     results = []
-    for sub in matching._match_label(pat, subj, Substitution(), th, matching._bind_label):
+    for sub in matching._match_label(pat, subj, {}, th, matching._bind_label):
         if sub not in results:
             results.append(sub)
     return results
@@ -496,20 +552,20 @@ def _check_same_matches(pattern, subject, th) -> int:
     want = _match_keying_every_result(pattern, subject, th)
     assert got == want, (pattern, subject)
     for sub in got:
-        assert all(is_canonical(v, th) for v in sub.labels.values()), str(sub)
+        assert all(is_canonical(v, th) for v in sub.values()), render_substitution(sub)
     return len(got)
 
 
 def _random_instance(rng, pattern, spec):
-    sub = Substitution()
-    for name in sorted(free_vars(pattern)[1]):
+    sub = {}
+    for name in sorted(free_vars(pattern)):
         sort = spec.variables[name]
         if sort == "Data":
-            sub.labels[name] = random_mset(rng)
+            sub[name] = random_mset(rng)
         elif sort == "Action":
-            sub.labels[name] = ActConst(rng.choice("abc"))
+            sub[name] = ActConst(rng.choice("abc"))
         else:
-            sub.labels[name] = random_label(rng)
+            sub[name] = random_label(rng)
     return substitute_label(pattern, sub)
 
 
@@ -575,7 +631,7 @@ def test_match_binds_canonical_nodes(linda, spec_of):
     th = linda.theory if spec_of == "linda" else EMPTY_THEORY
     pat, subj = parse_label("{xD, xD'}", linda), parse_label("{u, v, d}", linda)
     got = match(pat, subj, th)
-    values = [v for sub in got for v in sub.labels.values()]
+    values = [v for sub in got for v in sub.values()]
     assert len(got) == 8 and all(is_canonical(v, th) for v in values)
     assert canon_label(MSet((DataConst("u", "Data"), DataConst("v", "Data")), "Data"), th) in values
 
@@ -587,7 +643,7 @@ def test_match_binds_a_lone_constant_and_its_slot_as_one_value(linda):
     th = linda.theory
     pat = parse_label("< xD, -, {xD, u} >", linda)
     got = match(pat, parse_label("< d, -, {d, u} >", linda), th)
-    assert len(got) == 1 and render_label(got[0].labels["xD"]) == "{d}"
+    assert len(got) == 1 and render_label(got[0]["xD"]) == "{d}"
     assert match(pat, parse_label("< u, -, {d, u} >", linda), th) == []
     assert match(pat, parse_label("< d, -, {d, d, u} >", linda), th) == []
 
@@ -703,7 +759,7 @@ def _brute_matches(pat, subj, universe, th):
 
     def walk(i, left, e_left, chosen):
         if i == len(names):
-            sub = Substitution(labels={n: x for (n, _), x in zip(names, chosen)})
+            sub = {n: x for (n, _), x in zip(names, chosen)}
             if not +left and canon_label(substitute_label(pat, sub), th) is s:
                 found.add(frozenset((n, id(x)) for (n, _), x in zip(names, chosen)))
             return
@@ -754,7 +810,7 @@ def test_match_agrees_with_brute_force_over_every_label_theory():
         return canon_label(MSet((v,), "Data"), th) if isinstance(v, DataConst) else v
 
     def check(pat, subj):
-        got = [frozenset((n, id(value(v))) for n, v in s.labels.items())
+        got = [frozenset((n, id(value(v))) for n, v in s.items())
                for s in match(pat, subj, th)]
         want = _brute_matches(pat, subj, universe, th)
         assert len(set(got)) == len(got) and set(got) == want, (
@@ -772,8 +828,8 @@ def test_match_agrees_with_brute_force_over_every_label_theory():
         else:
             pat = _oracle_mset(rng, True, 3)
         if rng.random() < 0.6:  # an instance of the pattern, so that it matches
-            sub = Substitution(labels={n: _oracle_label(rng, 1, False) for n in "klm"})
-            sub.labels.update((n, _oracle_mset(rng, False, 2)) for n in ("xD", "yD"))
+            sub = {n: _oracle_label(rng, 1, False) for n in "klm"}
+            sub.update((n, _oracle_mset(rng, False, 2)) for n in ("xD", "yD"))
             subj = substitute_label(pat, sub)
         elif isinstance(pat, MSet):
             subj = _oracle_mset(rng, False, 4)
@@ -802,5 +858,5 @@ def test_match_claims_equal_arguments_once(pattern, subject, results):
     spec = parse_spec(ORACLE_SPEC)
     th = spec.theory
     pat, subj = (canon_label(parse_label(t, spec), th) for t in (pattern, subject))
-    raw = list(matching._match_label(pat, subj, Substitution(), th, matching._bind_label))
+    raw = list(matching._match_label(pat, subj, {}, th, matching._bind_label))
     assert len(raw) == len(match(pat, subj, th)) == results

@@ -27,7 +27,6 @@ from sosforge.terms import (
     OpAttrs,
     PredConst,
     Prefix,
-    Substitution,
     Triple,
     Var,
 )
@@ -102,8 +101,6 @@ VALUES = [
      "data_identity={'Data': 'empty'})",
      ({"mix": OpAttrs(comm=True)}, {"Data": "empty"})),
     # not frozen: unhashable
-    (lambda: Substitution({"x": NIL}, {"k": A}),
-     "Substitution(terms={'x': Nil()}, labels={'k': ActConst(name='a')})", None),
     (lambda: Spec("S", actions=("a",)),
      "Spec(name='S', actions=('a',), predicates=(), data_sorts={}, data_consts={}, "
      "label_ops={}, proc_ops={}, variables={}, rules=(), defs={})",
@@ -165,7 +162,6 @@ SIGNATURES = {
     OpAttrs: (("comm", False), ("assoc", False), ("identity", None)),
     PredConst: (("name",),),
     Prefix: (("label",), ("body",)),
-    Substitution: (("terms", "<factory>", dict), ("labels", "<factory>", dict)),
     Triple: (("pre",), ("post",)),
     Var: (("name",),),
     DataSortDecl: (("name",), ("identity", None)),
@@ -183,7 +179,7 @@ SIGNATURES = {
 
 
 def test_every_value_class_is_covered():
-    assert len(VALUES) == 31
+    assert len(VALUES) == 30
     assert {type(make()) for make, _, _ in VALUES} == _classes() == set(SIGNATURES)
 
 
@@ -269,15 +265,12 @@ def test_equality_needs_the_same_class_and_fields():
     assert DataConst("d", "A") != DataConst("d", "B")
     assert MSet((), "A") != MSet((), "B")
     assert Prefix(A, NIL) != Prefix(A, Var("x"))
-    assert Substitution() == Substitution() != Substitution({"x": NIL})
 
 
 def test_unhashable_values_stay_unhashable():
     with pytest.raises(TypeError):
         hash(Spec("S"))
-    with pytest.raises(TypeError):
-        hash(Substitution())
-    assert Spec.__hash__ is None and Substitution.__hash__ is None
+    assert Spec.__hash__ is None
 
 
 def test_replace_builds_a_new_value():
