@@ -29,7 +29,6 @@ from .terms import (
     render_label,
     render_term,
     substitute_label,
-    summands,
     valueclass,
 )
 from .tss import Spec
@@ -50,9 +49,12 @@ DEFAULT_BUDGET = NormalizeBudget()
 def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> Term:
     """Rewrite a closed, definition-free term to its canonical normal form.
 
-    A rewrite reads each process argument's summands once and fires the
-    operator's rules on them through their plans (`Spec.plans_for`).  A
-    firing's summand is built from its bindings: the conclusion label by
+    A rewrite fires the operator's rules through their plans
+    (`Spec.plans_for`) on its process arguments' summands, each argument's
+    read at most once and straight off its normal form: the prefixes
+    `choice_atoms` lists.  Every argument is a canonical node that `norm`
+    or a rewrite built, so `terms.summands` would have nothing to check.
+    A firing's summand is built from its bindings: the conclusion label by
     its plan, and the target by its plan's shape.  A variable is its
     binding, a normal form; an application over variables is rewritten
     straight from their normal forms; any other target is walked as
@@ -134,9 +136,18 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
         parts = []
         plans = spec.plans_for(op)
         if plans:
-            # each process argument's summands, by position, once per rewrite
-            offers = {k: summands(a, th) for k, a in enumerate(args) if isinstance(a, Term)}
-            moves = offers.__getitem__
+            # each process argument's summands, by position, read off its
+            # normal form (a choice of prefixes, or `0`) when a rule first
+            # asks for them
+            offers: dict[int, list[tuple[LabelTerm, Term]]] = {}
+
+            def moves(k: int) -> list[tuple[LabelTerm, Term]]:
+                got = offers.get(k)
+                if got is None:
+                    got = offers[k] = [(p.label, p.body) for p in choice_atoms(args[k])
+                                       if type(p) is Prefix]
+                return got
+
             for plan in plans:
                 rows = solve_rule(plan, args, moves, th)
                 if rows:

@@ -16,6 +16,7 @@ from sosforge.axioms import (
     normalize,
 )
 from sosforge.bisim import bisimilar
+from sosforge.cli import main as cli_main
 from sosforge.errors import (
     BudgetExceeded,
     NonBccspTerm,
@@ -165,6 +166,40 @@ def test_normalize_size_budget(par, monkeypatch):
         normalize(par, _wide(par, 6))
 
 
+# A ground target that one rewrite walks near the top of the term and another
+# near the depth limit: the second walk meets the limit where the reference
+# does, whatever the first one built.
+FIXED_TARGET = """
+spec FIX
+actions a b ;
+op g : 1 ;
+var x : Proc ;
+rule ==> g(x) -(a)-> a . a . a . 0 ;
+"""
+
+
+def _fixed_target_term(depth):
+    return "g(0) + " + "b . " * depth + "g(b . 0)"
+
+
+def test_normalize_walks_a_ground_target_again_deeper(tmp_path, capsys):
+    path = tmp_path / "fix.sos"
+    path.write_text(FIXED_TARGET)
+    spec = parse_spec(FIXED_TARGET)
+    # 495 prefixes deep the second firing walks its target to depth 500
+    shallow = parse_term(_fixed_target_term(495), spec)
+    assert _outcome(normalize, spec, shallow) == _outcome(reference_normalize, spec, shallow)
+    assert cli_main(["normalize", str(path), _fixed_target_term(495)]) == 0
+    assert capsys.readouterr().out.startswith("a . a . a . a . 0 + b . b . ")
+    # one prefix deeper that walk exceeds the limit
+    assert cli_main(["normalize", str(path), _fixed_target_term(496)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: normalization depth exceeded 500; term not semantically well-founded within budget\n")
+    deep = parse_term(_fixed_target_term(496), spec)
+    assert _outcome(normalize, spec, deep) == _outcome(reference_normalize, spec, deep)
+
+
 # -- linear work on chains --------------------------------------------------------
 
 # `a ; b ; c` nests to the left, so appending an operation rewrites the chain's
@@ -203,21 +238,22 @@ def test_normalize_calls_grow_linearly_on_linda_chains(linda, monkeypatch):
 
 
 def test_normalize_reads_summands_once_per_argument_and_rewrite(linda, monkeypatch):
-    """A rewrite takes each process argument's summands once, for all the
-    operator's rules together."""
+    """A rewrite reads each process argument's summands once, for all the
+    operator's rules together, off the argument's normal form: the chains
+    hold no choice, so every `choice_atoms` call reads an argument."""
     summands_calls = 0
     rewrites = {}  # id -> the argument tuple of each rewrite, kept alive
 
     def counted_summands(*args):
         nonlocal summands_calls
         summands_calls += 1
-        return terms.summands(*args)
+        return terms.choice_atoms(*args)
 
     def recorded_solve_rule(plan, args, moves, th):
         rewrites[id(args)] = args
         return solve_rule(plan, args, moves, th)
 
-    monkeypatch.setattr(axioms, "summands", counted_summands)
+    monkeypatch.setattr(axioms, "choice_atoms", counted_summands)
     monkeypatch.setattr(simulator, "solve_rule", recorded_solve_rule)  # normalize imports it from there
     t = parse_term(_linda_cycle_chain(64) + " || " + _linda_cycle_chain(9), linda)
     assert render_term(normalize(linda, t)).endswith("| . 0")
@@ -418,6 +454,44 @@ def test_normalize_matches_reference_on_linda_chains(linda):
     for _ in range(12):
         x, y = (_random_linda_chain(rng, rng.randint(1, 3)) for _ in range(2))
         _assert_as_reference(linda, parse_term(f"({x}) || ({y})", linda))
+
+
+def _as_reference(spec, t):
+    got = _outcome(normalize, spec, t)
+    assert got == _outcome(reference_normalize, spec, t), render_term(t)
+    return got
+
+
+def test_normalize_matches_reference_on_long_linda_chains(linda):
+    rng = random.Random(45)
+    for n in range(8, 33, 4):
+        for _ in range(3):
+            assert _as_reference(linda, parse_term(_random_linda_chain(rng, n), linda)) \
+                .endswith("| . 0")
+    for _ in range(10):
+        x, y = (_random_linda_chain(rng, rng.randint(2, 4)) for _ in range(2))
+        _as_reference(linda, parse_term(f"({x}) || ({y})", linda))
+
+
+def test_normalize_matches_reference_on_normal_form_arguments(linda, par, full):
+    """Operators applied to terms already in normal form: written as text,
+    and as the very nodes an earlier normalization returned."""
+    rng = random.Random(46)
+    nfs = [normalize(linda, parse_term(_random_linda_chain(rng, rng.randint(1, 5)), linda))
+           for _ in range(8)]
+    for x, y in zip(nfs, nfs[1:]):
+        for op in ("_;_", "_||_"):
+            _as_reference(linda, App(op, (x, y)))
+            _as_reference(linda, parse_term(render_term(App(op, (x, y))), linda))
+    written = ("0", "| . 0", "a . 0 + b . 0", "a . | . 0 + a . b . 0", "| . 0 + c . | . 0")
+    nfs = [normalize(par, parse_term(t, par)) for t in written]
+    for x in nfs:
+        for y in nfs:
+            _as_reference(par, App("_||_", (x, y)))
+    ops = [name for name, decl in full.proc_ops.items() if decl.arity == 2]
+    for _ in range(40):
+        x, y = (normalize(full, random_full_term(rng, 2)) for _ in range(2))
+        _as_reference(full, App(rng.choice(ops), (x, y)))
 
 
 def test_normalize_matches_reference_on_errors(par, rec):

@@ -604,6 +604,57 @@ def test_kernel_builds_what_the_named_substitution_builds(name, against_substitu
     assert against_substitution["fired"] > 100 and against_substitution["reused"] > 20
 
 
+# -- when a rule asks for its arguments' moves --
+
+# Rules whose ground premises test arguments that the source checks may
+# refuse first: a data label where a process stands, or a label of the
+# wrong sort.
+GROUND_FIRST = """spec GROUND_FIRST
+actions a ;
+predicates | ;
+datasort Data [assoc comm id: empty] ;
+dataconst d u : Data ;
+op f : 2 ;
+op s : 2 ;
+var x y x' y' : Proc ;
+var mu : Data ;
+rule x -(|)-> x' , y -(|)-> y' ==> f(x, y) -(|)-> 0 ;
+rule x -(|)-> x' ==> s(mu, x) -(a)-> x' ;
+"""
+
+
+def test_ground_premises_wait_for_the_source_checks():
+    """A rule asks for an argument's moves only once its source arguments
+    pass their checks, then in premise order, each once, up to the first
+    premise that leaves no bindings: the step cache keeps the first shape
+    of a target it meets, so that order is part of what is printed."""
+    spec = parse_spec(GROUND_FIRST)
+    th = spec.theory
+    both, one = (p for op in ("f", "s") for p in spec.plans_for(op))
+    assert [k for k, _, _ in both.positives] == [0, 1] and [k for k, _, _ in one.positives] == [1]
+
+    def solved(plan, text):
+        args = parse_term(text, spec).args
+        calls = []
+
+        def recorded(k):
+            calls.append(k)
+            return simulator.moves(spec, args[k], {})
+
+        return solve_rule(plan, args, recorded, th), calls
+
+    cases = [
+        (both, "f(d, | . 0)", []), (both, "f(| . 0, {d, u})", []),
+        (one, "s(< d, -, d >, | . 0)", []), (one, "s(u, a . 0)", [1]),
+        (both, "f(a . 0, | . 0)", [0]), (both, "f(| . 0, a . 0)", [0, 1]),
+    ]
+    for plan, text, asked in cases:
+        assert solved(plan, text) == ([], asked), text
+    rows, calls = solved(one, "s({d, u}, | . 0 + | . a . 0)")
+    target = one.positives[0][1]
+    assert calls == [1] and [render_term(r[target]) for r in rows] == ["0", "a . 0"]
+
+
 TARGETS = """spec TARGETS
 actions a b ;
 predicates | ;
