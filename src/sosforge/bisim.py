@@ -6,14 +6,12 @@ compared under k-step bisimilarity (Hennessy & Milner 1985), which needs only
 the states within depth k of the roots: if it separates them, they are not
 bisimilar, and the answer "false" comes before the rest of the state space is
 built.  A comparison runs only once the explored states have doubled since
-the last one, and keeps each state's classes for the next, so on a pair that
-turns out bisimilar the comparisons cost less than the refinement.
+the last one, and keeps each state's classes for the next.
 
-Once the exploration closes, the same classes are refined over every state
-until a level splits nothing; two states are bisimilar exactly when they end
-in the same block.  A positive answer comes with the
-product-reachable set of same-block pairs, whose symmetric closure is a
-bisimulation containing the queried pair.
+Once the exploration closes, `refine` continues the same levels over every
+state until one splits nothing: bisimilar states are exactly those in one
+block.  A positive answer comes with the product-reachable set of same-block
+pairs, whose symmetric closure is a bisimulation containing the queried pair.
 
 The witness is found by growing each state's set of partners: when a state
 gains partners, its moves to one (label, target block) group take the union
@@ -59,7 +57,8 @@ class Lts:
     `states`, as (label, target state) pairs.  Labels are compared by
     identity: `build_lts`'s are canonical nodes, one object per canonical
     label.  When `closed` is false the exploration stopped early, and the
-    states past that prefix are unexplored.
+    states past that prefix are unexplored.  `explore` leaves its k-step
+    record as the plain attribute `classes`, which `refine` continues.
     """
 
     states: list[Term] = field(default_factory=list)
@@ -71,17 +70,18 @@ class Lts:
 class StepClasses:
     """k-step bisimilarity classes of an LTS explored in breadth-first layers.
 
-    `layers[d]` is the number of states of depth at most d; the states are in
-    breadth-first order, so those states are a prefix.  Level 0 is one class.
-    Level j gives each state of depth at most k - j the id of its set of
-    (label, level j-1 class of the target) moves; two states of depth 0 are
-    k-step bisimilar exactly when level k gives them the same id.  A state's
-    class at a level does not depend on k, so each level keeps its ids and
-    only classifies the states its region gained since the last call.
+    It reads the LTS's transition list, not the `Lts`.  `layers[d]` counts
+    the states of depth at most d, a prefix of the breadth-first order.
+    Level 0 is one class.  Level j gives each state of depth at most k - j
+    the id of its set of (label, level j-1 class of the target) moves; two
+    states of depth 0 are k-step bisimilar exactly when level k gives them
+    the same id.  A state's class at a level does not depend on k, so each
+    level keeps its ids and only classifies the states its region gained
+    since the last call.
     """
 
-    def __init__(self, lts: Lts, layers: list[int]):
-        self.lts = lts
+    def __init__(self, transitions: list[list[tuple[LabelTerm, int]]], layers: list[int]):
+        self.transitions = transitions
         self.layers = layers
         # Per level j >= 1: signature ids, the class of each state of the
         # region, and the level j-1 classes met on the region.
@@ -96,7 +96,7 @@ class StepClasses:
         partition is stable there, so every later level separates the same
         states.
         """
-        trans = self.lts.transitions
+        trans = self.transitions
         prev: Sequence[int] = bytes(self.layers[k])  # level 0: every class id is 0
         for level in range(1, k + 1):
             if level > len(self.levels):
@@ -121,16 +121,15 @@ def explore(
 ) -> Lts:
     """Expand the interned roots of lts one depth layer at a time.
 
-    `moves(i)` lists state i's transitions, interning new targets.  With
-    `decide`, the first two roots are compared under k-step bisimilarity
-    after the k-th layer, whenever the explored states have at least doubled
-    since the last comparison; a layer that separates them ends the
-    exploration, and the LTS comes back not closed.
+    `moves(i)` lists state i's transitions, interning new targets, and the
+    roots' k-step record is left as `lts.classes`.  With `decide`, the first
+    two roots are compared under k-step bisimilarity after the k-th layer,
+    whenever the explored states have at least doubled since the last
+    comparison; a layer that separates them ends the exploration, and the
+    LTS comes back not closed, the record's last level separating them.
     """
     layers = [len(lts.states)]
-    classes = None
-    if decide and lts.roots[0] != lts.roots[1]:
-        classes = StepClasses(lts, layers)
+    classes = lts.classes = StepClasses(lts.transitions, layers)
     checked = 0
     states, trans = lts.states, lts.transitions
     while len(trans) < len(states):
@@ -141,7 +140,7 @@ def explore(
         # A layer is explored.  Once it finds no new state the exploration
         # is closed, and refinement decides without a comparison.
         layers.append(len(states))
-        if classes is not None and len(states) > explored and explored >= 2 * checked:
+        if decide and len(states) > explored and explored >= 2 * checked:
             checked = explored
             if classes.separates(len(layers) - 1, lts.roots[0], lts.roots[1]):
                 lts.closed = False
@@ -187,13 +186,16 @@ def refine(lts: Lts) -> list[int]:
     """Coarsest signature-stable partition of a closed LTS; block ids per
     state, numbered in order of first occurrence.
 
-    The first stable level of `StepClasses` with every state at depth 0:
-    a partition splits at most n - 1 times, so n levels reach it.
+    Extends `lts.classes`, the record `explore` left (on an LTS built by
+    hand, a new one with every state at depth 0), to its first level stable
+    over all n states, which is at most level n: n more layers of every state
+    put the first n levels over them all.  A second call returns the same list.
     """
     n = len(lts.states)
-    classes = StepClasses(lts, [n] * (n + 1))
-    classes.separates(n, 0, 0)  # state 0 is never separated from itself: runs to the stable level
-    return classes.levels[-1][1]
+    classes = lts.classes = getattr(lts, "classes", None) or StepClasses(lts.transitions, [n])
+    classes.layers[classes.layers.index(n) + 1 :] = [n] * n
+    classes.separates(len(classes.layers) - 1, 0, 0)  # 0 is never split from 0: runs to the stable level
+    return classes.levels[-1][1] if n else []
 
 
 @valueclass(hashable=False)

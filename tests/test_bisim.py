@@ -1,7 +1,9 @@
 """Transition system construction, partition refinement, equivalence queries."""
 
+import gc
 import hashlib
 import random
+import weakref
 from importlib import resources
 
 import pytest
@@ -221,11 +223,22 @@ def same_partition(a, b):
     return all((a[i] == a[j]) == (b[i] == b[j]) for i in range(n) for j in range(n))
 
 
+def _refine_continues(lts):
+    """refine of lts, continuing its record, gives the list a copy with no
+    record gives, block ids included; a second call returns the same list."""
+    fresh = refine(Lts(lts.states, lts.transitions, lts.roots))
+    blocks = refine(lts)
+    assert blocks == fresh and refine(lts) is blocks
+    return blocks
+
+
 def test_refine_matches_naive_fixpoint():
+    assert refine(Lts()) == []
     rng = random.Random(32)
     for _ in range(60):
         lts = random_lts(rng, max_states=14)
-        assert same_partition(refine(lts), naive_blocks(lts))
+        # Both number blocks in order of first occurrence, so the ids agree too.
+        assert _refine_continues(lts) == naive_blocks(lts)
 
 
 # -- k-step separation while exploring ----------------------------------------------
@@ -254,7 +267,7 @@ def test_step_classes_agree_with_refine_on_random_lts():
         lts = random_lts(rng, max_states=30)
         n = len(lts.states)
         blocks = refine(lts)
-        classes = StepClasses(lts, [n] * (n + 4))
+        classes = StepClasses(lts.transitions, [n] * (n + 4))
         for k in (1, 2, 3, n):
             for i in range(n):
                 for j in range(i + 1, n):
@@ -277,10 +290,13 @@ def test_exploration_stops_only_on_separated_roots():
             if not lts.closed:
                 stopped += 1
                 assert blocks[i] != blocks[j]
+                last = lts.classes.levels[-1][1]
+                assert last[lts.roots[0]] != last[lts.roots[1]]
                 continue
             full = _explore_from(src, [i, j], decide=False)
             assert (lts.states, lts.transitions) == (full.states, full.transitions)
-            sub = refine(lts)
+            sub = _refine_continues(lts)
+            assert _refine_continues(full) == sub
             assert (sub[lts.roots[0]] == sub[lts.roots[1]]) == (blocks[i] == blocks[j])
     assert stopped > 0
 
@@ -385,8 +401,10 @@ def test_product_pairs_match_naive_on_symmetric_families(par, n, odd):
     if odd is not None:
         comps[-1] = odd
     flat, nested = _family(comps)
-    lts = build_lts(par, [parse_term(flat, par), parse_term(nested, par)])
-    blocks = refine(lts)
+    roots = [parse_term(flat, par), parse_term(nested, par)]
+    lts = build_lts(par, roots)
+    blocks = _refine_continues(lts)
+    assert _refine_continues(build_lts(par, roots, decide=True)) == blocks
     r0, r1 = lts.roots
     assert blocks[r0] == blocks[r1]
     pairs = _product_pairs(lts, blocks, r0, r1)
@@ -440,33 +458,71 @@ def test_recursive_witness_transcripts(capsys):
 
 
 def _check_work(monkeypatch, decide):
-    """Signatures the k-step checks compute, against refine's on the closed
-    LTS: the first classes made are the checks', the second refine's."""
-    made = []
+    """Signatures of the one record a true verdict makes: those its k-step
+    checks hold when the exploration closes, those `refine` adds continuing
+    it, and those a fresh `refine` of a copy of the closed LTS computes."""
+    made, closed = [], []
 
     class Recording(StepClasses):
-        def __init__(self, lts, layers):
-            super().__init__(lts, layers)
+        def __init__(self, transitions, layers):
+            super().__init__(transitions, layers)
             made.append(self)
 
+    def recording_refine(lts):
+        closed.append((lts, lts.classes.signatures))
+        return refine(lts)
+
     monkeypatch.setattr(bisim, "StepClasses", Recording)
+    monkeypatch.setattr(bisim, "refine", recording_refine)
     ok, _ = decide()
-    assert ok and len(made) == 2
-    checks, refined = made
-    assert checks.lts is refined.lts and refined.layers == [len(refined.lts.states)] * len(refined.layers)
-    return checks.signatures, refined.signatures
+    assert ok and len(made) == 1
+    [(lts, checks)] = closed
+    assert lts.classes is made[0]
+    copy = Lts(lts.states, lts.transitions, lts.roots)
+    assert refine(copy) == refine(lts)
+    return checks, made[0].signatures - checks, copy.classes.signatures
 
 
 def test_checks_cost_no_more_than_refine(monkeypatch, par):
     body = " . ".join(["a"] * 400)
     cycle = parse_spec(f"spec CYCLE\nactions a ;\ndef p = {body} . p ;\ndef q = a . q ;\n")
-    checks, refined = _check_work(monkeypatch, lambda: are_equal(cycle, "p", "q"))
-    assert 0 < checks <= refined
     chain = parse_term(f"{body} . 0", par)
-    checks, refined = _check_work(
-        monkeypatch, lambda: bisimilar(par, chain, App("_||_", (chain, Nil())))
-    )
-    assert 0 < checks <= refined
+    for decide in (
+        lambda: are_equal(cycle, "p", "q"),
+        lambda: bisimilar(par, chain, App("_||_", (chain, Nil()))),
+    ):
+        checks, continued, fresh = _check_work(monkeypatch, decide)
+        assert 0 < checks <= fresh
+        assert continued < fresh
+        assert checks + continued == fresh  # no level is computed twice
+
+
+def test_answers_keep_no_lts_alive(monkeypatch, par):
+    """The record holds no reference back to its LTS, so without the cyclic
+    collector the LTS a verdict builds is freed once the verdict returns."""
+    built = []
+
+    def recording_build_lts(*args, **kwargs):
+        lts = build_lts(*args, **kwargs)
+        built.append(weakref.ref(lts))
+        return lts
+
+    monkeypatch.setattr(bisim, "build_lts", recording_build_lts)
+    pairs = [
+        ("a . 0 || b . 0", "a . b . 0 + b . a . 0"),
+        ("a . b . 0 || a . b . 0 || a . b . 0", "a . b . 0 || a . b . 0 || a . c . 0"),  # early
+        ("a . b . 0", "a . b . 0"),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for p, q in pairs:
+            answer = bisimilar(par, parse_term(p, par), parse_term(q, par))
+            assert built[-1]() is None, (p, q, answer)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(built) == len(pairs)
 
 
 # -- equivalence queries -------------------------------------------------------------
