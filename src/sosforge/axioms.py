@@ -54,7 +54,11 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     read at most once and straight off its normal form: the prefixes
     `choice_atoms` lists.  Every argument is a canonical node that `norm`
     or a rewrite built, so `terms.summands` would have nothing to check.
-    A firing's summand is built from its bindings: the conclusion label by
+    A rule that moves one argument (a THROUGH plan) fires by
+    `fire_through`, with no bindings: its summand's label is the one it
+    gives and its target the rewrite of the operator applied to the
+    arguments it gives.  Any other rule fires by `solve_rule`, and a
+    firing's summand is built from its bindings: the conclusion label by
     its plan, and the target by its plan's shape.  A variable is its
     binding, a normal form; an application over variables is rewritten
     straight from their normal forms; any other target is walked as
@@ -66,7 +70,8 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     firings build; no raw choice is built and canonicalized again.  A rewrite
     asked for while it is under way would never end, so it fails at once.
     """
-    from .simulator import APP, VAR, solve_rule  # the axiom report needs no solver
+    # the axiom report needs no solver
+    from .simulator import APP, THROUGH, VAR, fire_through, solve_rule
 
     th = spec.theory
     budget = budget or DEFAULT_BUDGET
@@ -149,6 +154,10 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
                 return got
 
             for plan in plans:
+                if plan.kind == THROUGH:
+                    for label, moved in fire_through(plan, args, moves):
+                        parts.append(canon_prefix(label, rewrite(plan.target.op, moved, depth + 1), th))
+                    continue
                 rows = solve_rule(plan, args, moves, th)
                 if rows:
                     concl, target = plan.conclusion, plan.target

@@ -190,7 +190,13 @@ def refine(lts: Lts) -> list[int]:
     hand, a new one with every state at depth 0), to its first level stable
     over all n states, which is at most level n: n more layers of every state
     put the first n levels over them all.  A second call returns the same list.
+
+    Raises SosError on an LTS whose exploration stopped early (`closed`
+    false, as `build_lts(..., decide=True)` leaves it after a "false"),
+    before it touches the record: its unexplored states have no moves.
     """
+    if not lts.closed:
+        raise SosError("cannot refine an LTS whose exploration stopped early")
     n = len(lts.states)
     classes = lts.classes = getattr(lts, "classes", None) or StepClasses(lts.transitions, [n])
     classes.layers[classes.layers.index(n) + 1 :] = [n] * n

@@ -154,7 +154,13 @@ def _value_repr(self):
 
 
 class LabelTerm:
-    """Base class for everything that can sit in a label position."""
+    """Base class for everything that can sit in a label position.
+
+    Every label node has a `sort`, which `label_sort` reads: a field of
+    data constants, variables, multisets and label-operator applications,
+    and a class attribute of action and predicate constants and store
+    triples, which is no field and takes no part in equality or `repr`.
+    """
 
     # node caches: rendered string, theory of the cached canonical form, and
     # that form (None when the node is canonical itself under that theory)
@@ -171,6 +177,7 @@ class ActConst(LabelTerm):
     """A declared action constant."""
 
     name: str
+    sort = SORT_ACTION
 
 
 @valueclass
@@ -178,6 +185,7 @@ class PredConst(LabelTerm):
     """A declared predicate constant, e.g. the termination marker `|`."""
 
     name: str
+    sort = SORT_PREDICATE
 
 
 @valueclass
@@ -224,6 +232,7 @@ class Triple(LabelTerm):
 
     pre: LabelTerm
     post: LabelTerm
+    sort = SORT_LABEL
 
 
 class Term:
@@ -421,17 +430,10 @@ def app_width(op: str, args: tuple) -> int:
 
 def label_sort(l: LabelTerm) -> str:
     """The sort of a label term."""
-    if isinstance(l, ActConst):
-        return SORT_ACTION
-    if isinstance(l, PredConst):
-        return SORT_PREDICATE
-    if isinstance(l, (DataConst, LVar, MSet)):
+    try:
         return l.sort
-    if isinstance(l, LApp):
-        return l.sort
-    if isinstance(l, Triple):
-        return SORT_LABEL
-    raise TypeError(f"not a label term: {l!r}")
+    except AttributeError:
+        raise TypeError(f"not a label term: {l!r}") from None
 
 
 def sort_accepts(var_sort: str, term_sort: str) -> bool:

@@ -23,7 +23,7 @@ from sosforge.errors import (
     OpenTerm,
     SosError,
 )
-from sosforge.simulator import solve_rule
+from sosforge.simulator import fire_through, solve_rule
 from sosforge.terms import (
     NIL,
     ActConst,
@@ -253,8 +253,14 @@ def test_normalize_reads_summands_once_per_argument_and_rewrite(linda, monkeypat
         rewrites[id(args)] = args
         return solve_rule(plan, args, moves, th)
 
+    def recorded_fire_through(plan, args, moves):
+        rewrites[id(args)] = args
+        return fire_through(plan, args, moves)
+
     monkeypatch.setattr(axioms, "choice_atoms", counted_summands)
-    monkeypatch.setattr(simulator, "solve_rule", recorded_solve_rule)  # normalize imports it from there
+    # normalize imports both from there
+    monkeypatch.setattr(simulator, "solve_rule", recorded_solve_rule)
+    monkeypatch.setattr(simulator, "fire_through", recorded_fire_through)
     t = parse_term(_linda_cycle_chain(64) + " || " + _linda_cycle_chain(9), linda)
     assert render_term(normalize(linda, t)).endswith("| . 0")
     process_args = sum(isinstance(a, Term) for args in rewrites.values() for a in args)

@@ -21,7 +21,7 @@ from sosforge.bisim import (
     refine,
 )
 from sosforge.cli import main
-from sosforge.errors import InvalidSpec, StateCapExceeded
+from sosforge.errors import InvalidSpec, SosError, StateCapExceeded
 from sosforge.simulator import step
 from sosforge.terms import (
     App,
@@ -239,6 +239,20 @@ def test_refine_matches_naive_fixpoint():
         lts = random_lts(rng, max_states=14)
         # Both number blocks in order of first occurrence, so the ids agree too.
         assert _refine_continues(lts) == naive_blocks(lts)
+
+
+def test_refine_refuses_an_open_lts(par):
+    """An exploration that stopped at an early "false" leaves states with no
+    moves: refine refuses it with an SosError, and leaves the k-step record
+    as the exploration left it."""
+    p = parse_term("a . b . 0 || a . b . 0 || a . b . 0", par)
+    q = parse_term("a . b . 0 || a . b . 0 || a . c . 0", par)
+    lts = build_lts(par, [p, q], decide=True)
+    assert not lts.closed and (len(lts.states), len(lts.transitions)) == (19, 8)
+    layers = list(lts.classes.layers)
+    with pytest.raises(SosError, match="stopped early"):
+        refine(lts)
+    assert lts.classes.layers == layers
 
 
 # -- k-step separation while exploring ----------------------------------------------

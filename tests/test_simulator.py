@@ -7,7 +7,8 @@ import pytest
 
 from sosforge import load_corpus, matching, parse_label, parse_spec, parse_term, simulator
 from sosforge.axioms import normalize
-from sosforge.bisim import build_lts
+from sosforge.bisim import bisimilar, build_lts
+from sosforge.cli import main
 from sosforge.errors import BudgetExceeded, InvalidSpec
 from sosforge.matching import match
 from sosforge.simulator import (
@@ -17,9 +18,12 @@ from sosforge.simulator import (
     FRESH,
     GENERAL,
     GROUND,
+    SOLVE,
     SUBST,
+    THROUGH,
     TRIPLE,
     VAR,
+    fire_through,
     solve_rule,
     step,
 )
@@ -309,12 +313,28 @@ def reference_solve_rule(rule, args, moves, th):
     return subs
 
 
+def _through_firing(plan, sub, th):
+    """What `fire_through` gives for a firing under a substitution: the
+    conclusion label's canonical node and the target's arguments."""
+    concl = plan.rule.conclusion
+    return canon_label(substitute_label(concl.label, sub), th), [sub[a.name] for a in concl.target.args]
+
+
+def _same_firings(got, want):
+    """Whether two lists of (label, arguments) firings hold the same nodes."""
+    return len(got) == len(want) and all(
+        gl is wl and len(ga) == len(wa) and all(g is w for g, w in zip(ga, wa))
+        for (gl, ga), (wl, wa) in zip(got, want))
+
+
 @pytest.fixture
 def against_reference(monkeypatch):
-    """Route every solve_rule call of step and normalize through a check
-    that the reference returns the same substitutions in the same order as
-    the plan names the bindings. Yields the list of result counts, one per
-    call."""
+    """Route every rule firing of step and normalize, through `solve_rule`
+    and through `fire_through` alike, through a check against the
+    reference: `solve_rule` must return the reference's substitutions in
+    its order as the plan names the bindings, and `fire_through` the label
+    and target arguments each of them gives. Yields the list of result
+    counts, one per call."""
     counts = []
 
     def checked(plan, args, moves, th):
@@ -325,7 +345,18 @@ def against_reference(monkeypatch):
         counts.append(len(got))
         return got
 
-    monkeypatch.setattr(simulator, "solve_rule", checked)  # normalize imports it from there
+    def checked_through(plan, args, moves):
+        assert plan.kind == THROUGH, str(plan.rule)
+        got = fire_through(plan, args, moves)
+        th = plan.theory
+        want = reference_solve_rule(plan.rule, args, moves, th)
+        assert _same_firings(got, [_through_firing(plan, s, th) for s in want]), str(plan.rule)
+        counts.append(len(got))
+        return got
+
+    # normalize imports both from there
+    monkeypatch.setattr(simulator, "solve_rule", checked)
+    monkeypatch.setattr(simulator, "fire_through", checked_through)
     return counts
 
 
@@ -526,28 +557,50 @@ def _reads_met_label(plan):
 
 @pytest.fixture
 def against_substitution(monkeypatch):
-    """Route every solve_rule call of step and normalize through a check
-    that each firing's conclusion label and target, as the plan builds them
-    from the bindings, are the canonical forms of the conclusion under the
-    substitution `plan.substitution` names. Yields counts of the calls, of
-    the firings and of the firings whose conclusion label is a premise's."""
+    """Route every rule firing of step and normalize through a check that
+    its conclusion label and target are the canonical forms of the
+    conclusion under the substitution `plan.substitution` names: as the
+    plan builds them from `solve_rule`'s bindings, and as `fire_through`
+    gives them, firing for firing with the bindings `solve_rule` finds for
+    the same plan. Yields counts of the calls, of the firings and of the
+    firings whose conclusion label is a premise's."""
     counts = collections.Counter()
+
+    def named(plan, b, th):
+        sub = plan.substitution(b)
+        concl = plan.rule.conclusion
+        return (canon_label(substitute_label(concl.label, sub), th),
+                canon_term(substitute_term(concl.target, sub), th))
+
+    def count(plan, fired):
+        counts["calls"] += 1
+        counts["fired"] += fired
+        counts["reused"] += fired if _reads_met_label(plan) else 0
 
     def checked(plan, args, moves, th):
         rows = solve_rule(plan, args, moves, th)
-        concl = plan.rule.conclusion
         for b in rows:
-            sub = plan.substitution(b)
-            label = canon_label(substitute_label(concl.label, sub), th)
-            target = canon_term(substitute_term(concl.target, sub), th)
+            label, target = named(plan, b, th)
             assert plan.conclusion.under(b, th) is label, str(plan.rule)
             assert canon_term(plan.target.under(b, th), th) is target, str(plan.rule)
-        counts["calls"] += 1
-        counts["fired"] += len(rows)
-        counts["reused"] += len(rows) if _reads_met_label(plan) else 0
+        count(plan, len(rows))
         return rows
 
-    monkeypatch.setattr(simulator, "solve_rule", checked)  # normalize imports it from there
+    def checked_through(plan, args, moves):
+        got = fire_through(plan, args, moves)
+        th = plan.theory
+        rows = solve_rule(plan, args, moves, th)
+        assert len(got) == len(rows), str(plan.rule)
+        for (got_label, moved), b in zip(got, rows):
+            label, target = named(plan, b, th)
+            assert got_label is label, str(plan.rule)
+            assert canon_term(App(plan.target.op, moved), th) is target, str(plan.rule)
+        count(plan, len(got))
+        return got
+
+    # normalize imports both from there
+    monkeypatch.setattr(simulator, "solve_rule", checked)
+    monkeypatch.setattr(simulator, "fire_through", checked_through)
     return counts
 
 
@@ -602,6 +655,98 @@ def test_kernel_builds_what_the_named_substitution_builds(name, against_substitu
                 break
             t = rng.choice(steps).target
     assert against_substitution["fired"] > 100 and against_substitution["reused"] > 20
+
+
+# -- rules that move one argument --
+
+
+@pytest.mark.parametrize("name, moving", [
+    ("bccsp", []), ("bccsp_par", [1, 2]), ("g", []), ("linda", [4, 7, 8]), ("recursion", []),
+    ("full", [6, 9, 10, 11, 12]),
+])
+def test_bundled_rules_that_move_one_argument(name, moving):
+    """The interleaving and sequencing rules `x -(l)-> x' ==> f(x, y) -(l)->
+    f(x', y)` are THROUGH plans, numbered from 1; every other rule is solved."""
+    plans = _rule_plans(load_corpus(name))
+    assert [i for i, p in enumerate(plans, 1) if p.kind == THROUGH] == moving
+    assert all(p.kind in (THROUGH, SOLVE) for p in plans)
+
+
+# Rules 1, 2 and 5 move one argument: a fresh premise label repeated in the
+# conclusion, a ground premise label with another ground conclusion label
+# and another operator in the target, and a fresh premise label with a
+# ground conclusion label.  The others do not: their targets swap the
+# arguments (3), they have a negative premise (4), their target is a
+# variable (6), they read a label argument (7) or a store triple that
+# swaps its slots (8).
+SHAPES = """spec SHAPES
+actions a b ;
+predicates | ;
+datasort Data [assoc comm id: empty] ;
+dataconst d : Data ;
+op f : 2 ;  op g : 2 ;  op h : 1 ;  op s : 2 ;  op r : 1 ;
+var x y x2 y2 : Proc ;
+var k : Label ;
+var mu xD xD2 : Data ;
+rule x -(k)-> x2 ==> f(x, y) -(k)-> f(x2, y) ;
+rule y -(a)-> y2 ==> f(x, y) -(b)-> g(x, y2) ;
+rule x -(k)-> x2 ==> g(x, y) -(k)-> g(y, x2) ;
+rule x -(k)-> x2 , x -(a)/> ==> g(x, y) -(k)-> g(x2, y) ;
+rule x -(k)-> x2 ==> h(x) -(a)-> h(x2) ;
+rule x -(|)-> x2 ==> h(x) -(|)-> x2 ;
+rule x -(a)-> x2 ==> s(mu, x) -(a)-> s(mu, x2) ;
+rule x -(< xD, -, xD2 >)-> x2 ==> r(x) -(< xD2, -, xD >)-> r(x2) ;
+"""
+
+
+def test_rule_shapes_that_move_one_argument(against_reference):
+    spec = parse_spec(SHAPES)
+    plans = _rule_plans(spec)
+    assert [p.kind == THROUGH for p in plans] == [True, True, False, False, True, False, False, False]
+    cases = {
+        "f(a . 0 + | . 0, b . 0 + a . 0)": ["< a # f(0,b . 0 + a . 0) >", "< b # g(a . 0 + | . 0,0) >",
+                                            "< | # f(0,b . 0 + a . 0) >"],
+        "g(b . 0, a . 0)": ["< b # g(0,a . 0) >", "< b # g(a . 0,0) >"],
+        "g(a . 0, b . 0)": ["< a # g(b . 0,0) >"],
+        "h(a . 0 + | . b . 0)": ["< a # h(0) >", "< a # h(b . 0) >", "< | # b . 0 >"],
+        "s(d, a . 0)": ["< a # s(d,0) >"],
+        "r(< d, -, {} > . 0)": ["< < {},-,{d} > # r(0) >"],
+    }
+    for text, want in cases.items():
+        t = parse_term(text, spec)
+        assert [str(st) for st in step(spec, t)] == want, text
+        normalize(spec, t)
+    assert sum(1 for c in against_reference if c) >= 8
+
+
+# A rule that moves its first argument, on an operator given a data
+# constant where a process stands: no argument of the source may be a label.
+DATAARG = """spec DATAARG
+actions a ;
+datasort Data ;
+dataconst d : Data ;
+op f : 2 ;
+var x y x2 : Proc ;
+rule x -(a)-> x2 ==> f(x, y) -(a)-> f(x2, y) ;
+"""
+
+
+@pytest.mark.parametrize("text", ["f(a . 0, d)", "f(d, a . 0)", "f(d, d)"])
+def test_data_argument_refuses_a_rule_that_moves_one_argument(text, tmp_path, capsys):
+    spec = parse_spec(DATAARG)
+    assert spec.plans_for("f")[0].kind == THROUGH
+    t = parse_term(text, spec)
+    assert step(spec, t) == [] and render_term(normalize(spec, t)) == "0"
+    assert bisimilar(spec, t, NIL)[0]
+    path = tmp_path / "dataarg.sos"
+    path.write_text(DATAARG, encoding="utf-8")
+    for argv, want in [(["simulate", str(path), text], "Possible steps:\n"),
+                       (["normalize", str(path), text], "0\n"),
+                       (["bisim", str(path), text, "0"], f"true\n < {render_term(t)} ; 0 >\n")]:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want, argv
+    # the rule still fires on two processes
+    assert [str(s) for s in step(spec, parse_term("f(a . 0, a . 0)", spec))] == ["< a # f(0,a . 0) >"]
 
 
 # -- when a rule asks for its arguments' moves --

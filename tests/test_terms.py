@@ -25,11 +25,13 @@ from sosforge.terms import (
     Var,
     LabelTerm,
     Nil,
+    PredConst,
     canon_choice,
     canon_label,
     canon_term,
     choice_atoms,
     free_vars,
+    label_sort,
     render_label,
     render_term,
     sort_accepts,
@@ -321,6 +323,22 @@ def test_summands_reports_spine_atoms_in_order(par):
         summands(Choice(DefConst("X"), par_app), par.theory)
     with pytest.raises(NonBccspTerm, match="^recursion constant X is not a head normal form$"):
         summands(Choice(DefConst("X"), parse_term("a . (a . 0 || 0)", par)), par.theory)
+
+
+# -- sorts --------------------------------------------------------------------
+
+
+def test_label_sort_of_every_label_kind():
+    d = DataConst("d", "Data")
+    cases = [(ActConst("a"), "Action"), (PredConst("|"), "Predicate"), (d, "Data"),
+             (LVar("k", "Label"), "Label"), (MSet((d, d), "Data"), "Data"),
+             (LApp("mix", (ActConst("a"), d)), "Label"), (Triple(d, MSet((), "Data")), "Label")]
+    assert [label_sort(l) for l, _ in cases] == [sort for _, sort in cases]
+    # the sort of a constant or a triple is no field: it takes no part in equality
+    assert ActConst("a") == ActConst("a") and repr(PredConst("|")) == "PredConst(name='|')"
+    for not_a_label in (NIL, Var("x"), "a"):
+        with pytest.raises(TypeError):
+            label_sort(not_a_label)
 
 
 # -- substitution -------------------------------------------------------------
