@@ -10,6 +10,8 @@ ground terms.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import BudgetExceeded, NonBccspTerm, OpenTerm
 from .terms import (
     App,
@@ -26,6 +28,7 @@ from .terms import (
     canon_prefix,
     canon_term,
     choice_atoms,
+    nest_operands,
     render_label,
     render_term,
     substitute_label,
@@ -69,6 +72,29 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     level deeper, and a rewrite's is `canon_choice` of the prefixes its
     firings build; no raw choice is built and canonicalized again.  A rewrite
     asked for while it is under way would never end, so it fails at once.
+
+    A binary operator whose rules walk one operand (`_walks`), as `;`
+    walks its left one, rewrites a nest written grouped toward that
+    operand, `(a ; b) ; c` as the parser groups it, by walking the whole
+    normal form of the nest's first part at every level.  So a nest of such
+    an operator that `commform.proves_assoc` proves associative
+    (`Spec.associative`, proved when the first such nest is met) is read
+    grouped the other way, `a ; (b ; c)`: its operands are normalized in
+    order and the rewrites folded from the far end, each operand's normal
+    form walked once.  The fold starts at the first operand whose walks
+    never reach a rule that reads the other operand (`_hands_over`), as
+    `0` or `a . 0` never hand over to what follows them under `;`: its
+    rewrite is the same whatever follows, and the operands after it are
+    normalized but never walked, as written.  The rewrite budget counts
+    the rewrites of that grouping, and the depth limit counts the nest as
+    one node, its operands one level below it: no nest goes deeper than as
+    written.  A nest of no more operands than the operator has rules stays
+    as written: regrouping it saves fewer rewrites than the proof, which
+    pairs every rule with every rule, costs.  So do the nests of an
+    operator the proof refuses, and of operators that walk both operands,
+    as `||` does, or neither.  Normal forms are canonical up to
+    bisimilarity (choice ACI with unit `0` is complete on finite BCCSP
+    terms), so the grouping changes no normal form.
     """
     # the axiom report needs no solver
     from .simulator import APP, THROUGH, VAR, fire_through, solve_rule
@@ -78,6 +104,7 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     # None marks a rewrite under way; the theory keeps every normal form
     # alive, so no id is reused
     memo: dict[tuple, Term | None] = {}
+    walking: dict[str, tuple | None] = {}  # by binary operator: `_walks`
     spent = 0
     unbound: dict[str, Term | LabelTerm] = {}
 
@@ -107,11 +134,45 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
         if isinstance(t, Choice):
             return canon_choice([norm(a, sub, depth + 1) for a in choice_atoms(t)], th)
         assert isinstance(t, App)
-        return rewrite(t.op, tuple(
+        op, args = t.op, t.args
+        if len(args) == 2 and (type(args[0]) is App and args[0].op == op
+                               or type(args[1]) is App and args[1].op == op):
+            walks = walking.get(op, False)
+            if walks is not None and _more_operands(t, len(spec.rules_for(op))):
+                if walks is False:
+                    walks = walking[op] = _walks(spec, op)
+                if walks is not None and type(args[walks[0]]) is App and args[walks[0]].op == op:
+                    if spec.associative(op):
+                        return regrouped(op, nest_operands(t), walks, sub, depth)
+                    walking[op] = None  # its nests stay as written
+        return rewrite(op, tuple(
             canon_label(substitute_label(a, sub), th) if isinstance(a, LabelTerm)
             else norm(a, sub, depth + 1)
             for a in t.args
         ), depth)
+
+    def regrouped(op: str, operands: list[Term], walks: tuple, sub: dict[str, Term | LabelTerm],
+                  depth: int) -> Term:
+        # The normal form of a nest of the associative op, whose rules walk
+        # one operand (`walks`), grouped to the other side: its operands
+        # normalized in order, then rewrites folded from the far end, as
+        # far as the walks reach.  The nest counts as one node: its
+        # operands one level deeper, each rewrite at the nest's depth.
+        side, known = walks[0], walks[3]
+        nfs = [norm(a, sub, depth + 1) for a in operands]
+        if side == RIGHT:  # op(op(... op(a0, a1) ...), an), walked from an
+            nfs.reverse()
+        # An operand whose walks never hand over gives the same rewrite
+        # whatever follows it: the fold starts there.
+        for k in range(len(nfs) - 2):
+            over = known.get(id(nfs[k]))
+            if not (over or over is None and _hands_over(walks, nfs[k])):
+                del nfs[k + 2:]
+                break
+        acc = nfs.pop()
+        for nf in reversed(nfs):
+            acc = rewrite(op, (nf, acc) if side == LEFT else (acc, nf), depth)
+        return acc
 
     def rewrite(op: str, args: tuple, depth: int) -> Term:
         # The normal form of op applied to normal forms, at the depth of the
@@ -176,6 +237,83 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
         return result
 
     return norm(term, unbound, 0)
+
+
+LEFT, RIGHT = 0, 1
+
+
+def _more_operands(t: App, n: int) -> bool:
+    """Whether the nest of t's operator has more than n operands: read no
+    further than that."""
+    todo: list = [t]
+    while todo:
+        a = todo.pop()
+        if type(a) is App and a.op == t.op:
+            todo += a.args
+        else:
+            n -= 1
+            if n < 0:
+                return True
+    return False
+
+
+def _walks(spec: Spec, op: str) -> tuple | None:
+    """How the rules of the binary operator op walk one of its operands,
+    or None when they walk both or neither.  A walk is a THROUGH plan
+    whose target applies op, `x -(l)-> x' ==> op(x, y) -(l)-> op(x', y)`:
+    it hands the other operand on as it is.  The record holds the walked
+    operand (LEFT or RIGHT); the label tests (`_fitting`) of the walks'
+    premises; per other rule, the tests of its premises on the walked
+    operand whose labels `_fitting` reads; and the `_hands_over` verdicts
+    of states, by id."""
+    from .simulator import FRESH, GROUND, THROUGH, TRIPLE, _fitting
+
+    sides, steps, others = set(), [], []
+    for plan in spec.plans_for(op):
+        if plan.kind == THROUGH and plan.rule.conclusion.target.op == op:
+            k, _, lp = plan.positives[0]
+            sides.add(k)
+            steps.append(partial(_fitting, lp))
+        else:
+            others.append(plan.positives)
+    if len(sides) != 1:
+        return None
+    side = sides.pop()
+    tests = [[partial(_fitting, lp) for k, _, lp in positives
+              if k == side and lp.kind in (FRESH, GROUND, TRIPLE)] for positives in others]
+    return side, steps, tests, {}
+
+
+def _hands_over(walks: tuple, nf: Term) -> bool:
+    """Whether rewriting the operator with the normal form nf as its walked
+    operand may read the other operand: whether a rule other than a walk
+    may fire at a state of nf that walks reach (`_walks`).  A rule fires
+    only when each premise label it tests on the walked operand meets a
+    move.  When nothing but walks fires, the rewrite is the same node
+    whatever the other operand.  The verdicts of states carry over from
+    one call to the next: normal forms share their states."""
+    _, steps, others, known = walks
+    seen = set()
+    todo = [nf]
+    while todo:
+        state = todo.pop()
+        over = known.get(id(state))
+        if over is None:
+            if id(state) in seen:
+                continue
+            seen.add(id(state))
+            offered = [(p.label, p.body) for p in choice_atoms(state) if type(p) is Prefix]
+            over = any(all(test(offered) for test in tests) for tests in others)
+            if not over:
+                for test in steps:
+                    todo += [body for _, body in test(offered)]
+                continue
+            known[id(state)] = True
+        if over:
+            known[id(nf)] = True
+            return True
+    known.update(dict.fromkeys(seen, False))  # every state they reach was seen
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Commutativity checking of binary operators by rule mirroring.
+"""Commutativity and associativity of binary operators, proved from their rules.
 
 A binary operator is syntactically commutative when every one of its
 rules has a mirror among its rules: a candidate rule and an injective
@@ -24,7 +24,40 @@ The search reads a rule through a record compiled each time its row is
 computed (`_Mirrored`): its negative premises, conclusion label and
 conclusion target as forms, nested tuples that name variables, so that a
 candidate mapping is checked by renaming and comparing tuples; no term is
-built.
+built.  A choice is one form node over all its summands, in any grouping.
+
+Associativity (`proves_assoc`, after Cranen, Mousavi and Reniers, A rule
+format for associativity, CONCUR 2008) compares the derived rules of the
+two groupings op(op(x0, x1), x2) and op(x0, op(x1, x2)).  A derived rule
+takes an outer rule of op: with no premise on the nested argument, that
+argument stays in place; with one positive premise on it, the rule is
+paired with each inner rule whose conclusion label meets that premise's
+label, and the derived rule has the outer rule's premise on the other
+argument and the inner rule's premises, the outer conclusion's label and
+target with the inner rule's conclusion put in for the premise.  Labels
+meet by identity and by sort: a ground, fresh-variable or store-triple
+premise label against a ground, bare-variable or store-triple conclusion
+label; a pair that cannot meet gives no derived rule.  The operator is
+proved associative when every derived rule of each grouping has a landing
+among the other grouping's: a derived rule whose premises, renamed, are
+among its own, with the same conclusion label up to the label equations
+and the same target once nests of op are flat.  Everything else is not
+proved: a negative premise, two premises on one argument, a premise label
+that is bound earlier or matched (BOUND or GENERAL), a conclusion label of
+another shape, or labels that meet on only some of the labels of a sort.
+
+The proof is sound.  A grouping's derived rules derive exactly its
+transitions: an instance of a derived rule fires the inner rule on the
+nested argument, whose conclusion label then meets the outer premise
+(labels meet on all of a sort or on none of it), and every transition of
+op(op(p, q), r) fires an outer rule whose premise on op(p, q) a
+transition of some inner rule meets.  A landing fires whenever the
+derived rule it lands on fires, with the same label, to a target that
+differs only in how nests of op and choices are grouped and ordered.  So
+the pairs (C[op(op(p, q), r)], C[op(p, op(q, r))]), over closed p, q, r
+and contexts C, form a bisimulation up to context and up to bisimilarity,
+which is sound for GSOS rules (Bloom, Istrail and Meyer; Pous and
+Sangiorgi 2011): the two groupings are bisimilar in every context.
 """
 
 from __future__ import annotations
@@ -33,6 +66,7 @@ from collections import namedtuple
 
 from .matching import _match_label
 from .terms import (
+    SORT_LABEL,
     SORT_PROC,
     EMPTY_THEORY,
     App,
@@ -50,9 +84,13 @@ from .terms import (
     Var,
     _equations,
     canon_label,
+    choice_atoms,
+    label_sort,
+    nest_operands,
     render_label,
     render_term,
     replace,
+    sort_accepts,
     valueclass,
 )
 from .tss import Rule, Spec
@@ -69,6 +107,9 @@ CHOICE_OP = "+"
 # children commute, then its operator (choice is `+`, a prefix `.`, a store
 # triple `<`, a multiset's union `{` and its sort; label and process
 # operators never share a name) and its children's forms, a _BAG's sorted.
+# A choice is one _BAG of all its summands, so a form is one level deep per
+# term level however wide a choice is; the associativity check also reads
+# each nest of its operator as one _SEQ of the nest's operands.
 # Within one tag the key and the children have one type each, so forms
 # compare as plain tuples, in one total order.
 
@@ -100,9 +141,12 @@ def _label_form(l: LabelTerm, th: EquationalTheory) -> tuple:
     return _node(tag, key, forms)
 
 
-def _term_form(t: Term, comm_set: set[str], th: EquationalTheory) -> tuple:
-    """The form of a process term with canonical labels, the two process
-    arguments of each known-commutative operator (choice too) sorted."""
+def _term_form(t: Term, comm_set: set[str], th: EquationalTheory,
+               flat: frozenset[str] = frozenset()) -> tuple:
+    """The form of a process term with canonical labels: choice one _BAG of
+    all its summands, the two process arguments of each known-commutative
+    operator sorted, and each nest of an operator in `flat` one _SEQ node of
+    its operands in order."""
     cls = type(t)
     if cls is Var:
         return (_VAR, t.name)
@@ -111,10 +155,14 @@ def _term_form(t: Term, comm_set: set[str], th: EquationalTheory) -> tuple:
     if cls is DefConst:
         return (_CONST, t.name)
     if cls is Prefix:
-        return (_SEQ, ".", _label_form(canon_label(t.label, th), th), _term_form(t.body, comm_set, th))
-    op, args = (CHOICE_OP, (t.left, t.right)) if cls is Choice else (t.op, t.args)
+        return (_SEQ, ".", _label_form(canon_label(t.label, th), th), _term_form(t.body, comm_set, th, flat))
+    if cls is Choice:
+        return _node(_BAG, CHOICE_OP, [_term_form(a, comm_set, th, flat) for a in choice_atoms(t)])
+    op, args = t.op, t.args
+    if op in flat:
+        args = nest_operands(t)
     labels = [isinstance(a, LabelTerm) for a in args]
-    forms = [_label_form(canon_label(a, th), th) if is_label else _term_form(a, comm_set, th)
+    forms = [_label_form(canon_label(a, th), th) if is_label else _term_form(a, comm_set, th, flat)
              for a, is_label in zip(args, labels)]
     swap = op in comm_set and len(args) == 2 and not any(labels)
     return _node(_BAG if swap else _SEQ, op, forms)
@@ -146,13 +194,14 @@ def _applied_ops(t: Term) -> set[str]:
         return {t.op}.union(*(_applied_ops(a) for a in t.args if isinstance(a, Term)))
     if isinstance(t, Prefix):
         return _applied_ops(t.body)
-    return _applied_ops(t.left) | _applied_ops(t.right) if isinstance(t, Choice) else set()
+    return set().union(*map(_applied_ops, choice_atoms(t))) if isinstance(t, Choice) else set()
 
 
 def cc_equal(
     t1: Term, t2: Term, comm_set: set[str], th: EquationalTheory = EMPTY_THEORY
 ) -> bool:
-    """Equality up to swapping arguments of known-commutative operators."""
+    """Equality up to swapping arguments of known-commutative operators and
+    regrouping and reordering the summands of a choice."""
     return _term_form(t1, comm_set, th) == _term_form(t2, comm_set, th)
 
 
@@ -273,6 +322,246 @@ def find_mirror(
     spec.check()
     hm = _mirror(_compile(spec, rule_a, comm_set), _compile(spec, rule_b, comm_set), spec.theory)
     return None if hm is None else _complete_mapping(spec, rule_a, rule_b, hm)
+
+
+# ---------------------------------------------------------------------------
+# associativity
+
+# The operands of op(op(x0, x1), x2) and op(x0, op(x1, x2)).  Every other
+# variable of a derived rule is named for the premise that binds it: the
+# n-th variable that the premise on operand k binds is "k.n".  No rule
+# variable's name starts with a digit.
+_OPERANDS = ("0", "1", "2")
+_NO_COMM: frozenset[str] = frozenset()
+
+
+class _Unproved(Exception):
+    """A rule, or a pairing of rules, that the associativity check does not read."""
+
+
+class _Operand(namedtuple("_Operand", "sources premises label label_form bound target")):
+    """What the associativity check reads of one rule of the operator: its
+    source names; per source, its premise on that source, or None; its
+    canonical conclusion label, that label's form, and the source whose
+    premise's label the conclusion label repeats (or -1); and its conclusion
+    target's form, each nest of the operator flat.  A premise is (key,
+    label plan, names): the key says what its label is, ("=", id of the
+    label) for a ground one, ("var", sort) for a fresh variable and ("<",
+    sort, sort) for a store triple of two fresh slot variables; the names
+    are the variables it binds, in order, its label's and then its target."""
+
+    __slots__ = ()
+
+
+def proves_assoc(spec: Spec, op: str) -> bool:
+    """Whether op's rules prove the binary operator associative: every
+    derived rule of each grouping has a landing among the other grouping's
+    derived rules (see the module docstring).  `Spec.associative` runs it
+    once per operator.
+
+    A rule the check reads has no negative premise and at most one premise
+    on each source, whose label is ground, a fresh variable or a store
+    triple of two fresh slot variables: each source is the nested argument
+    in one grouping.  So a derived rule has at most one premise on each
+    operand, and a premise's variables are named by the operand it tests.
+    A renaming that lands a derived rule on another then sends each premise
+    to the other's premise on its operand, with the same key, and each name
+    to itself: the derived rule lands on one with the same conclusion and
+    premises among its own.
+    """
+    th = spec.theory
+    try:
+        rules = _operand_rules(spec, op)
+        left, right = (_derived(rules, op, nested, th) for nested in (0, 1))
+    except _Unproved:
+        return False
+
+    def lands(derived: dict, others: dict) -> bool:
+        return all(any(fewer <= premises for fewer in others.get(conclusion, ()))
+                   for conclusion, found in derived.items() for premises in found)
+
+    return lands(left, right) and lands(right, left)
+
+
+def _operand_rules(spec: Spec, op: str) -> list[_Operand]:
+    """op's rules as the associativity check reads them, through their
+    firing plans; raises _Unproved on a rule it does not read."""
+    from .simulator import BOUND, FRESH, GROUND, TRIPLE  # the plans' kinds
+
+    th = spec.theory
+    flat = frozenset([op])
+    out = []
+    for (_, rule), plan in zip(spec.rules_for(op), spec.plans_for(op)):
+        args = rule.conclusion.source.args
+        if rule.negatives or type(args[0]) is not Var or type(args[1]) is not Var:
+            raise _Unproved
+        concl = plan.conclusion
+        premises: list = [None, None]
+        bound = -1
+        for p, (k, _, lp) in zip(rule.positives, plan.positives):
+            if premises[k] is not None:
+                raise _Unproved
+            kind = lp.kind
+            if kind == FRESH:
+                key, names = ("var", lp.sort), [lp.label.name, p.target.name]
+            elif kind == TRIPLE:
+                pre, post = lp.slots
+                key, names = ("<", pre.sort, post.sort), [pre.label.name, post.label.name, p.target.name]
+            elif kind == GROUND:
+                key, names = ("=", id(lp.label)), [p.target.name]
+            else:
+                raise _Unproved
+            premises[k] = (key, lp, names)
+            if concl.kind == BOUND and concl.key == lp.key or concl.kind == GROUND and concl.label is lp.label:
+                bound = k
+        # a BOUND label is a premise's, a bare variable or a triple of two
+        # variables, whose form needs no canonical node
+        label = concl.label if concl.kind == BOUND or concl.kind == GROUND else canon_label(concl.label, th)
+        out.append(_Operand((args[0].name, args[1].name), premises, label, _label_form(label, th), bound,
+                            _term_form(rule.conclusion.target, _NO_COMM, th, flat)))
+    return out
+
+
+# The forms of the variables a premise on each operand binds, in order.
+_NAMED = {o: [(_VAR, f"{o}.{n}") for n in range(3)] for o in _OPERANDS}
+
+
+def _named(sub: dict[str, tuple], premise: tuple, operand: str) -> tuple:
+    """Name the variables a premise on the operand binds in sub; its key on
+    that operand."""
+    sub.update(zip(premise[2], _NAMED[operand]))
+    return operand, premise[0]
+
+
+def _derived(rules: list[_Operand], op: str, nested: int,
+             th: EquationalTheory) -> dict[tuple, list[frozenset]]:
+    """The derived rules of op(op(x0, x1), x2) when `nested` is 0, or of
+    op(x0, op(x1, x2)) when it is 1: by conclusion (label form, target form,
+    each nest of op flat), the premise sets of the derived rules with that
+    conclusion, each premise as (operand, key).
+
+    A derived rule pairs an outer rule with an inner rule whose conclusion
+    label meets the outer rule's premise on the nested argument, or is an
+    outer rule alone when it has no such premise.  Raises _Unproved on a
+    pairing the check does not read.
+    """
+    inner_operands = _OPERANDS[nested:nested + 2]
+    other = _OPERANDS[2 - 2 * nested]
+    nest = (_SEQ, op, (_VAR, inner_operands[0]), (_VAR, inner_operands[1]))
+    kept = 1 - nested
+    inners: dict[int, tuple] = {}  # by rule position: the rule as inner rule
+    out: dict[tuple, list[frozenset]] = {}
+    meets: dict[tuple, bool] = {}
+    for t in rules:
+        sub = {t.sources[kept]: (_VAR, other), t.sources[nested]: nest}
+        keys = [_named(sub, t.premises[kept], other)] if t.premises[kept] else []
+        premise = t.premises[nested]
+        if premise is None:
+            conclusion = (_subst_form(t.label_form, sub, op), _subst_form(t.target, sub, op))
+            out.setdefault(conclusion, []).append(frozenset(keys))
+            continue
+        names = premise[2]
+        for i, u in enumerate(rules):
+            pair = (premise[0], u.label_form)  # a variable's name fixes its sort
+            meet = meets.get(pair)
+            if meet is None:
+                meet = meets[pair] = _meets(premise, u)
+            if not meet:
+                continue
+            inner = inners.get(i)
+            if inner is None:
+                sub_u = {u.sources[0]: (_VAR, inner_operands[0]), u.sources[1]: (_VAR, inner_operands[1])}
+                keys_u = [_named(sub_u, p, o) for p, o in zip(u.premises, inner_operands) if p]
+                inner = inners[i] = (keys_u, _subst_form(u.label_form, sub_u, op),
+                                     _subst_form(u.target, sub_u, op))
+            keys_u, label_u, target_u = inner
+            bound = {**sub, names[-1]: target_u}
+            bound.update(zip(names, _parts(premise, u, label_u, th)))
+            label = label_u if t.bound == nested else _subst_form(t.label_form, bound, op)
+            conclusion = (label, _subst_form(t.target, bound, op))
+            out.setdefault(conclusion, []).append(frozenset(keys + keys_u))
+    return out
+
+
+def _subst_form(form: tuple, sub: dict[str, tuple], op: str) -> tuple:
+    """The form with each variable that sub maps replaced by its form, and
+    each nest of op and each choice that a replacement makes flat again."""
+    tag = form[0]
+    if tag == _VAR:
+        return sub.get(form[1], form)
+    if tag == _GROUND or tag == _CONST:
+        return form
+    key = form[1]
+    flat = tag == _SEQ and key == op or tag == _BAG and key == CHOICE_OP
+    children = []
+    for f in form[2:]:
+        g = _subst_form(f, sub, op)
+        if flat and g[0] == tag and g[1] == key:
+            children += g[2:]
+        else:
+            children.append(g)
+    return _node(tag, key, children)
+
+
+def _meets(premise: tuple, inner: _Operand) -> bool:
+    """Whether a premise label meets an inner rule's conclusion label:
+    every label that the one stands for is one that the other stands for
+    (True), or none is (False).  Raises _Unproved when some are, or when
+    the conclusion label is not ground, a bare variable or a store triple."""
+    key, lp, _ = premise
+    label, form = inner.label, inner.label_form
+    cls = type(label)
+    ground = form[0] == _GROUND
+    if not (ground or cls is LVar or cls is Triple):
+        raise _Unproved
+    if key[0] == "=":
+        if ground:
+            return label is lp.label
+        if cls is LVar and sort_accepts(label.sort, label_sort(lp.label)) \
+                or cls is Triple and type(lp.label) is Triple:
+            raise _Unproved
+        return False
+    if key[0] == "var":
+        return _takes(key[1], label, ground)
+    # a store triple of two fresh slot variables
+    if cls is LVar:
+        if sort_accepts(label.sort, SORT_LABEL):
+            raise _Unproved
+        return False
+    if cls is not Triple:
+        return False
+    parts = (label.pre, label.post)
+    grounds = (True, True) if ground else (form[2][0] == _GROUND, form[3][0] == _GROUND)
+    return all(_takes(sort, p, g) for sort, p, g in zip(key[1:], parts, grounds))
+
+
+def _parts(premise: tuple, inner: _Operand, label: tuple, th: EquationalTheory) -> list[tuple]:
+    """The forms a premise's label variables take where it meets the inner
+    rule's conclusion label, whose form in the derived rule is `label`."""
+    kind = premise[0][0]
+    if kind == "var":
+        return [label]
+    if kind == "=":
+        return []
+    if label[0] == _GROUND:
+        return [_label_form(inner.label.pre, th), _label_form(inner.label.post, th)]
+    return list(label[2:])
+
+
+def _takes(sort: str, label: LabelTerm, ground: bool) -> bool:
+    """Whether a fresh variable of the sort takes every label that `label`
+    stands for (True) or none of them (False); raises _Unproved when it
+    takes some."""
+    cls = type(label)
+    if cls is LVar:
+        if sort_accepts(sort, label.sort):
+            return True
+        if sort_accepts(label.sort, sort):
+            raise _Unproved
+        return False
+    if not (ground or cls is Triple or cls is MSet):
+        raise _Unproved
+    return sort_accepts(sort, label_sort(label))
 
 
 # ---------------------------------------------------------------------------

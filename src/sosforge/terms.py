@@ -674,6 +674,20 @@ def choice_atoms(t: Term) -> list[Term]:
     return out
 
 
+def nest_operands(t: App) -> list[Term]:
+    """The operands of a nest of t's operator, in order: t's arguments, each
+    application of that operator among them read as its own operands."""
+    out: list[Term] = []
+    todo: list = [t]
+    while todo:
+        a = todo.pop()
+        if type(a) is App and a.op == t.op:
+            todo += reversed(a.args)
+        else:
+            out.append(a)
+    return out
+
+
 def canon_choice(terms: list[Term], th: EquationalTheory) -> Term:
     """th's choice of canonical terms: their summands, `0` dropped, in
     canonical order, each once, right-nested over canonical links."""

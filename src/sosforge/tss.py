@@ -175,6 +175,10 @@ class Spec:
         return {}  # by operator
 
     @cached_property
+    def _assoc(self) -> dict[str, bool]:
+        return {}  # by operator
+
+    @cached_property
     def parse_context(self):
         """The name tables `parse_term` and `parse_label` read for this spec."""
         from .parser import ParseContext  # the parser builds Specs, so it imports this module
@@ -208,6 +212,19 @@ class Spec:
             plans = self._plans[op] = [plan_rule(r, self.rule_vars(r), th)
                                        for _, r in self.rules_for(op)]
         return plans
+
+    def associative(self, op: str) -> bool:
+        """Whether the rules of the binary operator op prove it associative
+        (`commform.proves_assoc`), proved on the first call for op.
+
+        Raises InvalidSpec unless the spec meets the rule format.
+        """
+        proved = self._assoc.get(op)
+        if proved is None:
+            from .commform import proves_assoc  # commform imports this module
+
+            proved = self._assoc[op] = proves_assoc(self, op)
+        return proved
 
     def definition(self, name: str) -> Term:
         self.check()

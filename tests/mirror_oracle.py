@@ -21,9 +21,6 @@ from sosforge.terms import (
     substitute_term,
 )
 
-CHOICE_OP = "+"
-
-
 def rule_variables(rule) -> set[str]:
     """The variables a rule names: its sources, premise targets and the
     label variables of its positive premises (they bind all the others)."""
@@ -34,22 +31,33 @@ def rule_variables(rule) -> set[str]:
     return names
 
 
+def _ordered(terms):
+    return sorted(terms, key=lambda a: (render_term(a), repr(a)))
+
+
+def _summands(t):
+    return _summands(t.left) + _summands(t.right) if isinstance(t, Choice) else [t]
+
+
 def cc_canon(t, comm_set, th):
-    """t with canonical labels and the two process arguments of each
-    known-commutative operator (choice too) ordered by their strings, then
-    by repr: equal exactly for terms equal up to such swaps."""
+    """t with canonical labels, the summands of each choice ordered by their
+    strings, then by repr, and right-nested, and the two process arguments
+    of each known-commutative operator ordered so: equal exactly for terms
+    equal up to such swaps and regroupings."""
     if isinstance(t, Prefix):
         return Prefix(canon_label(t.label, th), cc_canon(t.body, comm_set, th))
     if isinstance(t, Choice):
-        op, args = CHOICE_OP, (t.left, t.right)
-    elif isinstance(t, App):
-        op, args = t.op, t.args
-    else:
+        out = _ordered(cc_canon(a, comm_set, th) for a in _summands(t))
+        right = out.pop()
+        for a in reversed(out):
+            right = Choice(a, right)
+        return right
+    if not isinstance(t, App):
         return t
-    out = [canon_label(a, th) if isinstance(a, LabelTerm) else cc_canon(a, comm_set, th) for a in args]
-    if op in comm_set and len(out) == 2 and not any(isinstance(a, LabelTerm) for a in out):
-        out.sort(key=lambda a: (render_term(a), repr(a)))
-    return Choice(*out) if op == CHOICE_OP else App(op, tuple(out))
+    out = [canon_label(a, th) if isinstance(a, LabelTerm) else cc_canon(a, comm_set, th) for a in t.args]
+    if t.op in comm_set and len(out) == 2 and not any(isinstance(a, LabelTerm) for a in out):
+        out = _ordered(out)
+    return App(t.op, tuple(out))
 
 
 def _substitution(spec, renaming: dict[str, str]) -> dict:

@@ -13,6 +13,10 @@ from pathlib import Path
 from sosforge.bisim import Lts
 from sosforge.terms import (
     NIL,
+    SORT_ACTION,
+    SORT_LABEL,
+    SORT_PREDICATE,
+    SORT_PROC,
     ActConst,
     App,
     Choice,
@@ -20,6 +24,7 @@ from sosforge.terms import (
     DefConst,
     LApp,
     LabelTerm,
+    LVar,
     MSet,
     PredConst,
     Prefix,
@@ -110,6 +115,56 @@ def random_full_term(rng: random.Random, depth: int) -> Term:
 def _store_op(rng: random.Random) -> Term:
     op = rng.choice(("ask", "tell", "get"))
     return App(op, (DataConst(rng.choice(DATA_NAMES), "Data"),))
+
+
+class SpecSignature:
+    """What random closed terms over any spec draw from: its labels, and
+    its operators with the sort of each argument (a process, or a data
+    sort)."""
+
+    def __init__(self, spec) -> None:
+        self.actions = [ActConst(a) for a in spec.actions] + [PredConst(p) for p in spec.predicates]
+        self.data = {}
+        for name, sort in spec.data_consts.items():
+            self.data.setdefault(sort, []).append(DataConst(name, sort))
+        self.label_ops = [op for op in spec.label_ops.values()
+                          if all(s in (SORT_ACTION, SORT_PREDICATE, SORT_LABEL) for s in op.arg_sorts)]
+        self.ops = []
+        for op in spec.proc_ops.values():
+            sorts = [SORT_PROC] * op.arity
+            rules = spec.rules_for(op.name)
+            if rules:
+                sorts = [a.sort if isinstance(a, LVar) else SORT_PROC
+                         for a in rules[0][1].conclusion.source.args]
+            if all(s == SORT_PROC or self.data.get(s) for s in sorts):
+                self.ops.append((op.name, sorts))
+
+    def label(self, rng: random.Random):
+        roll = rng.random()
+        if self.data and roll < 0.3:
+            sort = rng.choice(sorted(self.data))
+            pre, post = (MSet(tuple(rng.choice(self.data[sort]) for _ in range(rng.randint(0, 2))), sort)
+                         for _ in range(2))
+            return Triple(pre, post)
+        if self.label_ops and self.actions and roll < 0.4:
+            op = rng.choice(self.label_ops)
+            return LApp(op.name, tuple(rng.choice(self.actions) for _ in op.arg_sorts), op.result_sort)
+        return rng.choice(self.actions) if self.actions else None
+
+    def term(self, rng: random.Random, depth: int):
+        """A closed term of at most the given depth."""
+        roll = rng.random()
+        if depth <= 0 or roll < 0.15:
+            return NIL
+        if roll < 0.55:
+            label = self.label(rng)
+            if label is not None:
+                return Prefix(label, self.term(rng, depth - 1))
+        if roll < 0.75 or not self.ops:
+            return Choice(self.term(rng, depth - 1), self.term(rng, depth - 1))
+        name, sorts = rng.choice(self.ops)
+        return App(name, tuple(self.term(rng, depth - 1) if s == SORT_PROC else rng.choice(self.data[s])
+                               for s in sorts))
 
 
 def equivalent_variant(rng: random.Random, t: Term) -> Term:

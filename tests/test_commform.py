@@ -58,15 +58,38 @@ def test_cc_equal_sequencing_is_ordered(linda):
     assert not cc_equal(a, b, {"_||_", "+"}, linda.theory)
 
 
-def test_cc_equal_choice_swap_no_assoc(par):
+def test_cc_equal_choice_is_flat(par):
+    """Choice is one form node over all its summands: they commute and
+    reassociate, but a repeated summand still counts."""
     th = par.theory
     swapped = cc_equal(
         Choice(Var("x"), Var("y")), Choice(Var("y"), Var("x")), {"+"}, th
     )
     assert swapped
     left = Choice(Choice(Var("x"), Var("y")), Var("z"))
-    right = Choice(Var("x"), Choice(Var("y"), Var("z")))
-    assert not cc_equal(left, right, {"+"}, th)
+    right = Choice(Var("z"), Choice(Var("x"), Var("y")))
+    assert cc_equal(left, right, {"+"}, th)
+    assert not cc_equal(Choice(Var("x"), Var("x")), Var("x"), {"+"}, th)
+
+
+REGROUPED_CHOICE = """
+spec CH
+actions a b c ;
+op f : 2 ;
+var x y x2 y2 : Proc ;
+rule x -(a)-> x2 ==> f(x, y) -(a)-> (a . x2 + b . y) + c . 0 ;
+rule y -(a)-> y2 ==> f(x, y) -(a)-> a . y2 + (b . x + c . 0) ;
+"""
+
+
+def test_mirror_targets_whose_choices_group_differently():
+    """Choice is associative, so targets that group a choice differently
+    mirror each other; `f` is commutative on closed terms too."""
+    spec = parse_spec(REGROUPED_CHOICE)
+    report = check_comm(spec)
+    assert list(report.proven) == ["f"] and not report.failed
+    p, q = parse_term("a . b . 0", spec), parse_term("a . c . 0 + b . 0", spec)
+    assert bisimilar(spec, App("f", (p, q)), App("f", (q, p)))[0]
 
 
 # Two data sorts whose empty multisets both print `{}`, and a binary operator.
