@@ -19,14 +19,13 @@ if TYPE_CHECKING:
 _EXPORTS = {
     "axioms": ("NormalizeBudget", "axiom_report", "normalize"),
     "bisim": ("Lts", "are_equal", "bisimilar", "build_lts", "refine"),
-    "commform": ("CommReport", "cc_equal", "check_comm", "find_mirror", "formats_spec",
-                 "render_spec"),
+    "commform": ("CommReport", "check_comm", "formats_spec", "render_spec"),
     "errors": ("InvalidSpec", "SosError"),
     "matching": ("match",),
     "parser": ("parse_label", "parse_spec", "parse_term"),
     "simulator": ("Step", "solve_rule", "step"),
     "terms": ("canon_label", "canon_term", "render_label", "render_term",
-              "substitute_label", "substitute_term", "summands"),
+              "substitute_label", "substitute_term"),
     "tss": ("Rule", "Spec"),
     "validator": ("check_all",),
 }

@@ -56,7 +56,7 @@ def normalize(spec: Spec, term: Term, budget: NormalizeBudget | None = None) -> 
     (`Spec.plans_for`) on its process arguments' summands, each argument's
     read at most once and straight off its normal form: the prefixes
     `choice_atoms` lists.  Every argument is a canonical node that `norm`
-    or a rewrite built, so `terms.summands` would have nothing to check.
+    or a rewrite built, a choice of prefixes, so its spine needs no check.
     A rule that moves one argument (a THROUGH plan) fires by
     `fire_through`, with no bindings: its summand's label is the one it
     gives and its target the rewrite of the operator applied to the

@@ -64,11 +64,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .matching import _match_label
 from .terms import (
     SORT_LABEL,
     SORT_PROC,
-    EMPTY_THEORY,
     App,
     Choice,
     DefConst,
@@ -197,14 +195,6 @@ def _applied_ops(t: Term) -> set[str]:
     return set().union(*map(_applied_ops, choice_atoms(t))) if isinstance(t, Choice) else set()
 
 
-def cc_equal(
-    t1: Term, t2: Term, comm_set: set[str], th: EquationalTheory = EMPTY_THEORY
-) -> bool:
-    """Equality up to swapping arguments of known-commutative operators and
-    regrouping and reordering the summands of a choice."""
-    return _term_form(t1, comm_set, th) == _term_form(t2, comm_set, th)
-
-
 # ---------------------------------------------------------------------------
 # mirror search
 
@@ -276,9 +266,12 @@ def _variables(spec: Spec, rule: Rule) -> set[str]:
     return names.union(*spec.rule_vars(rule).positives)
 
 
-def _mirror(a: _Mirrored, b: _Mirrored, th: EquationalTheory) -> dict[str, str] | None:
+def _mirror(a: _Mirrored, b: _Mirrored, renamings) -> dict[str, str] | None:
     """The first renaming of rule b's variables under which it mirrors
-    rule a, or None (see find_mirror)."""
+    rule a, or None: b's positive premises go to a's, both in order, each
+    label through renamings(pattern, label, (mapping, used names)), and the
+    first assignment wins under which b's negative premises fall among a's
+    and its conclusion label and target mirror a's."""
     # a renaming keeps shapes and a mirror swaps the sources' sorts
     if b.shape != a.shape or b.sorts != a.sorts[::-1]:
         return None
@@ -295,7 +288,7 @@ def _mirror(a: _Mirrored, b: _Mirrored, th: EquationalTheory) -> dict[str, str] 
         for source_a, label_a, target_a in positives_a:
             if source_a != want:
                 continue
-            for state in _match_label(pat, label_a, (hm, us), th, _bind_renaming):
+            for state in renamings(pat, label_a, (hm, us)):
                 for hm2, us2 in _bind_renaming(state, target, target_a):
                     yield from assignments(i + 1, hm2, us2)
 
@@ -305,23 +298,6 @@ def _mirror(a: _Mirrored, b: _Mirrored, th: EquationalTheory) -> dict[str, str] 
                 and _renamed(b.label, hm) == a.label and _renamed(b.target, hm) == a.target:
             return hm
     return None
-
-
-def find_mirror(
-    spec: Spec, rule_a: Rule, rule_b: Rule, comm_set: set[str]
-) -> dict[str, str] | None:
-    """The first mirror mapping sending rule_b onto rule_a with arguments
-    swapped, or None.
-
-    Both rules are rules of the spec for one binary operator, so their
-    sources are that operator over two distinct variables.  The search
-    assigns rule_b's positive premises to rule_a's, both in order, and stops
-    at the first assignment under which rule_b's negative premises fall
-    among rule_a's and its conclusion label and target mirror rule_a's.
-    """
-    spec.check()
-    hm = _mirror(_compile(spec, rule_a, comm_set), _compile(spec, rule_b, comm_set), spec.theory)
-    return None if hm is None else _complete_mapping(spec, rule_a, rule_b, hm)
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +572,13 @@ def check_comm(spec: Spec) -> CommReport:
     checked = [op.name for op in binaries if not op.comm]
     comm_set = {CHOICE_OP} | {op.name for op in binaries}
     th = spec.theory
+    from .matching import _match_label  # loaded only where the mirror search runs
+
+    def renamings(pat: LabelTerm, label: LabelTerm, state):
+        return _match_label(pat, label, state, th, _bind_renaming)
 
     def first_mirror(a: _Mirrored, candidates) -> tuple[int, dict[str, str]] | None:
-        found = ((ib, _mirror(a, b, th)) for ib, b in candidates)
+        found = ((ib, _mirror(a, b, renamings)) for ib, b in candidates)
         return next(((ib, m) for ib, m in found if m is not None), None)
 
     def row(name: str) -> list[tuple[int, tuple[int, dict[str, str]] | None]]:

@@ -41,7 +41,7 @@ from operator import attrgetter
 from reprlib import recursive_repr
 from weakref import WeakValueDictionary
 
-from .errors import NonBccspTerm, OpenTerm, SortError
+from .errors import SortError
 
 SORT_PROC = "Proc"
 SORT_ACTION = "Action"
@@ -731,20 +731,3 @@ def canon_term(t: Term, th: EquationalTheory = EMPTY_THEORY) -> Term:
     t._c = None if out is t else out  # as in canon_label
     return out
 
-
-def summands(t: Term, th: EquationalTheory = EMPTY_THEORY) -> list[tuple[LabelTerm, Term]]:
-    """The (label, continuation) summands of a head normal form: prefixes under choice."""
-    for atom in choice_atoms(t):
-        if isinstance(atom, Var):
-            raise OpenTerm(f"free variable {atom.name}")
-        if isinstance(atom, App):
-            raise NonBccspTerm(f"operator {atom.op} outside the base fragment")
-    out = []
-    for atom in choice_atoms(canon_term(t, th)):
-        if isinstance(atom, Nil):
-            continue
-        if isinstance(atom, DefConst):
-            raise NonBccspTerm(f"recursion constant {atom.name} is not a head normal form")
-        assert isinstance(atom, Prefix)
-        out.append((atom.label, atom.body))
-    return out

@@ -1,12 +1,31 @@
-"""A mirror oracle that shares no code with the mirror search.
+"""A commutativity oracle that shares no code with the mirror search.
 
-It enumerates every renaming the commutativity format allows and checks
-each one by substituting, canonicalizing and comparing whole terms, the
-way the format is stated, so it can catch a fault inside `find_mirror`.
+`oracle_mirrors` enumerates every renaming the commutativity format allows
+and checks each one by substituting, canonicalizing and comparing whole
+terms, the way the format is stated.  `oracle_report` builds the report
+`check_comm` should give from it alone, by a fixed point that drops one
+operator at a time, so `differences` can catch a fault anywhere in
+`check_comm`: in the search, in its rounds or in the mappings it shows.
+
+Run as a script to compare the two reports on the bundled specs, their
+rules shuffled and one of them repeated under each seed, so that a rule
+may have two mirrors, and on mutated bundled specs (`mutate.mutate`);
+specs that fail the rule format are skipped:
+
+    PYTHONPATH=src:tests python tests/mirror_oracle.py --seeds 10 --mutants 1000
 """
 
-import itertools
+from __future__ import annotations
 
+import argparse
+import itertools
+import random
+import sys
+from collections import namedtuple
+
+from sosforge import corpus_text, parse_spec
+from sosforge.commform import check_comm
+from sosforge.errors import SosError
 from sosforge.terms import (
     App,
     Choice,
@@ -17,9 +36,13 @@ from sosforge.terms import (
     canon_label,
     free_vars,
     render_term,
+    replace,
     substitute_label,
     substitute_term,
 )
+
+BUNDLED = ("bccsp", "bccsp_par", "g", "linda", "recursion", "full")
+
 
 def rule_variables(rule) -> set[str]:
     """The variables a rule names: its sources, premise targets and the
@@ -87,8 +110,8 @@ def oracle_mirrors(spec, rule_a, rule_b, comm_set) -> list[dict[str, str]]:
     """Every renaming under which rule_b mirrors rule_a: rule_b's positive
     and negative premises land among rule_a's, and its conclusion label and
     target on rule_a's, up to the label equations and to swapping arguments
-    of the operators in comm_set.  Each renaming is shown as `find_mirror`
-    shows its mapping: every other variable of either rule maps to its
+    of the operators in comm_set.  Each renaming is shown as `check_comm`
+    shows a mapping: every other variable of either rule maps to its
     preimage under the renaming, or else to itself."""
     th = spec.theory
     positives_a = {(p.source.name, id(canon_label(p.label, th)), p.target.name)
@@ -109,3 +132,116 @@ def oracle_mirrors(spec, rule_a, rule_b, comm_set) -> list[dict[str, str]]:
             preimage = {w: v for v, w in r.items()}
             found.append({v: r.get(v, preimage.get(v, v)) for v in names})
     return found
+
+
+# proven: per operator, (rule_a, rule_b, every mapping the oracle finds) for
+# each reported pair; assumed and failed as in `check_comm`'s report.
+OracleReport = namedtuple("OracleReport", "proven assumed failed")
+
+
+def oracle_report(spec) -> tuple[OracleReport, dict]:
+    """The report `check_comm` should give, from `oracle_mirrors` alone.
+
+    The known-commutative set starts with choice and every binary operator
+    and loses one operator at a time, one with a rule that no rule of its
+    own mirrors, until none is lost.  Under the final set, each rule's
+    mirror is the first rule of the operator that mirrors it, each pair of
+    rules is reported once, at its first rule, and a dropped operator lists
+    its unmirrored rules.  Also returns every pair the oracle was asked
+    about: its mappings by (rule_a, rule_b, known set)."""
+    binaries = [op for op in spec.proc_ops.values() if op.arity == 2]
+    declared = {op.name for op in binaries if op.comm}
+    comm_set = {"+"} | {op.name for op in binaries}
+    asked: dict[tuple, list[dict[str, str]]] = {}
+
+    def first_mirror(name, ia, ra):
+        for ib, rb in spec.rules_for(name):
+            key = (ia, ib, frozenset(comm_set))
+            if key not in asked:
+                asked[key] = oracle_mirrors(spec, ra, rb, comm_set)
+            if asked[key]:
+                return ib, asked[key]
+        return None
+
+    changed = True
+    while changed:
+        changed = False
+        for name in [op.name for op in binaries if op.name not in declared]:
+            if name in comm_set and any(first_mirror(name, ia, ra) is None for ia, ra in spec.rules_for(name)):
+                comm_set.discard(name)
+                changed = True
+
+    proven, failed = {}, {}
+    for name in [op.name for op in binaries if op.name not in declared]:
+        found = [(ia, first_mirror(name, ia, ra)) for ia, ra in spec.rules_for(name)]
+        if name not in comm_set:
+            failed[name] = [ia for ia, m in found if m is None]
+            continue
+        covered, witnesses = set(), []
+        for ia, (ib, mappings) in found:
+            if (min(ia, ib), max(ia, ib)) not in covered:
+                covered.add((min(ia, ib), max(ia, ib)))
+                witnesses.append((ia, ib, mappings))
+        proven[name] = witnesses
+    return OracleReport(proven, sorted(declared), failed), asked
+
+
+def differences(report, want: OracleReport) -> list[str]:
+    """How a `check_comm` report differs from the oracle's: in any field
+    but the mappings, or in a mapping that is none of the oracle's for its
+    pair.  Empty when they agree."""
+    got = {op: [(w.rule_a, w.rule_b) for w in ws] for op, ws in report.proven.items()}
+    pairs = {op: [(a, b) for a, b, _ in ws] for op, ws in want.proven.items()}
+    out = [f"{field}: {g} != {w}" for field, g, w in (
+        ("proven", got, pairs), ("assumed", report.assumed, want.assumed), ("failed", report.failed, want.failed))
+        if g != w]
+    if not out:
+        out = [f"{op} rule {w.rule_a} <- rule {w.rule_b}: {w.mapping_str()} is not among {mappings}"
+               for op, ws in report.proven.items()
+               for w, (_, _, mappings) in zip(ws, want.proven[op]) if dict(w.mapping) not in mappings]
+    return out
+
+
+def sweep(seeds: range, mutants: int) -> tuple[list[str], int]:
+    """Differences over the bundled specs, their rules shuffled and one
+    repeated under each seed, and over `mutants` mutated bundled specs; and
+    how many mutants met the rule format and were checked."""
+    import mutate
+
+    failures = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        for name in BUNDLED:
+            spec = parse_spec(corpus_text(name))
+            rules = [*spec.rules, rng.choice(spec.rules)] if spec.rules else []
+            spec = replace(spec, rules=tuple(rng.sample(rules, len(rules))))
+            failures += [f"{name}, seed {seed}: {d}" for d in differences(check_comm(spec), oracle_report(spec)[0])]
+    rng = random.Random(f"mirror:{seeds.start}")
+    checked = 0
+    for i in range(mutants):
+        text = mutate.mutate(rng, corpus_text(rng.choice(BUNDLED)), rng.randint(1, 3))
+        try:
+            spec = parse_spec(text)
+            report = check_comm(spec)
+        except SosError:
+            continue
+        checked += 1
+        failures += [f"mutant {i}: {d}\n{text}" for d in differences(report, oracle_report(spec)[0])]
+    return failures, checked
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description="Check check_comm's report against the mirror oracle.")
+    ap.add_argument("--seeds", type=int, default=10, help="rule orders of the bundled specs")
+    ap.add_argument("--mutants", type=int, default=300, help="mutated bundled specs")
+    args = ap.parse_args(argv)
+    failures, checked = sweep(range(1, args.seeds + 1), args.mutants)
+    for f in failures:
+        print(f, file=sys.stderr)
+    print(f"{args.seeds} seeds, {args.mutants} mutants ({checked} met the format and were checked): "
+          f"{len(failures)} failed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -66,7 +66,9 @@ def test_associative_is_proved_once_per_operator_and_spec(monkeypatch):
 
 # -- shapes the proof refuses ----------------------------------------------------------
 
-HEADER = "actions a b c ; predicates | ; op f : 2 ; var x y x' y' : Proc ; var alpha : Action ; var k : Label ;\n"
+HEADER = ("actions a b c ; predicates | ; datasort Data [assoc comm id: empty] ; dataconst d u : Data ; "
+          "labelop pr : Label Label -> Label ; labelop plus : Data Data -> Data ; op f : 2 ; "
+          "var x y x' y' x2 : Proc ; var alpha : Action ; var k : Label ; var P : Predicate ; var xD xD' : Data ;\n")
 REFUSED = {
     # the second argument moves into the first place
     "swapped": ("x -(a)-> x' ==> f(x,y) -(a)-> f(y, x')",
@@ -77,29 +79,70 @@ REFUSED = {
     # alpha takes the actions among the labels k stands for
     "partial": ("x -(alpha)-> x' ==> f(x,y) -(alpha)-> f(x', y)",
                 "y -(k)-> y' ==> f(x,y) -(k)-> y'"),
+    # two premises on x
+    "two_premises": ("x -(a)-> x' , x -(b)-> x2 ==> f(x,y) -(a)-> f(x', y)",
+                     "y -(c)-> y' ==> f(x,y) -(c)-> y'"),
+    # a conclusion label under a label operator meets the premise on x
+    "operator_label": ("x -(k)-> x' ==> f(x,y) -(pr(k, k))-> f(x', y)",),
+    # the ground store triple meets some of the triples rule 2 concludes
+    "ground_premise": ("x -(< d, -, u >)-> x' ==> f(x,y) -(a)-> f(x', y)",
+                       "y -(< xD, -, xD' >)-> y' ==> f(x,y) -(< xD, -, xD' >)-> y'"),
+    # the store triple premise meets some of the labels k stands for
+    "triple_premise": ("x -(< xD, -, xD' >)-> x' ==> f(x,y) -(a)-> f(x', y)",
+                       "y -(k)-> y' ==> f(x,y) -(k)-> y'"),
+    # the slot variable xD meets some of the data plus(xD, d) stands for
+    "operator_slot": ("x -(< xD, -, xD' >)-> x' ==> f(x,y) -(< xD, -, xD' >)-> f(x', y)",
+                      "y -(< xD, -, xD' >)-> y' ==> f(x,y) -(< plus(xD, d), -, xD' >)-> f(x, y')"),
+    # rule 2 fires on y's a only, which the nest f(y, z) never does
+    "ground_triple": ("x -(< xD, -, xD' >)-> x' ==> f(x,y) -(< xD, -, xD' >)-> f(x', y)",
+                      "y -(a)-> y' ==> f(x,y) -(< d, -, u >)-> f(x, y')"),
 }
 # Where the operator is not associative: p, q and r whose groupings differ.
-SEPARATED = {"swapped": ("a . 0", "0", "a . 0"), "negative": ("0", "a . 0", "b . 0")}
+SEPARATED = {
+    "swapped": ("a . 0", "0", "a . 0"),
+    "negative": ("0", "a . 0", "b . 0"),
+    "two_premises": ("a . 0 + b . 0", "0", "0"),
+    "operator_label": ("a . 0", "0", "0"),
+    "ground_premise": ("< d, -, u > . 0", "0", "0"),
+    "triple_premise": ("< d, -, d > . 0", "0", "0"),
+    "operator_slot": ("0", "0", "< d, -, d > . 0"),
+    "ground_triple": ("0", "0", "a . 0"),
+}
+PROVED = {
+    # the ground store triple rule 2 concludes meets rule 1's premise on x
+    "ground_triple": ("x -(< xD, -, xD' >)-> x' ==> f(x,y) -(< xD, -, xD' >)-> f(x', y)",
+                      "y -(< xD, -, xD' >)-> y' ==> f(x,y) -(< d, -, u >)-> f(x, y')"),
+    # an action variable meets no predicate
+    "unrelated_sorts": ("x -(alpha)-> x' ==> f(x,y) -(alpha)-> f(x', y)",
+                        "y -(P)-> y' ==> f(x,y) -(P)-> y'"),
+}
 
 
-def refused_spec(key):
-    return parse_spec(f"spec {key.upper()} {HEADER}" + "".join(f"rule {r} ;\n" for r in REFUSED[key]))
+def shape_spec(key, rules=REFUSED):
+    return parse_spec(f"spec {key.upper()} {HEADER}" + "".join(f"rule {r} ;\n" for r in rules[key]))
 
 
 @pytest.mark.parametrize("key", sorted(REFUSED))
 def test_refused_shapes(key):
-    spec = refused_spec(key)
-    assert not proves_assoc(spec, "f")
+    spec = shape_spec(key)
+    assert not spec.associative("f")
     if key in SEPARATED:
         p, q, r = (parse_term(t, spec) for t in SEPARATED[key])
         same, _ = bisimilar(spec, App("f", (App("f", (p, q)), r)), App("f", (p, App("f", (q, r)))))
         assert not same
 
 
+@pytest.mark.parametrize("key", sorted(PROVED))
+def test_proved_shapes(key):
+    spec = shape_spec(key, PROVED)
+    assert spec.associative("f")
+    assert assoc_oracle.check(spec, random.Random(key), 40) == []
+
+
 def test_a_refused_operator_stays_as_written():
     """The negative f walks its left operand but is not associative: its
     nests keep their grouping."""
-    spec = refused_spec("negative")
+    spec = shape_spec("negative")
     assert not spec.associative("f")
     written = parse_term("f(f(f(0, 0), a . 0), b . 0)", spec)
     regrouped = parse_term("f(0, f(0, f(a . 0, b . 0)))", spec)

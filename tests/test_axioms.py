@@ -57,7 +57,8 @@ def _fire(spec, args, i):
     that label."""
     rule = spec.rules[i]
     plan = next(p for p in spec.plans_for(rule.conclusion.source.op) if p.rule is rule)
-    offers = {k: terms.summands(a, spec.theory) for k, a in enumerate(args)}
+    offers = {k: [(p.label, p.body) for p in choice_atoms(canon_term(a, spec.theory)) if type(p) is Prefix]
+              for k, a in enumerate(args)}
     return [plan.substitution(b) for b in solve_rule(plan, args, offers.__getitem__, spec.theory)]
 
 

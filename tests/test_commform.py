@@ -15,13 +15,9 @@ from sosforge.bisim import bisimilar
 from sosforge.cli import main
 from sosforge.commform import (
     CHOICE_OP,
-    CommReport,
-    MirrorWitness,
-    cc_equal,
     check_comm,
     comm_report_json,
     comm_report_text,
-    find_mirror,
     formats_spec,
     render_spec,
 )
@@ -39,37 +35,47 @@ from sosforge.terms import (
     substitute_term,
 )
 from sosforge.tss import ProcOp, Rule
-from mirror_oracle import oracle_mirrors
+from mirror_oracle import cc_canon, differences, oracle_mirrors, oracle_report
 from termgen import front_spec_text, random_bccsp_term
 
-# -- equality up to commutative swaps ------------------------------------------
+# -- targets equal up to commutative swaps ------------------------------------------
+
+# h's rules mirror each other, k's one rule has no mirror, and f's two rules
+# have the targets of each case below.
+SWAPS_HEADER = (
+    "actions a b c ; datasort A [assoc comm id: ea] ; datasort B [assoc comm id: eb] ; dataconst a1 : A ; "
+    "op f : 2 ; op h : 2 ; op k : 2 ; var x y x' y' : Proc ;\n"
+    "rule x -(a)-> x' ==> h(x, y) -(a)-> x' ;\nrule y -(a)-> y' ==> h(x, y) -(a)-> y' ;\n"
+    "rule x -(a)-> x' ==> k(x, y) -(a)-> x' ;\n"
+    "def p = a . p ;\ndef q = a . q ;\n"
+)
+# The targets of f's rules on x and on y, and whether they mirror each other.
+SWAPS = {
+    "known_operator": ("h(x', y)", "h(x, y')", True),
+    "unknown_operator": ("k(x', y)", "k(x, y')", False),
+    "choice": ("x' + y", "x + y'", True),
+    "choice_regrouped": ("(a . x' + b . y) + c . 0", "a . y' + (b . x + c . 0)", True),
+    "repeated_summand": ("x' + x'", "y'", False),
+    "sorts_in_a_choice": ("< a1, -, ea > . x' + < a1, -, eb > . y", "< a1, -, eb > . x + < a1, -, ea > . y'", True),
+    "sorts": ("< a1, -, ea > . x'", "< a1, -, eb > . y'", False),
+    # recursion constants compare by name, bisimilar or not
+    "definition": ("x' + p", "p + y'", True),
+    "other_definition": ("x' + p", "q + y'", False),
+}
 
 
-def test_cc_equal_swaps_only_known_ops(par):
-    x_y = parse_term("x || y", par, closed=False)
-    y_x = parse_term("y || x", par, closed=False)
-    assert cc_equal(x_y, y_x, {"_||_", "+"}, par.theory)
-    assert not cc_equal(x_y, y_x, {"+"}, par.theory)
-
-
-def test_cc_equal_sequencing_is_ordered(linda):
-    a = parse_term("x' ; y'", linda, closed=False)
-    b = parse_term("y' ; x'", linda, closed=False)
-    assert not cc_equal(a, b, {"_||_", "+"}, linda.theory)
-
-
-def test_cc_equal_choice_is_flat(par):
-    """Choice is one form node over all its summands: they commute and
-    reassociate, but a repeated summand still counts."""
-    th = par.theory
-    swapped = cc_equal(
-        Choice(Var("x"), Var("y")), Choice(Var("y"), Var("x")), {"+"}, th
-    )
-    assert swapped
-    left = Choice(Choice(Var("x"), Var("y")), Var("z"))
-    right = Choice(Var("z"), Choice(Var("x"), Var("y")))
-    assert cc_equal(left, right, {"+"}, th)
-    assert not cc_equal(Choice(Var("x"), Var("x")), Var("x"), {"+"}, th)
+@pytest.mark.parametrize("key", sorted(SWAPS))
+def test_mirror_targets_equal_up_to_known_swaps_and_choice(key):
+    """Targets mirror up to swapping the arguments of known-commutative
+    operators and regrouping and reordering a choice's summands, and no
+    further: a repeated summand still counts, labels keep their sorts and
+    recursion constants their names."""
+    on_x, on_y, mirrored = SWAPS[key]
+    spec = parse_spec(f"spec SWAPS {SWAPS_HEADER}rule x -(a)-> x' ==> f(x, y) -(a)-> {on_x} ;\n"
+                      f"rule y -(a)-> y' ==> f(x, y) -(a)-> {on_y} ;\n")
+    report = check_comm(spec)
+    assert ("f" in report.proven, report.failed.get("f")) == (mirrored, None if mirrored else [4, 5])
+    assert differences(report, oracle_report(spec)[0]) == []
 
 
 REGROUPED_CHOICE = """
@@ -115,34 +121,25 @@ def sorts_spec_text(key, same_sort=False):
     return f"spec {key.upper()} {SORTS_HEADER}" + "".join(f"rule {r} ;\n" for r in rules)
 
 
-def test_cc_equal_keeps_label_sorts():
-    spec = parse_spec(sorts_spec_text("tgt"))
-    ea, eb = (parse_term(f"< a1, -, {e} > . x", spec, closed=False) for e in ("ea", "eb"))
-    assert not cc_equal(ea, eb, {"+"}, spec.theory)
-    assert cc_equal(ea, parse_term("< a1, -, ea > . x", spec, closed=False), {"+"}, spec.theory)
-    assert not cc_equal(Choice(ea, Var("y")), Choice(Var("y"), eb), {"+"}, spec.theory)
-    assert cc_equal(Choice(ea, eb), Choice(eb, ea), {"+"}, spec.theory)
-
-
 # -- mirror search ----------------------------------------------------------------
 
 
+def _witnesses(spec, op):
+    return [(w.rule_a, w.rule_b, dict(w.mapping)) for w in check_comm(spec).proven[op]]
+
+
 def test_interleaving_rules_mirror_each_other(par):
-    comm = {"_||_", "+"}
-    got = find_mirror(par, par.rules[0], par.rules[1], comm)
-    assert got == {"alpha": "alpha", "x": "y", "x'": "y'", "y": "x", "y'": "x'"}
-    # an interleaving rule is not its own mirror
-    assert find_mirror(par, par.rules[0], par.rules[0], comm) is None
+    """Rule 1's first mirror is rule 2, not itself: an interleaving rule is
+    not its own mirror."""
+    assert _witnesses(par, "_||_")[0] == (1, 2, {"alpha": "alpha", "x": "y", "x'": "y'", "y": "x", "y'": "x'"})
 
 
 def test_sync_rule_is_self_mirror(par):
-    got = find_mirror(par, par.rules[2], par.rules[2], {"_||_", "+"})
-    assert got == {"x": "y", "x'": "y'", "y": "x", "y'": "x'"}
+    assert _witnesses(par, "_||_")[1] == (3, 3, {"x": "y", "x'": "y'", "y": "x", "y'": "x'"})
 
 
 def test_mixer_mirror_swaps_labels(gspec):
-    got = find_mirror(gspec, gspec.rules[0], gspec.rules[0], {"g", "+"})
-    assert got == {"k": "l", "l": "k", "x": "y", "x'": "y'", "y": "x", "y'": "x'"}
+    assert _witnesses(gspec, "g")[0] == (1, 1, {"k": "l", "l": "k", "x": "y", "x'": "y'", "y": "x", "y'": "x'"})
 
 
 TWO_MIRRORS = """spec TWO
@@ -157,10 +154,8 @@ rule x -(k)-> x1 , x -(l)-> x2 , y -(k)-> y1 , y -(l)-> y2 ==> f(x, y) -(a)-> 0 
 def test_mirror_search_returns_the_first_mirror(capsys, tmp_path):
     """The rule mirrors itself under two mappings; the search returns the
     one it finds first in premise order, `k <- k`, and `comm` prints it."""
-    spec = parse_spec(TWO_MIRRORS)
-    rule = spec.rules[0]
     first = {"k": "k", "l": "l", "x": "y", "x1": "y1", "x2": "y2", "y": "x", "y1": "x1", "y2": "x2"}
-    assert find_mirror(spec, rule, rule, {"f", "+"}) == first
+    assert _witnesses(parse_spec(TWO_MIRRORS), "f") == [(1, 1, first)]
     path = tmp_path / "two.sos"
     path.write_text(TWO_MIRRORS, encoding="utf-8")
     assert main(["comm", str(path)]) == 0
@@ -169,14 +164,16 @@ def test_mirror_search_returns_the_first_mirror(capsys, tmp_path):
 
 
 def test_mirror_mapping_is_injective():
-    # mirroring rule 2 onto rule 1 would need both alpha and beta to map to alpha
+    """Rule 1 mirrors itself while f is known commutative, and rule 2 would
+    mirror it if both alpha and beta could map to alpha; it has no mirror,
+    so f falls and then rule 1 no longer mirrors itself."""
     spec = parse_spec(
         "spec INJ\nactions a ;\nop f : 2 ;\nvar x y x' y' : Proc ;\n"
         "var alpha beta : Action ;\n"
         "rule x -(alpha)-> x' , y -(alpha)-> y' ==> f(x,y) -(alpha)-> f(x',y') ;\n"
         "rule x -(alpha)-> x' , y -(beta)-> y' ==> f(x,y) -(alpha)-> f(x',y') ;\n"
     )
-    assert find_mirror(spec, spec.rules[0], spec.rules[1], {"f", "+"}) is None
+    assert check_comm(spec).failed == {"f": [1, 2]}
 
 
 SEGMENT_SPEC = (
@@ -196,8 +193,6 @@ def test_mirror_maps_no_variable_to_an_identity_or_a_segment(capsys, tmp_path):
     two, three = (canon_label(r.positives[0].label, th) for r in spec.rules)
     assert "e" in [render_label(s["m"]) for s in match(three, two, th)]
     assert "cat(l,m)" in [render_label(s["l"]) for s in match(two, three, th)]
-    for a, b in ((0, 1), (1, 0)):
-        assert find_mirror(spec, spec.rules[a], spec.rules[b], {"f", "+"}) is None
     assert check_comm(spec).failed == {"f": [1, 2]}
     path = tmp_path / "seg.sos"
     path.write_text(SEGMENT_SPEC, encoding="utf-8")
@@ -249,12 +244,7 @@ NEG_SUBSET_TEXT = (
 def test_mirror_premises_land_among_the_candidates(capsys, tmp_path, text, report):
     """Rule 2 mirrors rule 1 though rule 1 has one premise more, positive or
     negative; the converse fails, so rule 2's first mirror is rule 3."""
-    spec = parse_spec(text)
-    r1, r2, r3 = spec.rules
-    comm = {"f", "+"}
-    assert find_mirror(spec, r1, r2, comm) == SUBSET_MAPPING
-    assert find_mirror(spec, r2, r1, comm) is None
-    assert find_mirror(spec, r2, r3, comm) == SUBSET_MAPPING
+    assert _witnesses(parse_spec(text), "f") == [(1, 2, SUBSET_MAPPING), (2, 3, SUBSET_MAPPING)]
     path = tmp_path / "subset.sos"
     path.write_text(text, encoding="utf-8")
     assert main(["comm", str(path)]) == 0
@@ -265,12 +255,27 @@ def test_mirror_premises_land_among_the_candidates(capsys, tmp_path, text, repor
         "proven": {"f": [witness(1, 2), witness(2, 3)]}, "assumed": [], "failed": {}}
 
 
-def test_sequencing_has_no_mirror(linda):
-    comm = {"_||_", "_;_", "+"}
-    seq_rules = [r for i, r in linda.rules_for("_;_")]
-    for a in seq_rules:
-        for b in seq_rules:
-            assert find_mirror(linda, a, b, comm) is None
+# Rule 1 has two mirrors, rule 2 with a premise fewer and rule 3 with the
+# same premises: the report shows the first, and pairs rule 3 with rule 1.
+FIRST_OF_TWO = SUBSET_SPEC.replace("SUBSET", "FIRST").replace(
+    "rule x -(a)-> x' ==> f(x,y) -(a)-> x' ;\n",
+    "rule y -(a)-> y' , x -(b)-> x' ==> f(x,y) -(a)-> y' ;\nrule x -(a)-> x' ==> f(x,y) -(a)-> x' ;\n")
+
+
+def test_mirror_is_the_first_candidate_that_mirrors():
+    assert [w[:2] for w in _witnesses(parse_spec(FIRST_OF_TWO), "f")] == [(1, 2), (2, 4), (3, 1)]
+
+
+def test_sequencing_has_no_mirror(linda, capsys, tmp_path):
+    """No rule of `;` mirrors any: `comm` lists all three."""
+    assert check_comm(linda).failed == {"_;_": [4, 5, 6]}
+    path = tmp_path / "linda.sos"
+    path.write_text(corpus_text("linda"), encoding="utf-8")
+    assert main(["comm", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("_||_ is commutative\n") and "\nCould not prove commutativity for: _;_\n" in out
+    assert [line for line in out.splitlines() if line.endswith("has no mirror:")] == [
+        f"  rule {i} has no mirror:" for i in (4, 5, 6)]
 
 
 # -- the fixed point -------------------------------------------------------------
@@ -409,12 +414,8 @@ def test_witness_mappings_are_independently_valid(full):
                 canon_label(substitute_label(rule_b.conclusion.label, sub), th)
             )
             assert la == lb
-            assert cc_equal(
-                substitute_term(rule_b.conclusion.target, sub),
-                rule_a.conclusion.target,
-                comm,
-                th,
-            )
+            assert cc_canon(substitute_term(rule_b.conclusion.target, sub), comm, th) == \
+                cc_canon(rule_a.conclusion.target, comm, th)
 
 
 def test_alpha_renaming_does_not_change_verdicts():
@@ -498,58 +499,19 @@ def test_formats_spec_adds_declared_attribute(par):
     assert "_||_" in again.assumed
 
 
-# -- differential check against the one-at-a-time fixed point -------------------------
+# -- differential check against the oracle's fixed point --------------------------------
 
 CORPUS = ("bccsp", "bccsp_par", "g", "linda", "recursion", "full")
 
 
-def reference_check_comm(spec):
-    """The fixed point as first written: one operator discarded at a time, and
-    a report that searches for every mirror again under the final set."""
-    binaries = [op for op in spec.proc_ops.values() if op.arity == 2]
-    declared = {op.name for op in binaries if op.comm}
-    comm_set = {CHOICE_OP} | {op.name for op in binaries}
-
-    def rule_has_mirror(name, rule):
-        return any(find_mirror(spec, rule, rb, comm_set) is not None for _, rb in spec.rules_for(name))
-
-    changed = True
-    while changed:
-        changed = False
-        for op in binaries:
-            name = op.name
-            if name not in comm_set or name in declared:
-                continue
-            if any(not rule_has_mirror(name, r) for _, r in spec.rules_for(name)):
-                comm_set.discard(name)
-                changed = True
-
-    proven, failed = {}, {}
-    for op in binaries:
-        name = op.name
-        if name in declared:
-            continue
-        if name in comm_set:
-            witnesses = []
-            covered = set()
-            for ia, ra in spec.rules_for(name):
-                for ib, rb in spec.rules_for(name):
-                    m = find_mirror(spec, ra, rb, comm_set)
-                    if m is None:
-                        continue
-                    pair = (min(ia, ib), max(ia, ib))
-                    if pair not in covered:
-                        covered.add(pair)
-                        witnesses.append(
-                            MirrorWitness(name, ia, ib, tuple(sorted(m.items())))
-                        )
-                    break
-            proven[name] = witnesses
-        else:
-            failed[name] = [
-                ia for ia, ra in spec.rules_for(name) if not rule_has_mirror(name, ra)
-            ]
-    return CommReport(proven, sorted(declared), failed)
+def _check_against_oracle(spec) -> collections.Counter:
+    """check_comm's report against `oracle_report`, which shares no code
+    with the search: the same fixed point, first mirrors, pairs and failed
+    rules, and each mapping one of the oracle's for its pair.  Counts the
+    pairs the oracle was asked about by how many mappings it found."""
+    want, asked = oracle_report(spec)
+    assert differences(check_comm(spec), want) == []
+    return collections.Counter(min(len(found), 2) for found in asked.values())
 
 
 def removal_rounds(spec):
@@ -561,7 +523,7 @@ def removal_rounds(spec):
         failing = {
             op.name for op in binaries
             if op.name in comm_set and not op.comm and not all(
-                any(find_mirror(spec, ra, rb, comm_set) is not None for _, rb in spec.rules_for(op.name))
+                any(oracle_mirrors(spec, ra, rb, comm_set) for _, rb in spec.rules_for(op.name))
                 for _, ra in spec.rules_for(op.name)
             )
         }
@@ -573,22 +535,27 @@ def removal_rounds(spec):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_check_comm_matches_reference_on_corpus(name):
+    """In another rule order each rule's first mirror, and so each pair and
+    mapping reported, may change."""
     spec = load_corpus(name)
-    assert check_comm(spec) == reference_check_comm(spec)
+    rules = list(spec.rules)
+    random.Random(name).shuffle(rules)
+    for order in (rules, spec.rules[::-1]):
+        _check_against_oracle(replace(spec, rules=tuple(order)))
 
 
 @pytest.mark.parametrize("key", sorted(CASCADE_SPECS))
 def test_check_comm_matches_reference_on_cascade(key):
     spec = parse_spec(CASCADE_SPECS[key])
-    assert check_comm(spec) == reference_check_comm(spec)
+    _check_against_oracle(spec)
     assert removal_rounds(spec) == {"sym_h": 0, "lop_h": 2, "mutual": 2}[key]
 
 
 def _mirror_units(spec):
     """Each binary operator's rules, in the mirror pairs and unmirrored single
     rules that the spec's own report finds."""
-    rep = reference_check_comm(spec)
-    groups = [[(w.rule_a, w.rule_b) for w in ws] for ws in rep.proven.values()]
+    rep = oracle_report(spec)[0]
+    groups = [[(a, b) for a, b, _ in ws] for ws in rep.proven.values()]
     groups += [[(i,) for i in idxs] for idxs in rep.failed.values()]
     return [[tuple(spec.rules[i - 1] for i in dict.fromkeys(u)) for u in g] for g in groups]
 
@@ -636,12 +603,6 @@ def mixed_specs(draw):
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(mixed_specs())
-def test_check_comm_matches_reference_on_drawn_specs(spec):
-    assert check_comm(spec) == reference_check_comm(spec)
-
-
 def test_drawn_specs_reach_cascades():
     found = find(
         mixed_specs(),
@@ -685,28 +646,10 @@ ORACLE_SPECS = {
     **{name: corpus_text(name) for name in CORPUS},
     **{f"no_mirror_{key}": no_mirror_spec_text(key) for key in NO_MIRROR_RULES},
     "two": TWO_MIRRORS, "segment": SEGMENT_SPEC, "subset": SUBSET_SPEC, "neg_subset": NEG_SUBSET_SPEC,
+    "first_of_two": FIRST_OF_TWO,
     **{f"sorts_{key}": sorts_spec_text(key) for key in SORTS_RULES},
     **{f"cascade_{key}": text for key, text in CASCADE_SPECS.items()},
 }
-
-
-def _check_against_oracle(spec) -> collections.Counter:
-    """find_mirror against `oracle_mirrors` on every ordered pair of rules of
-    each binary operator, with every binary operator known commutative and
-    with none: both find nothing, or find_mirror's mapping is one the oracle
-    finds.  Counts the pairs by how many mappings the oracle finds."""
-    binaries = [op.name for op in spec.proc_ops.values() if op.arity == 2]
-    seen = collections.Counter()
-    for comm in ({CHOICE_OP, *binaries}, {CHOICE_OP}):
-        for name in binaries:
-            for ia, ra in spec.rules_for(name):
-                for ib, rb in spec.rules_for(name):
-                    want = oracle_mirrors(spec, ra, rb, comm)
-                    got = find_mirror(spec, ra, rb, comm)
-                    assert (got is None) == (not want), (name, ia, ib, sorted(comm), got, want)
-                    assert got is None or got in want, (name, ia, ib, sorted(comm), got, want)
-                    seen[min(len(want), 2)] += 1
-    return seen
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
@@ -766,11 +709,6 @@ def test_rule_variables_walked_once(monkeypatch):
     assert walks["free_vars"] <= parts
     once = walks["free_vars"]
     check_comm(spec)
-    for op in spec.proc_ops.values():
-        if op.arity == 2:
-            for _, ra in spec.rules_for(op.name):
-                for _, rb in spec.rules_for(op.name):
-                    find_mirror(spec, ra, rb, {CHOICE_OP})
     assert sum(len(step(spec, t)) for t in terms) > 0
     normalize(spec, terms[-1])
     for _ in range(3):

@@ -115,6 +115,9 @@ def test_import_cli_loads_no_engine_module_and_no_json():
                      ("bisim", "axioms", "commform", "matching"), id="simulate-full"),
         pytest.param(["normalize", corpus_path("full"), "g(a . 0, b . 0)"],
                      ("bisim", "commform", "matching"), id="normalize-full"),
+        # four operands against `;`'s three rules: `commform` proves `;` associative
+        pytest.param(["normalize", corpus_path("linda"), "ask(u) ; tell(v) ; get(u) ; ask(d)"],
+                     ("bisim", "matching"), id="normalize-long-nest"),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )

@@ -12,7 +12,6 @@ from sosforge import (
     build_lts,
     check_all,
     check_comm,
-    find_mirror,
     normalize,
     parse_spec,
     parse_term,
@@ -129,7 +128,7 @@ def _calls():
         "bisimilar": lambda s: bisimilar(s, term(s, "f(a . 0)"), term(s, "a . 0")),
         "are_equal": lambda s: are_equal(s, "p", "q"),
         "check_comm": check_comm,
-        "find_mirror": lambda s: find_mirror(s, s.rules[1], s.rules[1], {"h", "+"}),
+        "associative": lambda s: s.associative("h"),
         "axiom_report": axiom_report,
         "rules_for": lambda s: s.rules_for("h"),
         "definition": lambda s: s.definition("p"),

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from sosforge import matching, parse_label, parse_spec, parse_term
-from sosforge.errors import NonBccspTerm, OpenTerm, SortError
+from sosforge.errors import SortError
 from sosforge.matching import match
 from sosforge.terms import (
     EMPTY_THEORY,
@@ -37,7 +37,6 @@ from sosforge.terms import (
     sort_accepts,
     substitute_label,
     substitute_term,
-    summands,
 )
 from termgen import is_canonical, mset, random_full_term, random_label, random_mset, render_substitution
 
@@ -286,43 +285,6 @@ def test_canon_invariant_under_choice_shuffle(full):
     for _ in range(300):
         t = random_full_term(rng, 5)
         assert canon_term(t, th) is canon_term(shuffle(t), th)
-
-
-# -- summands -----------------------------------------------------------------
-
-
-def test_summands_pins(par):
-    th = par.theory
-    got = summands(parse_term("b . 0 + a . c . 0", par), th)
-    assert [(render_label(l), render_term(t)) for l, t in got] == [
-        ("a", "c . 0"),
-        ("b", "0"),
-    ]
-    assert summands(NIL, th) == []
-
-
-def test_summands_rejects_non_fragment(par):
-    with pytest.raises(OpenTerm):
-        summands(Var("x"), par.theory)
-    with pytest.raises(NonBccspTerm):
-        summands(parse_term("a . 0 || 0", par), par.theory)
-
-
-def test_summands_takes_any_continuation(par):
-    """A head normal form is a choice of prefixes; only that spine is checked."""
-    got = summands(parse_term("a . (b . 0 || c . 0)", par), par.theory)
-    assert [(render_label(l), render_term(t)) for l, t in got] == [("a", "b . 0 || c . 0")]
-
-
-def test_summands_reports_spine_atoms_in_order(par):
-    par_app = parse_term("a . 0 || 0", par)
-    with pytest.raises(OpenTerm, match="^free variable x$"):
-        summands(Choice(Var("x"), par_app), par.theory)
-    # an operator is reported before a recursion constant, wherever each stands
-    with pytest.raises(NonBccspTerm, match="^operator _\\|\\|_ outside the base fragment$"):
-        summands(Choice(DefConst("X"), par_app), par.theory)
-    with pytest.raises(NonBccspTerm, match="^recursion constant X is not a head normal form$"):
-        summands(Choice(DefConst("X"), parse_term("a . (a . 0 || 0)", par)), par.theory)
 
 
 # -- sorts --------------------------------------------------------------------
