@@ -202,16 +202,16 @@ def differences(report, want: OracleReport) -> list[str]:
     return out
 
 
-def sweep(seeds: range, mutants: int) -> tuple[list[str], int]:
-    """Differences over the bundled specs, their rules shuffled and one
-    repeated under each seed, and over `mutants` mutated bundled specs; and
-    how many mutants met the rule format and were checked."""
+def sweep(seeds: range, mutants: int, names=BUNDLED) -> tuple[list[str], int]:
+    """Differences over the named bundled specs, their rules shuffled and
+    one repeated under each seed, and over `mutants` mutated bundled specs;
+    and how many mutants met the rule format and were checked."""
     import mutate
 
     failures = []
     for seed in seeds:
         rng = random.Random(seed)
-        for name in BUNDLED:
+        for name in names:
             spec = parse_spec(corpus_text(name))
             rules = [*spec.rules, rng.choice(spec.rules)] if spec.rules else []
             spec = replace(spec, rules=tuple(rng.sample(rules, len(rules))))

@@ -57,8 +57,9 @@ def _fire(spec, args, i):
     that label."""
     rule = spec.rules[i]
     plan = next(p for p in spec.plans_for(rule.conclusion.source.op) if p.rule is rule)
-    offers = {k: [(p.label, p.body) for p in choice_atoms(canon_term(a, spec.theory)) if type(p) is Prefix]
-              for k, a in enumerate(args)}
+    atoms = [choice_atoms(canon_term(a, spec.theory)) for a in args]
+    assert all(type(p) in (Prefix, Nil) for spine in atoms for p in spine), "not head normal"
+    offers = {k: [(p.label, p.body) for p in spine if type(p) is Prefix] for k, spine in enumerate(atoms)}
     return [plan.substitution(b) for b in solve_rule(plan, args, offers.__getitem__, spec.theory)]
 
 
